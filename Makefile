@@ -88,12 +88,13 @@ fabric-smoke:
 	cmp "$$dir/fabric.json" "$$dir/serial.json" && \
 	echo "fabric-smoke: distributed merged document is byte-identical to serial"
 
-# Socket/multi-tenant gate: the Socket{N:1} golden-equivalence pin, the
-# 2-tenant interference + determinism acceptance test, and the
+# Socket/multi-tenant gate: the 2-tenant interference + determinism
+# acceptance test, the shared-table and one-window contracts, and the
 # adversarial socket checkpoint round trip (mid-wrong-path fork of a
-# 2-core socket must replay bit-identically).
+# 2-core socket must replay bit-identically). Single-core runs are
+# one-tenant sockets, so the golden grid covers N=1.
 socket:
-	$(GO) test ./internal/harness -run 'TestGoldenSocketEquivalence|TestSocketContentionInterference' -count=1
+	$(GO) test ./internal/harness -run 'TestSocketContentionInterference|TestSocketSharedPrefetcherRuns|TestExecuteSocketRejectsMixedBudgets' -count=1
 	$(GO) test ./internal/core -run 'TestSocket' -count=1
 
 check: fmt-check vet build lint test race determinism golden socket

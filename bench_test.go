@@ -27,6 +27,7 @@ import (
 	"pdip/internal/prefetch"
 	"pdip/internal/trace"
 	"pdip/internal/trace/champsim"
+	"pdip/internal/uncore"
 	"pdip/internal/workload"
 )
 
@@ -253,10 +254,18 @@ func BenchmarkWalker(b *testing.B) {
 // prefetch-queue drain into the instruction port. CoreStep measures one
 // whole-pipeline tick for the composite view.
 
+// benchHierarchy builds a lone core's hierarchy on the default machine the
+// way a socket does: private L1s over a one-requester uncore's tenant port.
+func benchHierarchy() *mem.Hierarchy {
+	c := core.DefaultConfig().Mem
+	u := uncore.MustNew(uncore.Config{L2: c.L2, L3: c.L3, DRAMLatency: c.DRAMLatency, Requesters: 1})
+	return mem.MustNew(c, u.L2, u.L3, u.Port(0))
+}
+
 // BenchmarkMicroCacheLookup measures a warm L1I lookup through the
 // instruction port — the per-message overhead of the port model.
 func BenchmarkMicroCacheLookup(b *testing.B) {
-	h := mem.MustNew(core.DefaultConfig().Mem)
+	h := benchHierarchy()
 	p := h.InstPort()
 	p.Send(mem.Req{Op: mem.OpFetch, Line: addr(0x1000), At: 0})
 	b.ReportAllocs()
@@ -269,7 +278,7 @@ func BenchmarkMicroCacheLookup(b *testing.B) {
 // BenchmarkMicroFetchPath measures demand fetches over a footprint larger
 // than the L1I, so messages regularly traverse the full port chain.
 func BenchmarkMicroFetchPath(b *testing.B) {
-	h := mem.MustNew(core.DefaultConfig().Mem)
+	h := benchHierarchy()
 	p := h.InstPort()
 	const footprint = 4096 // lines; 256KB >> 32KB L1I
 	b.ReportAllocs()
@@ -283,7 +292,7 @@ func BenchmarkMicroFetchPath(b *testing.B) {
 // BenchmarkMicroPQDrain measures enqueue + priority-ordered drain of the
 // prefetch queue into the instruction port.
 func BenchmarkMicroPQDrain(b *testing.B) {
-	h := mem.MustNew(core.DefaultConfig().Mem)
+	h := benchHierarchy()
 	q := prefetch.NewQueue(32)
 	noPriority := func(isa.Addr) bool { return false }
 	b.ReportAllocs()

@@ -14,6 +14,10 @@
 // addressed and the bit-identity tests diff restored runs against
 // from-scratch runs.
 //
+// Every snapshot is socket-shaped: a single-core run is a one-tenant
+// socket, so State holds the shared uncore once and one TenantState per
+// core.
+//
 // Two uses share the format:
 //
 //   - In-memory fork: a *State is a plain value; core.NewFromSnapshot
@@ -23,8 +27,8 @@
 //   - On-disk cache: Encode/Decode frame the state in the versioned
 //     binary columnar wire format (checkpoint_binary.go), and Dir/Save/
 //     Load manage a content-addressed directory keyed by a config+workload
-//     hash (see Key). Decode sniffs the stream and still reads the legacy
-//     gzip+JSON format (checkpoint_legacy.go) for old directory contents.
+//     hash (see Key). A file from another format version fails to decode
+//     and the caller re-warms.
 package checkpoint
 
 import (
@@ -40,26 +44,39 @@ import (
 // directly); 2 = instruction sources became a tagged union (SourceState),
 // admitting ChampSim trace replay alongside the synthetic CFG walker;
 // 3 = multi-tenant sockets: CacheState grew per-owner attribution columns
-// (Owner/InflightOwner/Owners), HierarchyState grew the Shared flag (a
-// core-private hierarchy skips the uncore-owned L2/L3), and SocketState
-// captures an N-core socket with the shared uncore recorded once;
-// 4 = the wire format switched from gzip+JSON to the binary columnar
-// codec (same state layout as 3 — legacy version-3 JSON streams are
-// sniffed and decoded by the retained legacy decoder).
-const FormatVersion = 4
+// (Owner/InflightOwner/Owners) and a separate socket snapshot kind
+// captured the shared uncore once; 4 = the wire format switched from
+// gzip+JSON to the binary columnar codec; 5 = one snapshot kind: every
+// State is a socket (the uncore section, then one section group per
+// tenant), HierarchyState holds only the core-private L1s, and the wire
+// header lost its kind byte.
+const FormatVersion = 5
 
-// legacyJSONVersion is the newest state-layout version the retained
-// gzip+JSON decoder accepts. Layouts 3 and 4 are field-identical (4 only
-// changed the wire encoding), so a sniffed legacy stream at version 3
-// decodes into the current structs and is stamped FormatVersion on the
-// way out.
-const legacyJSONVersion = 3
-
-// State is the complete simulator state at one cycle boundary.
+// State is the complete simulator state at one cycle boundary: the
+// socket's shared uncore captured exactly once, then every core as a
+// TenantState child. A single-core run is a one-tenant socket.
 type State struct {
 	// Version is FormatVersion at capture time.
 	Version int
+	// Now is the socket clock (every core's clock is in lockstep with it).
+	Now int64
+	// SharedPrefetcher records the socket's table-sharing mode so a
+	// restore into a differently wired socket fails loudly.
+	SharedPrefetcher bool
+	Uncore           UncoreState
+	Tenants          []TenantState
+}
 
+// UncoreState captures the shared half of the socket's memory system.
+type UncoreState struct {
+	L2, L3 CacheState
+	// Metrics holds the uncore registry's owned values (per-tenant traffic
+	// counters; the interference counter funcs restore with the caches).
+	Metrics RegistryState
+}
+
+// TenantState is one core's state inside a socket snapshot.
+type TenantState struct {
 	Core    CoreState
 	Metrics RegistryState
 	Mem     HierarchyState
@@ -166,14 +183,11 @@ type HistogramState struct {
 	Sum    float64
 }
 
-// HierarchyState captures the four cache levels. Port wiring is stateless
-// and rebuilt by construction.
+// HierarchyState captures a core's private cache levels. The L2/L3
+// behind them belong to the uncore (UncoreState); port wiring is
+// stateless and rebuilt by construction.
 type HierarchyState struct {
-	L1I, L1D, L2, L3 CacheState
-	// Shared marks a core-private hierarchy whose L2/L3 are views of a
-	// socket's uncore: their CacheStates are left empty here (the socket
-	// captures the shared levels exactly once, in UncoreState).
-	Shared bool `json:",omitempty"`
+	L1I, L1D CacheState
 }
 
 // CacheState is one set-associative cache level: every line's metadata
@@ -183,9 +197,9 @@ type HierarchyState struct {
 // indexed set-major (set*Ways + way) — rather than as an array of
 // per-line structs. The cache sections dominate the encoded state (L2
 // and L3 carry tens of thousands of lines), and the columnar layout
-// both shrinks them (each field name appears once in the JSON, not once
-// per line; the three bool columns pack into base64 bitmasks) and
-// decodes as primitive-array scans instead of per-line object parses.
+// both shrinks them (delta-coded tags and deadlines, the three bool
+// columns packed into bitmasks) and decodes as primitive-array scans
+// instead of per-line record parses.
 type CacheState struct {
 	// Sets and Ways pin the geometry so a restore into a differently
 	// configured cache fails loudly.
@@ -206,9 +220,9 @@ type CacheState struct {
 	// Inflight, and Owners holds the per-owner interference counters. The
 	// per-owner in-flight occupancy is derived from InflightOwner at
 	// restore.
-	Owner         []uint8      `json:",omitempty"`
-	InflightOwner []uint8      `json:",omitempty"`
-	Owners        []OwnerStats `json:",omitempty"`
+	Owner         []uint8
+	InflightOwner []uint8
+	Owners        []OwnerStats
 }
 
 // OwnerStats mirrors cache.OwnerStats field-for-field (a compile-checked
@@ -223,9 +237,8 @@ type OwnerStats struct {
 	CrossEvictionsCaused   uint64
 }
 
-// Bitmask is a packed bool column: entry i lives at bit i%8 of byte i/8.
-// JSON encodes it as a base64 string, so n bools cost ~n/6 bytes on the
-// wire instead of 5–6 bytes each as literal true/false.
+// Bitmask is a packed bool column: entry i lives at bit i%8 of byte i/8,
+// so n bools cost n/8 bytes on the wire.
 type Bitmask []byte
 
 // NewBitmask returns an all-false mask with capacity for n entries.
@@ -376,10 +389,10 @@ type SourceState struct {
 	Kind string
 	// Walker is the CFG-walker state (SourceCFG), and doubles as the
 	// shadow-walker state of a differential ChampSim source.
-	Walker *WalkerState `json:",omitempty"`
+	Walker *WalkerState
 	// ChampSim is the trace-replay state (SourceChampSim and
 	// SourceChampSimWrong).
-	ChampSim *ChampSimState `json:",omitempty"`
+	ChampSim *ChampSimState
 }
 
 // WalkerState captures a trace walker's position and stream state. The
@@ -409,8 +422,8 @@ type ChampSimState struct {
 	Primed bool
 	// Decode is the sparse contents of the shadow decode cache, sorted
 	// by slot index.
-	Decode []ChampSimDecodeEntry `json:",omitempty"`
-	RAS    []isa.Addr            `json:",omitempty"`
+	Decode []ChampSimDecodeEntry
+	RAS    []isa.Addr
 	PC     isa.Addr
 }
 
@@ -526,11 +539,11 @@ type QueueStats struct {
 // concrete implementation; exactly the matching sub-state is non-nil.
 type PrefetcherState struct {
 	Kind     string
-	PDIP     *PDIPState     `json:",omitempty"`
-	EIP      *EIPState      `json:",omitempty"`
-	RDIP     *RDIPState     `json:",omitempty"`
-	FNLMMA   *FNLMMAState   `json:",omitempty"`
-	NextLine *NextLineState `json:",omitempty"`
+	PDIP     *PDIPState
+	EIP      *EIPState
+	RDIP     *RDIPState
+	FNLMMA   *FNLMMAState
+	NextLine *NextLineState
 }
 
 // PDIPState captures the PDIP trigger→target table.
@@ -660,28 +673,4 @@ type NextLineState struct {
 	Degree  int
 	Emitted uint64
 	Pending []RequestState
-}
-
-// SocketState is the socket-level snapshot of an N-core, shared-uncore
-// simulation: the uncore (shared L2/L3 plus its metric registry) captured
-// exactly once, and each core's full State as a child whose hierarchy
-// section is marked Shared (its L2/L3 columns empty).
-type SocketState struct {
-	// Version is FormatVersion at capture time.
-	Version int
-	// Now is the socket clock (every core's clock is in lockstep with it).
-	Now int64
-	// SharedPrefetcher records the socket's table-sharing mode so a
-	// restore into a differently wired socket fails loudly.
-	SharedPrefetcher bool
-	Uncore           UncoreState
-	Cores            []State
-}
-
-// UncoreState captures the shared half of the socket's memory system.
-type UncoreState struct {
-	L2, L3 CacheState
-	// Metrics holds the uncore registry's owned values (per-tenant traffic
-	// counters; the interference counter funcs restore with the caches).
-	Metrics RegistryState
 }

@@ -1,10 +1,11 @@
-// Binary columnar wire format (FormatVersion 4).
+// Binary columnar wire format (FormatVersion 5).
 //
-// Layout: a 4-byte magic ("PDCK"), a kind byte (state vs socket), a
-// varint format version, then the state body as a sequence of framed
-// sections — one per top-level State field group — each `id byte +
-// uint32 little-endian payload length + payload`. Inside a section,
-// fields encode in struct declaration order with typed column encodings:
+// Layout: a 4-byte magic ("PDCK") and a varint format version, then the
+// socket: its clock and shared-prefetcher flag, the uncore section, a
+// tenant count, and per tenant a sequence of framed sections — one per
+// TenantState field group — each `id byte + uint32 little-endian payload
+// length + payload`. Inside a section, fields encode in struct
+// declaration order with typed column encodings:
 //
 //   - scalars: unsigned varint (uint16/32/64, Addr), zigzag varint
 //     (int/int32/int64), single byte (uint8, bool), 8-byte LE bits
@@ -44,17 +45,9 @@ import (
 	"pdip/internal/isa"
 )
 
-// Wire constants. The magic deliberately shares no prefix with the gzip
-// magic (0x1f 0x8b) the legacy sniff keys on.
-const (
-	kindState  = 1
-	kindSocket = 2
-)
-
 var binMagic = [4]byte{'P', 'D', 'C', 'K'}
 
-// Section ids for the State body (one per top-level field group) and the
-// SocketState body.
+// Section ids: the uncore, then one per TenantState field group.
 const (
 	secCore       = 1
 	secMetrics    = 2
@@ -70,8 +63,11 @@ const (
 	secPrefetcher = 12
 
 	secUncore = 20
-	secCores  = 21
 )
+
+// minTenantBytes lower-bounds one tenant's encoding (its twelve section
+// headers), the decoder's allocation guard for the tenant count.
+const minTenantBytes = 12 * 5
 
 // encPool recycles encoder buffers: a warmed state encodes to hundreds of
 // KB, and Save/fork paths encode repeatedly with identical sizes.
@@ -82,8 +78,18 @@ var encPool = sync.Pool{New: func() any { return new(encoder) }}
 func Encode(w io.Writer, st *State) error {
 	e := encPool.Get().(*encoder)
 	e.reset()
-	e.header(kindState, st.Version)
-	e.state(st)
+	e.header(st.Version)
+	e.sv(st.Now)
+	e.bool(st.SharedPrefetcher)
+	e.section(secUncore, func() {
+		e.cache(&st.Uncore.L2)
+		e.cache(&st.Uncore.L3)
+		e.registry(&st.Uncore.Metrics)
+	})
+	e.uv(uint64(len(st.Tenants)))
+	for i := range st.Tenants {
+		e.tenant(&st.Tenants[i])
+	}
 	_, err := w.Write(e.buf)
 	encPool.Put(e)
 	if err != nil {
@@ -92,10 +98,8 @@ func Encode(w io.Writer, st *State) error {
 	return nil
 }
 
-// Decode reads a state previously written by Encode, sniffing and
-// accepting the legacy gzip+JSON format for old -checkpoint-dir contents.
-// A version mismatch is an error: the caller treats it as a cache miss
-// and re-warms.
+// Decode reads a state previously written by Encode. A version mismatch
+// is an error: the caller treats it as a cache miss and re-warms.
 func Decode(r io.Reader) (*State, error) {
 	b, err := readAll(r)
 	if err != nil {
@@ -122,65 +126,13 @@ func readAll(r io.Reader) ([]byte, error) {
 // indirection on the fork fast path. The returned state never aliases b:
 // byte columns and strings are copied out, so the caller may recycle b.
 func DecodeBytes(b []byte) (st *State, err error) {
-	if isLegacy(b) {
-		return decodeLegacy(b)
-	}
 	defer catchCorrupt(&err, "decode")
 	d := &decoder{b: b}
-	ver := d.header(kindState)
+	ver := d.header()
 	if ver != FormatVersion {
 		return nil, fmt.Errorf("checkpoint: format version %d, want %d", ver, FormatVersion)
 	}
-	st = d.state()
-	st.Version = ver
-	d.done()
-	return st, nil
-}
-
-// EncodeSocket writes a socket state in the binary columnar format, with
-// the same determinism contract as Encode.
-func EncodeSocket(w io.Writer, st *SocketState) error {
-	e := encPool.Get().(*encoder)
-	e.reset()
-	e.header(kindSocket, st.Version)
-	e.sv(st.Now)
-	e.bool(st.SharedPrefetcher)
-	e.section(secUncore, func() {
-		e.cache(&st.Uncore.L2)
-		e.cache(&st.Uncore.L3)
-		e.registry(&st.Uncore.Metrics)
-	})
-	e.section(secCores, func() {
-		e.uv(uint64(len(st.Cores)))
-		for i := range st.Cores {
-			e.state(&st.Cores[i])
-		}
-	})
-	_, err := w.Write(e.buf)
-	encPool.Put(e)
-	if err != nil {
-		return fmt.Errorf("checkpoint: encode socket: %w", err)
-	}
-	return nil
-}
-
-// DecodeSocket reads a socket state previously written by EncodeSocket,
-// sniffing and accepting the legacy gzip+JSON format.
-func DecodeSocket(r io.Reader) (st *SocketState, err error) {
-	b, err := readAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: decode socket: %w", err)
-	}
-	if isLegacy(b) {
-		return decodeLegacySocket(b)
-	}
-	defer catchCorrupt(&err, "decode socket")
-	d := &decoder{b: b}
-	ver := d.header(kindSocket)
-	if ver != FormatVersion {
-		return nil, fmt.Errorf("checkpoint: socket format version %d, want %d", ver, FormatVersion)
-	}
-	st = &SocketState{Version: ver}
+	st = &State{Version: ver}
 	st.Now = d.sv()
 	st.SharedPrefetcher = d.bool()
 	end := d.section(secUncore)
@@ -188,14 +140,10 @@ func DecodeSocket(r io.Reader) (st *SocketState, err error) {
 	d.cache(&st.Uncore.L3)
 	d.registry(&st.Uncore.Metrics)
 	d.endSection(secUncore, end)
-	end = d.section(secCores)
-	n := d.count(32)
-	st.Cores = make([]State, n)
-	for i := range st.Cores {
-		core := d.state()
-		st.Cores[i] = *core
+	st.Tenants = make([]TenantState, d.count(minTenantBytes))
+	for i := range st.Tenants {
+		d.tenant(&st.Tenants[i])
 	}
-	d.endSection(secCores, end)
 	d.done()
 	return st, nil
 }
@@ -236,8 +184,8 @@ func (e *encoder) reset() {
 	}
 }
 
-func (e *encoder) header(kind byte, version int) {
-	e.buf = append(e.buf, binMagic[0], binMagic[1], binMagic[2], binMagic[3], kind)
+func (e *encoder) header(version int) {
+	e.buf = append(e.buf, binMagic[:]...)
 	e.uv(uint64(version))
 }
 
@@ -384,15 +332,12 @@ func (d *decoder) need(n int) {
 	}
 }
 
-func (d *decoder) header(kind byte) int {
-	d.need(5)
+func (d *decoder) header() int {
+	d.need(4)
 	if [4]byte(d.b[:4]) != binMagic {
 		d.fail("bad magic %x", d.b[:4])
 	}
-	if d.b[4] != kind {
-		d.fail("wrong checkpoint kind %d, want %d", d.b[4], kind)
-	}
-	d.off = 5
+	d.off = 4
 	v := d.uv()
 	if v > math.MaxInt32 {
 		d.fail("absurd version %d", v)
@@ -642,18 +587,14 @@ func (d *decoder) intsOut() []int {
 }
 
 // ---------------------------------------------------------------------------
-// State body
+// Tenant body
 
-func (e *encoder) state(st *State) {
-	e.uv(uint64(st.Version))
+func (e *encoder) tenant(st *TenantState) {
 	e.section(secCore, func() { e.core(&st.Core) })
 	e.section(secMetrics, func() { e.registry(&st.Metrics) })
 	e.section(secMem, func() {
 		e.cache(&st.Mem.L1I)
 		e.cache(&st.Mem.L1D)
-		e.cache(&st.Mem.L2)
-		e.cache(&st.Mem.L3)
-		e.bool(st.Mem.Shared)
 	})
 	e.section(secBPU, func() { e.bpu(&st.BPU) })
 	e.section(secIAG, func() { e.iag(&st.IAG) })
@@ -696,13 +637,7 @@ func (e *encoder) state(st *State) {
 	e.section(secPrefetcher, func() { e.prefetcher(&st.Prefetcher) })
 }
 
-func (d *decoder) state() *State {
-	st := &State{}
-	v := d.uv()
-	if v > math.MaxInt32 {
-		d.fail("absurd version %d", v)
-	}
-	st.Version = int(v)
+func (d *decoder) tenant(st *TenantState) {
 	end := d.section(secCore)
 	d.core(&st.Core)
 	d.endSection(secCore, end)
@@ -712,9 +647,6 @@ func (d *decoder) state() *State {
 	end = d.section(secMem)
 	d.cache(&st.Mem.L1I)
 	d.cache(&st.Mem.L1D)
-	d.cache(&st.Mem.L2)
-	d.cache(&st.Mem.L3)
-	st.Mem.Shared = d.bool()
 	d.endSection(secMem, end)
 	end = d.section(secBPU)
 	d.bpu(&st.BPU)
@@ -773,7 +705,6 @@ func (d *decoder) state() *State {
 	end = d.section(secPrefetcher)
 	d.prefetcher(&st.Prefetcher)
 	d.endSection(secPrefetcher, end)
-	return st
 }
 
 // ---------------------------------------------------------------------------

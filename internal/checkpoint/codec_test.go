@@ -2,10 +2,8 @@ package checkpoint
 
 import (
 	"bytes"
-	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -120,13 +118,59 @@ func samplePrefetcher(kind string) PrefetcherState {
 	}
 }
 
-// sampleState hand-builds a State exercising every section of the wire
-// format: optional pointers present, every column type non-empty, both
-// walker and trace-replay source kinds, and shared episodes. The slices
-// are nil-or-non-empty on purpose — the decoder materialises empty
-// columns as nil, and reflect.DeepEqual distinguishes nil from []T{}.
+// sampleState hand-builds a one-tenant State exercising every section of
+// the wire format: optional pointers present, every column type
+// non-empty (the uncore carries owner columns too), both walker and
+// trace-replay source kinds, and shared episodes. The slices are
+// nil-or-non-empty on purpose — the decoder materialises empty columns as
+// nil, and reflect.DeepEqual distinguishes nil from []T{}.
 func sampleState() *State {
-	st := &State{Version: FormatVersion}
+	return &State{
+		Version: FormatVersion,
+		Now:     12345,
+		Uncore: UncoreState{
+			L2: sampleCache(4, 2, true),
+			L3: sampleCache(4, 4, true),
+			Metrics: RegistryState{
+				Counters: []NamedCounter{{Name: "uncore.tenant0.requests", Value: 42}},
+			},
+		},
+		Tenants: []TenantState{sampleTenant()},
+	}
+}
+
+// sampleTwoTenantState builds an owner-tracked two-tenant socket with a
+// shared prefetcher table and distinguishable tenants.
+func sampleTwoTenantState() *State {
+	st := sampleState()
+	st.SharedPrefetcher = true
+	b := sampleTenant()
+	b.Core.Seq = 123
+	b.Prefetcher = samplePrefetcher("eip")
+	st.Tenants = append(st.Tenants, b)
+	return st
+}
+
+// sampleSocketStates returns owner-tracked multi-tenant states: two
+// tenants on a shared prefetcher table, two with per-core tables, and
+// three with per-core tables.
+func sampleSocketStates() []*State {
+	shared := sampleTwoTenantState()
+	perCore := sampleTwoTenantState()
+	perCore.SharedPrefetcher = false
+	perCore.Tenants[1].Prefetcher = samplePrefetcher("rdip")
+	three := sampleTwoTenantState()
+	three.SharedPrefetcher = false
+	c := sampleTenant()
+	c.Core.Seq = 456
+	c.Prefetcher = samplePrefetcher("fnlmma")
+	three.Tenants = append(three.Tenants, c)
+	return []*State{shared, perCore, three}
+}
+
+// sampleTenant hand-builds one core's TenantState.
+func sampleTenant() TenantState {
+	var st TenantState
 	st.Core = CoreState{
 		Now: 12345, Seq: 99, Retired: 88,
 		HasResteer: true, ResteerAt: 12350, ResteerTarget: 0x4000,
@@ -150,8 +194,6 @@ func sampleState() *State {
 	st.Mem = HierarchyState{
 		L1I: sampleCache(2, 2, false),
 		L1D: sampleCache(2, 2, false),
-		L2:  sampleCache(4, 2, true),
-		L3:  sampleCache(4, 4, true),
 	}
 	st.BPU = BPUState{
 		TAGE: TAGEState{
@@ -240,32 +282,6 @@ func sampleState() *State {
 	return st
 }
 
-// sampleSocketState builds a two-core socket whose per-core hierarchies
-// are shared views (empty L2/L3 columns) of the captured uncore.
-func sampleSocketState() *SocketState {
-	a, b := sampleState(), sampleState()
-	for _, st := range []*State{a, b} {
-		st.Mem.L2 = CacheState{}
-		st.Mem.L3 = CacheState{}
-		st.Mem.Shared = true
-	}
-	b.Core.Seq = 123 // make the cores distinguishable
-	b.Prefetcher = samplePrefetcher("eip")
-	return &SocketState{
-		Version:          FormatVersion,
-		Now:              12345,
-		SharedPrefetcher: true,
-		Uncore: UncoreState{
-			L2: sampleCache(4, 2, true),
-			L3: sampleCache(4, 4, true),
-			Metrics: RegistryState{
-				Counters: []NamedCounter{{Name: "uncore.tenant0.requests", Value: 42}},
-			},
-		},
-		Cores: []State{*a, *b},
-	}
-}
-
 // encodeState is a test helper returning st's wire bytes.
 func encodeState(t *testing.T, st *State) []byte {
 	t.Helper()
@@ -276,8 +292,8 @@ func encodeState(t *testing.T, st *State) []byte {
 	return buf.Bytes()
 }
 
-// TestBinaryRoundTrip pushes a fully populated state through the binary
-// codec and requires an exact structural match back.
+// TestBinaryRoundTrip pushes a fully populated one-tenant state through
+// the binary codec and requires an exact structural match back.
 func TestBinaryRoundTrip(t *testing.T) {
 	st := sampleState()
 	got, err := DecodeBytes(encodeState(t, st))
@@ -289,36 +305,34 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBinarySocketRoundTrip round-trips the multi-tenant states of
+// sampleSocketStates through the same codec.
+func TestBinarySocketRoundTrip(t *testing.T) {
+	for _, st := range sampleSocketStates() {
+		got, err := DecodeBytes(encodeState(t, st))
+		if err != nil {
+			t.Fatalf("%d tenants: decode: %v", len(st.Tenants), err)
+		}
+		if !reflect.DeepEqual(st, got) {
+			t.Errorf("%d tenants: socket round trip is lossy:\n in: %+v\nout: %+v", len(st.Tenants), st, got)
+		}
+	}
+}
+
 // TestBinaryRoundTripAllPrefetchers round-trips each prefetcher kind's
 // sub-state through its dedicated wire section.
 func TestBinaryRoundTripAllPrefetchers(t *testing.T) {
 	for _, kind := range []string{"none", "pdip", "eip", "rdip", "fnlmma", "nextline"} {
 		st := sampleState()
-		st.Prefetcher = samplePrefetcher(kind)
+		st.Tenants[0].Prefetcher = samplePrefetcher(kind)
 		got, err := DecodeBytes(encodeState(t, st))
 		if err != nil {
 			t.Fatalf("%s: decode: %v", kind, err)
 		}
-		if !reflect.DeepEqual(st.Prefetcher, got.Prefetcher) {
+		if !reflect.DeepEqual(st.Tenants[0].Prefetcher, got.Tenants[0].Prefetcher) {
 			t.Errorf("%s: prefetcher state round trip is lossy:\n in: %+v\nout: %+v",
-				kind, st.Prefetcher, got.Prefetcher)
+				kind, st.Tenants[0].Prefetcher, got.Tenants[0].Prefetcher)
 		}
-	}
-}
-
-// TestBinarySocketRoundTrip round-trips a two-core socket snapshot.
-func TestBinarySocketRoundTrip(t *testing.T) {
-	st := sampleSocketState()
-	var buf bytes.Buffer
-	if err := EncodeSocket(&buf, st); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	got, err := DecodeSocket(&buf)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(st, got) {
-		t.Errorf("socket round trip is lossy:\n in: %+v\nout: %+v", st, got)
 	}
 }
 
@@ -329,7 +343,7 @@ func TestBinarySocketRoundTrip(t *testing.T) {
 // encoding per tuple. If this digest changes, the wire format changed:
 // bump FormatVersion (so stale directories miss instead of misdecoding)
 // and re-pin.
-const binarySampleDigest = "f8d71780137ed52ec6f3cc4fa0fcbd50a24c0d462d19eb870f0588576001d270"
+const binarySampleDigest = "bcc165a8dbe5278ca52f00612722555185b0f7e98e4fa0eef3f69aff105660d3"
 
 // TestBinaryDeterministicBytes requires byte-identical encodings across
 // repeated encodes, across a decode/re-encode round trip, and across time
@@ -351,8 +365,8 @@ func TestBinaryDeterministicBytes(t *testing.T) {
 		t.Errorf("wire format drifted: sample encoding digest = %s, pinned %s\n"+
 			"(if the change is intentional, bump FormatVersion and re-pin)", got, binarySampleDigest)
 	}
-	if len(a) < 6 || a[0] != 'P' || a[1] != 'D' || a[2] != 'C' || a[3] != 'K' {
-		t.Errorf("encoding does not start with the PDCK magic: % x", a[:6])
+	if len(a) < 5 || a[0] != 'P' || a[1] != 'D' || a[2] != 'C' || a[3] != 'K' {
+		t.Errorf("encoding does not start with the PDCK magic: % x", a[:5])
 	}
 }
 
@@ -380,77 +394,5 @@ func TestBinaryVersionMismatch(t *testing.T) {
 	st.Version = FormatVersion + 1
 	if _, err := DecodeBytes(encodeState(t, st)); err == nil {
 		t.Error("decode accepted a stream with a future format version")
-	}
-}
-
-// TestLegacyJSONMigration writes the retained gzip+JSON format and decodes
-// it through the sniffing front door: the bytes must be recognised as
-// legacy, decode to the identical state, and come back stamped with the
-// current FormatVersion.
-func TestLegacyJSONMigration(t *testing.T) {
-	st := sampleState()
-	var buf bytes.Buffer
-	if err := encodeLegacyJSON(&buf, st); err != nil {
-		t.Fatalf("legacy encode: %v", err)
-	}
-	if !isLegacy(buf.Bytes()) {
-		t.Fatal("legacy gzip stream not sniffed as legacy")
-	}
-	if st.Version != FormatVersion {
-		t.Fatalf("legacy encode mutated the in-memory state's version to %d", st.Version)
-	}
-	got, err := DecodeBytes(buf.Bytes())
-	if err != nil {
-		t.Fatalf("decode legacy: %v", err)
-	}
-	if got.Version != FormatVersion {
-		t.Errorf("migrated state carries version %d, want %d", got.Version, FormatVersion)
-	}
-	if !reflect.DeepEqual(st, got) {
-		t.Errorf("legacy JSON migration is lossy:\n in: %+v\nout: %+v", st, got)
-	}
-	// The io.Reader entry point must sniff too (Dir reads files whole, but
-	// harness code paths go through Decode).
-	if _, err := Decode(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Errorf("Decode(reader) rejected a legacy stream: %v", err)
-	}
-}
-
-// TestLegacySocketJSONMigration is TestLegacyJSONMigration for the
-// socket-level snapshot.
-func TestLegacySocketJSONMigration(t *testing.T) {
-	st := sampleSocketState()
-	var buf bytes.Buffer
-	if err := encodeLegacySocketJSON(&buf, st); err != nil {
-		t.Fatalf("legacy encode: %v", err)
-	}
-	got, err := DecodeSocket(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("decode legacy socket: %v", err)
-	}
-	if got.Version != FormatVersion {
-		t.Errorf("migrated socket carries version %d, want %d", got.Version, FormatVersion)
-	}
-	if !reflect.DeepEqual(st, got) {
-		t.Errorf("legacy socket JSON migration is lossy:\n in: %+v\nout: %+v", st, got)
-	}
-}
-
-// TestLegacyJSONVersionMismatch builds a legacy stream claiming an older
-// layout version than the JSON decoder understands: the sniffed decode
-// must refuse it rather than force the bytes into current structs.
-func TestLegacyJSONVersionMismatch(t *testing.T) {
-	st := sampleState()
-	st.Version = legacyJSONVersion - 1
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	if err := json.NewEncoder(zw).Encode(st); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeBytes(buf.Bytes()); err == nil {
-		t.Error("decode accepted a legacy stream with a pre-legacy layout version")
 	}
 }

@@ -28,12 +28,13 @@ func Key(v any) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// Checkpoint file suffixes: new binary checkpoints are written as
-// <key>.ckpt; <key>.ckpt.gz is the legacy gzip+JSON suffix, still read
-// (and GC'd) so directories written before the binary codec keep working.
+// ckptSuffix names checkpoint files: <key>.ckpt holds Encode's bytes.
+// gzipSuffix names the gzip+JSON files of format versions before 4: they
+// no longer load, but GC still counts and sweeps them so an old store
+// stays bounded.
 const (
-	ckptSuffix       = ".ckpt"
-	ckptLegacySuffix = ".ckpt.gz"
+	ckptSuffix = ".ckpt"
+	gzipSuffix = ".ckpt.gz"
 )
 
 // path places key's checkpoint inside dir.
@@ -48,9 +49,7 @@ func path(dir, key string) string {
 func Load(dir, key string) (*State, error) {
 	b, err := os.ReadFile(path(dir, key))
 	if err != nil {
-		if b, err = os.ReadFile(filepath.Join(dir, key+ckptLegacySuffix)); err != nil {
-			return nil, err
-		}
+		return nil, err
 	}
 	return DecodeBytes(b)
 }
@@ -265,15 +264,12 @@ func (d *Dir) Load(key string) (st *State, cached bool, err error) {
 	return c.st, false, c.err
 }
 
-// loadDisk reads and decodes key's file, trying the binary suffix first
-// and the legacy gzip+JSON suffix second. The decoded cost is the
-// encoded length — the unit the cache budget is accounted in.
+// loadDisk reads and decodes key's file. The decoded cost is the encoded
+// length — the unit the cache budget is accounted in.
 func (d *Dir) loadDisk(key string) (*State, int64, error) {
 	b, err := os.ReadFile(path(d.path, key))
 	if err != nil {
-		if b, err = os.ReadFile(filepath.Join(d.path, key+ckptLegacySuffix)); err != nil {
-			return nil, 0, nil // not stored: a plain miss, not an error
-		}
+		return nil, 0, nil // not stored: a plain miss, not an error
 	}
 	st, err := DecodeBytes(b)
 	if err != nil {
@@ -332,7 +328,8 @@ func (d *Dir) touch(key string) {
 }
 
 // GC bounds the on-disk store: when the checkpoint files under the
-// directory total more than maxBytes, the least-recently-used files
+// directory (.ckpt, plus unreadable .ckpt.gz files left by old format
+// versions) total more than maxBytes, the least-recently-used files
 // (oldest mtime — Load touches files it serves) are removed until the
 // rest fit. It returns how many files were removed and how many bytes
 // they freed. The in-memory cache is left intact: decoded states stay
@@ -354,7 +351,7 @@ func (d *Dir) GC(maxBytes int64) (removed int, freed int64, err error) {
 	var total int64
 	for _, en := range ents {
 		name := en.Name()
-		if !strings.HasSuffix(name, ckptSuffix) && !strings.HasSuffix(name, ckptLegacySuffix) {
+		if !strings.HasSuffix(name, ckptSuffix) && !strings.HasSuffix(name, gzipSuffix) {
 			continue // foreign files and in-flight temps are not ours to delete
 		}
 		info, err := en.Info()

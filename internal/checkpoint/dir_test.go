@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -146,32 +145,6 @@ func TestDirSingleflight(t *testing.T) {
 	}
 }
 
-// TestDirLegacyFile plants a legacy gzip+JSON checkpoint under the old
-// .ckpt.gz suffix: Dir.Load must find it, sniff it, and migrate it to the
-// current version in memory.
-func TestDirLegacyFile(t *testing.T) {
-	dir := t.TempDir()
-	st := sampleState()
-	var buf bytes.Buffer
-	if err := encodeLegacyJSON(&buf, st); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "old"+ckptLegacySuffix), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	d := NewDir(dir, 0)
-	got, cached, err := d.Load("old")
-	if err != nil || got == nil || cached {
-		t.Fatalf("legacy load = (%v, cached=%v, err=%v), want an uncached disk hit", got, cached, err)
-	}
-	if !reflect.DeepEqual(st, got) {
-		t.Error("legacy on-disk checkpoint decoded lossily through Dir")
-	}
-}
-
 // TestDirCorruptFile pins the corrupt-file contract: Load surfaces the
 // decode error but counts a miss, so the caller re-warms and overwrites.
 func TestDirCorruptFile(t *testing.T) {
@@ -222,8 +195,21 @@ func TestDirGC(t *testing.T) {
 	if err := os.WriteFile(foreign, []byte("not a checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A gzip+JSON file from a format version before 4, older than every
+	// checkpoint: Load misses it, but GC counts and sweeps it first.
+	const gzipSize = 4096
+	gz := filepath.Join(dir, "old"+gzipSuffix)
+	if err := os.WriteFile(gz, make([]byte, gzipSize), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(gz, base.Add(-time.Hour), base.Add(-time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err := d.Load("old"); got != nil || err != nil {
+		t.Fatalf("Load of a .ckpt.gz-only key = (%v, %v), want a plain miss", got, err)
+	}
 
-	var total int64
+	total := int64(gzipSize)
 	for _, s := range sizes {
 		total += s
 	}
@@ -231,14 +217,17 @@ func TestDirGC(t *testing.T) {
 		t.Fatalf("GC under budget = (%d, %d, %v), want a no-op", n, freed, err)
 	}
 
-	// Budget for the two newest files: the two oldest must be removed.
+	// Budget for the two newest files: the three oldest must be removed.
 	budget := sizes[2] + sizes[3]
 	n, freed, err := d.GC(budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 || freed != sizes[0]+sizes[1] {
-		t.Errorf("GC removed %d files (%d bytes), want 2 oldest (%d bytes)", n, freed, sizes[0]+sizes[1])
+	if want := gzipSize + sizes[0] + sizes[1]; n != 3 || freed != want {
+		t.Errorf("GC removed %d files (%d bytes), want 3 oldest (%d bytes)", n, freed, want)
+	}
+	if _, err := os.Stat(gz); !os.IsNotExist(err) {
+		t.Errorf("GC kept the stale .ckpt.gz file: %v", err)
 	}
 	for i, k := range keys {
 		_, err := os.Stat(filepath.Join(dir, k+ckptSuffix))

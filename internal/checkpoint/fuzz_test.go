@@ -5,42 +5,39 @@ import (
 	"testing"
 )
 
-// FuzzBinaryCheckpointDecode throws arbitrary bytes at the sniffing
-// decode path — the exact bytes an on-disk checkpoint file feeds it. The
-// decoder must never panic or over-allocate on hostile input (truncated
-// sections, lying counts, bad intern refs, corrupt gzip headers), and
-// anything it does accept must re-encode canonically: encode(decode(b))
-// decodes again to the same bytes, the property the content-addressed
-// store depends on.
+// FuzzBinaryCheckpointDecode throws arbitrary bytes at the decode path —
+// the exact bytes an on-disk checkpoint file feeds it. The decoder must
+// never panic or over-allocate on hostile input (truncated sections, lying
+// counts, bad intern refs, foreign or stale headers), and anything it does
+// accept must re-encode canonically: encode(decode(b)) decodes again to
+// the same bytes, the property the content-addressed store depends on.
+// The corpus seeds one-tenant states and owner-tracked two-tenant states.
 func FuzzBinaryCheckpointDecode(f *testing.F) {
-	seed := func(st *State) {
+	encode := func(st *State) []byte {
 		var buf bytes.Buffer
 		if err := Encode(&buf, st); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(buf.Bytes())
-		buf.Reset()
-		if err := encodeLegacyJSON(&buf, st); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+		return buf.Bytes()
 	}
-	seed(sampleState())
-	for _, kind := range []string{"none", "eip", "rdip", "fnlmma", "nextline"} {
-		st := sampleState()
-		st.Prefetcher = samplePrefetcher(kind)
-		seed(st)
+	for _, kind := range []string{"pdip", "none", "eip", "rdip", "fnlmma", "nextline"} {
+		one := sampleState()
+		one.Tenants[0].Prefetcher = samplePrefetcher(kind)
+		f.Add(encode(one))
+		two := sampleTwoTenantState()
+		two.Tenants[1].Prefetcher = samplePrefetcher(kind)
+		f.Add(encode(two))
 	}
-	minimal := &State{Version: FormatVersion}
-	minimal.IAG.Oracle = SourceState{Kind: SourceCFG, Walker: &WalkerState{}}
-	seed(minimal)
-	var sock bytes.Buffer
-	if err := EncodeSocket(&sock, sampleSocketState()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(sock.Bytes())
+	minimal := &State{Version: FormatVersion, Tenants: make([]TenantState, 1)}
+	minimal.Tenants[0].IAG.Oracle = SourceState{Kind: SourceCFG, Walker: &WalkerState{}}
+	f.Add(encode(minimal))
+	future := sampleState()
+	future.Version = FormatVersion + 1
+	f.Add(encode(future))
+	full := encode(sampleTwoTenantState())
+	f.Add(full[:len(full)/2])
 	f.Add([]byte("PDCK"))
-	f.Add([]byte{0x1f, 0x8b, 0x00})
+	f.Add([]byte{0x1f, 0x8b, 0x00}) // a gzip header: pre-binary store files
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -66,45 +63,41 @@ func FuzzBinaryCheckpointDecode(f *testing.F) {
 	})
 }
 
-// FuzzBinarySocketDecode is the socket-stream sibling: the two decoders
-// share the framing machinery but disagree on the kind byte, so each
-// must reject the other's streams cleanly.
+// FuzzBinarySocketDecode fuzzes the multi-tenant framing of the same
+// decoder. The intern table spans the whole stream, so a tenant's
+// strings may be back-references into an earlier tenant's section; a
+// tenant must still decode to the same state wherever it sits. Every
+// accepted stream is re-encoded with its tenants reversed, decoded,
+// reversed back, and must re-encode to the bytes of the original decode.
 func FuzzBinarySocketDecode(f *testing.F) {
-	var buf bytes.Buffer
-	if err := EncodeSocket(&buf, sampleSocketState()); err != nil {
-		f.Fatal(err)
+	for _, st := range sampleSocketStates() {
+		var buf bytes.Buffer
+		if err := Encode(&buf, st); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
 	}
-	f.Add(buf.Bytes())
-	buf.Reset()
-	if err := encodeLegacySocketJSON(&buf, sampleSocketState()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	buf.Reset()
-	if err := Encode(&buf, sampleState()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := DecodeSocket(bytes.NewReader(data))
+		st, err := DecodeBytes(data)
 		if err != nil {
 			return
 		}
-		var a bytes.Buffer
-		if err := EncodeSocket(&a, st); err != nil {
-			t.Fatalf("re-encode of an accepted socket decode failed: %v", err)
+		reversed := *st
+		n := len(st.Tenants)
+		reversed.Tenants = make([]TenantState, n)
+		for i := range st.Tenants {
+			reversed.Tenants[n-1-i] = st.Tenants[i]
 		}
-		st2, err := DecodeSocket(bytes.NewReader(a.Bytes()))
+		back, err := DecodeBytes(encodeState(t, &reversed))
 		if err != nil {
-			t.Fatalf("canonical socket re-encoding does not decode: %v", err)
+			t.Fatalf("tenant-reversed re-encoding does not decode: %v", err)
 		}
-		var b bytes.Buffer
-		if err := EncodeSocket(&b, st2); err != nil {
-			t.Fatal(err)
+		for i, j := 0, n-1; i < j; i, j = i+1, j-1 {
+			back.Tenants[i], back.Tenants[j] = back.Tenants[j], back.Tenants[i]
 		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Error("socket decode→encode is not canonical: two re-encode passes disagree")
+		if !bytes.Equal(encodeState(t, st), encodeState(t, back)) {
+			t.Error("a tenant decodes differently at another position in the stream")
 		}
 	})
 }

@@ -13,12 +13,15 @@ import (
 	"pdip/internal/trace"
 )
 
-// Snapshot captures the complete simulator state at the current cycle
-// boundary: every structure whose contents influence future simulated
-// behaviour or final metrics. A core restored from the snapshot (see
-// NewFromSnapshot) replays bit-identically to this core — that property
-// is what lets the harness warm a configuration once and fork the warm
-// state across measure-phase variants.
+// Snapshot captures the complete socket at a cycle boundary: every
+// structure whose contents influence future simulated behaviour or final
+// metrics — the shared uncore exactly once, then every core as a tenant
+// child. A socket restored from the snapshot (NewSocketFromSnapshot)
+// replays bit-identically to this one — that property is what lets the
+// harness warm a configuration once and fork the warm state across
+// measure-phase variants. With SharedPrefetcher the one table is captured
+// inside each tenant's Prefetcher section; the copies are identical (same
+// instance, same instant) and the last restore wins harmlessly.
 //
 // Deliberately not captured (and safe to omit):
 //
@@ -33,13 +36,35 @@ import (
 //   - Interval samples: measurement output, cleared by ResetStats; warm
 //     cores have sampling disabled.
 //
-// TestCheckpointCompleteness walks the core's type tree by reflection and
-// fails when a field is neither captured nor on the explicit skip list,
-// so future state additions cannot silently desynchronize this format.
-func (co *Core) Snapshot() (*checkpoint.State, error) {
+// TestCheckpointCompleteness walks the socket's type tree by reflection
+// and fails when a field is neither captured nor on the explicit skip
+// list, so future state additions cannot silently desynchronize this
+// format.
+func (s *Socket) Snapshot() (*checkpoint.State, error) {
+	st := &checkpoint.State{
+		Version:          checkpoint.FormatVersion,
+		Now:              s.now,
+		SharedPrefetcher: s.cfg.SharedPrefetcher,
+		Uncore:           s.unc.CaptureCheckpoint(),
+		Tenants:          make([]checkpoint.TenantState, len(s.cores)),
+	}
+	for i, co := range s.cores {
+		if err := co.capture(&st.Tenants[i]); err != nil {
+			return nil, fmt.Errorf("socket: tenant %d: %w", i, err)
+		}
+	}
+	return st, nil
+}
+
+// Snapshot captures the core's socket (see Socket.Snapshot) — for a core
+// built by New, a one-tenant state that NewFromSnapshot forks.
+func (co *Core) Snapshot() (*checkpoint.State, error) { return co.sock.Snapshot() }
+
+// capture fills st with the core's own state (everything but the uncore).
+func (co *Core) capture(st *checkpoint.TenantState) error {
 	ck, ok := co.pf.(prefetch.Checkpointer)
 	if !ok {
-		return nil, fmt.Errorf("core: prefetcher %q does not implement prefetch.Checkpointer", co.pf.Name())
+		return fmt.Errorf("core: prefetcher %q does not implement prefetch.Checkpointer", co.pf.Name())
 	}
 
 	// Deduplicate live episodes in deterministic first-encounter order:
@@ -74,8 +99,7 @@ func (co *Core) Snapshot() (*checkpoint.State, error) {
 		}
 	}
 
-	st := &checkpoint.State{
-		Version: checkpoint.FormatVersion,
+	*st = checkpoint.TenantState{
 		Core:    co.captureCoreState(),
 		Metrics: co.reg.CaptureCheckpoint(),
 		Mem:     co.hier.CaptureCheckpoint(),
@@ -104,9 +128,9 @@ func (co *Core) Snapshot() (*checkpoint.State, error) {
 	// if the walk above ever misses a reachable episode, its index would
 	// silently dangle, so double-check the registration count.
 	if len(epIdx) != len(eps) {
-		return nil, fmt.Errorf("core: episode dedup inconsistency (%d indexed, %d collected)", len(epIdx), len(eps))
+		return fmt.Errorf("core: episode dedup inconsistency (%d indexed, %d collected)", len(epIdx), len(eps))
 	}
-	return st, nil
+	return nil
 }
 
 // captureCoreState captures the core's scalar state, the EMISSARY and FEC
@@ -169,12 +193,42 @@ func sortedAddrSet(m map[isa.Addr]struct{}) []isa.Addr {
 	return out
 }
 
+// NewSocketFromSnapshot rebuilds a socket from tenants and sc — which must
+// describe the snapshotted socket's machine (same shape and geometry
+// everywhere; measure-phase knobs such as CollectSets, NoFastForward and
+// sampling may differ) — then overwrites all state from st. The restored
+// socket replays bit-identically to the original. st is only read: one
+// snapshot can be forked concurrently from many goroutines.
+func NewSocketFromSnapshot(tenants []SocketTenant, sc SocketConfig, st *checkpoint.State) (*Socket, error) {
+	if st.Version != checkpoint.FormatVersion {
+		return nil, fmt.Errorf("socket: snapshot format version %d, simulator speaks %d", st.Version, checkpoint.FormatVersion)
+	}
+	if len(st.Tenants) != len(tenants) {
+		return nil, fmt.Errorf("socket: snapshot has %d tenants, got %d", len(st.Tenants), len(tenants))
+	}
+	if st.SharedPrefetcher != sc.SharedPrefetcher {
+		return nil, fmt.Errorf("socket: snapshot shared-prefetcher=%v, config says %v", st.SharedPrefetcher, sc.SharedPrefetcher)
+	}
+	s, err := NewSocket(tenants, sc)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.unc.RestoreCheckpoint(st.Uncore); err != nil {
+		return nil, err
+	}
+	for i, co := range s.cores {
+		if err := co.restore(&st.Tenants[i]); err != nil {
+			return nil, fmt.Errorf("socket: tenant %d: %w", i, err)
+		}
+	}
+	s.now = st.Now
+	s.first = int(st.Now % int64(len(s.cores)))
+	return s, nil
+}
+
 // NewFromSnapshot builds a core over prog with configuration c and
-// overwrites its state from st — the in-memory fork operation. The
-// configuration must describe the same machine the snapshot was taken on
-// (same geometry everywhere); measure-phase knobs (CollectSets,
-// NoFastForward, sampling) may differ. st is only read: one snapshot can
-// be forked concurrently from many goroutines.
+// overwrites its state from a one-tenant snapshot — the in-memory fork
+// operation, and the one-tenant form of NewSocketFromSnapshot.
 func NewFromSnapshot(prog *cfg.Program, c Config, st *checkpoint.State) (*Core, error) {
 	return NewFromSnapshotWithSource(prog, nil, c, st)
 }
@@ -184,22 +238,16 @@ func NewFromSnapshot(prog *cfg.Program, c Config, st *checkpoint.State) (*Core, 
 // over the same input the snapshot's core was built on, and is positioned
 // by the restore.
 func NewFromSnapshotWithSource(prog *cfg.Program, src trace.OracleSource, c Config, st *checkpoint.State) (*Core, error) {
-	if st.Version != checkpoint.FormatVersion {
-		return nil, fmt.Errorf("core: snapshot format version %d, simulator speaks %d", st.Version, checkpoint.FormatVersion)
-	}
-	co, err := NewWithSource(prog, src, c)
+	s, err := NewSocketFromSnapshot([]SocketTenant{{Prog: prog, Src: src, Config: c}}, SocketConfig{}, st)
 	if err != nil {
 		return nil, err
 	}
-	if err := co.restore(st); err != nil {
-		return nil, err
-	}
-	return co, nil
+	return s.cores[0], nil
 }
 
 // restore overwrites a freshly constructed core's state from st. Slices
 // held by st are copied, never aliased.
-func (co *Core) restore(st *checkpoint.State) error {
+func (co *Core) restore(st *checkpoint.TenantState) error {
 	ck, ok := co.pf.(prefetch.Checkpointer)
 	if !ok {
 		return fmt.Errorf("core: prefetcher %q does not implement prefetch.Checkpointer", co.pf.Name())

@@ -79,7 +79,8 @@ func TestCheckpointRoundTripMidRun(t *testing.T) {
 		"resteer-pending", "wrong-path-walker", "pq-nonempty",
 		"mshr-full", "uops-in-flight", "episodes-shared",
 	}
-	conditions := func(st *checkpoint.State) []string {
+	conditions := func(snap *checkpoint.State) []string {
+		st := &snap.Tenants[0]
 		var out []string
 		if st.Core.HasResteer {
 			out = append(out, "resteer-pending")

@@ -38,8 +38,11 @@ import (
 //	          (snapshot forks call ResetStats before measuring)
 var checkpointManifest = map[string]map[string]string{
 	"core.Core": {
-		"cfg":   "config",
-		"prog":  "config",
+		"cfg":  "config",
+		"prog": "config",
+		// sock is the back-pointer to the socket that owns (and captures)
+		// the core.
+		"sock":  "wiring",
 		"hier":  "state",
 		"iport": "wiring", "dport": "wiring",
 		"bp": "state", "iag": "state", "ftq": "state", "pq": "state", "rob": "state",
@@ -84,21 +87,20 @@ var checkpointManifest = map[string]map[string]string{
 	},
 	"prefetch.None": {},
 
+	// L2/L3 are views of the uncore's caches, captured once in
+	// checkpoint.UncoreState.
 	"mem.Hierarchy": {
 		"L1I": "state", "L1D": "state", "L2": "state", "L3": "state",
-		"DRAMLatency": "config",
-		"inst":        "wiring", "data": "wiring",
-		// shared selects the capture shape (a shared hierarchy skips the
-		// uncore-owned L2/L3); it is wiring decided at construction.
-		"shared": "config",
+		"inst": "wiring", "data": "wiring",
 	},
 	// Socket-level state: the shared uncore is captured once
-	// (checkpoint.UncoreState), cores as children. targets/finals are Run
+	// (checkpoint.UncoreState), cores as children. first is now mod N,
+	// recomputed from the restored clock; targets/finals are Run
 	// bookkeeping re-established by the next Run call, not simulator state.
 	"core.Socket": {
 		"cores": "state", "unc": "state",
 		"cfg": "config", "noFF": "config",
-		"now":     "state",
+		"now": "state", "first": "derived",
 		"targets": "diag", "finals": "diag",
 	},
 	"uncore.Uncore": {

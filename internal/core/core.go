@@ -34,6 +34,10 @@ type Core struct {
 	cfg  Config
 	prog *cfg.Program
 
+	// sock is the socket the core ticks in (a one-tenant socket for a core
+	// built by New); Run, ResetStats and Snapshot act on it.
+	sock *Socket
+
 	hier *mem.Hierarchy
 	// iport and dport are the hierarchy's front ports; every stage access
 	// to the memory system is a message through one of them.
@@ -128,7 +132,7 @@ type Core struct {
 }
 
 // New builds a core over prog with the given configuration, walking the
-// synthetic CFG directly.
+// synthetic CFG directly. The core is the one tenant of its own socket.
 func New(prog *cfg.Program, c Config) (*Core, error) {
 	return NewWithSource(prog, nil, c)
 }
@@ -137,21 +141,18 @@ func New(prog *cfg.Program, c Config) (*Core, error) {
 // ChampSim trace replay, say) instead of a fresh CFG walker. A nil src
 // falls back to walking prog with the config seed; prog may be nil only
 // when src is non-nil (pure trace replay needs no program, but memop
-// generation and wrong-path derivation then live entirely in src).
+// generation and wrong-path derivation then live entirely in src). The
+// core is the one tenant of its own socket.
 func NewWithSource(prog *cfg.Program, src trace.OracleSource, c Config) (*Core, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	hier, err := mem.New(c.Mem)
+	s, err := NewSocket([]SocketTenant{{Prog: prog, Src: src, Config: c}}, SocketConfig{})
 	if err != nil {
 		return nil, err
 	}
-	return newCore(prog, src, c, hier)
+	return s.cores[0], nil
 }
 
-// newCore assembles a core over an already-built hierarchy. NewWithSource
-// owns the exclusive (single-core) wiring; NewSocket builds core-private
-// hierarchies over a shared uncore and hands them here.
+// newCore assembles a core over an already-built hierarchy (NewSocket
+// builds it over the core's uncore tenant port).
 func newCore(prog *cfg.Program, src trace.OracleSource, c Config, hier *mem.Hierarchy) (*Core, error) {
 	if src == nil && prog == nil {
 		return nil, fmt.Errorf("core: need a program or an instruction source")
@@ -240,44 +241,19 @@ func (co *Core) Retired() uint64 { return co.retired }
 // Pipeline returns the ordered stage list (diagnostics and tests).
 func (co *Core) Pipeline() *pipeline.Pipeline { return co.pipe }
 
-// Run advances the simulation until n more instructions retire. It returns
-// an error if the cycle budget explodes (misconfiguration guard).
-func (co *Core) Run(n uint64) error {
-	target := co.retired + n
-	maxPer := co.cfg.MaxCyclesPerInst
-	if maxPer <= 0 {
-		maxPer = 400
-	}
-	budget := co.now + int64(n)*int64(maxPer) + 100_000
-	for co.retired < target {
-		co.step()
-		if co.now > budget {
-			return fmt.Errorf("core: cycle budget exceeded (%d cycles, %d/%d instructions) — likely a deadlock or pathological configuration",
-				co.now, co.retired, target)
-		}
-	}
-	return nil
-}
+// Run advances the core's socket until every tenant has retired n more
+// instructions — for a core built by New, until this core has (see
+// Socket.Run). It returns an error if the cycle budget explodes
+// (misconfiguration guard).
+func (co *Core) Run(n uint64) error { return co.sock.Run(n) }
 
-// step advances one cycle: per-cycle bookkeeping, then every pipeline
-// stage in order (oldest work first — see New for the stage sequence).
-// After the tick it fast-forwards over provably idle cycles (see
-// fastForward), unless the configuration disables it.
-func (co *Core) step() {
-	co.TickCycle()
-	if !co.cfg.NoFastForward {
-		co.fastForward()
-	}
-}
-
-// TickCycle advances the core exactly one cycle: the per-cycle
-// bookkeeping plus one tick of every pipeline stage. It is step() minus
-// the fast-forward decision, split out so a Socket can interleave N cores
-// cycle by cycle and make the idle-skip decision globally (the skip is
-// only sound when every core in the socket is idle).
+// tickCycle advances the core exactly one cycle: the per-cycle
+// bookkeeping plus one tick of every pipeline stage. The socket
+// interleaves its cores cycle by cycle and makes the idle-skip decision
+// globally (the skip is only sound when every core is idle).
 //
 //lint:hotpath
-func (co *Core) TickCycle() {
+func (co *Core) tickCycle() {
 	co.now++
 	co.ct.pipe.cycles.Inc()
 	if invariant.Enabled && (co.ftq.Len() < 0 || co.ftq.Len() > co.ftq.Depth()) {
@@ -287,51 +263,38 @@ func (co *Core) TickCycle() {
 	co.pipe.Tick(co.now)
 }
 
-// NextEventAt lower-bounds the next cycle at which any of the core's
+// nextEventAt lower-bounds the next cycle at which any of the core's
 // stages can act (pipeline.Never when none can). Socket fast-forward takes
 // the minimum across cores.
-func (co *Core) NextEventAt() int64 { return co.pipe.NextEventAt(co.now) }
+func (co *Core) nextEventAt() int64 { return co.pipe.NextEventAt(co.now) }
 
-// SkipIdle applies the bulk bookkeeping for n provably idle cycles — the
-// cycle counter, the constant FTQ-occupancy sample, and per-stage stall
-// attribution — and jumps the clock, exactly as fastForward does for a
-// lone core. The caller guarantees no stage can act in the window.
-func (co *Core) SkipIdle(n int64) {
+// skipIdle applies the bulk bookkeeping for n provably idle cycles — the
+// cycle counter, the FTQ-occupancy sample (constant across the window,
+// since no stage acts), and per-stage stall attribution
+// (pipeline.StallAccounter) — and jumps the clock. The caller (socket
+// fast-forward) guarantees no stage can act in the window, so metrics are
+// bit-identical to stepping every cycle; TestFastForwardBitIdentical and
+// the golden-grid replay pin that equivalence.
+func (co *Core) skipIdle(n int64) {
 	co.ct.pipe.cycles.Add(uint64(n))
 	co.ct.pipe.ftqOcc.ObserveN(float64(co.ftq.Len()), uint64(n))
 	co.pipe.AccountStall(co.now, n)
 	co.now += n
 }
 
-// fastForward skips cycles that cannot change architectural state: every
-// stage lower-bounds its next event (pipeline.Sleeper) and when the
-// earliest bound is T > now+1, the clock jumps directly to T-1 with the
-// per-cycle bookkeeping of the skipped window applied in bulk — the cycle
-// counter, the FTQ-occupancy sample (constant across the window, since no
-// stage acts), and each stage's stalled-cycle accounting
-// (pipeline.StallAccounter). The next step() then ticks cycle T normally.
-// Metrics are bit-identical to stepping every cycle; TestFastForwardBitIdentical
-// and the golden-grid replay pin that equivalence. When every stage reports
-// Never (a true deadlock) nothing is skipped, so Run's cycle-budget guard
-// still fires.
-func (co *Core) fastForward() {
-	next := co.pipe.NextEventAt(co.now)
-	if next <= co.now+1 || next == pipeline.Never {
-		return
-	}
-	co.SkipIdle(next - co.now - 1)
-}
+// ResetStats zeroes all measurement counters of the core's socket (see
+// Socket.ResetStats) while keeping architectural and microarchitectural
+// state (caches, predictors, tables) warm. Call after the warmup window,
+// mirroring the paper's methodology (§6.1).
+func (co *Core) ResetStats() { co.sock.ResetStats() }
 
-// ResetStats zeroes all measurement counters while keeping architectural
-// and microarchitectural state (caches, predictors, tables) warm. Call
-// after the warmup window, mirroring the paper's methodology (§6.1).
-func (co *Core) ResetStats() {
+// resetStats is the core-private half of Socket.ResetStats; the shared
+// L2/L3 stats reset with the uncore.
+func (co *Core) resetStats() {
 	co.reg.Reset()
 	co.samples = co.samples[:0]
 	co.hier.L1I.Stats = cache.Stats{}
 	co.hier.L1D.Stats = cache.Stats{}
-	co.hier.L2.Stats = cache.Stats{}
-	co.hier.L3.Stats = cache.Stats{}
 	co.pq.Stats = prefetch.Stats{}
 	co.bp.Stats = bpu.Stats{}
 	co.rob.Stats = backend.Stats{}

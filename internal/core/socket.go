@@ -37,31 +37,36 @@ type SocketConfig struct {
 	L2Reserve, L3Reserve int
 }
 
-// tenantFinal is the crossing snapshot Run records the moment a tenant
-// retires its instruction quota: with co-tenants still running the core
-// keeps executing (it keeps contending for the uncore), but its reported
-// result is frozen at the quota boundary so every tenant is measured over
-// exactly n instructions.
+// tenantFinal is one tenant's quota crossing in the current Run. A tenant
+// that reaches its quota while co-tenants are still running keeps
+// executing (it must keep contending for the uncore), so its reported
+// result is frozen at the crossing and every tenant is measured over
+// exactly n instructions. The tenants that end the run are read live —
+// their counters are the crossing values — so a one-tenant run never
+// takes a snapshot.
 type tenantFinal struct {
-	done bool
-	res  Result
-	snap metrics.Snapshot
+	done   bool
+	frozen bool
+	res    Result
+	snap   metrics.Snapshot
 }
 
-// Socket steps N cores in lockstep against one shared uncore. Arbitration
-// at the shared port is deterministic round-robin: within a cycle the
-// cores tick in rotating order (core (cycle mod N) first), so no tenant
-// holds static priority and a replay of the same tenants is bit-identical.
-// A Socket with one tenant executes the exact single-core path:
-// Socket{N:1} replays the golden grid bit for bit (pinned by
-// TestGoldenSocketEquivalence).
+// Socket steps N cores in lockstep against one shared uncore; it is the
+// only cycle loop in the simulator (a core built by New is the one tenant
+// of its own socket). Arbitration at the shared port is deterministic
+// round-robin: within a cycle the cores tick in rotating order (core
+// (cycle mod N) first), so no tenant holds static priority and a replay
+// of the same tenants is bit-identical.
 type Socket struct {
 	cores []*Core
 	unc   *uncore.Uncore
 	cfg   SocketConfig
 
-	now  int64
-	noFF bool
+	now int64
+	// first is the core that ticks first in the next cycle (now mod N),
+	// advanced incrementally so the per-cycle step divides nothing.
+	first int
+	noFF  bool
 
 	targets []uint64
 	finals  []tenantFinal
@@ -112,7 +117,7 @@ func NewSocket(tenants []SocketTenant, sc SocketConfig) (*Socket, error) {
 		if sc.SharedPrefetcher && i > 0 {
 			c.Prefetcher = tenants[0].Config.Prefetcher
 		}
-		hier, err := mem.NewShared(c.Mem, unc.L2, unc.L3, unc.Port(i))
+		hier, err := mem.New(c.Mem, unc.L2, unc.L3, unc.Port(i))
 		if err != nil {
 			return nil, err
 		}
@@ -120,6 +125,7 @@ func NewSocket(tenants []SocketTenant, sc SocketConfig) (*Socket, error) {
 		if err != nil {
 			return nil, fmt.Errorf("socket: tenant %d: %w", i, err)
 		}
+		co.sock = s
 		s.cores = append(s.cores, co)
 	}
 	return s, nil
@@ -145,23 +151,31 @@ func (s *Socket) Cycles() int64 { return s.now }
 func (s *Socket) step() {
 	s.now++
 	n := len(s.cores)
-	start := int((s.now - 1) % int64(n))
-	for k := 0; k < n; k++ {
-		s.cores[(start+k)%n].TickCycle()
+	for k, i := 0, s.first; k < n; k++ {
+		s.cores[i].tickCycle()
+		if i++; i == n {
+			i = 0
+		}
+	}
+	if s.first++; s.first == n {
+		s.first = 0
 	}
 	if !s.noFF {
 		s.fastForward()
 	}
 }
 
-// fastForward is the socket-wide idle skip: the earliest next event across
-// all cores bounds the jump, and every core applies the same bulk stall
-// accounting, keeping the lockstep clocks identical. With one core this
-// is exactly Core.fastForward.
+// fastForward skips cycles that cannot change architectural state: every
+// stage of every core lower-bounds its next event (pipeline.Sleeper), and
+// when the earliest bound T is beyond the next cycle, the clock jumps to
+// T-1 with each core applying the skipped window's bookkeeping in bulk
+// (skipIdle), keeping the lockstep clocks identical. The next step then
+// ticks cycle T normally. When every stage reports Never (a true
+// deadlock) nothing is skipped, so Run's cycle-budget guard still fires.
 func (s *Socket) fastForward() {
 	next := pipeline.Never
 	for _, co := range s.cores {
-		if t := co.NextEventAt(); t < next {
+		if t := co.nextEventAt(); t < next {
 			next = t
 		}
 	}
@@ -170,9 +184,10 @@ func (s *Socket) fastForward() {
 	}
 	n := next - s.now - 1
 	for _, co := range s.cores {
-		co.SkipIdle(n)
+		co.skipIdle(n)
 	}
 	s.now += n
+	s.first = int((int64(s.first) + n) % int64(len(s.cores)))
 }
 
 // Step advances the socket exactly one arbitration round: one cycle for
@@ -186,7 +201,7 @@ func (s *Socket) Step() { s.step() }
 // must keep contending for the shared levels — but its Result and metric
 // snapshot are frozen at the crossing (TenantResult), so each tenant is
 // measured over exactly n instructions. Returns an error when the cycle
-// budget explodes (deadlock guard, as in Core.Run).
+// budget explodes (deadlock or pathological configuration guard).
 func (s *Socket) Run(n uint64) error {
 	maxPer := 0
 	for i, co := range s.cores {
@@ -201,35 +216,57 @@ func (s *Socket) Run(n uint64) error {
 		}
 	}
 	budget := s.now + int64(n)*int64(maxPer) + 100_000
-	remaining := len(s.cores)
-	for remaining > 0 {
+	running := len(s.cores)
+	if n == 0 {
+		running = 0 // every tenant already sits at its quota
+	}
+	for running > 0 {
 		s.step()
+		crossed := 0
 		for i, co := range s.cores {
 			if !s.finals[i].done && co.retired >= s.targets[i] {
-				s.finals[i] = tenantFinal{done: true, res: co.Result(), snap: co.MetricsSnapshot()}
-				remaining--
+				crossed++
+			}
+		}
+		if crossed > 0 {
+			running -= crossed
+			for i, co := range s.cores {
+				f := &s.finals[i]
+				if f.done || co.retired < s.targets[i] {
+					continue
+				}
+				f.done = true
+				if running > 0 {
+					f.frozen, f.res, f.snap = true, co.Result(), co.MetricsSnapshot()
+				}
 			}
 		}
 		if s.now > budget {
-			return fmt.Errorf("socket: cycle budget exceeded (%d cycles, %d tenants unfinished) — likely a deadlock or pathological configuration",
-				s.now, remaining)
+			return fmt.Errorf("socket: cycle budget exceeded (%d cycles, %d of %d tenants unfinished) — likely a deadlock or pathological configuration",
+				s.now, running, len(s.cores))
 		}
 	}
 	return nil
 }
 
-// TenantResult returns tenant i's result and metric snapshot as frozen at
-// its most recent Run quota crossing.
+// TenantResult returns tenant i's result and metric snapshot at its most
+// recent Run quota crossing: frozen there when co-tenants ran on, read
+// live for the tenants that ended the run.
 func (s *Socket) TenantResult(i int) (Result, metrics.Snapshot) {
-	return s.finals[i].res, s.finals[i].snap
+	if f := &s.finals[i]; f.frozen {
+		return f.res, f.snap
+	}
+	co := s.cores[i]
+	return co.Result(), co.MetricsSnapshot()
 }
 
 // ResetStats zeroes every tenant's measurement counters and the uncore's
 // (shared stats, per-owner interference, uncore registry), keeping all
 // architectural state warm — the socket-wide post-warmup reset.
 func (s *Socket) ResetStats() {
-	for _, co := range s.cores {
-		co.ResetStats()
+	for i, co := range s.cores {
+		co.resetStats()
+		s.finals[i] = tenantFinal{}
 	}
 	s.unc.ResetStats()
 }
@@ -240,17 +277,17 @@ func (s *Socket) InterferenceSnapshot() metrics.Snapshot {
 	return s.unc.MetricsSnapshot()
 }
 
-// CombinedSnapshot merges every tenant's registry (prefixed "tenant<i>.")
-// with the uncore registry into one snapshot — the socket-wide state view
-// the determinism and checkpoint tests compare bit for bit.
+// CombinedSnapshot merges every tenant's TenantResult snapshot (prefixed
+// "tenant<i>.") with the uncore registry into one snapshot — the flat
+// socket-wide namespace used for JSON export and cross-run diffing.
 func (s *Socket) CombinedSnapshot() metrics.Snapshot {
 	out := metrics.Snapshot{
 		Counters: make(map[string]uint64),
 		Gauges:   make(map[string]float64),
 	}
-	for i, co := range s.cores {
+	for i := range s.cores {
 		prefix := fmt.Sprintf("tenant%d.", i)
-		snap := co.MetricsSnapshot()
+		_, snap := s.TenantResult(i)
 		for name, v := range snap.Counters {
 			out.Counters[prefix+name] = v
 		}

@@ -22,46 +22,6 @@ func socketTenants(seeds ...uint64) []SocketTenant {
 	return out
 }
 
-// TestSocketSingleTenantMatchesCore is the core-level half of the N=1
-// bit-identity pin: a one-tenant socket — same program, seed, and policy —
-// must tick the exact cycles and counters of a standalone core, even
-// though its miss path runs through the uncore's arbitrated port.
-func TestSocketSingleTenantMatchesCore(t *testing.T) {
-	prog := testProgram(41)
-	mkCfg := func() Config {
-		c := testConfig(41)
-		c.Prefetcher = pdip.New(pdip.DefaultConfig())
-		return c
-	}
-
-	co := MustNew(prog, mkCfg())
-	if err := co.Run(40000); err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := NewSocket([]SocketTenant{{Prog: prog, Config: mkCfg()}}, SocketConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Run(40000); err != nil {
-		t.Fatal(err)
-	}
-
-	if co.Cycles() != s.Core(0).Cycles() {
-		t.Errorf("cycle counts diverged: core %d, socket %d", co.Cycles(), s.Core(0).Cycles())
-	}
-	if s.Cycles() != s.Core(0).Cycles() {
-		t.Errorf("socket clock %d out of lockstep with its core's %d", s.Cycles(), s.Core(0).Cycles())
-	}
-	if diff := co.MetricsSnapshot().Diff(s.Core(0).MetricsSnapshot()); len(diff) > 0 {
-		show := diff
-		if len(show) > 20 {
-			show = show[:20]
-		}
-		t.Errorf("%d metrics differ between core and 1-tenant socket:\n  %v", len(diff), show)
-	}
-}
-
 // TestSocketLockstep pins the socket clock discipline: after any Run,
 // every core's cycle counter equals the socket's.
 func TestSocketLockstep(t *testing.T) {
@@ -96,8 +56,8 @@ func TestSocketRejectsMismatchedUncore(t *testing.T) {
 }
 
 // snapshotSocketRoundTrip snapshots s, pushes the state through the
-// serialized wire format (EncodeSocket/DecodeSocket), and restores a
-// fresh socket built from identically regenerated tenants.
+// serialized wire format (Encode/Decode), and restores a fresh socket
+// built from identically regenerated tenants.
 func snapshotSocketRoundTrip(t *testing.T, s *Socket, seeds []uint64, sc SocketConfig) *Socket {
 	t.Helper()
 	st, err := s.Snapshot()
@@ -105,10 +65,10 @@ func snapshotSocketRoundTrip(t *testing.T, s *Socket, seeds []uint64, sc SocketC
 		t.Fatalf("snapshot: %v", err)
 	}
 	var buf bytes.Buffer
-	if err := checkpoint.EncodeSocket(&buf, st); err != nil {
+	if err := checkpoint.Encode(&buf, st); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	st2, err := checkpoint.DecodeSocket(&buf)
+	st2, err := checkpoint.Decode(&buf)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -120,8 +80,10 @@ func snapshotSocketRoundTrip(t *testing.T, s *Socket, seeds []uint64, sc SocketC
 }
 
 // diffSockets runs both sockets until every tenant retires n more
-// instructions and diffs the combined (per-tenant + uncore) snapshots
-// bit-exactly.
+// instructions and diffs them bit-exactly: the combined snapshots (each
+// tenant as reported at its quota crossing, plus the uncore), and the live
+// state after the run — every core's registry, including a tenant that
+// kept running past its crossing, and the uncore's interference registry.
 func diffSockets(t *testing.T, label string, a, b *Socket, n uint64) {
 	t.Helper()
 	if err := a.Run(n); err != nil {
@@ -133,13 +95,21 @@ func diffSockets(t *testing.T, label string, a, b *Socket, n uint64) {
 	if a.Cycles() != b.Cycles() {
 		t.Errorf("%s: socket clocks diverged: %d vs %d", label, a.Cycles(), b.Cycles())
 	}
-	if diff := a.CombinedSnapshot().Diff(b.CombinedSnapshot()); len(diff) > 0 {
+	report := func(what string, diff []string) {
+		if len(diff) == 0 {
+			return
+		}
 		show := diff
 		if len(show) > 20 {
 			show = show[:20]
 		}
-		t.Errorf("%s: %d metrics differ after restore:\n  %v", label, len(diff), show)
+		t.Errorf("%s: %d %s metrics differ after restore:\n  %v", label, len(diff), what, show)
 	}
+	report("combined", a.CombinedSnapshot().Diff(b.CombinedSnapshot()))
+	for i := 0; i < a.NumCores(); i++ {
+		report(fmt.Sprintf("live core %d", i), a.Core(i).MetricsSnapshot().Diff(b.Core(i).MetricsSnapshot()))
+	}
+	report("live uncore", a.InterferenceSnapshot().Diff(b.InterferenceSnapshot()))
 }
 
 // TestSocketCheckpointMidWrongPath is the adversarial socket round trip:
@@ -169,7 +139,7 @@ func TestSocketCheckpointMidWrongPath(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: snapshot: %v", step, err)
 		}
-		caught = st.Cores[1].IAG.Wrong != nil
+		caught = st.Tenants[1].IAG.Wrong != nil
 		if !caught && step%41 != 0 {
 			continue
 		}

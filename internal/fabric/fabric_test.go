@@ -156,12 +156,15 @@ func TestFabricLeaseExpiry(t *testing.T) {
 	// heartbeat loop suppressed (enormous cadence), so only lease expiry
 	// can recover the job.
 	hang := make(chan struct{})
+	held := make(chan struct{})
 	hung := &Worker{
 		Name:           "hung",
 		Runner:         harness.NewRunnerWithCheckpoints(1, ckdir),
 		Slots:          1,
 		HeartbeatEvery: time.Hour,
-		BeforeJob:      func(harness.RunSpec) error { <-hang; return nil },
+		// With one slot blocked here the hung worker never starts a second
+		// job, so held is closed exactly once.
+		BeforeJob: func(harness.RunSpec) error { close(held); <-hang; return nil },
 	}
 	cend, wend := net.Pipe()
 	go coord.HandleConn(cend)
@@ -173,9 +176,10 @@ func TestFabricLeaseExpiry(t *testing.T) {
 
 	// Wait until the hung worker holds the job, then add a healthy
 	// worker; the job must land there after the lease expires.
-	deadline := time.Now().Add(5 * time.Second)
-	for coord.Stats().Cells == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	select {
+	case <-held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the hung worker never received the job")
 	}
 	healthy := &Worker{Name: "healthy", Runner: harness.NewRunnerWithCheckpoints(1, ckdir), Slots: 1, HeartbeatEvery: 20 * time.Millisecond}
 	cend2, wend2 := net.Pipe()

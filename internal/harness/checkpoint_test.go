@@ -70,6 +70,14 @@ func TestCheckpointBitIdentical(t *testing.T) {
 		t.Parallel()
 		forkEquals(t, r, variant)
 	})
+	// A seeded spec is its own warm tuple: the warmup must run under the
+	// seed, or the fork measures a seed-0 machine.
+	seeded := goldenSpecs()[0]
+	seeded.Seed = 5
+	t.Run(seeded.Key(), func(t *testing.T) {
+		t.Parallel()
+		forkEquals(t, r, seeded)
+	})
 }
 
 // TestRunSingleflight submits the same spec from many goroutines at once
@@ -165,13 +173,18 @@ func TestCheckpointDiskCache(t *testing.T) {
 
 	// A different warm tuple must miss: the content address covers the
 	// configuration, so a changed knob can never restore a stale state.
-	other := spec
-	other.Warmup += 1000
-	if _, err := r2.Run(other); err != nil {
-		t.Fatal(err)
-	}
-	if s := r2.CheckpointStats(); s.WarmupsExecuted != 1 || s.DiskStores != 1 {
-		t.Errorf("changed-tuple runner: %+v (want the changed tuple to warm and store fresh)", s)
+	for i, change := range []func(*RunSpec){
+		func(s *RunSpec) { s.Warmup += 1000 },
+		func(s *RunSpec) { s.Seed = 3 },
+	} {
+		other := spec
+		change(&other)
+		if _, err := r2.Run(other); err != nil {
+			t.Fatal(err)
+		}
+		if s := r2.CheckpointStats(); s.WarmupsExecuted != uint64(i+1) || s.DiskStores != uint64(i+1) {
+			t.Errorf("%s: changed-tuple runner: %+v (want the changed tuple to warm and store fresh)", other.Key(), s)
+		}
 	}
 }
 

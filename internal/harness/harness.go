@@ -17,6 +17,7 @@ import (
 	"pdip/internal/core"
 	"pdip/internal/metrics"
 	"pdip/internal/policy"
+	"pdip/internal/trace/champsim"
 	"pdip/internal/workload"
 )
 
@@ -421,6 +422,7 @@ func (r *Runner) buildWarmState(wk warmKey) (*checkpoint.State, error) {
 		Benchmark:         wk.Benchmark,
 		Policy:            wk.Policy,
 		BTBEntries:        wk.BTBEntries,
+		Seed:              wk.Seed,
 		Warmup:            wk.Warmup,
 		NoFastForward:     wk.NoFastForward,
 		TracePath:         wk.TracePath,
@@ -591,60 +593,130 @@ func buildConfig(spec RunSpec) (*cfg.Program, core.Config, error) {
 	return prog, c, nil
 }
 
-// measureRun resets a warmed core's measurement counters, simulates the
-// measured window, and packages the result — shared by the from-scratch
-// and fork-from-snapshot paths, which must agree bit-for-bit
-// (TestCheckpointBitIdentical). onSample, when non-nil, observes each
-// interval snapshot the moment it is recorded (the fabric worker's
-// streaming path); it has no effect on the simulation or the result.
-func measureRun(co *core.Core, spec RunSpec, measure uint64, onSample func(metrics.Sample)) (*RunResult, error) {
-	co.ResetStats()
-	if spec.SampleEvery > 0 {
-		co.EnableSampling(spec.SampleEvery)
+// measureRun resets a warmed socket's measurement counters, simulates the
+// measured window, and packages one result per tenant — shared by the
+// from-scratch and fork-from-snapshot paths, which must agree bit-for-bit
+// (TestCheckpointBitIdentical). Only a one-tenant socket samples (see
+// executeScratch); onSample, when non-nil, observes each interval
+// snapshot the moment it is recorded (the fabric worker's streaming
+// path) and has no effect on the simulation or the result.
+func measureRun(s *core.Socket, specs []RunSpec, measure uint64, onSample func(metrics.Sample)) ([]*RunResult, error) {
+	s.ResetStats()
+	if every := specs[0].SampleEvery; every > 0 {
+		co := s.Core(0)
+		co.EnableSampling(every)
 		if onSample != nil {
 			co.SetSampleHook(onSample)
 		}
 	}
-	if err := co.Run(measure); err != nil {
-		return nil, fmt.Errorf("%s/%s measure: %w", spec.Benchmark, spec.Policy, err)
+	if err := s.Run(measure); err != nil {
+		return nil, fmt.Errorf("%s measure: %w", runLabel(specs), err)
 	}
-	return &RunResult{
-		Spec:    spec,
-		Res:     co.Result(),
-		Metrics: co.MetricsSnapshot(),
-		Samples: co.Samples(),
-	}, nil
+	out := make([]*RunResult, len(specs))
+	for i, spec := range specs {
+		res, snap := s.TenantResult(i)
+		out[i] = &RunResult{Spec: spec, Res: res, Metrics: snap, Samples: s.Core(i).Samples()}
+	}
+	return out, nil
+}
+
+// runLabel names a run's specs in error messages.
+func runLabel(specs []RunSpec) string {
+	keys := make([]string, len(specs))
+	for i, spec := range specs {
+		keys[i] = spec.Key()
+	}
+	return strings.Join(keys, "+")
 }
 
 // Execute performs one simulation run from scratch, without memoisation
 // or warm-state reuse — the reference path that VerifyDeterminism and the
-// checkpoint bit-identity tests compare against.
+// checkpoint bit-identity tests compare against. It is the one-tenant
+// case of ExecuteSocket.
 func Execute(spec RunSpec) (*RunResult, error) {
-	return executeScratch(spec, nil)
+	return executeOne(spec, nil)
 }
 
-// executeScratch is Execute with the streaming-sample hook exposed.
-func executeScratch(spec RunSpec, onSample func(metrics.Sample)) (*RunResult, error) {
-	prog, c, err := buildConfig(spec)
+// executeOne is Execute with measureRun's streaming-sample hook exposed.
+func executeOne(spec RunSpec, onSample func(metrics.Sample)) (*RunResult, error) {
+	res, _, err := executeScratch([]RunSpec{spec}, SocketOptions{}, onSample)
 	if err != nil {
 		return nil, err
 	}
-	src, osrc, err := openSource(spec, prog, c)
+	return res[0], nil
+}
+
+// executeScratch is the from-scratch executor behind Execute and
+// ExecuteSocket: one core per spec in lockstep against one shared uncore
+// (a single spec is a lone core), warmed and then measured. Every spec
+// must carry the same Warmup/Measure budgets — the socket warms and
+// measures all tenants over one shared clock. Sampling needs a single
+// spec: a tenant frozen at its quota while co-tenants run on has no
+// defined sample stream. onSample is measureRun's streaming hook.
+func executeScratch(specs []RunSpec, so SocketOptions, onSample func(metrics.Sample)) ([]*RunResult, *core.Socket, error) {
+	if len(specs) == 0 {
+		return nil, nil, fmt.Errorf("socket: need at least one spec")
+	}
+	warmup, measure := specs[0].budgets()
+	for i, spec := range specs {
+		w, m := spec.budgets()
+		if w != warmup || m != measure {
+			return nil, nil, fmt.Errorf("socket: tenant %d budgets %d+%d differ from tenant 0's %d+%d (one shared clock, one shared window)",
+				i, w, m, warmup, measure)
+		}
+		if spec.SampleEvery > 0 && len(specs) > 1 {
+			return nil, nil, fmt.Errorf("socket: tenant %d: sampling needs a single-tenant run", i)
+		}
+	}
+
+	tenants := make([]core.SocketTenant, len(specs))
+	srcs := make([]*champsim.Source, len(specs))
+	closeAll := func() {
+		for _, src := range srcs {
+			closeSource(src)
+		}
+	}
+	for i, spec := range specs {
+		prog, c, err := buildConfig(spec)
+		if err != nil {
+			closeAll()
+			return nil, nil, err
+		}
+		src, osrc, err := openSource(spec, prog, c)
+		if err != nil {
+			closeAll()
+			return nil, nil, err
+		}
+		srcs[i] = src
+		tenants[i] = core.SocketTenant{Prog: prog, Src: osrc, Config: c}
+	}
+	s, err := core.NewSocket(tenants, core.SocketConfig{
+		SharedPrefetcher: so.SharedPrefetcher,
+		L2Reserve:        so.L2Reserve,
+		L3Reserve:        so.L3Reserve,
+	})
 	if err != nil {
-		return nil, err
+		closeAll()
+		return nil, nil, err
 	}
-	co, err := core.NewWithSource(prog, osrc, c)
+	if err := s.Run(warmup); err != nil {
+		closeAll()
+		return nil, nil, fmt.Errorf("%s warmup: %w", runLabel(specs), err)
+	}
+	res, err := measureRun(s, specs, measure, onSample)
 	if err != nil {
-		closeSource(src)
-		return nil, err
+		closeAll()
+		return nil, nil, err
 	}
-	warmup, measure := spec.budgets()
-	if err := co.Run(warmup); err != nil {
-		closeSource(src)
-		return nil, fmt.Errorf("%s/%s warmup: %w", spec.Benchmark, spec.Policy, err)
+	for i, spec := range specs {
+		res[i], err = finishSource(spec, srcs[i], res[i], nil)
+		srcs[i] = nil // finishSource closed it
+		if err != nil {
+			closeAll()
+			return nil, nil, err
+		}
 	}
-	res, err := measureRun(co, spec, measure, onSample)
-	return finishSource(spec, src, res, err)
+	return res, s, nil
 }
 
 // Results returns every memoised result, sorted by spec key — the export

@@ -31,7 +31,7 @@ func (r *Runner) ExecuteJob(spec RunSpec, onSample func(metrics.Sample)) (*RunRe
 	warmup, measure := spec.budgets()
 	if warmup == 0 {
 		// Nothing to amortize; run from scratch.
-		return executeScratch(spec, onSample)
+		return executeOne(spec, onSample)
 	}
 	st, err := r.warmState(warmKeyOf(spec))
 	if err != nil {
@@ -45,7 +45,7 @@ func (r *Runner) ExecuteJob(spec RunSpec, onSample func(metrics.Sample)) (*RunRe
 	if err != nil {
 		return nil, err
 	}
-	co, err := core.NewFromSnapshotWithSource(prog, osrc, c, st)
+	s, err := core.NewSocketFromSnapshot([]core.SocketTenant{{Prog: prog, Src: osrc, Config: c}}, core.SocketConfig{}, st)
 	if err != nil {
 		closeSource(src)
 		return nil, fmt.Errorf("%s fork: %w", spec.Key(), err)
@@ -53,6 +53,10 @@ func (r *Runner) ExecuteJob(spec RunSpec, onSample func(metrics.Sample)) (*RunRe
 	r.mu.Lock()
 	r.ckStats.Forks++
 	r.mu.Unlock()
-	res, err := measureRun(co, spec, measure, onSample)
-	return finishSource(spec, src, res, err)
+	res, err := measureRun(s, []RunSpec{spec}, measure, onSample)
+	if err != nil {
+		closeSource(src)
+		return nil, err
+	}
+	return finishSource(spec, src, res[0], nil)
 }

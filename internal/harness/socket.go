@@ -1,11 +1,7 @@
 package harness
 
 import (
-	"fmt"
-
-	"pdip/internal/core"
 	"pdip/internal/metrics"
-	"pdip/internal/trace/champsim"
 )
 
 // SocketOptions sets socket-wide policy for a multi-tenant run.
@@ -38,111 +34,17 @@ type SocketRunResult struct {
 // ExecuteSocket performs one multi-tenant run from scratch: N cores in
 // lockstep against one shared uncore. Every spec must carry the same
 // Warmup/Measure budgets (the socket warms and measures all tenants over
-// one shared clock). Sampling is not supported on the socket path.
-// A single-spec call is the bit-identity bridge: ExecuteSocket([]{spec})
-// must report exactly what Execute(spec) reports
-// (TestGoldenSocketEquivalence).
+// one shared clock), and sampling needs a single spec. Execute is the
+// one-spec case.
 func ExecuteSocket(specs []RunSpec, so SocketOptions) (*SocketRunResult, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("socket: need at least one spec")
-	}
-	warmup, measure := specs[0].budgets()
-	for i, spec := range specs {
-		w, m := spec.budgets()
-		if w != warmup || m != measure {
-			return nil, fmt.Errorf("socket: tenant %d budgets %d+%d differ from tenant 0's %d+%d (one shared clock, one shared window)",
-				i, w, m, warmup, measure)
-		}
-		if spec.SampleEvery > 0 {
-			return nil, fmt.Errorf("socket: tenant %d: sampling is not supported on the socket path", i)
-		}
-	}
-
-	tenants := make([]core.SocketTenant, len(specs))
-	srcs := make([]*champsim.Source, len(specs))
-	closeAll := func() {
-		for _, src := range srcs {
-			closeSource(src)
-		}
-	}
-	for i, spec := range specs {
-		prog, c, err := buildConfig(spec)
-		if err != nil {
-			closeAll()
-			return nil, err
-		}
-		src, osrc, err := openSource(spec, prog, c)
-		if err != nil {
-			closeAll()
-			return nil, err
-		}
-		srcs[i] = src
-		tenants[i] = core.SocketTenant{Prog: prog, Src: osrc, Config: c}
-	}
-
-	s, err := core.NewSocket(tenants, core.SocketConfig{
-		SharedPrefetcher: so.SharedPrefetcher,
-		L2Reserve:        so.L2Reserve,
-		L3Reserve:        so.L3Reserve,
-	})
+	tenants, s, err := executeScratch(specs, so, nil)
 	if err != nil {
-		closeAll()
 		return nil, err
 	}
-	if err := s.Run(warmup); err != nil {
-		closeAll()
-		return nil, fmt.Errorf("socket warmup: %w", err)
-	}
-	s.ResetStats()
-	if err := s.Run(measure); err != nil {
-		closeAll()
-		return nil, fmt.Errorf("socket measure: %w", err)
-	}
-
-	out := &SocketRunResult{
-		Tenants: make([]*RunResult, len(specs)),
-		Cycles:  s.Cycles(),
-	}
-	for i, spec := range specs {
-		res, snap := s.TenantResult(i)
-		rr := &RunResult{Spec: spec, Res: res, Metrics: snap}
-		rr, err := finishSource(spec, srcs[i], rr, nil)
-		srcs[i] = nil // finishSource closed it
-		if err != nil {
-			closeAll()
-			return nil, err
-		}
-		out.Tenants[i] = rr
-	}
-	out.Interference = s.InterferenceSnapshot()
-	out.Combined = combineSnapshots(out)
-	return out, nil
-}
-
-// combineSnapshots flattens the run into one namespace: each tenant's
-// quota-frozen snapshot under "tenant<i>." plus the uncore counters.
-// Built from the frozen snapshots (not Socket.CombinedSnapshot, which
-// reads the live registries and so includes post-quota drift) so the
-// export matches the per-tenant results exactly.
-func combineSnapshots(res *SocketRunResult) metrics.Snapshot {
-	out := metrics.Snapshot{
-		Counters: make(map[string]uint64),
-		Gauges:   make(map[string]float64),
-	}
-	for i, tr := range res.Tenants {
-		prefix := fmt.Sprintf("tenant%d.", i)
-		for name, v := range tr.Metrics.Counters {
-			out.Counters[prefix+name] = v
-		}
-		for name, v := range tr.Metrics.Gauges {
-			out.Gauges[prefix+name] = v
-		}
-	}
-	for name, v := range res.Interference.Counters {
-		out.Counters[name] = v
-	}
-	for name, v := range res.Interference.Gauges {
-		out.Gauges[name] = v
-	}
-	return out
+	return &SocketRunResult{
+		Tenants:      tenants,
+		Interference: s.InterferenceSnapshot(),
+		Combined:     s.CombinedSnapshot(),
+		Cycles:       s.Cycles(),
+	}, nil
 }

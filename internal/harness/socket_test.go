@@ -1,60 +1,10 @@
 package harness
 
 import (
-	"encoding/json"
-	"os"
 	"sort"
 	"strings"
 	"testing"
 )
-
-// TestGoldenSocketEquivalence is the N=1 bit-identity pin for the socket
-// path: every golden-grid cell, run through a one-tenant Socket (whose
-// miss traffic crosses the arbitrated uncore port), must reproduce the
-// committed golden_metrics.json counter for counter, both ways. The
-// golden file is never regenerated from this test — drift here means the
-// socket path perturbed single-core behaviour.
-func TestGoldenSocketEquivalence(t *testing.T) {
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("read golden file (regenerate with TestGoldenMetrics -update): %v", err)
-	}
-	var want map[string]map[string]uint64
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("parse %s: %v", goldenPath, err)
-	}
-
-	for _, spec := range goldenSpecs() {
-		res, err := ExecuteSocket([]RunSpec{spec}, SocketOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", spec.Key(), err)
-		}
-		golden, ok := want[spec.Key()]
-		if !ok {
-			t.Fatalf("golden file missing %s", spec.Key())
-		}
-		got := res.Tenants[0].Metrics.Counters
-		var diff []string
-		for n, wv := range golden {
-			if gv, ok := got[n]; !ok || gv != wv {
-				diff = append(diff, n+": golden="+utoa(wv)+" socket="+utoa(got[n]))
-			}
-		}
-		for n := range got {
-			if _, ok := golden[n]; !ok {
-				diff = append(diff, n+": counter only in socket run")
-			}
-		}
-		if len(diff) > 0 {
-			sort.Strings(diff)
-			if len(diff) > 20 {
-				diff = diff[:20]
-			}
-			t.Errorf("%s: Socket{N:1} is not bit-identical to the golden grid:\n  %s",
-				spec.Key(), strings.Join(diff, "\n  "))
-		}
-	}
-}
 
 // combinedKey flattens a socket result into one sorted counter map
 // (tenant counters prefixed, uncore counters as-is) for bit-exact

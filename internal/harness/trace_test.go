@@ -79,7 +79,7 @@ func TestTraceCheckpointMidWrongPath(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if s.IAG.Wrong != nil && s.IAG.Wrong.Kind == mode.wrongKind {
+				if w := s.Tenants[0].IAG.Wrong; w != nil && w.Kind == mode.wrongKind {
 					st = s
 					break
 				}

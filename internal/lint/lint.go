@@ -9,9 +9,9 @@
 //     §Observability).
 //   - counterownership: every metrics counter is incremented only by the
 //     pipeline stage that owns its group (internal/core/metrics.go).
-//   - portdiscipline: all memory traffic flows through mem.Port or the
-//     named Hierarchy wrappers; nothing outside internal/mem and
-//     internal/cache calls cache internals directly.
+//   - portdiscipline: all memory traffic flows through mem.Port; nothing
+//     outside internal/mem and internal/cache calls cache internals
+//     directly.
 //   - cfgbounds: cache/PDIP geometry literals satisfy the same rules the
 //     runtime validators enforce, so bad configs fail at lint time.
 //   - tenantnamespace: per-tenant metric namespaces are minted only by

@@ -7,9 +7,9 @@ import (
 // PortDiscipline enforces the memory-hierarchy access discipline: outside
 // internal/mem and internal/cache, no code may call cache internals
 // directly. All instruction and data traffic flows through mem.Port (Send)
-// or the named Hierarchy wrappers (FetchInst, PrefetchInst, PrimeInst,
-// AccessData), which is where latency accounting, MSHR reservation, and
-// the priority plumbing live; a direct cache call would bypass all three.
+// — the hierarchy's InstPort and DataPort — which is where latency
+// accounting, MSHR reservation, and the priority plumbing live; a direct
+// cache call would bypass all three.
 type PortDiscipline struct{}
 
 // Name implements Analyzer.
@@ -17,7 +17,7 @@ func (*PortDiscipline) Name() string { return "portdiscipline" }
 
 // Doc implements Analyzer.
 func (*PortDiscipline) Doc() string {
-	return "memory traffic outside internal/mem and internal/cache must go through mem.Port or the Hierarchy wrappers"
+	return "memory traffic outside internal/mem and internal/cache must go through mem.Port"
 }
 
 // cacheInternalMethods are the cache.Cache methods that constitute direct
@@ -48,7 +48,7 @@ func (d *PortDiscipline) Check(p *Package, rep *Reporter) {
 			}
 			if pkg, name := typeDeclPkg(recvType); pkg == cachePkg && name == "Cache" {
 				rep.Reportf(d.Name(), call.Pos(),
-					"direct cache.Cache.%s call outside %s: route traffic through mem.Port.Send or the Hierarchy wrappers (FetchInst/PrefetchInst/AccessData)",
+					"direct cache.Cache.%s call outside %s: route traffic through mem.Port.Send (Hierarchy.InstPort/DataPort)",
 					method, "internal/mem")
 			}
 			return true

@@ -15,9 +15,9 @@ import (
 //     attribute traffic to tenants, and a core-private package registering
 //     under "uncore." would charge its counters to another tenant's bill.
 //   - Names under "tenant<i>." may not be registered anywhere: that prefix
-//     is synthesized by Socket.CombinedSnapshot when it merges per-core
-//     registries, so a registered "tenantN." name would collide with (or
-//     masquerade as) another tenant's namespaced counters.
+//     is synthesized by Socket.CombinedSnapshot when it merges the
+//     tenants' snapshots, so a registered "tenantN." name would collide
+//     with (or masquerade as) another tenant's namespaced counters.
 //
 // The check fires on the name argument of the metrics.Registry
 // registration methods (Counter, Gauge, Histogram, CounterFunc, GaugeFunc)

@@ -1,48 +1,22 @@
 package mem
 
-import (
-	"fmt"
+import "pdip/internal/checkpoint"
 
-	"pdip/internal/checkpoint"
-)
-
-// CaptureCheckpoint captures the hierarchy's cache levels. The port chain
-// itself is stateless wiring and is rebuilt by New at restore. A shared
-// hierarchy (NewShared) captures only its private L1s — the socket
-// snapshots the uncore-owned L2/L3 exactly once — and marks the state so
-// a restore into the wrong wiring fails loudly.
+// CaptureCheckpoint captures the hierarchy's private L1s. The L2/L3 are
+// the uncore's (captured once per socket) and the port chain is stateless
+// wiring rebuilt by New at restore.
 func (h *Hierarchy) CaptureCheckpoint() checkpoint.HierarchyState {
-	st := checkpoint.HierarchyState{
-		L1I:    h.L1I.CaptureCheckpoint(),
-		L1D:    h.L1D.CaptureCheckpoint(),
-		Shared: h.shared,
+	return checkpoint.HierarchyState{
+		L1I: h.L1I.CaptureCheckpoint(),
+		L1D: h.L1D.CaptureCheckpoint(),
 	}
-	if !h.shared {
-		st.L2 = h.L2.CaptureCheckpoint()
-		st.L3 = h.L3.CaptureCheckpoint()
-	}
-	return st
 }
 
-// RestoreCheckpoint overwrites the hierarchy's cache levels from a
-// captured state. The hierarchy must have been built with the same
-// geometry and sharing mode; a shared hierarchy restores only its private
-// L1s (the uncore restores the shared levels).
+// RestoreCheckpoint overwrites the hierarchy's L1s from a captured state.
+// The hierarchy must have been built with the same geometry.
 func (h *Hierarchy) RestoreCheckpoint(st checkpoint.HierarchyState) error {
-	if st.Shared != h.shared {
-		return fmt.Errorf("mem: checkpoint shared=%v, hierarchy shared=%v", st.Shared, h.shared)
-	}
 	if err := h.L1I.RestoreCheckpoint(st.L1I); err != nil {
 		return err
 	}
-	if err := h.L1D.RestoreCheckpoint(st.L1D); err != nil {
-		return err
-	}
-	if h.shared {
-		return nil
-	}
-	if err := h.L2.RestoreCheckpoint(st.L2); err != nil {
-		return err
-	}
-	return h.L3.RestoreCheckpoint(st.L3)
+	return h.L1D.RestoreCheckpoint(st.L1D)
 }

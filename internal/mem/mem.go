@@ -1,11 +1,12 @@
 // Package mem wires the cache levels of Table 1 into a hierarchy of
-// request/response ports and provides the three access paths the core
-// uses: demand instruction fetch, instruction prefetch, and data access.
-// Latencies accumulate down the hierarchy (L1 2, L2 10, L3 20, then
-// DRAM), fills are inclusive, and MSHR exhaustion delays demands but
-// drops prefetches, as in the paper's §5. See port.go for the message
-// model; the named methods on Hierarchy are convenience wrappers that
-// build the corresponding Req.
+// request/response ports. A core's Hierarchy holds its private L1I and
+// L1D, whose two front ports carry every access the core makes (demand
+// fetch, FDIP prime, PQ prefetch, demand data); their misses leave
+// through a port into the L2 → L3 → DRAM chain, which internal/uncore
+// owns and shares between the cores of a socket. Latencies accumulate
+// down the hierarchy (L1 2, L2 10, L3 20, then DRAM), fills are
+// inclusive, and MSHR exhaustion delays demands but drops prefetches, as
+// in the paper's §5. See port.go for the message model.
 package mem
 
 import (
@@ -58,30 +59,28 @@ func DefaultConfig() Config {
 	}
 }
 
-// Hierarchy is the assembled memory system: four cache levels joined by
-// ports. The instruction and data front ports share the L2 port, so a
-// fill started by either side is visible to both below L1 — exactly the
-// inclusive shared-L2 behaviour the paper models.
+// Hierarchy is one core's view of the memory system: its private L1I and
+// L1D, each fronted by a port whose misses exit through the same
+// downstream port, so a fill started by either side is visible to both
+// below L1 — the inclusive shared-L2 behaviour the paper models. L2 and
+// L3 are views of the caches behind that port (owned by the uncore), kept
+// so EMISSARY promotion and the core's cache.l2/cache.l3 metric bindings
+// observe the shared state.
 type Hierarchy struct {
 	L1I, L1D, L2, L3 *cache.Cache
-	DRAMLatency      int
 
 	inst *l1Port // L1I front port (fetch/prefetch/prime)
 	data *l1Port // L1D front port (demand data)
-
-	// shared marks a core-private hierarchy whose L2/L3 are views of an
-	// uncore owned elsewhere (see NewShared): checkpoint capture skips
-	// them so the socket snapshots the shared levels exactly once.
-	shared bool
 }
 
-// New builds a hierarchy from cfg and wires its port chain:
-// L1I ─┐
+// New builds a hierarchy's private half — fresh L1I and L1D — over down,
+// the port into the L2 → L3 → DRAM chain (NewChain) whose caches are l2
+// and l3:
 //
-//	├─ L2 ── L3 ── DRAM
-//
-// L1D ─┘
-func New(cfg Config) (*Hierarchy, error) {
+//	L1I ─┐
+//	     ├─ down ── L2 ── L3 ── DRAM
+//	L1D ─┘
+func New(cfg Config, l2, l3 *cache.Cache, down Port) (*Hierarchy, error) {
 	l1i, err := cache.New(cfg.L1I)
 	if err != nil {
 		return nil, err
@@ -90,36 +89,37 @@ func New(cfg Config) (*Hierarchy, error) {
 	if err != nil {
 		return nil, err
 	}
-	l2, err := cache.New(cfg.L2)
-	if err != nil {
-		return nil, err
-	}
-	l3, err := cache.New(cfg.L3)
-	if err != nil {
-		return nil, err
-	}
-	dram := cfg.DRAMLatency
-	if dram <= 0 {
-		dram = 150
-	}
-	h := &Hierarchy{L1I: l1i, L1D: l1d, L2: l2, L3: l3, DRAMLatency: dram}
-	// The L3 gates its MSHR before issuing to DRAM (a saturated miss file
-	// delays the DRAM command); the L2's fill instead completes no earlier
-	// than its own MSHR frees.
-	l3p := &levelPort{c: l3, down: &dramPort{latency: dram}, level: LevelL3, gateMSHR: true}
-	l2p := &levelPort{c: l2, down: l3p, level: LevelL2}
-	h.inst = &l1Port{c: l1i, down: l2p, class: cache.ClassInst}
-	h.data = &l1Port{c: l1d, down: l2p, class: cache.ClassData}
-	return h, nil
+	return &Hierarchy{
+		L1I:  l1i,
+		L1D:  l1d,
+		L2:   l2,
+		L3:   l3,
+		inst: &l1Port{c: l1i, down: down, class: cache.ClassInst},
+		data: &l1Port{c: l1d, down: down, class: cache.ClassData},
+	}, nil
 }
 
 // MustNew is New for known-good configurations.
-func MustNew(cfg Config) *Hierarchy {
-	h, err := New(cfg)
+func MustNew(cfg Config, l2, l3 *cache.Cache, down Port) *Hierarchy {
+	h, err := New(cfg, l2, l3, down)
 	if err != nil {
 		panic(err)
 	}
 	return h
+}
+
+// NewChain wires the L2 → L3 → DRAM half of the port chain over caches
+// built by the caller (internal/uncore, with owner tracking enabled when
+// several cores contend) and returns its upstream (L2-facing) port. The
+// L3 gates its MSHR before issuing to DRAM (a saturated miss file delays
+// the DRAM command); the L2's fill instead completes no earlier than its
+// own MSHR frees.
+func NewChain(l2, l3 *cache.Cache, dramLatency int) Port {
+	if dramLatency <= 0 {
+		dramLatency = 150
+	}
+	l3p := &levelPort{c: l3, down: &dramPort{latency: dramLatency}, level: LevelL3, gateMSHR: true}
+	return &levelPort{c: l2, down: l3p, level: LevelL2}
 }
 
 // InstPort returns the instruction-side front port (demand fetch, FDIP
@@ -150,43 +150,6 @@ type AccessResult struct {
 	Dropped bool
 	// Reason classifies the drop (DropNone when not dropped).
 	Reason DropReason
-}
-
-// FetchInst performs a demand instruction fetch of line at cycle now.
-// priority propagates the EMISSARY P-bit to fills of promoted lines.
-func (h *Hierarchy) FetchInst(line isa.Addr, now int64, priority bool) AccessResult {
-	return h.inst.Send(Req{Op: OpFetch, Line: line, At: now, Priority: priority})
-}
-
-// PrefetchInst issues a prefetch of line into the L1I at cycle now,
-// keeping reserveMSHRs L1I MSHR entries free for demand fetches. The
-// prefetch is dropped when the line is already present/in flight or when
-// headroom is insufficient (§5: threshold of 2). priority propagates the
-// EMISSARY P-bit. zeroCost installs the line instantly (the paper's
-// zero-cost timeliness study).
-func (h *Hierarchy) PrefetchInst(line isa.Addr, now int64, reserveMSHRs int, priority, zeroCost bool) AccessResult {
-	return h.inst.Send(Req{
-		Op:       OpPrefetch,
-		Line:     line,
-		At:       now,
-		Reserve:  reserveMSHRs,
-		Priority: priority,
-		ZeroCost: zeroCost,
-	})
-}
-
-// PrimeInst is the FDIP fill path: a new FTQ entry primes the L1I for its
-// lines ahead of demand fetch. It behaves like PrefetchInst but does not
-// mark the line as prefetched, keeping the prefetcher accuracy metrics
-// (Table 4) scoped to the PQ prefetcher under study — FDIP is part of the
-// baseline, not the prefetcher being measured.
-func (h *Hierarchy) PrimeInst(line isa.Addr, now int64, reserveMSHRs int, priority bool) AccessResult {
-	return h.inst.Send(Req{Op: OpPrime, Line: line, At: now, Reserve: reserveMSHRs, Priority: priority})
-}
-
-// AccessData performs a demand data access (load/store treated alike).
-func (h *Hierarchy) AccessData(line isa.Addr, now int64) AccessResult {
-	return h.data.Send(Req{Op: OpData, Line: line, At: now})
 }
 
 // PromoteInstLine sets the EMISSARY P-bit on line wherever it is resident

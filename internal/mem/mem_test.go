@@ -3,8 +3,17 @@ package mem
 import (
 	"testing"
 
+	"pdip/internal/cache"
 	"pdip/internal/isa"
 )
+
+// newTestHierarchy builds a hierarchy the way a socket does — private L1s
+// over the L2 → L3 → DRAM chain — minus the uncore's tenant port, which
+// internal/uncore owns (and which imports this package).
+func newTestHierarchy(cfg Config) *Hierarchy {
+	l2, l3 := cache.MustNew(cfg.L2), cache.MustNew(cfg.L3)
+	return MustNew(cfg, l2, l3, NewChain(l2, l3, cfg.DRAMLatency))
+}
 
 func TestDefaultConfigMatchesTable1(t *testing.T) {
 	c := DefaultConfig()
@@ -23,9 +32,9 @@ func TestDefaultConfigMatchesTable1(t *testing.T) {
 }
 
 func TestColdFetchGoesToDRAM(t *testing.T) {
-	h := MustNew(DefaultConfig())
+	h := newTestHierarchy(DefaultConfig())
 	line := isa.Addr(0x40000)
-	res := h.FetchInst(line, 100, false)
+	res := h.InstPort().Send(Req{Op: OpFetch, Line: line, At: 100})
 	if res.L1Hit {
 		t.Fatal("cold fetch hit")
 	}
@@ -40,9 +49,9 @@ func TestColdFetchGoesToDRAM(t *testing.T) {
 }
 
 func TestInclusiveFillsServeFasterNextTime(t *testing.T) {
-	h := MustNew(DefaultConfig())
+	h := newTestHierarchy(DefaultConfig())
 	a := isa.Addr(0x40000)
-	first := h.FetchInst(a, 0, false)
+	first := h.InstPort().Send(Req{Op: OpFetch, Line: a, At: 0})
 	// A different L1I-conflicting line is not needed; just re-fetch a
 	// second line in the same L2 block region after eviction from L1I.
 	// Simpler: fetch, then fetch a second cold line, then verify L2 holds
@@ -54,23 +63,23 @@ func TestInclusiveFillsServeFasterNextTime(t *testing.T) {
 }
 
 func TestL1HitLatency(t *testing.T) {
-	h := MustNew(DefaultConfig())
+	h := newTestHierarchy(DefaultConfig())
 	line := isa.Addr(0x1000)
-	h.FetchInst(line, 0, false)
-	res := h.FetchInst(line, 500, false)
+	h.InstPort().Send(Req{Op: OpFetch, Line: line, At: 0})
+	res := h.InstPort().Send(Req{Op: OpFetch, Line: line, At: 500})
 	if !res.L1Hit || res.Done != 502 {
 		t.Fatalf("hit: %+v", res)
 	}
 }
 
 func TestPrefetchDedup(t *testing.T) {
-	h := MustNew(DefaultConfig())
+	h := newTestHierarchy(DefaultConfig())
 	line := isa.Addr(0x2000)
-	r1 := h.PrefetchInst(line, 0, 2, false, false)
+	r1 := h.InstPort().Send(Req{Op: OpPrefetch, Line: line, At: 0, Reserve: 2})
 	if r1.Dropped {
 		t.Fatal("first prefetch dropped")
 	}
-	r2 := h.PrefetchInst(line, 1, 2, false, false)
+	r2 := h.InstPort().Send(Req{Op: OpPrefetch, Line: line, At: 1, Reserve: 2})
 	if !r2.Dropped {
 		t.Fatal("duplicate prefetch not dropped")
 	}
@@ -79,16 +88,16 @@ func TestPrefetchDedup(t *testing.T) {
 func TestPrefetchRespectsMSHRReserve(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.L1I.MSHRs = 3
-	h := MustNew(cfg)
+	h := newTestHierarchy(cfg)
 	// Two prefetches fit (3 MSHRs, reserve 2 means free must be > 2).
-	if r := h.PrefetchInst(0x40, 0, 2, false, false); r.Dropped {
+	if r := h.InstPort().Send(Req{Op: OpPrefetch, Line: 0x40, At: 0, Reserve: 2}); r.Dropped {
 		t.Fatal("prefetch dropped with 3 free MSHRs")
 	}
-	if r := h.PrefetchInst(0x80, 0, 2, false, false); !r.Dropped {
+	if r := h.InstPort().Send(Req{Op: OpPrefetch, Line: 0x80, At: 0, Reserve: 2}); !r.Dropped {
 		t.Fatal("prefetch accepted with only 2 free MSHRs (reserve 2)")
 	}
 	// Demand fetches are never dropped — they wait.
-	if r := h.FetchInst(0xc0, 0, false); r.Dropped {
+	if r := h.InstPort().Send(Req{Op: OpFetch, Line: 0xc0, At: 0}); r.Dropped {
 		t.Fatal("demand fetch dropped")
 	}
 }
@@ -96,22 +105,22 @@ func TestPrefetchRespectsMSHRReserve(t *testing.T) {
 func TestDemandWaitsWhenMSHRsFull(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.L1I.MSHRs = 1
-	h := MustNew(cfg)
-	first := h.FetchInst(0x40, 0, false) // occupies the only MSHR
-	second := h.FetchInst(0x80, 1, false)
+	h := newTestHierarchy(cfg)
+	first := h.InstPort().Send(Req{Op: OpFetch, Line: 0x40, At: 0}) // occupies the only MSHR
+	second := h.InstPort().Send(Req{Op: OpFetch, Line: 0x80, At: 1})
 	if second.Done <= first.Done {
 		t.Fatalf("second demand (%d) did not wait for MSHR freed at %d", second.Done, first.Done)
 	}
 }
 
 func TestZeroCostPrefetch(t *testing.T) {
-	h := MustNew(DefaultConfig())
+	h := newTestHierarchy(DefaultConfig())
 	line := isa.Addr(0x3000)
-	r := h.PrefetchInst(line, 42, 2, false, true)
+	r := h.InstPort().Send(Req{Op: OpPrefetch, Line: line, At: 42, Reserve: 2, ZeroCost: true})
 	if r.Dropped || r.Done != 42 {
 		t.Fatalf("zero-cost prefetch: %+v", r)
 	}
-	res := h.FetchInst(line, 43, false)
+	res := h.InstPort().Send(Req{Op: OpFetch, Line: line, At: 43})
 	if !res.L1Hit || res.WasInflight {
 		t.Fatalf("demand after zero-cost prefetch: %+v", res)
 	}
@@ -121,16 +130,16 @@ func TestZeroCostPrefetch(t *testing.T) {
 }
 
 func TestPrimeInstDoesNotCountAsPrefetch(t *testing.T) {
-	h := MustNew(DefaultConfig())
+	h := newTestHierarchy(DefaultConfig())
 	line := isa.Addr(0x5000)
-	r := h.PrimeInst(line, 0, 1, false)
+	r := h.InstPort().Send(Req{Op: OpPrime, Line: line, At: 0, Reserve: 1})
 	if r.Dropped {
 		t.Fatal("prime dropped on empty cache")
 	}
 	if h.L1I.Stats.PrefetchFills != 0 {
 		t.Fatal("FDIP prime counted as prefetch fill")
 	}
-	res := h.FetchInst(line, 1, false)
+	res := h.InstPort().Send(Req{Op: OpFetch, Line: line, At: 1})
 	if res.WasPrefetch {
 		t.Fatal("FDIP-primed line flagged as prefetch consumption")
 	}
@@ -140,9 +149,9 @@ func TestPrimeInstDoesNotCountAsPrefetch(t *testing.T) {
 }
 
 func TestDataPathSeparateFromInst(t *testing.T) {
-	h := MustNew(DefaultConfig())
+	h := newTestHierarchy(DefaultConfig())
 	line := isa.Addr(0x9000)
-	h.AccessData(line, 0)
+	h.DataPort().Send(Req{Op: OpData, Line: line, At: 0})
 	if h.L1I.Contains(line) {
 		t.Fatal("data access filled the L1I")
 	}
@@ -159,17 +168,17 @@ func TestL2ServesSecondCore(t *testing.T) {
 	// by L2 with its hit latency.
 	cfg := DefaultConfig()
 	cfg.L1I.SizeBytes = 2 * isa.LineSize * 8 // 2 sets × 8 ways
-	h := MustNew(cfg)
+	h := newTestHierarchy(cfg)
 	target := isa.Addr(0)
-	h.FetchInst(target, 0, false)
+	h.InstPort().Send(Req{Op: OpFetch, Line: target, At: 0})
 	// Thrash the tiny L1I with conflicting lines (same set, stride 128).
 	for i := 1; i <= 8; i++ {
-		h.FetchInst(target+isa.Addr(i*2*isa.LineSize), 1000+int64(i), false)
+		h.InstPort().Send(Req{Op: OpFetch, Line: target + isa.Addr(i*2*isa.LineSize), At: 1000 + int64(i)})
 	}
 	if h.L1I.Contains(target) {
 		t.Skip("target unexpectedly still resident")
 	}
-	res := h.FetchInst(target, 5000, false)
+	res := h.InstPort().Send(Req{Op: OpFetch, Line: target, At: 5000})
 	if res.L1Hit || res.ServedBy != LevelL2 {
 		t.Fatalf("refetch served by %v (hit=%v), want L2", res.ServedBy, res.L1Hit)
 	}
@@ -179,9 +188,9 @@ func TestL2ServesSecondCore(t *testing.T) {
 }
 
 func TestPromoteInstLine(t *testing.T) {
-	h := MustNew(DefaultConfig())
+	h := newTestHierarchy(DefaultConfig())
 	line := isa.Addr(0x7000)
-	h.FetchInst(line, 0, false)
+	h.InstPort().Send(Req{Op: OpFetch, Line: line, At: 0})
 	h.PromoteInstLine(line)
 	if h.L1I.PriorityLines() != 1 || h.L2.PriorityLines() != 1 {
 		t.Fatal("promotion did not reach both levels")

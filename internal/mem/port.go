@@ -86,7 +86,7 @@ type Req struct {
 	// (OpPrefetch/OpPrime only).
 	Reserve int
 	// Src identifies the requesting core at shared (owner-tracked) levels.
-	// Stamped by the uncore's tenant ports; zero in a single-core chain.
+	// Stamped by the uncore's tenant ports; zero for a lone core.
 	Src uint8
 	// Speculative marks a fill that originated from a prefetch-class
 	// request (OpPrefetch/OpPrime). A contended shared level drops such
@@ -198,10 +198,9 @@ func (p *levelPort) sendMissOwned(req Req, t int64) AccessResult {
 // (minus the demand reserve) is exhausted.
 type l1Port struct {
 	c *cache.Cache
-	// down is the L2-facing port: the exclusive levelPort chain in a
-	// single-core hierarchy (New), or a tenant port into the shared uncore
-	// (NewShared). Only the miss path crosses it, so the interface call is
-	// off the L1-hit fast path.
+	// down is the L2-facing port: a tenant port into the uncore's chain.
+	// Only the miss path crosses it, so the interface call is off the
+	// L1-hit fast path.
 	down  Port
 	class cache.Class
 }

@@ -26,7 +26,7 @@ func tinyConfig() Config {
 // traversal latency: L1I lookup forwards at t, L2 adds its lookup
 // latency, L3 adds its own, DRAM adds the flat access time.
 func TestPortMessageLatencyAccumulation(t *testing.T) {
-	h := MustNew(tinyConfig())
+	h := newTestHierarchy(tinyConfig())
 	res := h.InstPort().Send(Req{Op: OpFetch, Line: line(1), At: 1000})
 	if res.L1Hit || res.Dropped {
 		t.Fatalf("cold fetch classified as hit/drop: %+v", res)
@@ -57,7 +57,7 @@ func TestPortMessageLatencyAccumulation(t *testing.T) {
 // L2 path directly by filling only L2/L3 via a first miss and re-probing
 // after L1I eviction pressure.
 func TestPortHitLevels(t *testing.T) {
-	h := MustNew(tinyConfig())
+	h := newTestHierarchy(tinyConfig())
 	p := h.InstPort()
 	p.Send(Req{Op: OpFetch, Line: line(1), At: 0})
 	// After the fill completes, the line hits in L1 at hit latency.
@@ -89,7 +89,7 @@ func TestPortHitLevels(t *testing.T) {
 // TestPortPrefetchDropReasons checks that the reply message classifies
 // drops: present lines versus exhausted MSHR headroom.
 func TestPortPrefetchDropReasons(t *testing.T) {
-	h := MustNew(tinyConfig())
+	h := newTestHierarchy(tinyConfig())
 	p := h.InstPort()
 
 	// Fill a line, then prefetch it again: DropPresent.
@@ -123,7 +123,7 @@ func TestPortPrefetchDropReasons(t *testing.T) {
 // TestPortPrimeNotCountedAsPrefetch checks the FDIP prime path installs
 // lines without prefetch attribution (Table 4 scoping).
 func TestPortPrimeNotCountedAsPrefetch(t *testing.T) {
-	h := MustNew(tinyConfig())
+	h := newTestHierarchy(tinyConfig())
 	p := h.InstPort()
 	res := p.Send(Req{Op: OpPrime, Line: line(7), At: 0, Reserve: 1})
 	if res.Dropped {
@@ -141,7 +141,7 @@ func TestPortPrimeNotCountedAsPrefetch(t *testing.T) {
 // TestPortZeroCostPrefetch checks the §7.2 ceiling: a zero-cost prefetch
 // installs instantly regardless of MSHR pressure.
 func TestPortZeroCostPrefetch(t *testing.T) {
-	h := MustNew(tinyConfig())
+	h := newTestHierarchy(tinyConfig())
 	p := h.InstPort()
 	res := p.Send(Req{Op: OpPrefetch, Line: line(3), At: 42, ZeroCost: true})
 	if res.Dropped || res.Done != 42 || res.ServedBy != LevelL1 {
@@ -158,7 +158,7 @@ func TestPortZeroCostPrefetch(t *testing.T) {
 // L3 MSHR frees, so its completion is later than an unsaturated fill's.
 func TestPortL3MSHRGatesDRAM(t *testing.T) {
 	cfg := tinyConfig() // L3 has 2 MSHRs
-	h := MustNew(cfg)
+	h := newTestHierarchy(cfg)
 	p := h.InstPort()
 	// Two cold fetches occupy both L3 MSHRs until cycle 130.
 	p.Send(Req{Op: OpFetch, Line: line(1), At: 0})
@@ -177,43 +177,11 @@ func TestPortL3MSHRGatesDRAM(t *testing.T) {
 // TestPortClassAttribution checks that data-side messages attribute L2
 // misses to the data class and instruction messages to the inst class.
 func TestPortClassAttribution(t *testing.T) {
-	h := MustNew(tinyConfig())
+	h := newTestHierarchy(tinyConfig())
 	h.InstPort().Send(Req{Op: OpFetch, Line: line(1), At: 0})
 	h.DataPort().Send(Req{Op: OpData, Line: line(1000), At: 0})
 	if h.L2.Stats.InstMisses != 1 || h.L2.Stats.DataMisses != 1 {
 		t.Fatalf("L2 class split: inst=%d data=%d, want 1/1",
 			h.L2.Stats.InstMisses, h.L2.Stats.DataMisses)
-	}
-}
-
-// TestPortWrapperEquivalence runs the same access pattern through the
-// named wrappers and through raw port messages on twin hierarchies and
-// requires identical replies and identical per-level stats — the named
-// API is a pure view over the message model.
-func TestPortWrapperEquivalence(t *testing.T) {
-	a := MustNew(tinyConfig())
-	b := MustNew(tinyConfig())
-	for i := 0; i < 200; i++ {
-		now := int64(i * 3)
-		ln := line(i % 37)
-		ra := a.FetchInst(ln, now, i%5 == 0)
-		rb := b.InstPort().Send(Req{Op: OpFetch, Line: ln, At: now, Priority: i%5 == 0})
-		if ra != rb {
-			t.Fatalf("fetch %d: wrapper %+v != port %+v", i, ra, rb)
-		}
-		pa := a.PrefetchInst(line(i%53+100), now, 2, false, false)
-		pb := b.InstPort().Send(Req{Op: OpPrefetch, Line: line(i%53 + 100), At: now, Reserve: 2})
-		if pa != pb {
-			t.Fatalf("prefetch %d: wrapper %+v != port %+v", i, pa, pb)
-		}
-		da := a.AccessData(line(i%29+500), now)
-		db := b.DataPort().Send(Req{Op: OpData, Line: line(i%29 + 500), At: now})
-		if da != db {
-			t.Fatalf("data %d: wrapper %+v != port %+v", i, da, db)
-		}
-	}
-	if a.L1I.Stats != b.L1I.Stats || a.L1D.Stats != b.L1D.Stats ||
-		a.L2.Stats != b.L2.Stats || a.L3.Stats != b.L3.Stats {
-		t.Fatal("per-level stats diverged between wrapper and port APIs")
 	}
 }

@@ -5,7 +5,15 @@ import (
 
 	"pdip/internal/isa"
 	"pdip/internal/mem"
+	"pdip/internal/uncore"
 )
+
+// newHierarchy builds a lone core's hierarchy the way a socket does:
+// private L1s over a one-requester uncore's tenant port.
+func newHierarchy(cfg mem.Config) *mem.Hierarchy {
+	u := uncore.MustNew(uncore.Config{L2: cfg.L2, L3: cfg.L3, DRAMLatency: cfg.DRAMLatency, Requesters: 1})
+	return mem.MustNew(cfg, u.L2, u.L3, u.Port(0))
+}
 
 func TestQueueFIFOAndDrop(t *testing.T) {
 	q := NewQueue(2)
@@ -19,7 +27,7 @@ func TestQueueFIFOAndDrop(t *testing.T) {
 }
 
 func TestQueueDrainIssues(t *testing.T) {
-	h := mem.MustNew(mem.DefaultConfig())
+	h := newHierarchy(mem.DefaultConfig())
 	q := NewQueue(8)
 	q.IssuePerCycle = 2
 	q.Enqueue(Request{Line: 0x1000, Trigger: TriggerMispredict},
@@ -42,8 +50,8 @@ func TestQueueDrainIssues(t *testing.T) {
 }
 
 func TestQueueDropsPresent(t *testing.T) {
-	h := mem.MustNew(mem.DefaultConfig())
-	h.FetchInst(0x1000, 0, false)
+	h := newHierarchy(mem.DefaultConfig())
+	h.InstPort().Send(mem.Req{Op: mem.OpFetch, Line: 0x1000, At: 0})
 	q := NewQueue(8)
 	q.Enqueue(Request{Line: 0x1000})
 	q.Drain(h.InstPort(), 500, nil)
@@ -55,7 +63,7 @@ func TestQueueDropsPresent(t *testing.T) {
 func TestQueueRespectsMSHRReserve(t *testing.T) {
 	cfg := mem.DefaultConfig()
 	cfg.L1I.MSHRs = 3
-	h := mem.MustNew(cfg)
+	h := newHierarchy(cfg)
 	q := NewQueue(8)
 	q.ReserveMSHRs = 2
 	q.IssuePerCycle = 4
@@ -67,7 +75,7 @@ func TestQueueRespectsMSHRReserve(t *testing.T) {
 }
 
 func TestQueuePriorityCallback(t *testing.T) {
-	h := mem.MustNew(mem.DefaultConfig())
+	h := newHierarchy(mem.DefaultConfig())
 	q := NewQueue(4)
 	q.Enqueue(Request{Line: 0x1000})
 	q.Drain(h.InstPort(), 0, func(l isa.Addr) bool { return true })
@@ -77,12 +85,12 @@ func TestQueuePriorityCallback(t *testing.T) {
 }
 
 func TestQueueZeroCost(t *testing.T) {
-	h := mem.MustNew(mem.DefaultConfig())
+	h := newHierarchy(mem.DefaultConfig())
 	q := NewQueue(4)
 	q.ZeroCost = true
 	q.Enqueue(Request{Line: 0x1000})
 	q.Drain(h.InstPort(), 7, nil)
-	res := h.FetchInst(0x1000, 8, false)
+	res := h.InstPort().Send(mem.Req{Op: mem.OpFetch, Line: 0x1000, At: 8})
 	if !res.L1Hit || res.WasInflight {
 		t.Fatalf("zero-cost fill not instant: %+v", res)
 	}

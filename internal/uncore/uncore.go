@@ -9,10 +9,9 @@
 // never host another tenant's counters (enforced by the tenantnamespace
 // simlint rule).
 //
-// With a single requester the uncore degenerates exactly to the exclusive
-// chain mem.New builds: owner tracking stays off, so the port chain
-// executes the identical code path — that equivalence is what lets the
-// Socket{N:1} configuration replay the golden grid bit for bit.
+// Every core runs behind an uncore: a single-core run is a one-requester
+// uncore, for which owner tracking stays off, so its port chain executes
+// the plain (uncontended) miss path.
 package uncore
 
 import (
@@ -76,7 +75,7 @@ func New(cfg Config) (*Uncore, error) {
 			return nil, err
 		}
 	}
-	u.chain = mem.NewSharedChain(l2, l3, dram)
+	u.chain = mem.NewChain(l2, l3, dram)
 	u.L2.RegisterMetrics(u.reg, "uncore.l2")
 	u.L3.RegisterMetrics(u.reg, "uncore.l3")
 	u.ports = make([]*tenantPort, cfg.Requesters)
