@@ -4,7 +4,7 @@
 GO ?= go
 
 .PHONY: all build fmt-check vet test race determinism golden check bench clean
-.PHONY: lint lint-fix-report check-invariant fuzz bench-track bench-diff perf-smoke trace-suite socket fabric-smoke
+.PHONY: lint lint-fix-report check-invariant fuzz bench-track bench-diff bench-pair perf-smoke trace-suite socket fabric-smoke
 
 all: build
 
@@ -126,6 +126,34 @@ bench-diff:
 	$(GO) test -run '^$$' -bench=. -benchtime=$(BENCHTIME) -benchmem . \
 		| $(GO) run ./cmd/benchtrack -diff BENCH_simulator.json -threshold $(BENCH_THRESHOLD) \
 			-threshold-for '^BenchmarkCheckpoint=$(BENCH_CKPT_THRESHOLD)'
+
+# Paired micro-benchmark comparison against another commit on this host,
+# for judging a perf gate where the committed BENCH_simulator.json was
+# recorded on different hardware: exports BASE (default HEAD) with git
+# archive into .bench_build/pair, builds both sides' test binaries, runs
+# BENCH (default the checkpoint rows) PAIRS times from each side's own
+# tree, alternating which side goes first, and prints each row's median
+# and quartiles per side.
+#
+#   make bench-pair BASE=HEAD~1 BENCH='^BenchmarkCheckpoint(SaveRestore|ForkDisk)$$'
+BASE ?= HEAD
+PAIRS ?= 10
+BENCH ?= ^BenchmarkCheckpoint
+bench-pair:
+	@set -e; out=.bench_build/pair; rm -rf $$out; mkdir -p $$out/base; \
+	git archive '$(BASE)' | tar -x -C $$out/base; \
+	(cd $$out/base && $(GO) test -c -o ../base.test .); \
+	$(GO) test -c -o $$out/new.test .; \
+	for i in $$(seq 1 $(PAIRS)); do \
+		order="base new"; if [ $$((i % 2)) -eq 0 ]; then order="new base"; fi; \
+		for side in $$order; do \
+			echo "bench-pair: pair $$i/$(PAIRS): $$side" >&2; \
+			dir=.; if [ $$side = base ]; then dir=$$out/base; fi; \
+			(cd $$dir && $(CURDIR)/$$out/$$side.test -test.run '^$$' -test.bench '$(value BENCH)' \
+				-test.benchtime=$(BENCHTIME) -test.benchmem -test.timeout=30m) >> $$out/$$side.txt; \
+		done; \
+	done; \
+	$(GO) run ./cmd/benchtrack -pair $$out/base.txt $$out/new.txt
 
 # Zero-alloc gate: every hot-path micro benchmark must report 0 allocs/op
 # in steady state. The benchtime is iteration-pinned and large enough that

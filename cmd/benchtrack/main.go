@@ -19,12 +19,18 @@
 // regexp, so low-variance benchmarks can be held to a stricter budget
 // than the noisy end-to-end grids; the flag repeats, first match wins.
 //
+// With -pair, benchtrack reads no stdin: it takes two files of repeated
+// `go test -bench` output, one per side of a paired comparison (`make
+// bench-pair` alternates which side runs first), and prints each row's
+// median and quartiles for both sides.
+//
 // Usage:
 //
 //	go test -bench=. -benchmem | benchtrack -o BENCH_simulator.json
 //	go test -bench=Micro -benchmem | benchtrack        # JSON to stdout
 //	go test -bench=. -benchmem | benchtrack -diff BENCH_simulator.json
 //	... | benchtrack -diff BENCH_simulator.json -threshold-for '^BenchmarkCheckpoint=0.10'
+//	benchtrack -pair base.txt new.txt
 package main
 
 import (
@@ -32,6 +38,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -101,12 +108,29 @@ func main() {
 	threshold := flag.Float64("threshold", 0.15, "with -diff: maximum tolerated fractional ns/op regression (0.15 = 15%)")
 	var rules thresholdRules
 	flag.Var(&rules, "threshold-for", "with -diff: per-row override as <regexp>=<fraction>, e.g. '^BenchmarkCheckpoint=0.10' (repeatable; first match wins over -threshold)")
+	pair := flag.Bool("pair", false, "compare the repeated runs in two files (base, new): per row and side, the median and quartiles")
 	flag.Parse()
 
-	entries, err := parse(os.Stdin)
+	if *pair {
+		if flag.NArg() != 2 {
+			fmt.Fprintln(os.Stderr, "benchtrack: -pair takes two files: base and new")
+			os.Exit(2)
+		}
+		if err := pairReport(os.Stdout, flag.Arg(0), flag.Arg(1)); err != nil {
+			fmt.Fprintln(os.Stderr, "benchtrack:", err)
+			os.Exit(1)
+		}
+		return
+	}
+
+	runs, err := parse(os.Stdin)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchtrack:", err)
 		os.Exit(1)
+	}
+	entries := make(map[string]Entry, len(runs))
+	for name, rs := range runs {
+		entries[name] = rs[len(rs)-1]
 	}
 	if len(entries) == 0 {
 		fmt.Fprintln(os.Stderr, "benchtrack: no benchmark lines on stdin (run with `go test -bench=... -benchmem | benchtrack`)")
@@ -210,11 +234,12 @@ func diffSnapshot(entries map[string]Entry, path string, threshold float64, rule
 	return nil
 }
 
-// parse extracts benchmark result lines from r. The Go testing package
-// emits one line per benchmark: the name (with a -N GOMAXPROCS suffix),
-// the iteration count, then value/unit pairs.
-func parse(r *os.File) (map[string]Entry, error) {
-	entries := make(map[string]Entry)
+// parse extracts benchmark result lines from r, every run of each
+// benchmark in input order. The Go testing package emits one line per
+// benchmark: the name (with a -N GOMAXPROCS suffix), the iteration count,
+// then value/unit pairs.
+func parse(r io.Reader) (map[string][]Entry, error) {
+	runs := make(map[string][]Entry)
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := sc.Text()
@@ -234,7 +259,7 @@ func parse(r *os.File) (map[string]Entry, error) {
 				name = name[:i] // strip the GOMAXPROCS suffix
 			}
 		}
-		e := entries[name]
+		var e Entry
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
@@ -251,7 +276,7 @@ func parse(r *os.File) (map[string]Entry, error) {
 				e.SimCyclesPerSec = v
 			}
 		}
-		entries[name] = e
+		runs[name] = append(runs[name], e)
 	}
-	return entries, sc.Err()
+	return runs, sc.Err()
 }

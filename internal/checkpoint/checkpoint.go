@@ -24,11 +24,13 @@
 //     builds a fresh core and copies the state in. One snapshot can be
 //     forked concurrently — Restore implementations only read the state
 //     and never alias its slices.
-//   - On-disk cache: Encode/Decode frame the state in the versioned
-//     binary columnar wire format (checkpoint_binary.go), and Dir/Save/
-//     Load manage a content-addressed directory keyed by a config+workload
-//     hash (see Key). A file from another format version fails to decode
-//     and the caller re-warms.
+//   - On-disk cache: Encode/DecodeBytes frame the state in the versioned
+//     binary columnar wire format (checkpoint_binary.go), whose layout the
+//     declarations below define: a plan built by reflection from these
+//     structs and their ckpt tags drives both directions. Dir manages a
+//     content-addressed directory keyed by a config+workload hash (see
+//     Key). A file from another format version fails to decode and the
+//     caller re-warms.
 package checkpoint
 
 import (
@@ -49,8 +51,11 @@ import (
 // gzip+JSON to the binary columnar codec; 5 = one snapshot kind: every
 // State is a socket (the uncore section, then one section group per
 // tenant), HierarchyState holds only the core-private L1s, and the wire
-// header lost its kind byte.
-const FormatVersion = 5
+// header lost its kind byte; 6 = one reflection-built plan per type
+// replaced the hand codec: slices of fixed-width-scalar structs are
+// written field-major (one column per field), and PDIPState became two
+// flat arrays (Entries, Targets) with no per-set or per-entry counts.
+const FormatVersion = 6
 
 // State is the complete simulator state at one cycle boundary: the
 // socket's shared uncore captured exactly once, then every core as a
@@ -63,7 +68,7 @@ type State struct {
 	// SharedPrefetcher records the socket's table-sharing mode so a
 	// restore into a differently wired socket fails loudly.
 	SharedPrefetcher bool
-	Uncore           UncoreState
+	Uncore           UncoreState `ckpt:"sec=20"`
 	Tenants          []TenantState
 }
 
@@ -77,27 +82,27 @@ type UncoreState struct {
 
 // TenantState is one core's state inside a socket snapshot.
 type TenantState struct {
-	Core    CoreState
-	Metrics RegistryState
-	Mem     HierarchyState
-	BPU     BPUState
-	IAG     IAGState
+	Core    CoreState      `ckpt:"sec=1"`
+	Metrics RegistryState  `ckpt:"sec=2"`
+	Mem     HierarchyState `ckpt:"sec=3"`
+	BPU     BPUState       `ckpt:"sec=4"`
+	IAG     IAGState       `ckpt:"sec=5"`
 
 	// Episodes is the deduplicated table of live fetch episodes; FTQ/IFU
 	// entries and uops reference it by index.
-	Episodes []EpisodeState
+	Episodes []EpisodeState `ckpt:"sec=6"`
 	// FTQ holds the queued fetch-target entries, oldest first. Queued
 	// entries have no episodes (episodes exist only once an entry leaves
 	// the FTQ for the IFU).
-	FTQ []FTQEntryState
+	FTQ []FTQEntryState `ckpt:"sec=7"`
 	// IFU is the entry mid-fetch in the instruction fetch unit, if any.
-	IFU *FTQEntryState
+	IFU *FTQEntryState `ckpt:"sec=8"`
 	// DecodeQ is the fetch→decode latch contents, oldest first.
-	DecodeQ []UopState
-	ROB     ROBState
-	PQ      QueueState
+	DecodeQ []UopState `ckpt:"sec=9"`
+	ROB     ROBState   `ckpt:"sec=10"`
+	PQ      QueueState `ckpt:"sec=11"`
 
-	Prefetcher PrefetcherState
+	Prefetcher PrefetcherState `ckpt:"sec=12"`
 }
 
 // CoreState holds the core's own scalar and set state (cycle clock,
@@ -141,7 +146,7 @@ type CoreState struct {
 // PFSetEntry is one (line → last-request-cycle) pair of the prefetch
 // coverage set, sorted by line.
 type PFSetEntry struct {
-	Line  isa.Addr
+	Line  isa.Addr `ckpt:"delta"`
 	Cycle int64
 }
 
@@ -343,8 +348,8 @@ type BTBState struct {
 // BTBEntryState is one BTB entry.
 type BTBEntryState struct {
 	Valid  bool
-	Tag    uint64
-	Target isa.Addr
+	Tag    uint64   `ckpt:"delta"`
+	Target isa.Addr `ckpt:"delta"`
 	Kind   isa.BranchKind
 	LRU    uint32
 }
@@ -429,7 +434,7 @@ type ChampSimState struct {
 
 // ChampSimDecodeEntry is one valid shadow decode-cache slot.
 type ChampSimDecodeEntry struct {
-	Slot   int
+	Slot   int `ckpt:"delta"`
 	PC     isa.Addr
 	Size   uint8
 	Kind   uint8
@@ -521,7 +526,7 @@ type QueueState struct {
 
 // RequestState is one queued prefetch target.
 type RequestState struct {
-	Line    isa.Addr
+	Line    isa.Addr `ckpt:"delta"`
 	Trigger uint8
 }
 
@@ -546,20 +551,23 @@ type PrefetcherState struct {
 	NextLine *NextLineState
 }
 
-// PDIPState captures the PDIP trigger→target table.
+// PDIPState captures the PDIP trigger→target table as two flat arrays:
+// Entries in set-major order (set*Ways + way) and Targets in entry-major
+// order (entry*TargetsPerEntry + slot). Restore checks both lengths
+// against the table's geometry.
 type PDIPState struct {
-	Sets  [][]PDIPEntryState
-	Tick  uint32
-	Rng   uint64
-	Stats PDIPStats
+	Entries []PDIPEntryState
+	Targets []PDIPTargetState
+	Tick    uint32
+	Rng     uint64
+	Stats   PDIPStats
 }
 
 // PDIPEntryState is one PDIP table entry.
 type PDIPEntryState struct {
-	Valid   bool
-	Tag     uint32
-	LRU     uint32
-	Targets []PDIPTargetState
+	Valid bool
+	Tag   uint32
+	LRU   uint32
 }
 
 // PDIPTargetState is one target slot.
@@ -598,7 +606,7 @@ type EIPState struct {
 
 // EIPHistEntry is one history-ring slot.
 type EIPHistEntry struct {
-	Line  isa.Addr
+	Line  isa.Addr `ckpt:"delta"`
 	Cycle int64
 }
 
@@ -612,7 +620,7 @@ type EIPEntryState struct {
 
 // EIPAnalEntry is one analytical-table association, sorted by Src.
 type EIPAnalEntry struct {
-	Src  isa.Addr
+	Src  isa.Addr `ckpt:"delta"`
 	Dsts []isa.Addr
 }
 

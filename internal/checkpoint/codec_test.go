@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"pdip/internal/isa"
@@ -60,18 +62,20 @@ func sampleCache(sets, ways int, owned bool) CacheState {
 	return c
 }
 
+// prefetcherKinds names every samplePrefetcher kind, "none" included.
+var prefetcherKinds = []string{"none", "pdip", "eip", "rdip", "fnlmma", "nextline"}
+
 // samplePrefetcher builds a populated PrefetcherState for the given kind.
 func samplePrefetcher(kind string) PrefetcherState {
 	switch kind {
 	case "pdip":
 		return PrefetcherState{Kind: "pdip", PDIP: &PDIPState{
-			Sets: [][]PDIPEntryState{
-				{{Valid: true, Tag: 7, LRU: 1, Targets: []PDIPTargetState{
-					{Valid: true, Base: 0x5000, Mask: 0b101, Trig: 1, LRU: 2},
-					{},
-				}}},
-				nil,
-				{{Valid: true, Tag: 9, LRU: 4}},
+			Entries: []PDIPEntryState{{Valid: true, Tag: 7, LRU: 1}, {}, {Valid: true, Tag: 9, LRU: 4}},
+			Targets: []PDIPTargetState{
+				{Valid: true, Base: 0x5000, Mask: 0b101, Trig: 1, LRU: 2},
+				{}, {}, {},
+				{Valid: true, Base: 0x5040, Mask: 0b1, LRU: 3},
+				{},
 			},
 			Tick: 3, Rng: 99,
 			Stats: PDIPStats{InsertAttempts: 5, InsertFiltered: 1, InsertNoTrigger: 1,
@@ -103,8 +107,8 @@ func samplePrefetcher(kind string) PrefetcherState {
 			Worth:    []uint8{0, 2, 1},
 			MMATag:   []uint32{4, 5},
 			MMADst:   []isa.Addr{0x500, 0x540},
-			MissRing: []isa.Addr{0x600},
-			MissHead: 0,
+			MissRing: []isa.Addr{0x600, 0x680},
+			MissHead: 1,
 			Pending:  []RequestState{{Line: 0x640, Trigger: 1}},
 			Stats:    FNLMMAStats{FNLEmitted: 6, MMAEmitted: 2, Trained: 8},
 		}}
@@ -256,14 +260,14 @@ func sampleTenant() TenantState {
 		Insts: insts, Start: 0x2000, Lines: []isa.Addr{0x2000, 0x2040},
 		HasBranch: true, PredTaken: true, PredTarget: 0x2100, PredBTBHit: true,
 		Mispredict: true, Cause: 1, ResolveAtDecode: true, CorrectTarget: 0x2200,
-		ShadowTrigger: 0x2004, ReadyAt: 120,
+		ShadowTrigger: 0x2004, ShadowWasReturn: true, ReadyAt: 120,
 	}}
 	st.IFU = &FTQEntryState{
-		Insts: insts[:1:1], Start: 0x3000, Lines: []isa.Addr{0x3000},
+		Insts: insts[:1:1], Start: 0x3000, Lines: []isa.Addr{0x3000}, WrongPath: true,
 		Episodes: []int{0, 1}, ReadyAt: 130,
 	}
 	st.DecodeQ = []UopState{{
-		Inst: insts[0], Seq: 5, Episode: 0, IsMemOp: true,
+		Inst: insts[0], Seq: 5, WrongPath: true, Episode: 0, IsMemOp: true,
 		DataLine: 0x9000, DoneAt: 140, AvailableAt: 135,
 	}}
 	st.ROB = ROBState{
@@ -322,7 +326,7 @@ func TestBinarySocketRoundTrip(t *testing.T) {
 // TestBinaryRoundTripAllPrefetchers round-trips each prefetcher kind's
 // sub-state through its dedicated wire section.
 func TestBinaryRoundTripAllPrefetchers(t *testing.T) {
-	for _, kind := range []string{"none", "pdip", "eip", "rdip", "fnlmma", "nextline"} {
+	for _, kind := range prefetcherKinds {
 		st := sampleState()
 		st.Tenants[0].Prefetcher = samplePrefetcher(kind)
 		got, err := DecodeBytes(encodeState(t, st))
@@ -343,7 +347,7 @@ func TestBinaryRoundTripAllPrefetchers(t *testing.T) {
 // encoding per tuple. If this digest changes, the wire format changed:
 // bump FormatVersion (so stale directories miss instead of misdecoding)
 // and re-pin.
-const binarySampleDigest = "bcc165a8dbe5278ca52f00612722555185b0f7e98e4fa0eef3f69aff105660d3"
+const binarySampleDigest = "8bcada2c5fa0969c0810ada8303dc498d44c418d8983d0c0295589cc0b870aad"
 
 // TestBinaryDeterministicBytes requires byte-identical encodings across
 // repeated encodes, across a decode/re-encode round trip, and across time
@@ -394,5 +398,111 @@ func TestBinaryVersionMismatch(t *testing.T) {
 	st.Version = FormatVersion + 1
 	if _, err := DecodeBytes(encodeState(t, st)); err == nil {
 		t.Error("decode accepted a stream with a future format version")
+	}
+}
+
+// TestSamplesSetEveryField requires every field reachable from State to be
+// non-zero in at least one codec sample (sampleState, sampleSocketStates,
+// and each samplePrefetcher kind). The wire layout follows the struct
+// declarations with no codec edit, so this is what keeps the round-trip
+// tests exhaustive: a field no sample sets could be dropped or garbled by
+// the codec without any round trip noticing.
+func TestSamplesSetEveryField(t *testing.T) {
+	set := map[string]bool{}
+	var declare func(t reflect.Type)
+	declare = func(t reflect.Type) {
+		switch t.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			declare(t.Elem())
+		case reflect.Struct:
+			for i := 0; i < t.NumField(); i++ {
+				if k := t.String() + "." + t.Field(i).Name; !set[k] {
+					set[k] = false
+					declare(t.Field(i).Type)
+				}
+			}
+		}
+	}
+	declare(reflect.TypeFor[State]())
+	var observe func(v reflect.Value)
+	observe = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			if !v.IsNil() {
+				observe(v.Elem())
+			}
+		case reflect.Slice, reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				observe(v.Index(i))
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				if !v.Field(i).IsZero() {
+					set[v.Type().String()+"."+v.Type().Field(i).Name] = true
+				}
+				observe(v.Field(i))
+			}
+		}
+	}
+	observe(reflect.ValueOf(sampleState()))
+	for _, st := range sampleSocketStates() {
+		observe(reflect.ValueOf(st))
+	}
+	for _, kind := range prefetcherKinds {
+		p := samplePrefetcher(kind)
+		observe(reflect.ValueOf(&p))
+	}
+	var zero []string
+	for k, ok := range set {
+		if !ok {
+			zero = append(zero, k)
+		}
+	}
+	sort.Strings(zero)
+	for _, k := range zero {
+		t.Errorf("%s is zero in every codec sample: set it in sampleTenant or samplePrefetcher", k)
+	}
+}
+
+// TestPlanRejectsUncarriableFields pins the plan build's refusals: a field
+// of a type the wire cannot carry, or a misplaced or malformed ckpt tag,
+// fails with an error naming the field path.
+func TestPlanRejectsUncarriableFields(t *testing.T) {
+	type inner struct{ M map[int]int }
+	for _, c := range []struct {
+		v    any
+		path string
+	}{
+		{struct{ A inner }{}, "X.A.M"},
+		{struct{ F func() }{}, "X.F"},
+		{struct{ I any }{}, "X.I"},
+		{struct{ C *chan int }{}, "X.C"},
+		{struct{ U uint }{}, "X.U"},
+		{struct {
+			X uint64 `ckpt:"delta"`
+		}{}, "X.X"},
+		{struct {
+			S []struct {
+				V uint32 `ckpt:"delta"`
+			}
+		}{}, "X.S[].V"},
+		{struct {
+			S []struct {
+				In struct {
+					V uint64 `ckpt:"delta"`
+				}
+			}
+		}{}, "X.S[].In.V"},
+		{struct {
+			B uint8 `ckpt:"sec=256"`
+		}{}, "X.B"},
+		{struct {
+			B uint8 `ckpt:"bits"`
+		}{}, "X.B"},
+	} {
+		_, err := compile(reflect.TypeOf(c.v), "X", false)
+		if err == nil || !strings.Contains(err.Error(), c.path+":") {
+			t.Errorf("compile(%T) = %v, want an error naming %s", c.v, err, c.path)
+		}
 	}
 }

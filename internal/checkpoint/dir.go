@@ -42,28 +42,11 @@ func path(dir, key string) string {
 	return filepath.Join(dir, key+ckptSuffix)
 }
 
-// Load reads the checkpoint stored under key in dir. A missing file,
-// a corrupt file, or a format-version mismatch all return an error the
-// caller treats as a cache miss. Prefer Dir.Load, which adds the decoded
-// in-memory cache in front of this.
-func Load(dir, key string) (*State, error) {
-	b, err := os.ReadFile(path(dir, key))
-	if err != nil {
-		return nil, err
-	}
-	return DecodeBytes(b)
-}
-
-// Save writes st under key in dir, creating the directory as needed. The
-// write goes through a temp file and an atomic rename so concurrent
-// processes warming the same cell never observe a partial checkpoint —
-// last writer wins with identical bytes.
-func Save(dir, key string, st *State) error {
-	_, err := save(dir, key, st)
-	return err
-}
-
-// save is Save returning the encoded size (the Dir cache's cost unit).
+// save writes st under key in dir, creating the directory as needed, and
+// returns the encoded size (the Dir cache's cost unit). The write goes
+// through a temp file and an atomic rename so concurrent processes warming
+// the same cell never observe a partial checkpoint — last writer wins with
+// identical bytes.
 func save(dir, key string, st *State) (int64, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, fmt.Errorf("checkpoint: save: %w", err)
@@ -279,9 +262,9 @@ func (d *Dir) loadDisk(key string) (*State, int64, error) {
 	return st, int64(len(b)), nil
 }
 
-// Save writes st under key (atomic temp-file + rename, as the package
-// function) and installs the decoded state in the in-memory cache, so
-// the tuple that was just warmed forks from memory from the start.
+// Save writes st under key (atomic temp-file + rename, see save) and
+// installs the decoded state in the in-memory cache, so the tuple that
+// was just warmed forks from memory from the start.
 func (d *Dir) Save(key string, st *State) error {
 	n, err := save(d.path, key, st)
 	if err != nil {

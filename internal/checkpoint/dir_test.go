@@ -113,7 +113,7 @@ func TestDirEviction(t *testing.T) {
 // same decoded state back.
 func TestDirSingleflight(t *testing.T) {
 	dir := t.TempDir()
-	if err := Save(dir, "k", sampleState()); err != nil { // package Save: nothing cached yet
+	if _, err := save(dir, "k", sampleState()); err != nil { // bare save: nothing cached yet
 		t.Fatal(err)
 	}
 	d := NewDir(dir, 0)

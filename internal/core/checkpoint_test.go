@@ -26,7 +26,7 @@ func snapshotRoundTrip(t *testing.T, co *Core, c Config) *Core {
 	if err := checkpoint.Encode(&buf, st); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	st2, err := checkpoint.Decode(&buf)
+	st2, err := checkpoint.DecodeBytes(buf.Bytes())
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -256,7 +256,7 @@ func TestCheckpointVersionMismatch(t *testing.T) {
 	if err := checkpoint.Encode(&buf, st); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := checkpoint.Decode(&buf); err == nil {
-		t.Error("Decode accepted a stream with a future format version")
+	if _, err := checkpoint.DecodeBytes(buf.Bytes()); err == nil {
+		t.Error("DecodeBytes accepted a stream with a future format version")
 	}
 }

@@ -68,7 +68,7 @@ func snapshotSocketRoundTrip(t *testing.T, s *Socket, seeds []uint64, sc SocketC
 	if err := checkpoint.Encode(&buf, st); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	st2, err := checkpoint.Decode(&buf)
+	st2, err := checkpoint.DecodeBytes(buf.Bytes())
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}

@@ -26,13 +26,17 @@ import (
 //     referenced (read for capture, written for restore, or whole-struct
 //     copied/converted) by some checkpoint*.go file. Deleting the Capture
 //     line for a field fails lint at the field that lost its capture.
-//  4. Mirror coverage — every field of every struct in
-//     <module>/internal/checkpoint must be *written* by some capture
-//     code (keyed composite literal, assignment, or whole-struct
-//     conversion); a mirror field nothing populates is a format hole
-//     that would silently decode to zero. Reads don't count: a restore
-//     that faithfully reads a field the capture stopped writing must
-//     still fail lint.
+//  4. Mirror coverage — every field of every struct reachable from
+//     <module>/internal/checkpoint.State must be *written* by some
+//     capture code outside the checkpoint package (keyed composite
+//     literal, assignment, or whole-struct conversion); a mirror field
+//     nothing populates is a format hole that would silently decode to
+//     zero. Reads don't count: a restore that faithfully reads a field the
+//     capture stopped writing must still fail lint. Neither do the
+//     checkpoint package's own writes — a decoder assigning every field it
+//     reads is not a capture — and the package's structs that State does
+//     not reach (the codec's plan and buffers, Dir's bookkeeping) are not
+//     wire format.
 //
 // The per-package pass collects which "pkgpath.Type.Field" keys each
 // package's checkpoint files touch (exported as a fact); the program pass
@@ -289,6 +293,9 @@ func (a *CheckpointCoverage) CheckProgram(prog *Program, rep *Reporter) {
 		for k := range fact.fields {
 			refFields[k] = true
 		}
+		if entry.Path == prog.Module+"/internal/checkpoint" {
+			continue // the codec's writes are not captures
+		}
 		for k := range fact.writes {
 			refWrites[k] = true
 		}
@@ -419,67 +426,55 @@ func (a *CheckpointCoverage) CheckProgram(prog *Program, rep *Reporter) {
 	a.checkMirror(prog, rep, refWrites, refWholeWrites)
 }
 
-// checkMirror verifies the <module>/internal/checkpoint mirror tree
+// checkMirror verifies the mirror tree — the structs of the
+// <module>/internal/checkpoint package reachable from its State type —
 // against the union of capture-side writes.
 func (a *CheckpointCoverage) checkMirror(prog *Program, rep *Reporter, refWrites, refWholeWrites map[string]bool) {
 	ckpt := prog.PackageByPath(prog.Module + "/internal/checkpoint")
 	if ckpt == nil || ckpt.Types == nil {
 		return
 	}
-	scope := ckpt.Types.Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok || tn.IsAlias() {
+	root, ok := ckpt.Types.Scope().Lookup("State").(*types.TypeName)
+	if !ok {
+		return
+	}
+	// mirrorStructs unwraps t to the checkpoint package's structs it holds.
+	mirrorStructs := func(t types.Type) []*types.Named {
+		var out []*types.Named
+		for _, n := range walkableNamed(t, prog.Module) {
+			if n.Obj().Pkg().Path() == ckpt.ImportPath {
+				out = append(out, n)
+			}
+		}
+		return out
+	}
+	queue := mirrorStructs(root.Type())
+	visited := map[*types.Named]bool{}
+	for len(queue) > 0 {
+		named := queue[0]
+		queue = queue[1:]
+		if visited[named] {
 			continue
 		}
-		// The mirror tree is what the serialization files (checkpoint.go,
-		// checkpoint_*.go) declare. The package also hosts the store's
-		// host-side machinery (Dir's cache bookkeeping, codec scratch
-		// state), whose structs are not wire format and are never written
-		// by capture code.
-		if !isCheckpointFile(prog.Fset.Position(tn.Pos()).Filename) {
-			continue
-		}
-		named, ok := tn.Type().(*types.Named)
-		if !ok {
-			continue
-		}
-		st, ok := named.Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
+		visited[named] = true
+		st := named.Underlying().(*types.Struct)
 		full := fullTypeKey(named)
-		if refWholeWrites[full] {
-			continue
-		}
 		for i := 0; i < st.NumFields(); i++ {
 			fld := st.Field(i)
-			if refWrites[full+"."+fld.Name()] {
-				continue
-			}
 			// A mirror field whose type is itself a mirror struct (or leads
 			// to one) is populated through that struct's own fields.
-			if leadsToMirrorStruct(fld.Type(), ckpt.ImportPath) {
+			if sub := mirrorStructs(fld.Type()); len(sub) > 0 {
+				queue = append(queue, sub...)
+				continue
+			}
+			if refWholeWrites[full] || refWrites[full+"."+fld.Name()] {
 				continue
 			}
 			rep.Reportf(a.Name(), fld.Pos(),
 				"checkpoint mirror field %s.%s is never written by any capture code: dead format field, or a capture is missing",
-				name, fld.Name())
+				named.Obj().Name(), fld.Name())
 		}
 	}
-}
-
-// leadsToMirrorStruct reports whether t unwraps to a struct declared in the
-// checkpoint package itself.
-func leadsToMirrorStruct(t types.Type, ckptPath string) bool {
-	for _, n := range walkableNamed(t, moduleOf(ckptPath)) {
-		if n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == ckptPath {
-			if _, ok := n.Underlying().(*types.Struct); ok {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // structHasField reports whether st declares (or embeds at the top level) a

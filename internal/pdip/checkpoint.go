@@ -12,29 +12,23 @@ import (
 // replacement clock, the insertion-coin rng, and the stats. The debug
 // hooks (debugInserted, DebugLog) are diagnostics, not simulated state.
 func (p *PDIP) CaptureCheckpoint() checkpoint.PrefetcherState {
+	entries := p.cfg.Sets * p.cfg.Ways
 	st := &checkpoint.PDIPState{
-		Sets:  make([][]checkpoint.PDIPEntryState, len(p.sets)),
-		Tick:  p.tick,
-		Rng:   p.r.State(),
-		Stats: checkpoint.PDIPStats(p.Stats),
+		Entries: make([]checkpoint.PDIPEntryState, 0, entries),
+		Targets: make([]checkpoint.PDIPTargetState, 0, entries*p.cfg.TargetsPerEntry),
+		Tick:    p.tick,
+		Rng:     p.r.State(),
+		Stats:   checkpoint.PDIPStats(p.Stats),
 	}
-	for si, set := range p.sets {
-		ws := make([]checkpoint.PDIPEntryState, len(set))
-		for wi, e := range set {
-			es := checkpoint.PDIPEntryState{
-				Valid:   e.valid,
-				Tag:     e.tag,
-				LRU:     e.lru,
-				Targets: make([]checkpoint.PDIPTargetState, len(e.targets)),
-			}
-			for ti, t := range e.targets {
-				es.Targets[ti] = checkpoint.PDIPTargetState{
+	for _, set := range p.sets {
+		for _, e := range set {
+			st.Entries = append(st.Entries, checkpoint.PDIPEntryState{Valid: e.valid, Tag: e.tag, LRU: e.lru})
+			for _, t := range e.targets {
+				st.Targets = append(st.Targets, checkpoint.PDIPTargetState{
 					Valid: t.valid, Base: t.base, Mask: t.mask, Trig: uint8(t.trig), LRU: t.lru,
-				}
+				})
 			}
-			ws[wi] = es
 		}
-		st.Sets[si] = ws
 	}
 	return checkpoint.PrefetcherState{Kind: "pdip", PDIP: st}
 }
@@ -46,23 +40,23 @@ func (p *PDIP) RestoreCheckpoint(st checkpoint.PrefetcherState) error {
 		return fmt.Errorf("pdip: checkpoint kind %q, prefetcher is pdip", st.Kind)
 	}
 	s := st.PDIP
-	if len(s.Sets) != len(p.sets) {
-		return fmt.Errorf("pdip: checkpoint has %d sets, table has %d", len(s.Sets), len(p.sets))
+	entries := p.cfg.Sets * p.cfg.Ways
+	if len(s.Entries) != entries || len(s.Targets) != entries*p.cfg.TargetsPerEntry {
+		return fmt.Errorf("pdip: checkpoint has %d entries and %d targets, table has %d×%d×%d",
+			len(s.Entries), len(s.Targets), p.cfg.Sets, p.cfg.Ways, p.cfg.TargetsPerEntry)
 	}
-	for si, ws := range s.Sets {
-		if len(ws) != len(p.sets[si]) {
-			return fmt.Errorf("pdip: checkpoint set %d has %d ways, table has %d", si, len(ws), len(p.sets[si]))
-		}
-		for wi, es := range ws {
-			e := &p.sets[si][wi]
-			if len(es.Targets) != len(e.targets) {
-				return fmt.Errorf("pdip: checkpoint entry has %d target slots, table has %d", len(es.Targets), len(e.targets))
-			}
+	ei, ti := 0, 0
+	for _, set := range p.sets {
+		for wi := range set {
+			e, es := &set[wi], s.Entries[ei]
+			ei++
 			e.valid = es.Valid
 			e.tag = es.Tag
 			e.lru = es.LRU
-			for ti, ts := range es.Targets {
-				e.targets[ti] = target{
+			for k := range e.targets {
+				ts := s.Targets[ti]
+				ti++
+				e.targets[k] = target{
 					valid: ts.Valid, base: ts.Base, mask: ts.Mask,
 					trig: prefetch.TriggerKind(ts.Trig), lru: ts.LRU,
 				}
