@@ -128,12 +128,14 @@ bench-diff:
 			-threshold-for '^BenchmarkCheckpoint=$(BENCH_CKPT_THRESHOLD)'
 
 # Paired micro-benchmark comparison against another commit on this host,
-# for judging a perf gate where the committed BENCH_simulator.json was
-# recorded on different hardware: exports BASE (default HEAD) with git
-# archive into .bench_build/pair, builds both sides' test binaries, runs
-# BENCH (default the checkpoint rows) PAIRS times from each side's own
-# tree, alternating which side goes first, and prints each row's median
-# and quartiles per side.
+# the perf gate CI runs (the committed BENCH_simulator.json was recorded on
+# different hardware, so only same-host pairs judge a change): exports
+# BASE (default HEAD) with git archive into .bench_build/pair, builds both
+# sides' test binaries, runs BENCH (default the checkpoint rows) PAIRS
+# times from each side's own tree, alternating which side goes first, and
+# prints each row's median and quartiles per side. It fails when a row's
+# ns/op median regressed by more than BENCH_THRESHOLD and the quartile
+# ranges separate.
 #
 #   make bench-pair BASE=HEAD~1 BENCH='^BenchmarkCheckpoint(SaveRestore|ForkDisk)$$'
 BASE ?= HEAD
@@ -153,7 +155,7 @@ bench-pair:
 				-test.benchtime=$(BENCHTIME) -test.benchmem -test.timeout=30m) >> $$out/$$side.txt; \
 		done; \
 	done; \
-	$(GO) run ./cmd/benchtrack -pair $$out/base.txt $$out/new.txt
+	$(GO) run ./cmd/benchtrack -pair -threshold $(BENCH_THRESHOLD) $$out/base.txt $$out/new.txt
 
 # Zero-alloc gate: every hot-path micro benchmark must report 0 allocs/op
 # in steady state. The benchtime is iteration-pinned and large enough that

@@ -22,7 +22,11 @@
 // With -pair, benchtrack reads no stdin: it takes two files of repeated
 // `go test -bench` output, one per side of a paired comparison (`make
 // bench-pair` alternates which side runs first), and prints each row's
-// median and quartiles for both sides.
+// median and quartiles for both sides. It exits nonzero when a row's new
+// ns/op median is worse than the base median by more than -threshold and
+// the two sides' quartile ranges separate (new q1 above base q3): both
+// sides ran on the same host, so the gate does not depend on the hardware
+// a snapshot was recorded on.
 //
 // Usage:
 //
@@ -30,7 +34,7 @@
 //	go test -bench=Micro -benchmem | benchtrack        # JSON to stdout
 //	go test -bench=. -benchmem | benchtrack -diff BENCH_simulator.json
 //	... | benchtrack -diff BENCH_simulator.json -threshold-for '^BenchmarkCheckpoint=0.10'
-//	benchtrack -pair base.txt new.txt
+//	benchtrack -pair -threshold 0.15 base.txt new.txt
 package main
 
 import (
@@ -105,7 +109,7 @@ func (t thresholdRules) thresholdFor(name string, fallback float64) float64 {
 func main() {
 	out := flag.String("o", "", "output path for the JSON snapshot (default: stdout)")
 	diff := flag.String("diff", "", "compare parsed results against this committed snapshot instead of writing one; exit nonzero on ns/op regression beyond -threshold")
-	threshold := flag.Float64("threshold", 0.15, "with -diff: maximum tolerated fractional ns/op regression (0.15 = 15%)")
+	threshold := flag.Float64("threshold", 0.15, "with -diff or -pair: maximum tolerated fractional ns/op regression (0.15 = 15%)")
 	var rules thresholdRules
 	flag.Var(&rules, "threshold-for", "with -diff: per-row override as <regexp>=<fraction>, e.g. '^BenchmarkCheckpoint=0.10' (repeatable; first match wins over -threshold)")
 	pair := flag.Bool("pair", false, "compare the repeated runs in two files (base, new): per row and side, the median and quartiles")
@@ -116,8 +120,15 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchtrack: -pair takes two files: base and new")
 			os.Exit(2)
 		}
-		if err := pairReport(os.Stdout, flag.Arg(0), flag.Arg(1)); err != nil {
+		regressed, err := pairReport(os.Stdout, flag.Arg(0), flag.Arg(1), *threshold)
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchtrack:", err)
+			os.Exit(1)
+		}
+		for _, r := range regressed {
+			fmt.Fprintln(os.Stderr, "benchtrack: regression:", r)
+		}
+		if len(regressed) > 0 {
 			os.Exit(1)
 		}
 		return

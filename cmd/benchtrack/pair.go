@@ -9,15 +9,17 @@ import (
 
 // pairReport prints, for every benchmark present in both files, each
 // side's median and interquartile range of ns/op, B/op and allocs/op, and
-// the change of the medians. Each file holds one side's repeated runs.
-func pairReport(w io.Writer, basePath, newPath string) error {
+// the change of the medians. Each file holds one side's repeated runs. It
+// returns the rows whose ns/op regressed: the new median worse than the
+// base median by more than threshold, with the new q1 above the base q3.
+func pairReport(w io.Writer, basePath, newPath string, threshold float64) ([]string, error) {
 	base, err := parseFile(basePath)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	cur, err := parseFile(newPath)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var names []string
 	for name := range cur {
@@ -26,7 +28,7 @@ func pairReport(w io.Writer, basePath, newPath string) error {
 		}
 	}
 	if len(names) == 0 {
-		return fmt.Errorf("no benchmark appears in both %s and %s", basePath, newPath)
+		return nil, fmt.Errorf("no benchmark appears in both %s and %s", basePath, newPath)
 	}
 	sort.Strings(names)
 	metrics := []struct {
@@ -38,7 +40,13 @@ func pairReport(w io.Writer, basePath, newPath string) error {
 		{"allocs/op", func(e Entry) float64 { return e.AllocsPerOp }},
 	}
 	fmt.Fprintf(w, "%-44s %-9s %5s  %-32s %-32s %s\n", "benchmark", "metric", "runs", "base median [q1, q3]", "new median [q1, q3]", "median change")
+	var regressed []string
 	for _, name := range names {
+		b, n := quartiles(base[name], metrics[0].get), quartiles(cur[name], metrics[0].get)
+		if b[1] > 0 && n[1] > b[1]*(1+threshold) && n[0] > b[2] {
+			regressed = append(regressed, fmt.Sprintf("%s ns/op median %+.1f%% (threshold %.0f%%), new q1 %.4g above base q3 %.4g",
+				name, (n[1]-b[1])/b[1]*100, threshold*100, n[0], b[2]))
+		}
 		for _, m := range metrics {
 			b, n := quartiles(base[name], m.get), quartiles(cur[name], m.get)
 			change := "n/a"
@@ -49,7 +57,7 @@ func pairReport(w io.Writer, basePath, newPath string) error {
 				len(base[name]), len(cur[name]), fmtQuartiles(b), fmtQuartiles(n), change)
 		}
 	}
-	return nil
+	return regressed, nil
 }
 
 func parseFile(path string) (map[string][]Entry, error) {

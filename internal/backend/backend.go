@@ -8,15 +8,14 @@
 // bound slots), and back-end starvation (issue-queue-empty proxy).
 package backend
 
-import "pdip/internal/frontend"
+import (
+	"pdip/internal/checkpoint"
+	"pdip/internal/frontend"
+)
 
 // Stats aggregates ROB-level accounting: allocations, in-order
 // retirements, and wrong-path squashes.
-type Stats struct {
-	Pushed   uint64
-	Retired  uint64
-	Squashed uint64
-}
+type Stats = checkpoint.ROBStats
 
 // ROB is the reorder buffer.
 type ROB struct {

@@ -21,7 +21,7 @@ func (r *ROB) ForEach(fn func(*frontend.Uop)) {
 func (r *ROB) CaptureCheckpoint(epID func(*frontend.LineEpisode) int) checkpoint.ROBState {
 	st := checkpoint.ROBState{
 		Uops:  make([]checkpoint.UopState, 0, r.count),
-		Stats: checkpoint.ROBStats(r.Stats),
+		Stats: r.Stats,
 	}
 	r.ForEach(func(u *frontend.Uop) {
 		st.Uops = append(st.Uops, u.CaptureCheckpoint(epID))
@@ -51,6 +51,6 @@ func (r *ROB) RestoreCheckpoint(st checkpoint.ROBState, eps []*frontend.LineEpis
 		}
 		r.entries[i] = u
 	}
-	r.Stats = Stats(st.Stats)
+	r.Stats = st.Stats
 	return nil
 }

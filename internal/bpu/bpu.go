@@ -1,6 +1,9 @@
 package bpu
 
-import "pdip/internal/isa"
+import (
+	"pdip/internal/checkpoint"
+	"pdip/internal/isa"
+)
 
 // Config sizes the branch prediction unit.
 type Config struct {
@@ -28,16 +31,7 @@ type Prediction struct {
 }
 
 // Stats counts prediction events on the correct path.
-type Stats struct {
-	CondBranches   uint64
-	CondMispredict uint64
-	BTBLookups     uint64
-	BTBMissTaken   uint64 // taken branches invisible to the IAG
-	IndBranches    uint64
-	IndMispredict  uint64
-	Returns        uint64
-	RetMispredict  uint64
-}
+type Stats = checkpoint.BPUStats
 
 // BPU bundles TAGE, ITTAGE, the BTB and the RAS behind the single
 // predict-and-train operation the IAG performs per basic block.

@@ -1,6 +1,9 @@
 package bpu
 
-import "pdip/internal/isa"
+import (
+	"pdip/internal/checkpoint"
+	"pdip/internal/isa"
+)
 
 // btbWays is the BTB associativity; capacity is varied by set count.
 const btbWays = 8
@@ -9,22 +12,13 @@ const btbWays = 8
 // 8K-entry BTB costs 119.01KB as reported in the paper's Table 1.
 const BTBEntryBits = 119
 
-// btbEntry holds one taken branch: full tag (upper PC bits), target, and
-// the branch kind so the IAG knows which predictor supplies the target.
-type btbEntry struct {
-	valid  bool
-	tag    uint64
-	target isa.Addr
-	kind   isa.BranchKind
-	lru    uint32
-}
-
 // BTB is a set-associative branch target buffer indexed by branch PC. The
 // IAG discovers branches in the predicted stream through the BTB: a taken
 // branch missing here is invisible to the front-end until decode or
 // execute, which is the paper's "BTB miss" resteer class.
 type BTB struct {
-	sets     [][]btbEntry
+	// entries is the table, set-major: way w of set s is s*btbWays + w.
+	entries  []checkpoint.BTBEntryState
 	setShift uint
 	setMask  uint64
 	tick     uint32
@@ -42,29 +36,26 @@ func NewBTB(entries int) *BTB {
 	if numSets&(numSets-1) != 0 {
 		panic("bpu: BTB entry count / 8 must be a power of two")
 	}
-	b := &BTB{
-		sets:     make([][]btbEntry, numSets),
+	return &BTB{
+		entries:  make([]checkpoint.BTBEntryState, numSets*btbWays),
 		setShift: 1, // branch PCs are at least 2-byte aligned in practice
 		setMask:  uint64(numSets - 1),
 	}
-	backing := make([]btbEntry, numSets*btbWays)
-	for i := range b.sets {
-		b.sets[i] = backing[i*btbWays : (i+1)*btbWays]
-	}
-	return b
 }
 
 // Entries returns the total entry capacity.
-func (b *BTB) Entries() int { return len(b.sets) * btbWays }
+func (b *BTB) Entries() int { return len(b.entries) }
 
 // StorageKB returns the BTB storage in kilobytes (Table 1 accounting).
 func (b *BTB) StorageKB() float64 {
 	return float64(b.Entries()*BTBEntryBits) / 8192.0
 }
 
-func (b *BTB) setOf(pc isa.Addr) (int, uint64) {
+// setOf returns the ways of pc's set and pc's tag.
+func (b *BTB) setOf(pc isa.Addr) ([]checkpoint.BTBEntryState, uint64) {
 	v := uint64(pc) >> b.setShift
-	return int(v & b.setMask), v >> uint(popcount(b.setMask))
+	base := int(v&b.setMask) * btbWays
+	return b.entries[base : base+btbWays], v >> uint(popcount(b.setMask))
 }
 
 func popcount(x uint64) int {
@@ -81,13 +72,13 @@ func popcount(x uint64) int {
 func (b *BTB) Lookup(pc isa.Addr) (target isa.Addr, kind isa.BranchKind, hit bool) {
 	b.lookups++
 	set, tag := b.setOf(pc)
-	for i := range b.sets[set] {
-		e := &b.sets[set][i]
-		if e.valid && e.tag == tag {
+	for i := range set {
+		e := &set[i]
+		if e.Valid && e.Tag == tag {
 			b.tick++
-			e.lru = b.tick
+			e.LRU = b.tick
 			b.hits++
-			return e.target, e.kind, true
+			return e.Target, e.Kind, true
 		}
 	}
 	return 0, isa.NotBranch, false
@@ -99,24 +90,24 @@ func (b *BTB) Insert(pc isa.Addr, target isa.Addr, kind isa.BranchKind) {
 	b.tick++
 	victim := 0
 	var oldest uint32 = ^uint32(0)
-	for i := range b.sets[set] {
-		e := &b.sets[set][i]
-		if e.valid && e.tag == tag {
-			e.target = target
-			e.kind = kind
-			e.lru = b.tick
+	for i := range set {
+		e := &set[i]
+		if e.Valid && e.Tag == tag {
+			e.Target = target
+			e.Kind = kind
+			e.LRU = b.tick
 			return
 		}
-		if !e.valid {
+		if !e.Valid {
 			victim = i
 			oldest = 0
 			continue
 		}
-		if e.lru < oldest {
-			victim, oldest = i, e.lru
+		if e.LRU < oldest {
+			victim, oldest = i, e.LRU
 		}
 	}
-	b.sets[set][victim] = btbEntry{valid: true, tag: tag, target: target, kind: kind, lru: b.tick}
+	set[victim] = checkpoint.BTBEntryState{Valid: true, Tag: tag, Target: target, Kind: kind, LRU: b.tick}
 }
 
 // HitRate returns the fraction of lookups that hit, for diagnostics.

@@ -16,7 +16,7 @@ func (b *BPU) CaptureCheckpoint() checkpoint.BPUState {
 		ITTAGE: b.Ittage.captureCheckpoint(),
 		BTB:    b.Btb.captureCheckpoint(),
 		RAS:    b.Ras.captureCheckpoint(),
-		Stats:  checkpoint.BPUStats(b.Stats),
+		Stats:  b.Stats,
 	}
 }
 
@@ -36,11 +36,11 @@ func (b *BPU) RestoreCheckpoint(st checkpoint.BPUState) error {
 	if err := b.Ras.restoreCheckpoint(st.RAS); err != nil {
 		return err
 	}
-	b.Stats = Stats(st.Stats)
+	b.Stats = st.Stats
 	return nil
 }
 
-// captureCheckpoint captures the TAGE tables, history, folded-hash
+// captureCheckpoint clones the TAGE tables, history, folded-hash
 // accumulators (only the compressed value — fold geometry is rebuilt by
 // construction), and allocation state. The index/tag memo is skipped: it
 // is a pure cache invalidated by the next PushHistory, and a restored
@@ -57,12 +57,8 @@ func (t *TAGE) captureCheckpoint() checkpoint.TAGEState {
 		UseAltOnNa: t.useAltOnNa,
 		AllocSeed:  t.allocSeed,
 	}
-	for i := 0; i < tageTables; i++ {
-		tbl := make([]checkpoint.TAGEEntry, len(t.tables[i]))
-		for j, e := range t.tables[i] {
-			tbl[j] = checkpoint.TAGEEntry{Tag: e.tag, Ctr: e.ctr, Useful: e.useful}
-		}
-		st.Tables[i] = tbl
+	for i := range t.tables {
+		st.Tables[i] = append([]checkpoint.TAGEEntry(nil), t.tables[i]...)
 		st.IdxFold[i] = t.idxFold[i].comp
 		st.TagFold[i] = t.tagFold[i].comp
 		st.Tg2Fold[i] = t.tg2Fold[i].comp
@@ -76,14 +72,14 @@ func (t *TAGE) restoreCheckpoint(st checkpoint.TAGEState) error {
 		len(st.IdxFold) != tageTables || len(st.TagFold) != tageTables || len(st.Tg2Fold) != tageTables {
 		return fmt.Errorf("bpu: TAGE checkpoint geometry mismatch")
 	}
-	copy(t.base, st.Base)
-	for i := 0; i < tageTables; i++ {
+	for i := range t.tables {
 		if len(st.Tables[i]) != len(t.tables[i]) {
 			return fmt.Errorf("bpu: TAGE table %d has %d checkpoint entries, want %d", i, len(st.Tables[i]), len(t.tables[i]))
 		}
-		for j, e := range st.Tables[i] {
-			t.tables[i][j] = tageEntry{tag: e.Tag, ctr: e.Ctr, useful: e.Useful}
-		}
+	}
+	copy(t.base, st.Base)
+	for i := range t.tables {
+		copy(t.tables[i], st.Tables[i])
 		t.idxFold[i].comp = st.IdxFold[i]
 		t.tagFold[i].comp = st.TagFold[i]
 		t.tg2Fold[i].comp = st.Tg2Fold[i]
@@ -111,12 +107,8 @@ func (it *ITTAGE) captureCheckpoint() checkpoint.ITTAGEState {
 		TagFold:   make([]uint32, ittageTables),
 		AllocSeed: it.allocSeed,
 	}
-	for i := 0; i < ittageTables; i++ {
-		tbl := make([]checkpoint.ITTAGEEntry, len(it.tables[i]))
-		for j, e := range it.tables[i] {
-			tbl[j] = checkpoint.ITTAGEEntry{Tag: e.tag, Target: e.target, Ctr: e.ctr, Useful: e.useful}
-		}
-		st.Tables[i] = tbl
+	for i := range it.tables {
+		st.Tables[i] = append([]checkpoint.ITTAGEEntry(nil), it.tables[i]...)
 		st.IdxFold[i] = it.idxFold[i].comp
 		st.TagFold[i] = it.tagFold[i].comp
 	}
@@ -129,14 +121,14 @@ func (it *ITTAGE) restoreCheckpoint(st checkpoint.ITTAGEState) error {
 		len(st.IdxFold) != ittageTables || len(st.TagFold) != ittageTables {
 		return fmt.Errorf("bpu: ITTAGE checkpoint geometry mismatch")
 	}
-	copy(it.base, st.Base)
-	for i := 0; i < ittageTables; i++ {
+	for i := range it.tables {
 		if len(st.Tables[i]) != len(it.tables[i]) {
 			return fmt.Errorf("bpu: ITTAGE table %d has %d checkpoint entries, want %d", i, len(st.Tables[i]), len(it.tables[i]))
 		}
-		for j, e := range st.Tables[i] {
-			it.tables[i][j] = ittageEntry{tag: e.Tag, target: e.Target, ctr: e.Ctr, useful: e.Useful}
-		}
+	}
+	copy(it.base, st.Base)
+	for i := range it.tables {
+		copy(it.tables[i], st.Tables[i])
 		it.idxFold[i].comp = st.IdxFold[i]
 		it.tagFold[i].comp = st.TagFold[i]
 	}
@@ -151,39 +143,24 @@ func (it *ITTAGE) restoreCheckpoint(st checkpoint.ITTAGEState) error {
 }
 
 func (b *BTB) captureCheckpoint() checkpoint.BTBState {
-	st := checkpoint.BTBState{
-		Sets:    len(b.sets),
+	return checkpoint.BTBState{
+		Sets:    len(b.entries) / btbWays,
 		Ways:    btbWays,
-		Entries: make([]checkpoint.BTBEntryState, 0, len(b.sets)*btbWays),
+		Entries: append([]checkpoint.BTBEntryState(nil), b.entries...),
 		Tick:    b.tick,
 		Lookups: b.lookups,
 		Hits:    b.hits,
 	}
-	for _, set := range b.sets {
-		for _, e := range set {
-			st.Entries = append(st.Entries, checkpoint.BTBEntryState{
-				Valid: e.valid, Tag: e.tag, Target: e.target, Kind: e.kind, LRU: e.lru,
-			})
-		}
-	}
-	return st
 }
 
 func (b *BTB) restoreCheckpoint(st checkpoint.BTBState) error {
-	if st.Sets != len(b.sets) || st.Ways != btbWays {
-		return fmt.Errorf("bpu: BTB checkpoint geometry %dx%d, BTB is %dx%d", st.Sets, st.Ways, len(b.sets), btbWays)
+	if sets := len(b.entries) / btbWays; st.Sets != sets || st.Ways != btbWays {
+		return fmt.Errorf("bpu: BTB checkpoint geometry %dx%d, BTB is %dx%d", st.Sets, st.Ways, sets, btbWays)
 	}
-	if len(st.Entries) != st.Sets*st.Ways {
-		return fmt.Errorf("bpu: BTB checkpoint has %d entries, want %d", len(st.Entries), st.Sets*st.Ways)
+	if len(st.Entries) != len(b.entries) {
+		return fmt.Errorf("bpu: BTB checkpoint has %d entries, want %d", len(st.Entries), len(b.entries))
 	}
-	k := 0
-	for _, set := range b.sets {
-		for i := range set {
-			e := st.Entries[k]
-			k++
-			set[i] = btbEntry{valid: e.Valid, tag: e.Tag, target: e.Target, kind: e.Kind, lru: e.LRU}
-		}
-	}
+	copy(b.entries, st.Entries)
 	b.tick = st.Tick
 	b.lookups = st.Lookups
 	b.hits = st.Hits
@@ -201,6 +178,9 @@ func (r *RAS) captureCheckpoint() checkpoint.RASState {
 func (r *RAS) restoreCheckpoint(st checkpoint.RASState) error {
 	if len(st.Entries) != len(r.entries) {
 		return fmt.Errorf("bpu: RAS checkpoint depth %d, RAS is %d", len(st.Entries), len(r.entries))
+	}
+	if st.Top < 0 || st.Top >= len(r.entries) || st.Depth < 0 || st.Depth > len(r.entries) {
+		return fmt.Errorf("bpu: RAS checkpoint top %d / depth %d outside a %d-entry stack", st.Top, st.Depth, len(r.entries))
 	}
 	copy(r.entries, st.Entries)
 	r.top = st.Top

@@ -1,6 +1,9 @@
 package bpu
 
-import "pdip/internal/isa"
+import (
+	"pdip/internal/checkpoint"
+	"pdip/internal/isa"
+)
 
 // ittageTables is the number of tagged ITTAGE components.
 const ittageTables = 5
@@ -13,19 +16,12 @@ const (
 	ittageBaseBits  = 11
 )
 
-type ittageEntry struct {
-	tag    uint16
-	target isa.Addr
-	ctr    int8 // confidence, 0..3
-	useful uint8
-}
-
 // ITTAGE predicts indirect branch targets with the same tagged geometric
 // history organisation as TAGE (Seznec's ITTAGE), storing full targets in
 // each entry plus a small tagless base table.
 type ITTAGE struct {
 	base    []isa.Addr // tagless last-target base table
-	tables  [ittageTables][]ittageEntry
+	tables  [ittageTables][]checkpoint.ITTAGEEntry
 	hist    history
 	idxFold [ittageTables]foldedHist
 	tagFold [ittageTables]foldedHist
@@ -47,7 +43,7 @@ type ITTAGE struct {
 func NewITTAGE() *ITTAGE {
 	it := &ITTAGE{base: make([]isa.Addr, 1<<ittageBaseBits)}
 	for i := range it.tables {
-		it.tables[i] = make([]ittageEntry, 1<<ittageEntryBits)
+		it.tables[i] = make([]checkpoint.ITTAGEEntry, 1<<ittageEntryBits)
 		it.idxFold[i] = newFolded(ittageHistLens[i], ittageEntryBits)
 		it.tagFold[i] = newFolded(ittageHistLens[i], ittageTagBits)
 	}
@@ -88,8 +84,8 @@ func (it *ITTAGE) Predict(pc isa.Addr) (isa.Addr, bool) {
 	it.prepare(pc)
 	for i := ittageTables - 1; i >= 0; i-- {
 		e := &it.tables[i][it.memoIdx[i]]
-		if e.tag == it.memoTag[i] && e.target != 0 {
-			return e.target, true
+		if e.Tag == it.memoTag[i] && e.Target != 0 {
+			return e.Target, true
 		}
 	}
 	if t := it.base[it.baseIndex(pc)]; t != 0 {
@@ -106,7 +102,7 @@ func (it *ITTAGE) Update(pc isa.Addr, target isa.Addr) {
 	for i := ittageTables - 1; i >= 0; i-- {
 		idx := int(it.memoIdx[i])
 		e := &it.tables[i][idx]
-		if e.tag == it.memoTag[i] && e.target != 0 {
+		if e.Tag == it.memoTag[i] && e.Target != 0 {
 			provider, pidx = i, idx
 			break
 		}
@@ -115,22 +111,22 @@ func (it *ITTAGE) Update(pc isa.Addr, target isa.Addr) {
 	correct := false
 	if provider >= 0 {
 		e := &it.tables[provider][pidx]
-		correct = e.target == target
+		correct = e.Target == target
 		if correct {
-			if e.ctr < 3 {
-				e.ctr++
+			if e.Ctr < 3 {
+				e.Ctr++
 			}
-			if e.useful < 3 {
-				e.useful++
+			if e.Useful < 3 {
+				e.Useful++
 			}
 		} else {
-			if e.ctr > 0 {
-				e.ctr--
+			if e.Ctr > 0 {
+				e.Ctr--
 			} else {
-				e.target = target // replace once confidence exhausted
+				e.Target = target // replace once confidence exhausted
 			}
-			if e.useful > 0 {
-				e.useful--
+			if e.Useful > 0 {
+				e.Useful--
 			}
 		}
 	} else {
@@ -154,15 +150,15 @@ func (it *ITTAGE) allocate(pc isa.Addr, target isa.Addr, provider int) {
 	}
 	for i := start; i < ittageTables; i++ {
 		e := &it.tables[i][it.memoIdx[i]]
-		if e.useful == 0 {
-			*e = ittageEntry{tag: it.memoTag[i], target: target, ctr: 1}
+		if e.Useful == 0 {
+			*e = checkpoint.ITTAGEEntry{Tag: it.memoTag[i], Target: target, Ctr: 1}
 			return
 		}
 	}
 	for i := start; i < ittageTables; i++ {
 		e := &it.tables[i][it.memoIdx[i]]
-		if e.useful > 0 {
-			e.useful--
+		if e.Useful > 0 {
+			e.Useful--
 		}
 	}
 }

@@ -6,7 +6,10 @@
 // PDIP exploits.
 package bpu
 
-import "pdip/internal/isa"
+import (
+	"pdip/internal/checkpoint"
+	"pdip/internal/isa"
+)
 
 // tageTables is the number of tagged TAGE components.
 const tageTables = 6
@@ -20,12 +23,6 @@ const (
 	baseBits      = 13 // 8192-entry bimodal base
 	maxHist       = 256
 )
-
-type tageEntry struct {
-	tag    uint16
-	ctr    int8  // 3-bit signed counter, -4..3; >= 0 means taken
-	useful uint8 // 2-bit useful counter
-}
 
 // foldedHist incrementally maintains a hash of the most recent origLen
 // history bits folded into width bits, updated in O(1) per history push
@@ -79,7 +76,7 @@ func (h *history) at(i int) bool {
 // selection, useful counters, and allocation on mispredict.
 type TAGE struct {
 	base   []int8 // 2-bit counters, -2..1; >= 0 means taken
-	tables [tageTables][]tageEntry
+	tables [tageTables][]checkpoint.TAGEEntry
 
 	hist    history
 	idxFold [tageTables]foldedHist
@@ -107,7 +104,7 @@ type TAGE struct {
 func NewTAGE() *TAGE {
 	t := &TAGE{base: make([]int8, 1<<baseBits)}
 	for i := range t.tables {
-		t.tables[i] = make([]tageEntry, 1<<tageEntryBits)
+		t.tables[i] = make([]checkpoint.TAGEEntry, 1<<tageEntryBits)
 		t.idxFold[i] = newFolded(tageHistLens[i], tageEntryBits)
 		t.tagFold[i] = newFolded(tageHistLens[i], tageTagBits)
 		t.tg2Fold[i] = newFolded(tageHistLens[i], tageTagBits-1)
@@ -160,12 +157,12 @@ func (t *TAGE) lookup(pc isa.Addr) (pred bool, provider, pidx int, altpred bool)
 	for i := tageTables - 1; i >= 0; i-- {
 		idx := int(t.memoIdx[i])
 		e := &t.tables[i][idx]
-		if e.tag == t.memoTag[i] {
+		if e.Tag == t.memoTag[i] {
 			if provider == -1 {
 				provider, pidx = i, idx
-				pred = e.ctr >= 0
+				pred = e.Ctr >= 0
 			} else {
-				altpred = e.ctr >= 0
+				altpred = e.Ctr >= 0
 				altFound = true
 				break
 			}
@@ -177,8 +174,8 @@ func (t *TAGE) lookup(pc isa.Addr) (pred bool, provider, pidx int, altpred bool)
 	// Weak new entries: optionally trust the alternate prediction.
 	if provider >= 0 {
 		e := &t.tables[provider][pidx]
-		weak := e.ctr == 0 || e.ctr == -1
-		if weak && e.useful == 0 && t.useAltOnNa >= 0 {
+		weak := e.Ctr == 0 || e.Ctr == -1
+		if weak && e.Useful == 0 && t.useAltOnNa >= 0 {
 			pred = altpred
 		}
 	}
@@ -194,9 +191,9 @@ func (t *TAGE) Update(pc isa.Addr, taken bool) {
 
 	if provider >= 0 {
 		e := &t.tables[provider][pidx]
-		provPred := e.ctr >= 0
+		provPred := e.Ctr >= 0
 		// Track whether trusting alt over weak providers helps.
-		weak := e.ctr == 0 || e.ctr == -1
+		weak := e.Ctr == 0 || e.Ctr == -1
 		if weak && provPred != altpred {
 			if provPred == taken {
 				if t.useAltOnNa > -8 {
@@ -206,12 +203,12 @@ func (t *TAGE) Update(pc isa.Addr, taken bool) {
 				t.useAltOnNa++
 			}
 		}
-		if provPred == taken && altpred != taken && e.useful < 3 {
-			e.useful++
-		} else if provPred != taken && altpred == taken && e.useful > 0 {
-			e.useful--
+		if provPred == taken && altpred != taken && e.Useful < 3 {
+			e.Useful++
+		} else if provPred != taken && altpred == taken && e.Useful > 0 {
+			e.Useful--
 		}
-		bump(&e.ctr, taken, -4, 3)
+		bump(&e.Ctr, taken, -4, 3)
 	} else {
 		b := &t.base[t.baseIndex(pc)]
 		bump(b, taken, -2, 1)
@@ -240,12 +237,12 @@ func (t *TAGE) allocate(pc isa.Addr, taken bool, provider int) {
 	allocated := false
 	for i := start; i < tageTables; i++ {
 		e := &t.tables[i][t.memoIdx[i]]
-		if e.useful == 0 {
-			e.tag = t.memoTag[i]
+		if e.Useful == 0 {
+			e.Tag = t.memoTag[i]
 			if taken {
-				e.ctr = 0
+				e.Ctr = 0
 			} else {
-				e.ctr = -1
+				e.Ctr = -1
 			}
 			allocated = true
 			break
@@ -256,8 +253,8 @@ func (t *TAGE) allocate(pc isa.Addr, taken bool, provider int) {
 		// allocations succeed (graceful aging).
 		for i := start; i < tageTables; i++ {
 			e := &t.tables[i][t.memoIdx[i]]
-			if e.useful > 0 {
-				e.useful--
+			if e.Useful > 0 {
+				e.Useful--
 			}
 		}
 	}

@@ -14,6 +14,7 @@ package cache
 import (
 	"fmt"
 
+	"pdip/internal/checkpoint"
 	"pdip/internal/invariant"
 	"pdip/internal/isa"
 )
@@ -36,54 +37,8 @@ type Config struct {
 	ProtectedWays int
 }
 
-// Line is one cache block's metadata.
-type Line struct {
-	valid bool
-	tag   uint64
-	lru   uint32
-	// readyAt is the cycle the fill completes; accesses before then are
-	// hits on the in-flight MSHR.
-	readyAt int64
-	// priority is the EMISSARY P-bit.
-	priority bool
-	// prefetched marks a prefetch-initiated fill not yet demand-hit.
-	prefetched bool
-	// owner is the requester that filled the line (shared levels only;
-	// see owner.go). Always zero with owner tracking off.
-	owner uint8
-}
-
-// Priority reports the EMISSARY P-bit (exported for tests).
-func (l *Line) Priority() bool { return l.priority }
-
 // Stats aggregates per-level counters.
-type Stats struct {
-	// Demand accesses and misses (prefetch probes excluded).
-	Accesses uint64
-	Misses   uint64
-	// InstMisses/DataMisses split Misses by request class (used for the
-	// paper's L2I vs L2D distinction).
-	InstMisses uint64
-	DataMisses uint64
-	// LateHits counts demand accesses that found the line in flight.
-	LateHits uint64
-	// Fills counts new line installations from any source (demand, FDIP
-	// prime, prefetch). At the L1I this is the paper's miss-traffic
-	// measure: with FDIP most fills are prefetch-initiated rather than
-	// demand misses.
-	Fills uint64
-	// PrefetchFills counts fills initiated by a prefetcher.
-	PrefetchFills uint64
-	// UsefulPrefetches counts prefetched lines demand-hit before eviction.
-	UsefulPrefetches uint64
-	// LatePrefetches counts demand accesses that found a prefetched line
-	// still in flight (issued, but not early enough).
-	LatePrefetches uint64
-	// UselessPrefetches counts prefetched lines evicted without a hit.
-	UselessPrefetches uint64
-	// Evictions counts replaced valid lines.
-	Evictions uint64
-}
+type Stats = checkpoint.CacheStats
 
 // Class distinguishes instruction- from data-side requests for stats.
 type Class uint8
@@ -95,12 +50,25 @@ const (
 	ClassData
 )
 
-// Cache is one set-associative level.
+// Cache is one set-associative level. Line metadata lives in
+// checkpoint.CacheState's set-major columns: line k of set s is index
+// s*Ways + k of every column, so a lookup scans one contiguous tag row.
 type Cache struct {
 	cfg     Config
-	sets    [][]Line
 	setMask uint64
-	tick    uint32
+
+	tag []uint64
+	lru []uint32
+	// readyAt is the cycle each line's fill completes; accesses before
+	// then are hits on the in-flight MSHR.
+	readyAt []int64
+	// valid, priority (the EMISSARY P-bit), and prefetched (a
+	// prefetch-initiated fill not yet demand-hit) are per-line bits.
+	valid, priority, prefetched checkpoint.Bitmask
+	// owner is the requester that filled each line (shared levels only;
+	// see owner.go). Nil with owner tracking off.
+	owner []uint8
+	tick  uint32
 
 	// inflight holds readyAt deadlines of outstanding fills (the MSHR
 	// file). Pruned lazily against the current cycle, compacting in place
@@ -140,16 +108,17 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.MSHRs <= 0 {
 		cfg.MSHRs = 16
 	}
-	c := &Cache{
-		cfg:     cfg,
-		sets:    make([][]Line, numSets),
-		setMask: uint64(numSets - 1),
-	}
-	backing := make([]Line, numSets*cfg.Ways)
-	for i := range c.sets {
-		c.sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
-	}
-	return c, nil
+	n := numSets * cfg.Ways
+	return &Cache{
+		cfg:        cfg,
+		setMask:    uint64(numSets - 1),
+		tag:        make([]uint64, n),
+		lru:        make([]uint32, n),
+		readyAt:    make([]int64, n),
+		valid:      checkpoint.NewBitmask(n),
+		priority:   checkpoint.NewBitmask(n),
+		prefetched: checkpoint.NewBitmask(n),
+	}, nil
 }
 
 // MustNew is New for known-good configurations.
@@ -169,19 +138,23 @@ func (c *Cache) addr2set(line isa.Addr) (int, uint64) {
 	return int(v & c.setMask), v
 }
 
-func (c *Cache) find(line isa.Addr) *Line {
-	set, tag := c.addr2set(line)
-	for i := range c.sets[set] {
-		if e := &c.sets[set][i]; e.valid && e.tag == tag {
-			return e
+// find returns the column index of line, or -1 when it is absent. It
+// computes the set itself instead of calling addr2set to stay within the
+// inlining budget of its hot callers (Access, Contains, Fill).
+func (c *Cache) find(line isa.Addr) int {
+	tag := uint64(line) >> isa.LineShift
+	base := int(tag&c.setMask) * c.cfg.Ways
+	for k := base; k < base+c.cfg.Ways; k++ {
+		if c.tag[k] == tag && c.valid.Get(k) {
+			return k
 		}
 	}
-	return nil
+	return -1
 }
 
 // Contains reports whether line is present (including in-flight fills),
 // without touching LRU state or stats. Prefetch queues use this to probe.
-func (c *Cache) Contains(line isa.Addr) bool { return c.find(line) != nil }
+func (c *Cache) Contains(line isa.Addr) bool { return c.find(line) >= 0 }
 
 // LookupResult describes the outcome of a demand access.
 type LookupResult struct {
@@ -202,8 +175,8 @@ type LookupResult struct {
 //lint:hotpath
 func (c *Cache) Access(line isa.Addr, now int64, class Class) LookupResult {
 	c.Stats.Accesses++
-	e := c.find(line)
-	if e == nil {
+	k := c.find(line)
+	if k < 0 {
 		c.Stats.Misses++
 		if class == ClassInst {
 			c.Stats.InstMisses++
@@ -213,27 +186,27 @@ func (c *Cache) Access(line isa.Addr, now int64, class Class) LookupResult {
 		return LookupResult{}
 	}
 	c.tick++
-	e.lru = c.tick
+	c.lru[k] = c.tick
 	if invariant.Enabled {
 		// LRU stack validity: the just-touched line must be the unique
 		// MRU of its set (tick is monotonic, so a tie or inversion means
 		// a replacement path updated lru out of band).
-		set, _ := c.addr2set(line)
-		for i := range c.sets[set] {
-			if l := &c.sets[set][i]; l != e && l.valid && l.lru >= e.lru {
+		base := k - k%c.cfg.Ways
+		for i := base; i < base+c.cfg.Ways; i++ {
+			if i != k && c.valid.Get(i) && c.lru[i] >= c.lru[k] {
 				invariant.Failf("cache %s: LRU stack broken: touched line %#x is not MRU in its set", c.cfg.Name, uint64(line))
 			}
 		}
 	}
 	res := LookupResult{Hit: true, ReadyAt: now + int64(c.cfg.HitLatency)}
-	if e.readyAt > now {
-		res.ReadyAt = e.readyAt
+	if c.readyAt[k] > now {
+		res.ReadyAt = c.readyAt[k]
 		res.WasInflight = true
 		c.Stats.LateHits++
 	}
-	if e.prefetched {
+	if c.prefetched.Get(k) {
 		res.WasPrefetch = true
-		e.prefetched = false
+		c.prefetched.SetTo(k, false)
 		c.Stats.UsefulPrefetches++
 		if res.WasInflight {
 			c.Stats.LatePrefetches++
@@ -317,10 +290,10 @@ type FillOpts struct {
 // the in-flight window. The caller must have checked MSHR availability.
 // It returns the evicted line address, if any valid line was displaced.
 func (c *Cache) Fill(line isa.Addr, now, readyAt int64, opts FillOpts) (evicted isa.Addr, hadVictim bool) {
-	if e := c.find(line); e != nil {
+	if k := c.find(line); k >= 0 {
 		// Already present or in flight; refresh priority at most.
 		if opts.Priority {
-			e.priority = true
+			c.priority.Set(k)
 		}
 		return 0, false
 	}
@@ -346,93 +319,96 @@ func (c *Cache) Fill(line isa.Addr, now, readyAt int64, opts FillOpts) (evicted 
 		c.Owners[opts.Owner].Fills++
 	}
 	set, tag := c.addr2set(line)
-	victim := c.pickVictim(c.sets[set], now)
-	if invariant.Enabled && (victim < 0 || victim >= len(c.sets[set])) {
-		invariant.Failf("cache %s: victim way %d outside [0, %d)", c.cfg.Name, victim, len(c.sets[set]))
+	base := set * c.cfg.Ways
+	victim := c.pickVictim(base, now)
+	if invariant.Enabled && (victim < 0 || victim >= c.cfg.Ways) {
+		invariant.Failf("cache %s: victim way %d outside [0, %d)", c.cfg.Name, victim, c.cfg.Ways)
 	}
-	e := &c.sets[set][victim]
-	if e.valid {
+	k := base + victim
+	if c.valid.Get(k) {
 		c.Stats.Evictions++
-		if e.prefetched {
+		if c.prefetched.Get(k) {
 			c.Stats.UselessPrefetches++
 		}
-		if c.Owners != nil && e.owner != opts.Owner {
-			c.Owners[e.owner].CrossEvictionsSuffered++
+		if c.Owners != nil && c.owner[k] != opts.Owner {
+			c.Owners[c.owner[k]].CrossEvictionsSuffered++
 			c.Owners[opts.Owner].CrossEvictionsCaused++
 		}
-		evicted = isa.Addr(e.tag << isa.LineShift)
+		evicted = isa.Addr(c.tag[k] << isa.LineShift)
 		hadVictim = true
 	}
 	c.tick++
-	*e = Line{
-		valid:      true,
-		tag:        tag,
-		lru:        c.tick,
-		readyAt:    readyAt,
-		priority:   opts.Priority,
-		prefetched: opts.Prefetch,
-		owner:      opts.Owner,
+	c.tag[k] = tag
+	c.lru[k] = c.tick
+	c.readyAt[k] = readyAt
+	c.valid.Set(k)
+	c.priority.SetTo(k, opts.Priority)
+	c.prefetched.SetTo(k, opts.Prefetch)
+	if c.owner != nil {
+		c.owner[k] = opts.Owner
 	}
-	if invariant.Enabled && c.find(line) == nil {
+	if invariant.Enabled && c.find(line) < 0 {
 		invariant.Failf("cache %s: line %#x absent immediately after fill", c.cfg.Name, uint64(line))
 	}
 	return evicted, hadVictim
 }
 
-// pickVictim chooses a way to replace: LRU by default; with EMISSARY
-// enabled, LRU among non-priority lines while the set holds at most
-// ProtectedWays priority lines (falling back to global LRU, clearing the
-// victim's P-bit, when the protection budget is exhausted or every way is
-// priority).
-func (c *Cache) pickVictim(set []Line, now int64) int {
+// pickVictim chooses a way of the set starting at column index base to
+// replace: LRU by default; with EMISSARY enabled, LRU among non-priority
+// lines while the set holds at most ProtectedWays priority lines (falling
+// back to global LRU, clearing the victim's P-bit, when the protection
+// budget is exhausted or every way is priority).
+func (c *Cache) pickVictim(base int, now int64) int {
+	ways := c.cfg.Ways
 	// Invalid way first.
-	for i := range set {
-		if !set[i].valid {
+	for i := 0; i < ways; i++ {
+		if !c.valid.Get(base + i) {
 			return i
 		}
 	}
 	protect := c.cfg.ProtectedWays
 	if protect > 0 {
 		nPri := 0
-		for i := range set {
-			if set[i].priority {
+		for i := 0; i < ways; i++ {
+			if c.priority.Get(base + i) {
 				nPri++
 			}
 		}
-		if nPri <= protect && nPri < len(set) {
+		if nPri <= protect && nPri < ways {
 			// Protect priority lines: LRU among non-priority ways,
 			// preferring lines that are not mid-fill.
-			if v := lruAmong(set, now, func(l *Line) bool { return !l.priority }); v >= 0 {
+			if v := c.lruAmong(base, now, true); v >= 0 {
 				return v
 			}
 		}
 		// Protection budget exhausted: global LRU, demoting the victim.
-		v := lruAmong(set, now, func(l *Line) bool { return true })
-		set[v].priority = false
+		v := c.lruAmong(base, now, false)
+		c.priority.SetTo(base+v, false)
 		return v
 	}
-	return lruAmong(set, now, func(l *Line) bool { return true })
+	return c.lruAmong(base, now, false)
 }
 
-// lruAmong returns the least-recently-used way satisfying pred, preferring
-// lines whose fill has completed (evicting an in-flight line would squash
-// an outstanding fill). Returns -1 if no way satisfies pred.
-func lruAmong(set []Line, now int64, pred func(*Line) bool) int {
+// lruAmong returns the least-recently-used way of the set starting at
+// base (skipping priority lines when skipPriority), preferring lines whose
+// fill has completed (evicting an in-flight line would squash an
+// outstanding fill). Returns -1 if every way is skipped.
+func (c *Cache) lruAmong(base int, now int64, skipPriority bool) int {
 	best, bestInflight := -1, -1
 	var bestLRU, bestInflightLRU uint32
-	for i := range set {
-		l := &set[i]
-		if !pred(l) {
+	for i := 0; i < c.cfg.Ways; i++ {
+		k := base + i
+		if skipPriority && c.priority.Get(k) {
 			continue
 		}
-		if l.readyAt > now {
-			if bestInflight == -1 || l.lru < bestInflightLRU {
-				bestInflight, bestInflightLRU = i, l.lru
+		if c.readyAt[k] > now {
+			if bestInflight == -1 || c.lru[k] < bestInflightLRU {
+				bestInflight, bestInflightLRU = i, c.lru[k]
 			}
 			continue
 		}
-		if best == -1 || l.lru < bestLRU {
-			best, bestLRU = i, l.lru
+		if best == -1 || c.lru[k] < bestLRU {
+			best, bestLRU = i, c.lru[k]
 		}
 	}
 	if best >= 0 {
@@ -443,22 +419,20 @@ func lruAmong(set []Line, now int64, pred func(*Line) bool) int {
 
 // Promote sets the EMISSARY P-bit on a resident line; a miss is a no-op.
 func (c *Cache) Promote(line isa.Addr) {
-	if e := c.find(line); e != nil {
-		e.priority = true
+	if k := c.find(line); k >= 0 {
+		c.priority.Set(k)
 	}
 }
 
 // NumSets returns the set count.
-func (c *Cache) NumSets() int { return len(c.sets) }
+func (c *Cache) NumSets() int { return int(c.setMask) + 1 }
 
 // PriorityLines counts resident lines with the P-bit set (test support).
 func (c *Cache) PriorityLines() int {
 	n := 0
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].valid && set[i].priority {
-				n++
-			}
+	for k := range c.tag {
+		if c.valid.Get(k) && c.priority.Get(k) {
+			n++
 		}
 	}
 	return n

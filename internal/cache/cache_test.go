@@ -223,14 +223,15 @@ func TestEmissaryInvariantProperty(t *testing.T) {
 			pri := op&0x100 != 0
 			c.Fill(line, int64(i), int64(i), FillOpts{Priority: pri})
 		}
-		for _, set := range c.sets {
+		ways := c.cfg.Ways
+		for base := 0; base < len(c.tag); base += ways {
 			nPri := 0
-			for i := range set {
-				if set[i].valid && set[i].priority {
+			for k := base; k < base+ways; k++ {
+				if c.valid.Get(k) && c.priority.Get(k) {
 					nPri++
 				}
 			}
-			if nPri > len(set) {
+			if nPri > ways {
 				return false
 			}
 		}

@@ -7,30 +7,15 @@
 // a single-core hierarchy executes exactly the pre-owner code path.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+
+	"pdip/internal/checkpoint"
+)
 
 // OwnerStats aggregates per-owner interference counters at one shared
-// level. The slice lives on Cache.Owners, indexed by owner id; internal/mem's
-// port chain and internal/uncore increment the fields directly.
-type OwnerStats struct {
-	// Fills counts line installations attributed to this owner.
-	Fills uint64
-	// MSHRSteals counts fill allocations beyond the owner's reserved MSHR
-	// share, i.e. slots taken from the shared pool that other tenants
-	// compete for.
-	MSHRSteals uint64
-	// DelayedFills counts demand-origin fills that had to wait for MSHR
-	// quota; DelayCycles accumulates the total wait.
-	DelayedFills uint64
-	DelayCycles  uint64
-	// SpecDropped counts speculative (prefetch/prime-origin) fills dropped
-	// at this level because the owner's quota was exhausted.
-	SpecDropped uint64
-	// CrossEvictionsSuffered counts this owner's resident lines evicted by
-	// another owner's fill; CrossEvictionsCaused is the mirror image.
-	CrossEvictionsSuffered uint64
-	CrossEvictionsCaused   uint64
-}
+// level.
+type OwnerStats = checkpoint.OwnerStats
 
 // EnableOwnerTracking switches the cache into shared (owner-attributed)
 // mode for the given number of owners, reserving reserve MSHR slots per
@@ -48,6 +33,7 @@ func (c *Cache) EnableOwnerTracking(owners, reserve int) error {
 		return fmt.Errorf("cache %s: owner tracking must be enabled before use", c.cfg.Name)
 	}
 	c.Owners = make([]OwnerStats, owners)
+	c.owner = make([]uint8, len(c.tag))
 	c.ownerReserve = reserve
 	c.ownerUsed = make([]int, owners)
 	c.inflightOwner = make([]uint8, 0, c.cfg.MSHRs)

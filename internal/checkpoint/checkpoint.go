@@ -6,10 +6,13 @@
 // metrics registry.
 //
 // The package is a leaf: it imports only the ISA vocabulary and the
-// standard library, so every component package can depend on it to
-// implement its own Capture/Restore pair without cycles. State structs
-// deliberately contain no Go maps (map-backed component state is captured
-// as key-sorted slices): the wire encoding must be byte-identical for
+// standard library, so every component package can depend on it without
+// cycles. The components keep their tables and stats in these
+// declarations directly (cache columns, TAGE/ITTAGE and BTB entries, the
+// PDIP, EIP and RDIP rows, every Stats struct), so each shape is declared
+// once, a capture is a clone and a restore is checks plus copy. State
+// structs deliberately contain no Go maps (map-backed component state is
+// captured as key-sorted slices): the wire encoding must be byte-identical for
 // identical simulator state, because the on-disk cache is content
 // addressed and the bit-identity tests diff restored runs against
 // from-scratch runs.
@@ -230,14 +233,26 @@ type CacheState struct {
 	Owners        []OwnerStats
 }
 
-// OwnerStats mirrors cache.OwnerStats field-for-field (a compile-checked
-// struct conversion in the cache package keeps them in lockstep).
+// OwnerStats aggregates per-owner interference counters at one shared
+// cache level (cache.OwnerStats). The slice lives on cache.Cache.Owners,
+// indexed by owner id; internal/mem's port chain and internal/uncore
+// increment the fields directly.
 type OwnerStats struct {
-	Fills                  uint64
-	MSHRSteals             uint64
-	DelayedFills           uint64
-	DelayCycles            uint64
-	SpecDropped            uint64
+	// Fills counts line installations attributed to this owner.
+	Fills uint64
+	// MSHRSteals counts fill allocations beyond the owner's reserved MSHR
+	// share, i.e. slots taken from the shared pool that other tenants
+	// compete for.
+	MSHRSteals uint64
+	// DelayedFills counts demand-origin fills that had to wait for MSHR
+	// quota; DelayCycles accumulates the total wait.
+	DelayedFills uint64
+	DelayCycles  uint64
+	// SpecDropped counts speculative (prefetch/prime-origin) fills dropped
+	// at this level because the owner's quota was exhausted.
+	SpecDropped uint64
+	// CrossEvictionsSuffered counts this owner's resident lines evicted by
+	// another owner's fill; CrossEvictionsCaused is the mirror image.
 	CrossEvictionsSuffered uint64
 	CrossEvictionsCaused   uint64
 }
@@ -249,29 +264,52 @@ type Bitmask []byte
 // NewBitmask returns an all-false mask with capacity for n entries.
 func NewBitmask(n int) Bitmask { return make(Bitmask, (n+7)/8) }
 
+// The accessors index with unsigned arithmetic: it compiles to a plain
+// shift and mask, which matters on the cache lookup path that reads the
+// live valid mask.
+
 // Set marks entry i true.
-func (b Bitmask) Set(i int) { b[i/8] |= 1 << (i % 8) }
+func (b Bitmask) Set(i int) { b[uint(i)/8] |= 1 << (uint(i) % 8) }
+
+// SetTo sets entry i to v.
+func (b Bitmask) SetTo(i int, v bool) {
+	if v {
+		b.Set(i)
+	} else {
+		b[uint(i)/8] &^= 1 << (uint(i) % 8)
+	}
+}
 
 // Get reports entry i.
-func (b Bitmask) Get(i int) bool { return b[i/8]>>(i%8)&1 != 0 }
+func (b Bitmask) Get(i int) bool { return b[uint(i)/8]>>(uint(i)%8)&1 != 0 }
 
-// Len returns the number of entries the mask can hold.
-func (b Bitmask) Len() int { return len(b) * 8 }
-
-// CacheStats mirrors cache.Stats field-for-field (a compile-checked
-// struct conversion in the cache package keeps them in lockstep).
+// CacheStats aggregates one cache level's counters (cache.Stats).
 type CacheStats struct {
-	Accesses          uint64
-	Misses            uint64
-	InstMisses        uint64
-	DataMisses        uint64
-	LateHits          uint64
-	Fills             uint64
-	PrefetchFills     uint64
-	UsefulPrefetches  uint64
-	LatePrefetches    uint64
+	// Demand accesses and misses (prefetch probes excluded).
+	Accesses uint64
+	Misses   uint64
+	// InstMisses/DataMisses split Misses by request class (used for the
+	// paper's L2I vs L2D distinction).
+	InstMisses uint64
+	DataMisses uint64
+	// LateHits counts demand accesses that found the line in flight.
+	LateHits uint64
+	// Fills counts new line installations from any source (demand, FDIP
+	// prime, prefetch). At the L1I this is the paper's miss-traffic
+	// measure: with FDIP most fills are prefetch-initiated rather than
+	// demand misses.
+	Fills uint64
+	// PrefetchFills counts fills initiated by a prefetcher.
+	PrefetchFills uint64
+	// UsefulPrefetches counts prefetched lines demand-hit before eviction.
+	UsefulPrefetches uint64
+	// LatePrefetches counts demand accesses that found a prefetched line
+	// still in flight (issued, but not early enough).
+	LatePrefetches uint64
+	// UselessPrefetches counts prefetched lines evicted without a hit.
 	UselessPrefetches uint64
-	Evictions         uint64
+	// Evictions counts replaced valid lines.
+	Evictions uint64
 }
 
 // BPUState captures the branch prediction unit.
@@ -283,12 +321,13 @@ type BPUState struct {
 	Stats  BPUStats
 }
 
-// BPUStats mirrors bpu.Stats (compile-checked conversion).
+// BPUStats counts branch prediction events on the correct path
+// (bpu.Stats).
 type BPUStats struct {
 	CondBranches   uint64
 	CondMispredict uint64
 	BTBLookups     uint64
-	BTBMissTaken   uint64
+	BTBMissTaken   uint64 // taken branches invisible to the IAG
 	IndBranches    uint64
 	IndMispredict  uint64
 	Returns        uint64
@@ -314,8 +353,8 @@ type TAGEState struct {
 // TAGEEntry is one tagged-table entry.
 type TAGEEntry struct {
 	Tag    uint16
-	Ctr    int8
-	Useful uint8
+	Ctr    int8  // 3-bit signed counter, -4..3; >= 0 means taken
+	Useful uint8 // 2-bit useful counter
 }
 
 // ITTAGEState captures the indirect target predictor.
@@ -332,7 +371,7 @@ type ITTAGEState struct {
 type ITTAGEEntry struct {
 	Tag    uint16
 	Target isa.Addr
-	Ctr    int8
+	Ctr    int8 // confidence, 0..3
 	Useful uint8
 }
 
@@ -345,7 +384,9 @@ type BTBState struct {
 	Lookups, Hits uint64
 }
 
-// BTBEntryState is one BTB entry.
+// BTBEntryState is one BTB entry: a taken branch's full tag (upper PC
+// bits), target, and branch kind, so the IAG knows which predictor
+// supplies the target.
 type BTBEntryState struct {
 	Valid  bool
 	Tag    uint64   `ckpt:"delta"`
@@ -511,7 +552,8 @@ type ROBState struct {
 	Stats ROBStats
 }
 
-// ROBStats mirrors backend.Stats (compile-checked conversion).
+// ROBStats aggregates ROB-level accounting: allocations, in-order
+// retirements, and wrong-path squashes (backend.Stats).
 type ROBStats struct {
 	Pushed   uint64
 	Retired  uint64
@@ -530,14 +572,22 @@ type RequestState struct {
 	Trigger uint8
 }
 
-// QueueStats mirrors prefetch.Stats (compile-checked conversion).
+// QueueStats aggregates the prefetch queue's issue accounting
+// (prefetch.Stats).
 type QueueStats struct {
-	Enqueued         uint64
+	// Enqueued counts requests accepted into the PQ.
+	Enqueued uint64
+	// DroppedQueueFull counts requests rejected because the PQ was full.
 	DroppedQueueFull uint64
-	Issued           uint64
-	DroppedPresent   uint64
-	DroppedMSHR      uint64
-	ByTrigger        [3]uint64
+	// Issued counts prefetches sent to the hierarchy.
+	Issued uint64
+	// DroppedPresent counts prefetches discarded on L1I probe hit.
+	DroppedPresent uint64
+	// DroppedMSHR counts prefetches discarded for MSHR headroom.
+	DroppedMSHR uint64
+	// ByTrigger splits issued prefetches by trigger class (Figure 16),
+	// indexed by prefetch.TriggerKind.
+	ByTrigger [3]uint64
 }
 
 // PrefetcherState captures the prefetcher under test. Kind names the
@@ -563,7 +613,9 @@ type PDIPState struct {
 	Stats   PDIPStats
 }
 
-// PDIPEntryState is one PDIP table entry.
+// PDIPEntryState is one PDIP table entry: a trigger block's partial tag
+// and LRU stamp. Its target slots are the entry's TargetsPerEntry
+// consecutive PDIPState.Targets.
 type PDIPEntryState struct {
 	Valid bool
 	Tag   uint32
@@ -573,22 +625,29 @@ type PDIPEntryState struct {
 // PDIPTargetState is one target slot.
 type PDIPTargetState struct {
 	Valid bool
-	Base  isa.Addr
-	Mask  uint8
-	Trig  uint8
+	Base  isa.Addr // line address of the FEC prefetch candidate
+	Mask  uint8    // bit k set → also prefetch Base + (k+1) lines
+	Trig  uint8    // prefetch.TriggerKind of the insertion
 	LRU   uint32
 }
 
-// PDIPStats mirrors pdip.Stats (compile-checked conversion).
+// PDIPStats counts PDIP-specific events (pdip.Stats).
 type PDIPStats struct {
-	InsertAttempts      uint64
-	InsertFiltered      uint64
-	InsertNoTrigger     uint64
+	// InsertAttempts counts qualifying FEC retirements seen.
+	InsertAttempts uint64
+	// InsertFiltered counts attempts rejected by the insertion coin.
+	InsertFiltered uint64
+	// InsertNoTrigger counts attempts with no usable trigger.
+	InsertNoTrigger uint64
+	// InsertReturnSkipped counts return-resteer insertions skipped.
 	InsertReturnSkipped uint64
-	Inserted            uint64
-	MaskMerged          uint64
-	Lookups             uint64
-	Hits                uint64
+	// Inserted counts new target placements.
+	Inserted uint64
+	// MaskMerged counts insertions folded into an existing target's mask.
+	MaskMerged uint64
+	// Lookups and Hits count FTQ-insert table probes.
+	Lookups uint64
+	Hits    uint64
 }
 
 // EIPState captures the entangling prefetcher: the commit-order history
@@ -624,12 +683,15 @@ type EIPAnalEntry struct {
 	Dsts []isa.Addr
 }
 
-// EIPStats mirrors eip.Stats (compile-checked conversion).
+// EIPStats counts EIP-specific events (eip.Stats).
 type EIPStats struct {
+	// Entangled counts (src → dst) associations recorded.
 	Entangled uint64
-	NoSource  uint64
-	Lookups   uint64
-	Hits      uint64
+	// NoSource counts misses whose latency predates the history window.
+	NoSource uint64
+	// Lookups and Hits count FTQ-insert probes.
+	Lookups uint64
+	Hits    uint64
 }
 
 // RDIPState captures the return-directed prefetcher: the signature table,
@@ -651,11 +713,14 @@ type RDIPEntryState struct {
 	Lines []isa.Addr
 }
 
-// RDIPStats mirrors rdip.Stats (compile-checked conversion).
+// RDIPStats counts RDIP events (rdip.Stats).
 type RDIPStats struct {
+	// ContextSwitches counts retired calls + returns.
 	ContextSwitches uint64
-	Recorded        uint64
-	Hits            uint64
+	// Recorded counts miss lines recorded into contexts.
+	Recorded uint64
+	// Hits counts context switches that found a recorded miss set.
+	Hits uint64
 }
 
 // FNLMMAState captures the FNL+MMA prefetcher tables.
@@ -669,7 +734,7 @@ type FNLMMAState struct {
 	Stats    FNLMMAStats
 }
 
-// FNLMMAStats mirrors fnlmma.Stats (compile-checked conversion).
+// FNLMMAStats counts FNL+MMA events (fnlmma.Stats).
 type FNLMMAStats struct {
 	FNLEmitted uint64
 	MMAEmitted uint64

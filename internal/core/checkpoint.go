@@ -8,7 +8,6 @@ import (
 	"pdip/internal/checkpoint"
 	"pdip/internal/frontend"
 	"pdip/internal/isa"
-	"pdip/internal/mem"
 	"pdip/internal/prefetch"
 	"pdip/internal/trace"
 )
@@ -36,10 +35,10 @@ import (
 //   - Interval samples: measurement output, cleared by ResetStats; warm
 //     cores have sampling disabled.
 //
-// TestCheckpointCompleteness walks the socket's type tree by reflection
-// and fails when a field is neither captured nor on the explicit skip
-// list, so future state additions cannot silently desynchronize this
-// format.
+// simlint's checkpointcoverage analyzer walks the socket's type tree
+// against the manifest in checkpoint_manifest.go and fails when a field is
+// neither captured nor on the explicit skip list, so future state
+// additions cannot silently desynchronize this format.
 func (s *Socket) Snapshot() (*checkpoint.State, error) {
 	st := &checkpoint.State{
 		Version:          checkpoint.FormatVersion,
@@ -173,14 +172,7 @@ func (co *Core) captureCoreState() checkpoint.CoreState {
 			st.PFSet = append(st.PFSet, checkpoint.PFSetEntry{Line: line, Cycle: co.pfSet[line]})
 		}
 	}
-	if len(co.fecTrace) > 0 {
-		st.FECTrace = make([]checkpoint.FECInstanceState, len(co.fecTrace))
-		for i, f := range co.fecTrace {
-			st.FECTrace[i] = checkpoint.FECInstanceState{
-				Line: f.Line, Trigger: f.Trigger, Starve: f.Starve, Served: uint8(f.Served),
-			}
-		}
-	}
+	st.FECTrace = append([]checkpoint.FECInstanceState(nil), co.fecTrace...)
 	return st
 }
 
@@ -345,12 +337,7 @@ func (co *Core) restoreCoreState(st checkpoint.CoreState) error {
 	}
 	co.fecReqAge = st.FECReqAge
 	co.fecHolds = st.FECHolds
-	co.fecTrace = co.fecTrace[:0]
-	for _, f := range st.FECTrace {
-		co.fecTrace = append(co.fecTrace, FECInstance{
-			Line: f.Line, Trigger: f.Trigger, Starve: f.Starve, Served: mem.Level(f.Served),
-		})
-	}
+	co.fecTrace = append(co.fecTrace[:0], st.FECTrace...)
 	co.sampleEvery = st.SampleEvery
 	co.dataRng.SetState(st.DataRng)
 	co.promoRng.SetState(st.PromoRng)

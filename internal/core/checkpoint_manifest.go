@@ -1,10 +1,14 @@
+//go:build ignore
+
+// This file is data, not code: it is excluded from every build and read
+// only by simlint's checkpointcoverage analyzer (internal/lint), which
+// parses checkpointManifest and checkpointRoots out of it and checks them
+// against the loaded packages with go/types.
+
 package core
 
 import (
 	"reflect"
-	"sort"
-	"strings"
-	"testing"
 
 	"pdip/internal/eip"
 	"pdip/internal/fnlmma"
@@ -17,11 +21,12 @@ import (
 
 // checkpointManifest is the authoritative field-coverage ledger of the
 // checkpoint format: every field of every struct reachable from the
-// simulator's state roots must be listed here with a disposition.
-// TestCheckpointCompleteness walks the type tree by reflection and fails
-// on any field that is missing, so adding state to the simulator without
-// deciding its checkpoint treatment is a compile-adjacent error, not a
-// silent replay divergence.
+// simulator's state roots must be listed here with a disposition, so
+// adding state to the simulator without deciding its checkpoint treatment
+// fails lint instead of silently diverging on replay. The walk stops at
+// the checkpoint package's own declarations: a field of such a type holds
+// wire state directly, and its capture and restore are checked against
+// the State tree instead.
 //
 // Dispositions:
 //
@@ -67,7 +72,7 @@ var checkpointManifest = map[string]map[string]string{
 		"pfEmitter": "wiring", "pfCallsRet": "wiring",
 	},
 	"pdip.PDIP": {
-		"cfg": "config", "sets": "state", "tick": "state", "r": "state",
+		"cfg": "config", "entries": "state", "targets": "state", "tick": "state", "r": "state",
 		"Stats": "state", "debugInserted": "diag", "DebugLog": "diag",
 	},
 	"eip.EIP": {
@@ -151,9 +156,6 @@ var checkpointManifest = map[string]map[string]string{
 	"core.resteerEvent": {
 		"at": "state", "target": "state", "trigger": "state", "cause": "state",
 	},
-	"core.FECInstance": {
-		"Line": "state", "Trigger": "state", "Starve": "state", "Served": "state",
-	},
 	"rng.RNG": {
 		"state": "state",
 	},
@@ -163,41 +165,16 @@ var checkpointManifest = map[string]map[string]string{
 		"counters": "state", "gauges": "state", "hists": "state",
 		"counterFns": "wiring", "gaugeFns": "wiring",
 	},
-	"pdip.entry": {
-		"valid": "state", "tag": "state", "lru": "state", "targets": "state",
-	},
-	"pdip.Stats": {
-		"InsertAttempts": "state", "InsertFiltered": "state",
-		"InsertNoTrigger": "state", "InsertReturnSkipped": "state",
-		"Inserted": "state", "MaskMerged": "state",
-		"Lookups": "state", "Hits": "state",
-	},
-	"eip.histEntry": {
-		"line": "state", "cycle": "state",
-	},
-	"eip.tableEntry": {
-		"valid": "state", "tag": "state", "lru": "state", "dsts": "state",
-	},
-	"eip.Stats": {
-		"Entangled": "state", "NoSource": "state", "Lookups": "state", "Hits": "state",
-	},
-	"rdip.entry": {
-		"valid": "state", "tag": "state", "lru": "state", "lines": "state",
-	},
-	"rdip.Stats": {
-		"ContextSwitches": "state", "Recorded": "state", "Hits": "state",
-	},
-	"fnlmma.Stats": {
-		"FNLEmitted": "state", "MMAEmitted": "state", "Trained": "state",
-	},
 	"prefetch.Request": {
 		"Line": "state", "Trigger": "state",
 	},
 
 	"cache.Cache": {
-		"cfg": "config", "sets": "state",
-		"setMask": "derived",
-		"tick":    "state", "inflight": "state", "inflightMin": "state",
+		"cfg": "config", "setMask": "derived",
+		"tag": "state", "lru": "state", "readyAt": "state",
+		"valid": "state", "priority": "state", "prefetched": "state",
+		"owner": "state",
+		"tick":  "state", "inflight": "state", "inflightMin": "state",
 		"Stats": "state",
 		// Owner tracking (shared levels): the owner columns are state; the
 		// per-owner occupancy is recounted from InflightOwner at restore,
@@ -220,18 +197,12 @@ var checkpointManifest = map[string]map[string]string{
 		"memoPC": "memo", "memoOK": "memo", "memoIdx": "memo", "memoTag": "memo",
 	},
 	"bpu.BTB": {
-		"sets":     "state",
+		"entries":  "state",
 		"setShift": "derived", "setMask": "derived",
 		"tick": "state", "lookups": "state", "hits": "state",
 	},
 	"bpu.RAS": {
 		"entries": "state", "top": "state", "depth": "state",
-	},
-	"bpu.Stats": {
-		"CondBranches": "state", "CondMispredict": "state",
-		"BTBLookups": "state", "BTBMissTaken": "state",
-		"IndBranches": "state", "IndMispredict": "state",
-		"Returns": "state", "RetMispredict": "state",
 	},
 	"trace.Walker": {
 		"prog": "config", "r": "state", "stack": "state", "loopCnt": "state",
@@ -239,10 +210,6 @@ var checkpointManifest = map[string]map[string]string{
 		"cur":     "state",
 		"instIdx": "state", "lostPC": "state", "wrongPath": "state",
 		"dispatchCenter": "state", "count": "state",
-	},
-	"prefetch.Stats": {
-		"Enqueued": "state", "DroppedQueueFull": "state", "Issued": "state",
-		"DroppedPresent": "state", "DroppedMSHR": "state", "ByTrigger": "state",
 	},
 	"frontend.Uop": {
 		"Inst": "state", "Seq": "state", "WrongPath": "state",
@@ -252,9 +219,6 @@ var checkpointManifest = map[string]map[string]string{
 		"Mispredict": "state", "ResolveAtDecode": "state", "Cause": "state",
 		"CorrectTarget": "state", "TriggerBlock": "state", "IsMemOp": "state",
 		"DataLine": "state", "DoneAt": "state", "AvailableAt": "state",
-	},
-	"backend.Stats": {
-		"Pushed": "state", "Retired": "state", "Squashed": "state",
 	},
 	"isa.Inst": {
 		"PC": "state", "Size": "state", "Kind": "state",
@@ -276,45 +240,13 @@ var checkpointManifest = map[string]map[string]string{
 		"bounds": "config",
 		"counts": "state", "total": "state", "sum": "state",
 	},
-	"pdip.target": {
-		"valid": "state", "base": "state", "mask": "state",
-		"trig": "state", "lru": "state",
-	},
 
-	"cache.Line": {
-		"valid": "state", "tag": "state", "lru": "state",
-		"readyAt": "state", "priority": "state", "prefetched": "state",
-		"owner": "state",
-	},
-	"cache.OwnerStats": {
-		"Fills": "state", "MSHRSteals": "state",
-		"DelayedFills": "state", "DelayCycles": "state",
-		"SpecDropped":            "state",
-		"CrossEvictionsSuffered": "state", "CrossEvictionsCaused": "state",
-	},
-	"cache.Stats": {
-		"Accesses": "state", "Misses": "state", "InstMisses": "state",
-		"DataMisses": "state", "LateHits": "state", "Fills": "state",
-		"PrefetchFills": "state", "UsefulPrefetches": "state",
-		"LatePrefetches": "state", "UselessPrefetches": "state",
-		"Evictions": "state",
-	},
-	"bpu.tageEntry": {
-		"tag": "state", "ctr": "state", "useful": "state",
-	},
-	"bpu.ittageEntry": {
-		"tag": "state", "target": "state", "ctr": "state", "useful": "state",
-	},
 	"bpu.history": {
 		"bits": "state", "head": "state",
 	},
 	"bpu.foldedHist": {
 		"comp":    "state",
 		"origLen": "derived", "width": "derived", "outPoint": "derived",
-	},
-	"bpu.btbEntry": {
-		"valid": "state", "tag": "state", "target": "state",
-		"kind": "state", "lru": "state",
 	},
 	// Blocks are immutable program structure, regenerated deterministically
 	// from the workload parameters; the walker's position in them is the
@@ -370,90 +302,5 @@ func checkpointRoots() []reflect.Type {
 		reflect.TypeOf(trace.Walker{}),
 		reflect.TypeOf(champsim.Source{}),
 		reflect.TypeOf(champsim.Wrong{}),
-	}
-}
-
-// typeKey renders a struct type as "pkg.Name", with generic instantiation
-// arguments stripped ("pipeline.Latch").
-func typeKey(t reflect.Type) string {
-	name := t.Name()
-	if i := strings.IndexByte(name, '['); i >= 0 {
-		name = name[:i]
-	}
-	pkg := t.PkgPath()
-	if i := strings.LastIndexByte(pkg, '/'); i >= 0 {
-		pkg = pkg[i+1:]
-	}
-	return pkg + "." + name
-}
-
-// walkable unwraps pointers and container types down to an element type,
-// returning the struct types a field can lead to.
-func walkable(t reflect.Type) []reflect.Type {
-	switch t.Kind() {
-	case reflect.Pointer, reflect.Slice, reflect.Array:
-		return walkable(t.Elem())
-	case reflect.Map:
-		return append(walkable(t.Key()), walkable(t.Elem())...)
-	case reflect.Struct:
-		if strings.HasPrefix(t.PkgPath(), "pdip/") {
-			return []reflect.Type{t}
-		}
-	}
-	return nil
-}
-
-func TestCheckpointCompleteness(t *testing.T) {
-	seen := map[reflect.Type]bool{}
-	reached := map[string]bool{}
-	queue := checkpointRoots()
-	for len(queue) > 0 {
-		typ := queue[0]
-		queue = queue[1:]
-		if seen[typ] {
-			continue
-		}
-		seen[typ] = true
-		key := typeKey(typ)
-		reached[key] = true
-		fields, ok := checkpointManifest[key]
-		if !ok {
-			var missing []string
-			for i := 0; i < typ.NumField(); i++ {
-				f := typ.Field(i)
-				missing = append(missing, f.Name+" "+f.Type.String())
-			}
-			t.Errorf("struct %s reached by the checkpoint walk but has no manifest entry; fields:\n\t%s",
-				key, strings.Join(missing, "\n\t"))
-			continue
-		}
-		for i := 0; i < typ.NumField(); i++ {
-			f := typ.Field(i)
-			disp, ok := fields[f.Name]
-			if !ok {
-				t.Errorf("field %s.%s (%s) is not in the checkpoint manifest — capture it in the checkpoint format or record why it can be skipped",
-					key, f.Name, f.Type.String())
-				continue
-			}
-			if disp == "state" {
-				queue = append(queue, walkable(f.Type)...)
-			}
-		}
-		// Stale manifest entries rot into false confidence; flag them.
-		for name := range fields {
-			if _, ok := typ.FieldByName(name); !ok {
-				t.Errorf("manifest lists %s.%s but the struct has no such field (stale entry)", key, name)
-			}
-		}
-	}
-	var stale []string
-	for key := range checkpointManifest {
-		if !reached[key] {
-			stale = append(stale, key)
-		}
-	}
-	sort.Strings(stale)
-	for _, key := range stale {
-		t.Errorf("manifest entry %s was never reached by the walk (stale type, or a root is missing)", key)
 	}
 }

@@ -169,21 +169,24 @@ func c2WithFreshPrefetcher(c Config) Config {
 	return c
 }
 
+// prefetcherKinds builds one fresh instance of every prefetcher
+// implementation, by name.
+var prefetcherKinds = map[string]func() prefetch.Prefetcher{
+	"none":     func() prefetch.Prefetcher { return prefetch.None{} },
+	"nextline": func() prefetch.Prefetcher { return prefetch.NewNextLine(2) },
+	"pdip":     func() prefetch.Prefetcher { return pdip.New(pdip.DefaultConfig()) },
+	"eip":      func() prefetch.Prefetcher { return eip.New(eip.DefaultConfig()) },
+	"eip-anal": func() prefetch.Prefetcher { return eip.New(eip.AnalyticalConfig()) },
+	"rdip":     func() prefetch.Prefetcher { return rdip.New(rdip.DefaultConfig()) },
+	"fnlmma":   func() prefetch.Prefetcher { return fnlmma.New(fnlmma.DefaultConfig()) },
+}
+
 // TestCheckpointRoundTripAllPrefetchers round-trips a mid-run snapshot
 // under every prefetcher implementation, so each one's Capture/Restore
 // pair is held to the bit-identity contract.
 func TestCheckpointRoundTripAllPrefetchers(t *testing.T) {
-	pfs := map[string]func() prefetch.Prefetcher{
-		"none":     func() prefetch.Prefetcher { return prefetch.None{} },
-		"nextline": func() prefetch.Prefetcher { return prefetch.NewNextLine(2) },
-		"pdip":     func() prefetch.Prefetcher { return pdip.New(pdip.DefaultConfig()) },
-		"eip":      func() prefetch.Prefetcher { return eip.New(eip.DefaultConfig()) },
-		"eip-anal": func() prefetch.Prefetcher { return eip.New(eip.AnalyticalConfig()) },
-		"rdip":     func() prefetch.Prefetcher { return rdip.New(rdip.DefaultConfig()) },
-		"fnlmma":   func() prefetch.Prefetcher { return fnlmma.New(fnlmma.DefaultConfig()) },
-	}
 	prog := testProgram(12)
-	for name, mk := range pfs {
+	for name, mk := range prefetcherKinds {
 		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()

@@ -7,6 +7,7 @@ import (
 	"pdip/internal/bpu"
 	"pdip/internal/cache"
 	"pdip/internal/cfg"
+	"pdip/internal/checkpoint"
 	"pdip/internal/frontend"
 	"pdip/internal/invariant"
 	"pdip/internal/isa"
@@ -96,7 +97,7 @@ type Core struct {
 	// [no-trigger, table-holds-pair, table-missing-pair].
 	fecHolds [3]uint64
 	// fecTrace samples FEC instances for diagnostics (CollectSets only).
-	fecTrace []FECInstance
+	fecTrace []checkpoint.FECInstanceState
 
 	dataRng  *rng.RNG
 	promoRng *rng.RNG

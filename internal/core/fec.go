@@ -1,9 +1,9 @@
 package core
 
 import (
+	"pdip/internal/checkpoint"
 	"pdip/internal/frontend"
 	"pdip/internal/isa"
-	"pdip/internal/mem"
 )
 
 // FEC (front-end criticality) shared state queries. The FEC sets live on
@@ -45,11 +45,11 @@ func (co *Core) recordFECDiagnostics(ep *frontend.LineEpisode) {
 		return
 	}
 	if len(co.fecTrace) < 4000 {
-		co.fecTrace = append(co.fecTrace, FECInstance{
+		co.fecTrace = append(co.fecTrace, checkpoint.FECInstanceState{
 			Line:    ep.Line,
 			Trigger: ep.ResteerTrigger,
 			Starve:  ep.Starve,
-			Served:  ep.ServedBy,
+			Served:  uint8(ep.ServedBy),
 		})
 	}
 	if holder, ok := co.pf.(interface{ DebugHolds(t, l isa.Addr) bool }); ok {
@@ -72,13 +72,3 @@ func (co *Core) recordFECDiagnostics(ep *frontend.LineEpisode) {
 		co.fecReqAge[3]++
 	}
 }
-
-// FECInstance is a sampled FEC episode for diagnostics.
-type FECInstance struct {
-	Line, Trigger isa.Addr
-	Starve        int
-	Served        mem.Level
-}
-
-// FECTrace returns sampled FEC instances (CollectSets only).
-func (co *Core) FECTrace() []FECInstance { return co.fecTrace }

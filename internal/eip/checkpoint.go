@@ -14,26 +14,18 @@ import (
 // order), and the stats.
 func (e *EIP) CaptureCheckpoint() checkpoint.PrefetcherState {
 	st := &checkpoint.EIPState{
-		Hist:  make([]checkpoint.EIPHistEntry, len(e.hist)),
+		Hist:  append([]checkpoint.EIPHistEntry(nil), e.hist...),
 		Head:  e.head,
 		Size:  e.size,
 		Tick:  e.tick,
-		Stats: checkpoint.EIPStats(e.Stats),
-	}
-	for i, h := range e.hist {
-		st.Hist[i] = checkpoint.EIPHistEntry{Line: h.line, Cycle: h.cycle}
+		Stats: e.Stats,
 	}
 	if e.sets != nil {
 		st.Sets = make([][]checkpoint.EIPEntryState, len(e.sets))
-		for si, set := range e.sets {
-			ws := make([]checkpoint.EIPEntryState, len(set))
-			for wi, t := range set {
-				ws[wi] = checkpoint.EIPEntryState{
-					Valid: t.valid,
-					Tag:   t.tag,
-					LRU:   t.lru,
-					Dsts:  append([]isa.Addr(nil), t.dsts...),
-				}
+		for si := range e.sets {
+			ws := append([]checkpoint.EIPEntryState(nil), e.sets[si]...)
+			for wi := range ws {
+				ws[wi].Dsts = append([]isa.Addr(nil), ws[wi].Dsts...)
 			}
 			st.Sets[si] = ws
 		}
@@ -66,27 +58,28 @@ func (e *EIP) RestoreCheckpoint(st checkpoint.PrefetcherState) error {
 	if len(s.Hist) != len(e.hist) {
 		return fmt.Errorf("eip: checkpoint history depth %d, prefetcher has %d", len(s.Hist), len(e.hist))
 	}
+	if s.Head < 0 || s.Head >= len(e.hist) || s.Size < 0 || s.Size > len(e.hist) {
+		return fmt.Errorf("eip: checkpoint history head %d / size %d outside a %d-entry ring", s.Head, s.Size, len(e.hist))
+	}
 	if (s.Sets != nil) != (e.sets != nil) || len(s.Sets) != len(e.sets) {
 		return fmt.Errorf("eip: checkpoint has %d table sets, prefetcher has %d", len(s.Sets), len(e.sets))
 	}
 	if (s.Anal != nil) && e.anal == nil {
 		return fmt.Errorf("eip: checkpoint is analytical, prefetcher is bounded")
 	}
-	for i, h := range s.Hist {
-		e.hist[i] = histEntry{line: h.Line, cycle: h.Cycle}
-	}
-	e.head = s.Head
-	e.size = s.Size
 	for si, ws := range s.Sets {
 		if len(ws) != len(e.sets[si]) {
 			return fmt.Errorf("eip: checkpoint set %d has %d ways, prefetcher has %d", si, len(ws), len(e.sets[si]))
 		}
-		for wi, es := range ws {
-			t := &e.sets[si][wi]
-			t.valid = es.Valid
-			t.tag = es.Tag
-			t.lru = es.LRU
-			t.dsts = append(t.dsts[:0], es.Dsts...)
+	}
+	copy(e.hist, s.Hist)
+	e.head = s.Head
+	e.size = s.Size
+	for si, ws := range s.Sets {
+		for wi := range ws {
+			dsts := append(e.sets[si][wi].Dsts[:0], ws[wi].Dsts...)
+			e.sets[si][wi] = ws[wi]
+			e.sets[si][wi].Dsts = dsts
 		}
 	}
 	if e.anal != nil {
@@ -96,6 +89,6 @@ func (e *EIP) RestoreCheckpoint(st checkpoint.PrefetcherState) error {
 		}
 	}
 	e.tick = s.Tick
-	e.Stats = Stats(s.Stats)
+	e.Stats = s.Stats
 	return nil
 }

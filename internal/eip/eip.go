@@ -11,8 +11,7 @@
 package eip
 
 import (
-	"sort"
-
+	"pdip/internal/checkpoint"
 	"pdip/internal/isa"
 	"pdip/internal/prefetch"
 )
@@ -63,38 +62,18 @@ func (c Config) StorageKB() float64 {
 	return float64(c.Sets*c.Ways*bitsPerEntry) / 8192.0
 }
 
-type histEntry struct {
-	line  isa.Addr
-	cycle int64
-}
-
-type tableEntry struct {
-	valid bool
-	tag   uint32
-	lru   uint32
-	dsts  []isa.Addr
-}
-
 // Stats counts EIP-specific events.
-type Stats struct {
-	// Entangled counts (src → dst) associations recorded.
-	Entangled uint64
-	// NoSource counts misses whose latency predates the history window.
-	NoSource uint64
-	// Lookups and Hits count FTQ-insert probes.
-	Lookups uint64
-	Hits    uint64
-}
+type Stats = checkpoint.EIPStats
 
 // EIP is the entangling prefetcher.
 type EIP struct {
 	cfg  Config
-	hist []histEntry // ring, newest at (head-1)
+	hist []checkpoint.EIPHistEntry // ring, newest at (head-1)
 	head int
 	size int
 
-	sets [][]tableEntry          // bounded table
-	anal map[isa.Addr][]isa.Addr // analytical unbounded table
+	sets [][]checkpoint.EIPEntryState // bounded table
+	anal map[isa.Addr][]isa.Addr      // analytical unbounded table
 	tick uint32
 
 	Stats Stats
@@ -111,13 +90,13 @@ func New(cfg Config) *EIP {
 	if cfg.TagBits == 0 {
 		cfg.TagBits = 10
 	}
-	e := &EIP{cfg: cfg, hist: make([]histEntry, cfg.HistorySize)}
+	e := &EIP{cfg: cfg, hist: make([]checkpoint.EIPHistEntry, cfg.HistorySize)}
 	if cfg.Sets > 0 {
-		e.sets = make([][]tableEntry, cfg.Sets)
+		e.sets = make([][]checkpoint.EIPEntryState, cfg.Sets)
 		for i := range e.sets {
-			ways := make([]tableEntry, cfg.Ways)
+			ways := make([]checkpoint.EIPEntryState, cfg.Ways)
 			for w := range ways {
-				ways[w].dsts = make([]isa.Addr, 0, cfg.TargetsPerEntry)
+				ways[w].Dsts = make([]isa.Addr, 0, cfg.TargetsPerEntry)
 			}
 			e.sets[i] = ways
 		}
@@ -155,11 +134,11 @@ func (e *EIP) OnFTQInsert(block isa.Addr, out []prefetch.Request) []prefetch.Req
 	set, tag := e.indexTag(src)
 	for w := range e.sets[set] {
 		te := &e.sets[set][w]
-		if te.valid && te.tag == tag {
+		if te.Valid && te.Tag == tag {
 			e.Stats.Hits++
 			e.tick++
-			te.lru = e.tick
-			for _, d := range te.dsts {
+			te.LRU = e.tick
+			for _, d := range te.Dsts {
 				out = append(out, prefetch.Request{Line: d, Trigger: prefetch.TriggerNone})
 			}
 			break
@@ -179,7 +158,7 @@ func (e *EIP) OnLineRetired(ev prefetch.RetireEvent) {
 			e.Stats.NoSource++
 		}
 	}
-	e.hist[e.head] = histEntry{line: ev.Line, cycle: ev.FetchCycle}
+	e.hist[e.head] = checkpoint.EIPHistEntry{Line: ev.Line, Cycle: ev.FetchCycle}
 	e.head = (e.head + 1) % len(e.hist)
 	if e.size < len(e.hist) {
 		e.size++
@@ -194,7 +173,7 @@ func (e *EIP) findSource(wantCycle int64) (isa.Addr, bool) {
 	var bestDist int64 = 1 << 62
 	for i := 0; i < e.size; i++ {
 		h := &e.hist[(e.head-1-i+len(e.hist))%len(e.hist)]
-		d := h.cycle - wantCycle
+		d := h.Cycle - wantCycle
 		if d < 0 {
 			d = -d
 		}
@@ -205,7 +184,7 @@ func (e *EIP) findSource(wantCycle int64) (isa.Addr, bool) {
 	if best < 0 {
 		return 0, false
 	}
-	return e.hist[best].line, true
+	return e.hist[best].Line, true
 }
 
 func (e *EIP) indexTag(src isa.Addr) (int, uint32) {
@@ -236,9 +215,9 @@ func (e *EIP) entangle(src, dst isa.Addr) {
 	set, tag := e.indexTag(src)
 	ways := e.sets[set]
 	e.tick++
-	var te *tableEntry
+	var te *checkpoint.EIPEntryState
 	for w := range ways {
-		if ways[w].valid && ways[w].tag == tag {
+		if ways[w].Valid && ways[w].Tag == tag {
 			te = &ways[w]
 			break
 		}
@@ -247,59 +226,31 @@ func (e *EIP) entangle(src, dst isa.Addr) {
 		victim := 0
 		var oldest uint32 = ^uint32(0)
 		for w := range ways {
-			if !ways[w].valid {
+			if !ways[w].Valid {
 				victim = w
 				break
 			}
-			if ways[w].lru < oldest {
-				victim, oldest = w, ways[w].lru
+			if ways[w].LRU < oldest {
+				victim, oldest = w, ways[w].LRU
 			}
 		}
 		te = &ways[victim]
-		te.valid = true
-		te.tag = tag
-		te.dsts = te.dsts[:0]
+		te.Valid = true
+		te.Tag = tag
+		te.Dsts = te.Dsts[:0]
 	}
-	te.lru = e.tick
-	for _, d := range te.dsts {
+	te.LRU = e.tick
+	for _, d := range te.Dsts {
 		if d == dst {
 			return
 		}
 	}
-	if len(te.dsts) >= e.cfg.TargetsPerEntry {
-		copy(te.dsts, te.dsts[1:])
-		te.dsts[len(te.dsts)-1] = dst
+	if len(te.Dsts) >= e.cfg.TargetsPerEntry {
+		copy(te.Dsts, te.Dsts[1:])
+		te.Dsts[len(te.Dsts)-1] = dst
 		return
 	}
-	te.dsts = append(te.dsts, dst)
-}
-
-// Entangling is one source→destinations association of the analytical
-// table, in a dump-friendly form.
-type Entangling struct {
-	// Src is the entangling source line.
-	Src isa.Addr
-	// Dsts are the destination lines, in insertion order.
-	Dsts []isa.Addr
-}
-
-// AnalyticalEntanglings returns the analytical table's content sorted by
-// source address — the deterministic dump of the unordered map, for
-// diagnostics and replay comparison. Nil for the bounded variant.
-func (e *EIP) AnalyticalEntanglings() []Entangling {
-	if e.anal == nil {
-		return nil
-	}
-	srcs := make([]isa.Addr, 0, len(e.anal))
-	for src := range e.anal {
-		srcs = append(srcs, src)
-	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-	out := make([]Entangling, len(srcs))
-	for i, src := range srcs {
-		out[i] = Entangling{Src: src, Dsts: e.anal[src]}
-	}
-	return out
+	te.Dsts = append(te.Dsts, dst)
 }
 
 // ResetStats zeroes the counters while keeping table state warm (used at

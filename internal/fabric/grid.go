@@ -34,8 +34,10 @@ type Grid struct {
 	Policies   []string `json:"policies"`
 	// BTBEntries sweeps BTB capacities; 0 (or empty) keeps Table 1's.
 	BTBEntries []int `json:"btb_entries,omitempty"`
-	// Seeds sweeps the data-side random streams for confidence
-	// intervals; 0 (or empty) keeps each profile's pinned seed.
+	// Seeds sweeps the core's random streams (the oracle walk over the
+	// fixed program and the data-side streams, see harness.RunSpec.Seed)
+	// for confidence intervals; 0 (or empty) keeps each profile's pinned
+	// seed.
 	Seeds []uint64 `json:"seeds,omitempty"`
 
 	Warmup  uint64 `json:"warmup,omitempty"`

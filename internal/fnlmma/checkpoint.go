@@ -21,7 +21,7 @@ func (f *FNLMMA) CaptureCheckpoint() checkpoint.PrefetcherState {
 			MissRing: append([]isa.Addr(nil), f.missRing...),
 			MissHead: f.missHead,
 			Pending:  prefetch.CaptureRequests(f.pending),
-			Stats:    checkpoint.FNLMMAStats(f.Stats),
+			Stats:    f.Stats,
 		},
 	}
 }
@@ -39,12 +39,19 @@ func (f *FNLMMA) RestoreCheckpoint(st checkpoint.PrefetcherState) error {
 			len(s.Worth), len(s.MMATag), len(s.MMADst), len(s.MissRing),
 			len(f.worth), len(f.mmaTag), len(f.mmaDst), len(f.missRing))
 	}
+	if s.MissHead < 0 || s.MissHead >= len(f.missRing) {
+		return fmt.Errorf("fnlmma: checkpoint miss-ring head %d outside 0..%d", s.MissHead, len(f.missRing)-1)
+	}
+	pending, err := prefetch.RestoreRequests(f.pending[:0], s.Pending)
+	if err != nil {
+		return err
+	}
 	copy(f.worth, s.Worth)
 	copy(f.mmaTag, s.MMATag)
 	copy(f.mmaDst, s.MMADst)
 	copy(f.missRing, s.MissRing)
 	f.missHead = s.MissHead
-	f.pending = prefetch.RestoreRequests(f.pending[:0], s.Pending)
-	f.Stats = Stats(s.Stats)
+	f.pending = pending
+	f.Stats = s.Stats
 	return nil
 }

@@ -15,6 +15,7 @@
 package fnlmma
 
 import (
+	"pdip/internal/checkpoint"
 	"pdip/internal/isa"
 	"pdip/internal/prefetch"
 )
@@ -44,11 +45,7 @@ func (c Config) StorageKB() float64 {
 }
 
 // Stats counts FNL+MMA events.
-type Stats struct {
-	FNLEmitted uint64
-	MMAEmitted uint64
-	Trained    uint64
-}
+type Stats = checkpoint.FNLMMAStats
 
 // FNLMMA is the prefetcher.
 type FNLMMA struct {

@@ -86,9 +86,13 @@ type RunSpec struct {
 	// core.Config flag of the same name); metrics must be bit-identical
 	// either way, and TestFastForwardBitIdentical holds the simulator to it.
 	NoFastForward bool
-	// Seed, when nonzero, perturbs the core's data-side random streams
-	// (memory behaviour, wrong-path noise) without regenerating the
-	// benchmark's program, opening a seed axis for confidence-interval
+	// Seed, when nonzero, perturbs every random stream the core draws
+	// from core.Config.Seed: the oracle walk over the program (branch
+	// directions, loop exits, indirect and dispatch targets — trace.New,
+	// and the shadow walker of a differential trace replay) as well as
+	// the data-side streams (memory behaviour, wrong-path noise). The
+	// benchmark's program is not regenerated, so a seed axis samples
+	// walks over one fixed program instance for confidence-interval
 	// sweeps. Zero keeps the profile's pinned default, so every existing
 	// spec (and golden cell) is unchanged.
 	Seed uint64
@@ -577,7 +581,8 @@ func buildConfig(spec RunSpec) (*cfg.Program, core.Config, error) {
 	if spec.Seed != 0 {
 		// Mix the sweep seed in with an odd multiplier so adjacent seeds
 		// (1, 2, 3...) land on well-separated rng stream families. The
-		// program itself is untouched: only the data-side streams move.
+		// program itself is untouched: the oracle walk over it and the
+		// data-side streams move.
 		c.Seed ^= spec.Seed * 0x9e3779b97f4a7c15
 	}
 	c.MemOpFrac = prof.MemOpFrac

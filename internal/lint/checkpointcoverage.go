@@ -12,36 +12,45 @@ import (
 	"strings"
 )
 
-// CheckpointCoverage is the static twin of TestCheckpointCompleteness
-// (internal/core/completeness_test.go): it re-runs the manifest walk over
-// go/types instead of reflect, so the ledger is enforced at lint time,
-// and then goes further than the reflection test can:
+// CheckpointCoverage enforces the checkpoint manifest
+// (checkpointManifest and checkpointRoots in a build-ignored
+// checkpoint_manifest.go, today internal/core's) against the simulator's
+// live state and its capture/restore code:
 //
 //  1. Manifest completeness — every struct reachable from the checkpoint
 //     roots must have a manifest entry, and every field of it a
-//     disposition. Reported at the struct/field declaration.
+//     disposition. Reported at the struct/field declaration. The walk
+//     stops at <module>/internal/checkpoint's own declarations: a live
+//     field of such a type keeps wire state directly, and rules 4 and 5
+//     check it.
 //  2. Manifest staleness — entries and fields naming structs or fields
 //     that no longer exist, and entries the walk never reaches.
 //  3. Capture coverage — every field with disposition "state" must be
-//     referenced (read for capture, written for restore, or whole-struct
-//     copied/converted) by some checkpoint*.go file. Deleting the Capture
-//     line for a field fails lint at the field that lost its capture.
-//  4. Mirror coverage — every field of every struct reachable from
-//     <module>/internal/checkpoint.State must be *written* by some
-//     capture code outside the checkpoint package (keyed composite
-//     literal, assignment, or whole-struct conversion); a mirror field
-//     nothing populates is a format hole that would silently decode to
-//     zero. Reads don't count: a restore that faithfully reads a field the
-//     capture stopped writing must still fail lint. Neither do the
-//     checkpoint package's own writes — a decoder assigning every field it
-//     reads is not a capture — and the package's structs that State does
-//     not reach (the codec's plan and buffers, Dir's bookkeeping) are not
-//     wire format.
+//     referenced (read for capture, written for restore, or copied whole)
+//     by some checkpoint*.go file. Deleting the Capture line for a field
+//     fails lint at the field that lost its capture.
+//  4. Restore coverage — every "state" field that holds no further live
+//     struct (scalars, slices, maps, checkpoint-typed tables) must be
+//     written by some checkpoint*.go file: assigned, incremented, the
+//     destination of copy or clear, or set by a keyed literal. A restore
+//     that stops copying a column fails lint at that field.
+//  5. Mirror coverage — every field of every struct reachable from
+//     <module>/internal/checkpoint.State, and every field holding such a
+//     struct, must be *written* by capture code outside the checkpoint
+//     package: a keyed literal, an assignment, or a wholesale clone of a
+//     live field of that type (append(T(nil), x.f...), copy's source, or
+//     x.f as a literal or assignment value), which writes every field of
+//     it. A mirror field nothing populates is a format hole that would
+//     silently decode to zero. Reads don't count: a restore that
+//     faithfully reads a field the capture stopped writing must still
+//     fail lint. Neither do the checkpoint package's own writes — a
+//     decoder assigning every field it reads is not a capture — and the
+//     package's structs that State does not reach (the codec's plan and
+//     buffers, Dir's bookkeeping) are not wire format.
 //
 // The per-package pass collects which "pkgpath.Type.Field" keys each
 // package's checkpoint files touch (exported as a fact); the program pass
-// parses the manifest out of completeness_test.go, mirrors the reflection
-// walk, and cross-checks.
+// parses the manifest, walks the live types, and cross-checks.
 type CheckpointCoverage struct{}
 
 // Name implements Analyzer.
@@ -58,16 +67,17 @@ type ckptRefsFact struct {
 	// keyed composite literal.
 	fields map[string]bool
 	// writes holds the subset of fields that are written: keyed composite
-	// literal entries and selectors on the left of an assignment.
+	// literal entries, and selectors in an assignment target or a copy or
+	// clear destination.
 	writes map[string]bool
-	// whole holds "pkgpath.Type" keys captured wholesale: by conversion,
-	// positional composite literal, or appearing as a value flowing through
-	// the capture code.
+	// whole holds "pkgpath.Type" keys captured wholesale: by positional
+	// composite literal, or appearing as a value flowing through the
+	// capture code.
 	whole map[string]bool
-	// wholeWrites holds the subset of whole built wholesale — conversion
-	// targets and full positional literals. A struct merely flowing through
-	// a read does not populate its fields, so mirror coverage needs the
-	// narrower set.
+	// wholeWrites holds the types whose every field is written: full
+	// positional literals, and checkpoint types cloned whole from live
+	// state. A struct merely flowing through a read does not populate its
+	// fields, so mirror coverage needs the narrower set.
 	wholeWrites map[string]bool
 	// hasFiles reports whether the package has any checkpoint*.go file.
 	hasFiles bool
@@ -82,8 +92,8 @@ func fullTypeKey(n *types.Named) string {
 	return n.Obj().Pkg().Path() + "." + n.Obj().Name()
 }
 
-// manifestTypeKey renders a named type the way completeness_test.go's
-// typeKey does: last package-path segment + "." + bare name.
+// manifestTypeKey renders a named type as the manifest keys it: last
+// package-path segment + "." + bare name.
 func manifestTypeKey(n *types.Named) string {
 	pkg := ""
 	if n.Obj().Pkg() != nil {
@@ -105,6 +115,11 @@ func (a *CheckpointCoverage) Check(p *Package, rep *Reporter) {
 		wholeWrites: map[string]bool{},
 	}
 	module := moduleOf(p.ImportPath)
+	if p.ImportPath == module+"/internal/checkpoint" {
+		// The wire declarations themselves: their codec's writes are not
+		// captures, and their methods are not restores.
+		return
+	}
 	for _, f := range p.Files {
 		if !isCheckpointFile(p.Fset.Position(f.Pos()).Filename) {
 			continue
@@ -118,20 +133,15 @@ func (a *CheckpointCoverage) Check(p *Package, rep *Reporter) {
 }
 
 // collectRefs walks one checkpoint file recording field references,
-// whole-struct captures, and conversions.
+// writes, and whole-struct captures and clones.
 func (a *CheckpointCoverage) collectRefs(p *Package, f *ast.File, module string, fact *ckptRefsFact) {
 	markWhole := func(t types.Type) {
 		for _, n := range walkableNamed(t, module) {
 			fact.whole[fullTypeKey(n)] = true
 		}
 	}
-	markWholeWrite := func(t types.Type) {
-		for _, n := range walkableNamed(t, module) {
-			fact.wholeWrites[fullTypeKey(n)] = true
-		}
-	}
 	// markWrites records every field selection inside an assignment target
-	// (st.F = ..., st.A[i] = ..., st.N++) as a write.
+	// (st.F = ..., st.A[i] = ..., st.N++, copy(st.F, ...)) as a write.
 	markWrites := func(lhs ast.Expr) {
 		ast.Inspect(lhs, func(n ast.Node) bool {
 			se, ok := n.(*ast.SelectorExpr)
@@ -146,12 +156,61 @@ func (a *CheckpointCoverage) collectRefs(p *Package, f *ast.File, module string,
 			return true
 		})
 	}
+	ckptPkg := module + "/internal/checkpoint"
+	// fromLive strips indexing, slicing, derefs and parens and reports
+	// whether what remains is a field of a live (non-checkpoint) struct.
+	var fromLive func(e ast.Expr) bool
+	fromLive = func(e ast.Expr) bool {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			return fromLive(x.X)
+		case *ast.IndexExpr:
+			return fromLive(x.X)
+		case *ast.SliceExpr:
+			return fromLive(x.X)
+		case *ast.StarExpr:
+			return fromLive(x.X)
+		case *ast.SelectorExpr:
+			sel, ok := p.Info.Selections[x]
+			if !ok || sel.Kind() != types.FieldVal {
+				return false
+			}
+			recv := namedOf(sel.Recv())
+			return recv != nil && recv.Obj().Pkg() != nil && recv.Obj().Pkg().Path() != ckptPkg
+		}
+		return false
+	}
+	// markClone records a wholesale clone of e: a live value of a
+	// checkpoint type copied as a whole populates every field of it.
+	markClone := func(e ast.Expr) {
+		if !fromLive(e) {
+			return
+		}
+		for _, n := range walkableNamed(p.Info.TypeOf(e), module) {
+			if n.Obj().Pkg().Path() == ckptPkg {
+				fact.wholeWrites[fullTypeKey(n)] = true
+			}
+		}
+	}
+	builtin := func(call *ast.CallExpr) string {
+		if id, ok := call.Fun.(*ast.Ident); ok {
+			if b, ok := p.Info.Uses[id].(*types.Builtin); ok {
+				return b.Name()
+			}
+		}
+		return ""
+	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch node := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range node.Lhs {
 				markWrites(lhs)
 			}
+			for _, rhs := range node.Rhs {
+				markClone(rhs)
+			}
+		case *ast.KeyValueExpr:
+			markClone(node.Value)
 		case *ast.IncDecStmt:
 			markWrites(node.X)
 		case *ast.SelectorExpr:
@@ -196,29 +255,26 @@ func (a *CheckpointCoverage) collectRefs(p *Package, f *ast.File, module string,
 				fact.wholeWrites[key] = true
 			}
 		case *ast.CallExpr:
-			// Conversions T(x): both the target and the operand struct are
-			// captured field-for-field by the conversion semantics.
-			tv, ok := p.Info.Types[node.Fun]
-			if !ok || !tv.IsType() || len(node.Args) != 1 {
-				return true
-			}
-			// The conversion populates the target's fields; the operand is
-			// only read from.
-			markWhole(tv.Type)
-			markWholeWrite(tv.Type)
-			if at := p.Info.TypeOf(node.Args[0]); at != nil {
-				markWhole(at)
+			switch builtin(node) {
+			case "copy":
+				markWrites(node.Args[0])
+				markClone(node.Args[1])
+			case "clear":
+				markWrites(node.Args[0])
+			case "append":
+				if node.Ellipsis.IsValid() {
+					markClone(node.Args[len(node.Args)-1])
+				}
 			}
 		}
 		return true
 	})
 }
 
-// walkableNamed is the go/types mirror of completeness_test.go's
-// walkable(): unwrap pointers and containers down to the module's named
-// struct types a value of type t can lead to.
+// walkableNamed unwraps aliases, pointers and containers down to the
+// module's named struct types a value of type t can lead to.
 func walkableNamed(t types.Type, module string) []*types.Named {
-	switch u := t.(type) {
+	switch u := types.Unalias(t).(type) {
 	case *types.Pointer:
 		return walkableNamed(u.Elem(), module)
 	case *types.Slice:
@@ -293,9 +349,6 @@ func (a *CheckpointCoverage) CheckProgram(prog *Program, rep *Reporter) {
 		for k := range fact.fields {
 			refFields[k] = true
 		}
-		if entry.Path == prog.Module+"/internal/checkpoint" {
-			continue // the codec's writes are not captures
-		}
 		for k := range fact.writes {
 			refWrites[k] = true
 		}
@@ -307,11 +360,27 @@ func (a *CheckpointCoverage) CheckProgram(prog *Program, rep *Reporter) {
 		}
 	}
 
-	// Mirror the reflection walk.
+	// liveStructs unwraps t to the live structs it holds: the walk stops
+	// at the checkpoint package's declarations, which are wire state.
+	ckptPkg := prog.Module + "/internal/checkpoint"
+	liveStructs := func(t types.Type) []*types.Named {
+		var out []*types.Named
+		for _, n := range walkableNamed(t, prog.Module) {
+			if n.Obj().Pkg().Path() != ckptPkg {
+				out = append(out, n)
+			}
+		}
+		return out
+	}
+
+	// Walk the live state from the roots.
 	type stateField struct {
 		named *types.Named
 		key   string
 		fld   *types.Var
+		// leaf marks a field holding no further live struct: its restore
+		// must write it directly.
+		leaf bool
 	}
 	var queue []*types.Named
 	for _, root := range man.roots {
@@ -366,8 +435,12 @@ func (a *CheckpointCoverage) CheckProgram(prog *Program, rep *Reporter) {
 			if mf.disp != "state" {
 				continue
 			}
-			queue = append(queue, walkableNamed(fld.Type(), prog.Module)...)
-			stateFields = append(stateFields, stateField{named: named, key: key, fld: fld})
+			sub := liveStructs(fld.Type())
+			queue = append(queue, sub...)
+			// An interface field's state lives in its implementations,
+			// which are roots of their own.
+			_, iface := fld.Type().Underlying().(*types.Interface)
+			stateFields = append(stateFields, stateField{named: named, key: key, fld: fld, leaf: len(sub) == 0 && !iface})
 		}
 		// Stale manifest fields: listed but no longer on the struct.
 		var names []string
@@ -412,12 +485,17 @@ func (a *CheckpointCoverage) CheckProgram(prog *Program, rep *Reporter) {
 				continue
 			}
 			seen[fk] = true
-			if refFields[fk] || refWhole[full] {
+			if !refFields[fk] && !refWhole[full] {
+				rep.Reportf(a.Name(), sf.fld.Pos(),
+					"field %s.%s is marked state in the checkpoint manifest but no checkpoint*.go file references it — capture it in Capture/Restore (or fix its disposition)",
+					sf.key, sf.fld.Name())
 				continue
 			}
-			rep.Reportf(a.Name(), sf.fld.Pos(),
-				"field %s.%s is marked state in the checkpoint manifest but no checkpoint*.go file references it — capture it in Capture/Restore (or fix its disposition)",
-				sf.key, sf.fld.Name())
+			if sf.leaf && !refWrites[fk] && !refWholeWrites[full] {
+				rep.Reportf(a.Name(), sf.fld.Pos(),
+					"field %s.%s is marked state in the checkpoint manifest but no checkpoint*.go file writes it — restore it (or fix its disposition)",
+					sf.key, sf.fld.Name())
+			}
 		}
 	}
 
@@ -462,11 +540,8 @@ func (a *CheckpointCoverage) checkMirror(prog *Program, rep *Reporter, refWrites
 		for i := 0; i < st.NumFields(); i++ {
 			fld := st.Field(i)
 			// A mirror field whose type is itself a mirror struct (or leads
-			// to one) is populated through that struct's own fields.
-			if sub := mirrorStructs(fld.Type()); len(sub) > 0 {
-				queue = append(queue, sub...)
-				continue
-			}
+			// to one) is populated through that struct's own fields too.
+			queue = append(queue, mirrorStructs(fld.Type())...)
 			if refWholeWrites[full] || refWrites[full+"."+fld.Name()] {
 				continue
 			}
@@ -488,12 +563,16 @@ func structHasField(st *types.Struct, name string) bool {
 	return false
 }
 
-// parseManifests finds and parses every completeness_test.go next to a
-// loaded package, merging manifests (nil when none exists).
+// manifestFile names the build-ignored file holding a package's
+// checkpointManifest and checkpointRoots.
+const manifestFile = "checkpoint_manifest.go"
+
+// parseManifests finds and parses every manifestFile next to a loaded
+// package, merging manifests (nil when none exists).
 func (a *CheckpointCoverage) parseManifests(prog *Program) *manifest {
 	var man *manifest
 	for _, p := range prog.Packages {
-		path := filepath.Join(p.Dir, "completeness_test.go")
+		path := filepath.Join(p.Dir, manifestFile)
 		if _, err := os.Stat(path); err != nil {
 			continue
 		}
@@ -522,7 +601,7 @@ func (a *CheckpointCoverage) parseManifests(prog *Program) *manifest {
 }
 
 // parseManifestFile extracts checkpointManifest and checkpointRoots from
-// one parsed test file; nil when the file declares neither.
+// one parsed manifest file; nil when the file declares neither.
 func (a *CheckpointCoverage) parseManifestFile(prog *Program, home *Package, f *ast.File) *manifest {
 	man := &manifest{entries: map[string]manifestEntry{}, imports: map[string]string{}, home: home}
 	for _, imp := range f.Imports {

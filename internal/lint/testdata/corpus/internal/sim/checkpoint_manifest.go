@@ -1,3 +1,5 @@
+//go:build ignore
+
 package sim
 
 import "reflect"
@@ -12,6 +14,8 @@ var checkpointManifest = map[string]map[string]string{
 		"hist": "state",
 		"lost": "state",
 		"g":    "state",
+		"gen":  "state",
+		"rows": "state",
 		"gone": "state", // want:checkpointcoverage
 	},
 	"sim.Entry": {

@@ -1,8 +1,10 @@
 // Package sim is the corpus simulator-state package for the
 // checkpointcoverage analyzer: a root struct with covered, unmanifested,
-// and uncaptured fields, plus a struct the walk reaches that has no
-// manifest entry at all.
+// uncaptured and unrestored fields, a table kept directly in a checkpoint
+// type, plus a struct the walk reaches that has no manifest entry at all.
 package sim
+
+import "corpus/internal/checkpoint"
 
 // Machine is the corpus checkpoint root.
 type Machine struct {
@@ -12,6 +14,10 @@ type Machine struct {
 	hist []Entry
 	lost int64 // want:checkpointcoverage
 	g    Ghost
+	gen  uint32 // want:checkpointcoverage
+	// rows is wire state: the walk needs no manifest entry for
+	// checkpoint.Row, and the capture clone writes all of its fields.
+	rows []checkpoint.Row
 }
 
 // Entry is reached through Machine.hist and fully covered.

@@ -63,14 +63,14 @@ func (r *Registry) RestoreCheckpoint(st checkpoint.RegistryState) error {
 		if !ok {
 			return fmt.Errorf("metrics: checkpoint counter %q not registered", c.Name)
 		}
-		dst.Store(c.Value)
+		dst.v = c.Value
 	}
 	for _, g := range st.Gauges {
 		dst, ok := r.gauges[g.Name]
 		if !ok {
 			return fmt.Errorf("metrics: checkpoint gauge %q not registered", g.Name)
 		}
-		dst.Set(g.Value)
+		dst.v = g.Value
 	}
 	for _, h := range st.Histograms {
 		dst, ok := r.hists[h.Name]

@@ -42,10 +42,6 @@ func (c *Counter) Add(n uint64) { c.v += n }
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v }
 
-// Store overwrites the current value (used when mirroring externally
-// accumulated state).
-func (c *Counter) Store(n uint64) { c.v = n }
-
 // Reset zeroes the counter (measurement-window reset after warmup).
 func (c *Counter) Reset() { c.v = 0 }
 

@@ -124,7 +124,7 @@ func TestSnapshotDiffIsBitExactOnGauges(t *testing.T) {
 
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("c.big").Store(1<<53 - 1)
+	r.Counter("c.big").Add(1<<53 - 1)
 	r.Gauge("g.pi").Set(math.Pi)
 	r.GaugeFunc("g.derived", func() float64 { return 1.0 / 3.0 })
 	s := r.Snapshot()

@@ -12,25 +12,13 @@ import (
 // replacement clock, the insertion-coin rng, and the stats. The debug
 // hooks (debugInserted, DebugLog) are diagnostics, not simulated state.
 func (p *PDIP) CaptureCheckpoint() checkpoint.PrefetcherState {
-	entries := p.cfg.Sets * p.cfg.Ways
-	st := &checkpoint.PDIPState{
-		Entries: make([]checkpoint.PDIPEntryState, 0, entries),
-		Targets: make([]checkpoint.PDIPTargetState, 0, entries*p.cfg.TargetsPerEntry),
+	return checkpoint.PrefetcherState{Kind: "pdip", PDIP: &checkpoint.PDIPState{
+		Entries: append([]checkpoint.PDIPEntryState(nil), p.entries...),
+		Targets: append([]checkpoint.PDIPTargetState(nil), p.targets...),
 		Tick:    p.tick,
 		Rng:     p.r.State(),
-		Stats:   checkpoint.PDIPStats(p.Stats),
-	}
-	for _, set := range p.sets {
-		for _, e := range set {
-			st.Entries = append(st.Entries, checkpoint.PDIPEntryState{Valid: e.valid, Tag: e.tag, LRU: e.lru})
-			for _, t := range e.targets {
-				st.Targets = append(st.Targets, checkpoint.PDIPTargetState{
-					Valid: t.valid, Base: t.base, Mask: t.mask, Trig: uint8(t.trig), LRU: t.lru,
-				})
-			}
-		}
-	}
-	return checkpoint.PrefetcherState{Kind: "pdip", PDIP: st}
+		Stats:   p.Stats,
+	}}
 }
 
 // RestoreCheckpoint implements prefetch.Checkpointer. The receiver must
@@ -40,31 +28,19 @@ func (p *PDIP) RestoreCheckpoint(st checkpoint.PrefetcherState) error {
 		return fmt.Errorf("pdip: checkpoint kind %q, prefetcher is pdip", st.Kind)
 	}
 	s := st.PDIP
-	entries := p.cfg.Sets * p.cfg.Ways
-	if len(s.Entries) != entries || len(s.Targets) != entries*p.cfg.TargetsPerEntry {
+	if len(s.Entries) != len(p.entries) || len(s.Targets) != len(p.targets) {
 		return fmt.Errorf("pdip: checkpoint has %d entries and %d targets, table has %d×%d×%d",
 			len(s.Entries), len(s.Targets), p.cfg.Sets, p.cfg.Ways, p.cfg.TargetsPerEntry)
 	}
-	ei, ti := 0, 0
-	for _, set := range p.sets {
-		for wi := range set {
-			e, es := &set[wi], s.Entries[ei]
-			ei++
-			e.valid = es.Valid
-			e.tag = es.Tag
-			e.lru = es.LRU
-			for k := range e.targets {
-				ts := s.Targets[ti]
-				ti++
-				e.targets[k] = target{
-					valid: ts.Valid, base: ts.Base, mask: ts.Mask,
-					trig: prefetch.TriggerKind(ts.Trig), lru: ts.LRU,
-				}
-			}
+	for _, t := range s.Targets {
+		if err := prefetch.CheckTrigger(t.Trig); err != nil {
+			return fmt.Errorf("pdip: checkpoint target: %w", err)
 		}
 	}
+	copy(p.entries, s.Entries)
+	copy(p.targets, s.Targets)
 	p.tick = s.Tick
 	p.r.SetState(s.Rng)
-	p.Stats = Stats(s.Stats)
+	p.Stats = s.Stats
 	return nil
 }

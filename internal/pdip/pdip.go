@@ -15,6 +15,7 @@ package pdip
 import (
 	"sort"
 
+	"pdip/internal/checkpoint"
 	"pdip/internal/isa"
 	"pdip/internal/prefetch"
 	"pdip/internal/rng"
@@ -83,46 +84,18 @@ func (c Config) StorageKB() float64 {
 	return float64(totalBits) / 8192.0
 }
 
-type target struct {
-	valid bool
-	base  isa.Addr // line address of the FEC prefetch candidate
-	mask  uint8    // bit k set → also prefetch base + (k+1) lines
-	trig  prefetch.TriggerKind
-	lru   uint32
-}
-
-type entry struct {
-	valid   bool
-	tag     uint32
-	lru     uint32
-	targets []target
-}
-
 // Stats counts PDIP-specific events.
-type Stats struct {
-	// InsertAttempts counts qualifying FEC retirements seen.
-	InsertAttempts uint64
-	// InsertFiltered counts attempts rejected by the insertion coin.
-	InsertFiltered uint64
-	// InsertNoTrigger counts attempts with no usable trigger.
-	InsertNoTrigger uint64
-	// InsertReturnSkipped counts return-resteer insertions skipped.
-	InsertReturnSkipped uint64
-	// Inserted counts new target placements.
-	Inserted uint64
-	// MaskMerged counts insertions folded into an existing target's mask.
-	MaskMerged uint64
-	// Lookups and Hits count FTQ-insert table probes.
-	Lookups uint64
-	Hits    uint64
-}
+type Stats = checkpoint.PDIPStats
 
 // PDIP is the prefetcher.
 type PDIP struct {
-	cfg  Config
-	sets [][]entry
-	tick uint32
-	r    *rng.RNG
+	cfg Config
+	// entries is the table, set-major (set*Ways + way); entry i owns
+	// target slots i*TargetsPerEntry onward in targets.
+	entries []checkpoint.PDIPEntryState
+	targets []checkpoint.PDIPTargetState
+	tick    uint32
+	r       *rng.RNG
 
 	Stats Stats
 
@@ -160,19 +133,13 @@ func New(cfg Config) *PDIP {
 	if cfg.InsertProb == 0 {
 		cfg.InsertProb = def.InsertProb
 	}
-	p := &PDIP{
-		cfg:  cfg,
-		sets: make([][]entry, cfg.Sets),
-		r:    rng.New(cfg.Seed ^ 0x9d19),
+	n := cfg.Sets * cfg.Ways
+	return &PDIP{
+		cfg:     cfg,
+		entries: make([]checkpoint.PDIPEntryState, n),
+		targets: make([]checkpoint.PDIPTargetState, n*cfg.TargetsPerEntry),
+		r:       rng.New(cfg.Seed ^ 0x9d19),
 	}
-	for i := range p.sets {
-		ways := make([]entry, cfg.Ways)
-		for w := range ways {
-			ways[w].targets = make([]target, cfg.TargetsPerEntry)
-		}
-		p.sets[i] = ways
-	}
-	return p
 }
 
 // Name implements prefetch.Prefetcher.
@@ -193,34 +160,40 @@ func (p *PDIP) indexTag(block isa.Addr) (int, uint32) {
 	return set, tag
 }
 
+// targetsOf returns the target slots of entry index i (set*Ways + way).
+func (p *PDIP) targetsOf(i int) []checkpoint.PDIPTargetState {
+	n := p.cfg.TargetsPerEntry
+	return p.targets[i*n : (i+1)*n]
+}
+
 // OnFTQInsert implements prefetch.Prefetcher: probe the table with the new
 // FTQ entry's block address; on a hit, emit every associated target line
 // plus its masked following blocks.
 func (p *PDIP) OnFTQInsert(block isa.Addr, out []prefetch.Request) []prefetch.Request {
 	p.Stats.Lookups++
 	set, tag := p.indexTag(block.Line())
-	for w := range p.sets[set] {
-		e := &p.sets[set][w]
-		if !e.valid || e.tag != tag {
+	for i := set * p.cfg.Ways; i < (set+1)*p.cfg.Ways; i++ {
+		e := &p.entries[i]
+		if !e.Valid || e.Tag != tag {
 			continue
 		}
 		p.Stats.Hits++
 		p.tick++
-		e.lru = p.tick
-		for t := range e.targets {
-			tg := &e.targets[t]
-			if !tg.valid {
+		e.LRU = p.tick
+		for _, tg := range p.targetsOf(i) {
+			if !tg.Valid {
 				continue
 			}
 			if p.DebugLog != nil {
-				p.DebugLog("emit", block.Line(), tg.base)
+				p.DebugLog("emit", block.Line(), tg.Base)
 			}
-			out = append(out, prefetch.Request{Line: tg.base, Trigger: tg.trig})
+			trig := prefetch.TriggerKind(tg.Trig)
+			out = append(out, prefetch.Request{Line: tg.Base, Trigger: trig})
 			for k := 0; k < p.cfg.MaskBits; k++ {
-				if tg.mask&(1<<k) != 0 {
+				if tg.Mask&(1<<k) != 0 {
 					out = append(out, prefetch.Request{
-						Line:    tg.base + isa.Addr((k+1)*isa.LineSize),
-						Trigger: tg.trig,
+						Line:    tg.Base + isa.Addr((k+1)*isa.LineSize),
+						Trigger: trig,
 					})
 				}
 			}
@@ -279,57 +252,55 @@ func (p *PDIP) OnLineRetired(ev prefetch.RetireEvent) {
 // blocks of a stored base.
 func (p *PDIP) insert(trigBlock, targetLine isa.Addr, kind prefetch.TriggerKind) {
 	set, tag := p.indexTag(trigBlock)
-	ways := p.sets[set]
+	base := set * p.cfg.Ways
+	ways := p.entries[base : base+p.cfg.Ways]
 	p.tick++
 
 	// Find the entry for this trigger.
-	var e *entry
+	way := -1
 	for w := range ways {
-		if ways[w].valid && ways[w].tag == tag {
-			e = &ways[w]
+		if ways[w].Valid && ways[w].Tag == tag {
+			way = w
 			break
 		}
 	}
-	if e == nil {
+	if way < 0 {
 		// Allocate the LRU way.
-		victim := 0
+		way = 0
 		var oldest uint32 = ^uint32(0)
 		for w := range ways {
-			if !ways[w].valid {
-				victim = w
-				oldest = 0
+			if !ways[w].Valid {
+				way = w
 				break
 			}
-			if ways[w].lru < oldest {
-				victim, oldest = w, ways[w].lru
+			if ways[w].LRU < oldest {
+				way, oldest = w, ways[w].LRU
 			}
 		}
-		e = &ways[victim]
-		e.valid = true
-		e.tag = tag
-		for t := range e.targets {
-			e.targets[t] = target{}
-		}
+		ways[way].Valid = true
+		ways[way].Tag = tag
+		clear(p.targetsOf(base + way))
 	}
-	e.lru = p.tick
+	ways[way].LRU = p.tick
+	targets := p.targetsOf(base + way)
 
 	// Merge into an existing target when the line is the base or within
 	// the mask window of a stored base.
-	for t := range e.targets {
-		tg := &e.targets[t]
-		if !tg.valid {
+	for t := range targets {
+		tg := &targets[t]
+		if !tg.Valid {
 			continue
 		}
-		if targetLine == tg.base {
-			tg.lru = p.tick
+		if targetLine == tg.Base {
+			tg.LRU = p.tick
 			return
 		}
 
-		if targetLine > tg.base {
-			delta := int(targetLine-tg.base) / isa.LineSize
+		if targetLine > tg.Base {
+			delta := int(targetLine-tg.Base) / isa.LineSize
 			if delta >= 1 && delta <= p.cfg.MaskBits {
-				tg.mask |= 1 << (delta - 1)
-				tg.lru = p.tick
+				tg.Mask |= 1 << (delta - 1)
+				tg.LRU = p.tick
 				p.Stats.MaskMerged++
 				return
 			}
@@ -338,23 +309,23 @@ func (p *PDIP) insert(trigBlock, targetLine isa.Addr, kind prefetch.TriggerKind)
 	// Place in a free target slot, else replace the LRU target.
 	victim := -1
 	var oldest uint32 = ^uint32(0)
-	for t := range e.targets {
-		tg := &e.targets[t]
-		if !tg.valid {
+	for t := range targets {
+		tg := &targets[t]
+		if !tg.Valid {
 			victim = t
 			break
 		}
-		if tg.lru < oldest {
-			victim, oldest = t, tg.lru
+		if tg.LRU < oldest {
+			victim, oldest = t, tg.LRU
 		}
 	}
 	if p.DebugLog != nil {
-		if old := e.targets[victim]; old.valid {
-			p.DebugLog("evict-target", trigBlock, old.base)
+		if old := targets[victim]; old.Valid {
+			p.DebugLog("evict-target", trigBlock, old.Base)
 		}
 		p.DebugLog("insert", trigBlock, targetLine)
 	}
-	e.targets[victim] = target{valid: true, base: targetLine, trig: kind, lru: p.tick}
+	targets[victim] = checkpoint.PDIPTargetState{Valid: true, Base: targetLine, Trig: uint8(kind), LRU: p.tick}
 	p.Stats.Inserted++
 }
 
@@ -387,22 +358,20 @@ func (p *PDIP) DebugInsertedLines() []isa.Addr {
 // line (directly or via a mask bit). Test/diagnostic use only.
 func (p *PDIP) DebugHolds(trigger, line isa.Addr) bool {
 	set, tag := p.indexTag(trigger.Line())
-	for w := range p.sets[set] {
-		e := &p.sets[set][w]
-		if !e.valid || e.tag != tag {
+	for i := set * p.cfg.Ways; i < (set+1)*p.cfg.Ways; i++ {
+		if e := &p.entries[i]; !e.Valid || e.Tag != tag {
 			continue
 		}
-		for t := range e.targets {
-			tg := &e.targets[t]
-			if !tg.valid {
+		for _, tg := range p.targetsOf(i) {
+			if !tg.Valid {
 				continue
 			}
-			if line == tg.base {
+			if line == tg.Base {
 				return true
 			}
-			if line > tg.base {
-				d := int(line-tg.base) / isa.LineSize
-				if d >= 1 && d <= p.cfg.MaskBits && tg.mask&(1<<(d-1)) != 0 {
+			if line > tg.Base {
+				d := int(line-tg.Base) / isa.LineSize
+				if d >= 1 && d <= p.cfg.MaskBits && tg.Mask&(1<<(d-1)) != 0 {
 					return true
 				}
 			}

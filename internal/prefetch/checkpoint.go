@@ -18,6 +18,15 @@ type Checkpointer interface {
 	RestoreCheckpoint(checkpoint.PrefetcherState) error
 }
 
+// CheckTrigger rejects a captured trigger class the PQ cannot account:
+// Stats.ByTrigger has one slot per TriggerKind.
+func CheckTrigger(k uint8) error {
+	if int(k) >= len(Stats{}.ByTrigger) {
+		return fmt.Errorf("trigger kind %d outside 0..%d", k, len(Stats{}.ByTrigger)-1)
+	}
+	return nil
+}
+
 // CaptureRequests converts queued requests to their wire form.
 func CaptureRequests(reqs []Request) []checkpoint.RequestState {
 	if len(reqs) == 0 {
@@ -31,11 +40,14 @@ func CaptureRequests(reqs []Request) []checkpoint.RequestState {
 }
 
 // RestoreRequests converts wire-form requests back, appending to dst.
-func RestoreRequests(dst []Request, sts []checkpoint.RequestState) []Request {
+func RestoreRequests(dst []Request, sts []checkpoint.RequestState) ([]Request, error) {
 	for _, st := range sts {
+		if err := CheckTrigger(st.Trigger); err != nil {
+			return dst, fmt.Errorf("prefetch: checkpoint request: %w", err)
+		}
 		dst = append(dst, Request{Line: st.Line, Trigger: TriggerKind(st.Trigger)})
 	}
-	return dst
+	return dst, nil
 }
 
 // CaptureCheckpoint captures the queued requests oldest-first and the
@@ -45,7 +57,7 @@ func RestoreRequests(dst []Request, sts []checkpoint.RequestState) []Request {
 func (q *Queue) CaptureCheckpoint() checkpoint.QueueState {
 	st := checkpoint.QueueState{
 		Entries: make([]checkpoint.RequestState, 0, q.count),
-		Stats:   checkpoint.QueueStats(q.Stats),
+		Stats:   q.Stats,
 	}
 	for i := 0; i < q.count; i++ {
 		r := q.entries[(q.head+i)%len(q.entries)]
@@ -60,12 +72,13 @@ func (q *Queue) RestoreCheckpoint(st checkpoint.QueueState) error {
 	if len(st.Entries) > len(q.entries) {
 		return fmt.Errorf("prefetch: checkpoint has %d PQ entries, capacity is %d", len(st.Entries), len(q.entries))
 	}
-	q.head = 0
-	q.count = len(st.Entries)
-	for i, r := range st.Entries {
-		q.entries[i] = Request{Line: r.Line, Trigger: TriggerKind(r.Trigger)}
+	reqs, err := RestoreRequests(q.entries[:0], st.Entries)
+	if err != nil {
+		return err
 	}
-	q.Stats = Stats(st.Stats)
+	q.head = 0
+	q.count = len(reqs)
+	q.Stats = st.Stats
 	return nil
 }
 
@@ -103,7 +116,11 @@ func (n *NextLine) RestoreCheckpoint(st checkpoint.PrefetcherState) error {
 	if st.NextLine.Degree != n.Degree {
 		return fmt.Errorf("prefetch: checkpoint nextline degree %d, prefetcher has %d", st.NextLine.Degree, n.Degree)
 	}
+	pending, err := RestoreRequests(n.pending[:0], st.NextLine.Pending)
+	if err != nil {
+		return err
+	}
 	n.Emitted = st.NextLine.Emitted
-	n.pending = RestoreRequests(n.pending[:0], st.NextLine.Pending)
+	n.pending = pending
 	return nil
 }

@@ -5,6 +5,7 @@
 package prefetch
 
 import (
+	"pdip/internal/checkpoint"
 	"pdip/internal/invariant"
 	"pdip/internal/isa"
 	"pdip/internal/mem"
@@ -98,20 +99,7 @@ type Prefetcher interface {
 }
 
 // Stats aggregates prefetch-issue accounting maintained by the queue.
-type Stats struct {
-	// Enqueued counts requests accepted into the PQ.
-	Enqueued uint64
-	// DroppedQueueFull counts requests rejected because the PQ was full.
-	DroppedQueueFull uint64
-	// Issued counts prefetches sent to the hierarchy.
-	Issued uint64
-	// DroppedPresent counts prefetches discarded on L1I probe hit.
-	DroppedPresent uint64
-	// DroppedMSHR counts prefetches discarded for MSHR headroom.
-	DroppedMSHR uint64
-	// ByTrigger splits issued prefetches by trigger class (Figure 16).
-	ByTrigger [3]uint64
-}
+type Stats = checkpoint.QueueStats
 
 // Queue is the prefetch queue (PQ) of §5: a FIFO of prefetch target lines
 // that probes the L1I and issues fills only with MSHR headroom to spare.

@@ -18,17 +18,12 @@ func (r *RDIP) CaptureCheckpoint() checkpoint.PrefetcherState {
 		RAS:     append([]isa.Addr(nil), r.ras...),
 		Sig:     r.sig,
 		Pending: prefetch.CaptureRequests(r.pending),
-		Stats:   checkpoint.RDIPStats(r.Stats),
+		Stats:   r.Stats,
 	}
-	for si, set := range r.sets {
-		ws := make([]checkpoint.RDIPEntryState, len(set))
-		for wi, e := range set {
-			ws[wi] = checkpoint.RDIPEntryState{
-				Valid: e.valid,
-				Tag:   e.tag,
-				LRU:   e.lru,
-				Lines: append([]isa.Addr(nil), e.lines...),
-			}
+	for si := range r.sets {
+		ws := append([]checkpoint.RDIPEntryState(nil), r.sets[si]...)
+		for wi := range ws {
+			ws[wi].Lines = append([]isa.Addr(nil), ws[wi].Lines...)
 		}
 		st.Sets[si] = ws
 	}
@@ -49,18 +44,22 @@ func (r *RDIP) RestoreCheckpoint(st checkpoint.PrefetcherState) error {
 		if len(ws) != len(r.sets[si]) {
 			return fmt.Errorf("rdip: checkpoint set %d has %d ways, table has %d", si, len(ws), len(r.sets[si]))
 		}
-		for wi, es := range ws {
-			e := &r.sets[si][wi]
-			e.valid = es.Valid
-			e.tag = es.Tag
-			e.lru = es.LRU
-			e.lines = append(e.lines[:0], es.Lines...)
+	}
+	pending, err := prefetch.RestoreRequests(r.pending[:0], s.Pending)
+	if err != nil {
+		return err
+	}
+	for si, ws := range s.Sets {
+		for wi := range ws {
+			lines := append(r.sets[si][wi].Lines[:0], ws[wi].Lines...)
+			r.sets[si][wi] = ws[wi]
+			r.sets[si][wi].Lines = lines
 		}
 	}
 	r.tick = s.Tick
 	r.ras = append(r.ras[:0], s.RAS...)
 	r.sig = s.Sig
-	r.pending = prefetch.RestoreRequests(r.pending[:0], s.Pending)
-	r.Stats = Stats(s.Stats)
+	r.pending = pending
+	r.Stats = s.Stats
 	return nil
 }

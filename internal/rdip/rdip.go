@@ -10,6 +10,7 @@
 package rdip
 
 import (
+	"pdip/internal/checkpoint"
 	"pdip/internal/isa"
 	"pdip/internal/prefetch"
 )
@@ -38,27 +39,13 @@ func (c Config) StorageKB() float64 {
 	return float64(c.Sets*c.Ways*bitsPerEntry) / 8192.0
 }
 
-type entry struct {
-	valid bool
-	tag   uint32
-	lru   uint32
-	lines []isa.Addr
-}
-
 // Stats counts RDIP events.
-type Stats struct {
-	// ContextSwitches counts retired calls + returns.
-	ContextSwitches uint64
-	// Recorded counts miss lines recorded into contexts.
-	Recorded uint64
-	// Hits counts context switches that found a recorded miss set.
-	Hits uint64
-}
+type Stats = checkpoint.RDIPStats
 
 // RDIP is the prefetcher.
 type RDIP struct {
 	cfg  Config
-	sets [][]entry
+	sets [][]checkpoint.RDIPEntryState
 	tick uint32
 
 	// ras mirrors the call stack for signature computation.
@@ -76,11 +63,11 @@ func New(cfg Config) *RDIP {
 	if cfg.Sets == 0 {
 		cfg = DefaultConfig()
 	}
-	r := &RDIP{cfg: cfg, sets: make([][]entry, cfg.Sets)}
+	r := &RDIP{cfg: cfg, sets: make([][]checkpoint.RDIPEntryState, cfg.Sets)}
 	for i := range r.sets {
-		ways := make([]entry, cfg.Ways)
+		ways := make([]checkpoint.RDIPEntryState, cfg.Ways)
 		for w := range ways {
-			ways[w].lines = make([]isa.Addr, 0, cfg.LinesPerEntry)
+			ways[w].Lines = make([]isa.Addr, 0, cfg.LinesPerEntry)
 		}
 		r.sets[i] = ways
 	}
@@ -107,16 +94,16 @@ func (r *RDIP) OnLineRetired(ev prefetch.RetireEvent) {
 	}
 	set, tag := r.indexTag()
 	e := r.findOrAlloc(set, tag)
-	for _, l := range e.lines {
+	for _, l := range e.Lines {
 		if l == ev.Line {
 			return
 		}
 	}
-	if len(e.lines) >= r.cfg.LinesPerEntry {
-		copy(e.lines, e.lines[1:])
-		e.lines[len(e.lines)-1] = ev.Line
+	if len(e.Lines) >= r.cfg.LinesPerEntry {
+		copy(e.Lines, e.Lines[1:])
+		e.Lines[len(e.Lines)-1] = ev.Line
 	} else {
-		e.lines = append(e.lines, ev.Line)
+		e.Lines = append(e.Lines, ev.Line)
 	}
 	r.Stats.Recorded++
 }
@@ -137,11 +124,11 @@ func (r *RDIP) OnCallReturn(isCall bool, _ isa.Addr, returnAddr isa.Addr) {
 	set, tag := r.indexTag()
 	for w := range r.sets[set] {
 		e := &r.sets[set][w]
-		if e.valid && e.tag == tag {
+		if e.Valid && e.Tag == tag {
 			r.Stats.Hits++
 			r.tick++
-			e.lru = r.tick
-			for _, l := range e.lines {
+			e.LRU = r.tick
+			for _, l := range e.Lines {
 				r.pending = append(r.pending, prefetch.Request{Line: l, Trigger: prefetch.TriggerNone})
 			}
 			return
@@ -172,31 +159,31 @@ func (r *RDIP) indexTag() (int, uint32) {
 	return set, tag
 }
 
-func (r *RDIP) findOrAlloc(set int, tag uint32) *entry {
+func (r *RDIP) findOrAlloc(set int, tag uint32) *checkpoint.RDIPEntryState {
 	ways := r.sets[set]
 	r.tick++
 	for w := range ways {
-		if ways[w].valid && ways[w].tag == tag {
-			ways[w].lru = r.tick
+		if ways[w].Valid && ways[w].Tag == tag {
+			ways[w].LRU = r.tick
 			return &ways[w]
 		}
 	}
 	victim := 0
 	var oldest uint32 = ^uint32(0)
 	for w := range ways {
-		if !ways[w].valid {
+		if !ways[w].Valid {
 			victim = w
 			break
 		}
-		if ways[w].lru < oldest {
-			victim, oldest = w, ways[w].lru
+		if ways[w].LRU < oldest {
+			victim, oldest = w, ways[w].LRU
 		}
 	}
 	e := &ways[victim]
-	e.valid = true
-	e.tag = tag
-	e.lru = r.tick
-	e.lines = e.lines[:0]
+	e.Valid = true
+	e.Tag = tag
+	e.LRU = r.tick
+	e.Lines = e.Lines[:0]
 	return e
 }
 

@@ -118,3 +118,21 @@ func (w *Wrong) CaptureSource() checkpoint.SourceState {
 		},
 	}
 }
+
+// entries returns the live entries oldest-first (for checkpointing).
+func (m *rasMirror) entries() []isa.Addr {
+	out := make([]isa.Addr, 0, m.depth)
+	for i := 0; i < m.depth; i++ {
+		out = append(out, m.buf[(m.top+rasDepth-m.depth+i)%rasDepth])
+	}
+	return out
+}
+
+// restore rebuilds the stack from entries, oldest first.
+func (m *rasMirror) restore(entries []isa.Addr) {
+	m.buf = [rasDepth]isa.Addr{}
+	m.top, m.depth = 0, 0
+	for _, a := range entries {
+		m.push(a)
+	}
+}

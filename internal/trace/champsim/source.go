@@ -71,22 +71,6 @@ func (m *rasMirror) pop() (isa.Addr, bool) {
 	return m.buf[m.top], true
 }
 
-// entries returns the live entries oldest-first (for checkpointing).
-func (m *rasMirror) entries() []isa.Addr {
-	out := make([]isa.Addr, 0, m.depth)
-	for i := 0; i < m.depth; i++ {
-		out = append(out, m.buf[(m.top+rasDepth-m.depth+i)%rasDepth])
-	}
-	return out
-}
-
-func (m *rasMirror) restore(entries []isa.Addr) {
-	*m = rasMirror{}
-	for _, a := range entries {
-		m.push(a)
-	}
-}
-
 // Source adapts a ChampSim trace onto trace.OracleSource, in one of two
 // modes.
 //
