@@ -4,7 +4,7 @@
 GO ?= go
 
 .PHONY: all build fmt-check vet test race determinism golden check bench clean
-.PHONY: lint lint-fix-report check-invariant fuzz bench-track bench-diff bench-pair perf-smoke trace-suite socket fabric-smoke
+.PHONY: lint lint-fix-report check-invariant fuzz bench-track bench-diff bench-pair perf-smoke trace-suite socket fabric-smoke examples
 
 all: build
 
@@ -19,10 +19,10 @@ vet:
 	$(GO) vet ./...
 
 # Repo-specific static analysis (cmd/simlint): per-package analyzers
-# (determinism, counter ownership, port discipline, config geometry,
-# tenant namespaces) plus whole-program passes (checkpoint coverage,
-# escape-analysis hot-path gate, interprocedural determinism taint),
-# enforced at the offending line. Stdlib-only; see internal/lint.
+# (determinism over every importable package, counter ownership, port
+# discipline, tenant namespaces) plus whole-program passes (checkpoint
+# coverage, escape-analysis hot-path gate), enforced at the offending
+# line. Stdlib-only; see internal/lint.
 lint:
 	$(GO) run ./cmd/simlint ./...
 
@@ -87,6 +87,16 @@ fabric-smoke:
 	$(GO) run ./cmd/gridd run -grid smoke -workers 0 -checkpoint-dir "$$dir/ck2" -out "$$dir/serial.json" && \
 	cmp "$$dir/fabric.json" "$$dir/serial.json" && \
 	echo "fabric-smoke: distributed merged document is byte-identical to serial"
+
+# Build and run every program under examples/, failing on a non-zero
+# exit. Geometry is validated when a configuration is built (cache.New,
+# pdip.New), and the examples build their own (custom_workload makes its
+# own PDIP and core configuration), so each one has to run somewhere.
+examples:
+	@set -e; for d in examples/*/; do \
+		echo "examples: $$d"; \
+		$(GO) run ./$$d > /dev/null; \
+	done
 
 # Socket/multi-tenant gate: the 2-tenant interference + determinism
 # acceptance test, the shared-table and one-window contracts, and the

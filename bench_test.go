@@ -24,6 +24,7 @@ import (
 	"pdip/internal/isa"
 	"pdip/internal/mem"
 	ipdip "pdip/internal/pdip"
+	"pdip/internal/policy"
 	"pdip/internal/prefetch"
 	"pdip/internal/trace"
 	"pdip/internal/trace/champsim"
@@ -327,6 +328,48 @@ func BenchmarkMicroCoreStep(b *testing.B) {
 		b.Fatal(err)
 	}
 	reportSimCycles(b, co.Cycles()-start)
+}
+
+// BenchmarkMicroPolicyStep measures one cycle of a warmed kafka core —
+// the unit the zero-alloc contract is stated in — under each evaluated
+// prefetcher and L2 replacement policy, so the perf-smoke gate covers
+// the policies' hooks as well as the bare pipeline. The warmup grows
+// their tables and pools before the timed loop.
+func BenchmarkMicroPolicyStep(b *testing.B) {
+	prof, err := workload.ByName("kafka")
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := prof.Program()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, name := range []string{"pdip44", "eip46", "eip-analytical", "rdip", "fnl-mma",
+		"nextline", "emissary", "fec-ideal", "pdip44+emissary"} {
+		b.Run(name, func(b *testing.B) {
+			pol, err := policy.ByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			c := core.DefaultConfig()
+			c.Seed = 1
+			pol.Apply(&c)
+			s, err := core.NewSocket([]core.SocketTenant{{Prog: prog, Config: c}}, core.SocketConfig{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := s.Run(20_000); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			start := s.Cycles()
+			for i := 0; i < b.N; i++ {
+				s.Step()
+			}
+			reportSimCycles(b, s.Cycles()-start)
+		})
+	}
 }
 
 // BenchmarkMicroTraceReplay measures one decoded instruction off the

@@ -37,7 +37,6 @@ func main() {
 		warmup   = flag.Uint64("warmup", 0, "override warmup instructions")
 		measure  = flag.Uint64("measure", 0, "override measured instructions")
 		benchCSV = flag.String("benchmarks", "", "comma-separated benchmark subset (default: all 16)")
-		par      = flag.Int("parallel", 0, "max concurrent runs (0 = GOMAXPROCS)")
 		metrics  = flag.String("metrics", "", "after the experiment, write every executed run's full metrics registry as JSON to this path, keyed by benchmark/policy")
 		listB    = flag.Bool("list-benchmarks", false, "print Table 2 benchmark registry and exit")
 		listP    = flag.Bool("list-policies", false, "print Table 3 policy registry and exit")
@@ -119,7 +118,6 @@ func main() {
 			return
 		}
 	}
-	o.Parallelism = *par
 	o.NoFastForward = *noFF
 	o.TraceDir = *traceDir
 	o.TraceDifferential = *traceDif
@@ -137,7 +135,7 @@ func main() {
 		ck = pdip.NewCheckpointDir(*ckDir, 0)
 		defer gcCheckpoints(ck, *ckGCMB)
 	}
-	runner := pdip.NewRunnerWithDir(*par, ck)
+	runner := pdip.NewRunnerWithDir(0, ck)
 	var fleet *fabric.Fleet
 	if *fabricN > 0 {
 		// Route every cache-missing run through a localhost fleet whose
@@ -225,8 +223,8 @@ func reportStats(runner *pdip.Runner, fleet *fabric.Fleet) {
 		return
 	}
 	fmt.Fprintf(os.Stderr,
-		"experiments: checkpoints: %d forked runs from %d simulated warmups (%d in-memory hits, %d store-cache forks, %d disk hits, %d disk stores)\n",
-		ck.Forks, ck.WarmupsExecuted, ck.MemoryHits, ck.DirCacheHits, ck.DiskHits, ck.DiskStores)
+		"experiments: checkpoints: %d forked runs from %d simulated warmups (%d in-memory hits, %d store-cache forks, %d disk hits, %d disk stores, %d failed stores)\n",
+		ck.Forks, ck.WarmupsExecuted, ck.MemoryHits, ck.DirCacheHits, ck.DiskHits, ck.DiskStores, ck.DiskStoreFailures)
 }
 
 // gcCheckpoints trims the warm-state store to maxMB mebibytes, oldest

@@ -172,8 +172,8 @@ func reportStats(st fabric.Stats) {
 		st.Cells, st.Completed, st.Failed, st.Retries, st.Requeues, st.Workers)
 	ck := st.Runner.Checkpoint
 	fmt.Fprintf(os.Stderr,
-		"gridd: workers executed %d runs; checkpoints: %d forks from %d simulated warmups (%d memory hits, %d store-cache forks, %d disk hits, %d disk stores)\n",
-		st.Runner.RunsExecuted, ck.Forks, ck.WarmupsExecuted, ck.MemoryHits, ck.DirCacheHits, ck.DiskHits, ck.DiskStores)
+		"gridd: workers executed %d runs; checkpoints: %d forks from %d simulated warmups (%d memory hits, %d store-cache forks, %d disk hits, %d disk stores, %d failed stores)\n",
+		st.Runner.RunsExecuted, ck.Forks, ck.WarmupsExecuted, ck.MemoryHits, ck.DirCacheHits, ck.DiskHits, ck.DiskStores, ck.DiskStoreFailures)
 }
 
 // gcStore trims the warm-state store to maxMB mebibytes, oldest

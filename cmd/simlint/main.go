@@ -1,10 +1,10 @@
-// Command simlint runs the simulator's static-analysis suite: the
+// Command simlint runs the simulator's static-analysis suite: six
 // repo-specific analyzers built on the standard library's go/parser,
-// go/ast, and go/types only (see internal/lint for the list — per-package
-// checks plus the whole-program checkpoint-coverage, hot-path
-// escape-analysis, and determinism-taint passes). It exits 0 when the
-// checked packages are clean, 1 when any diagnostic fires, and 2 on load
-// errors.
+// go/ast, and go/types only (see internal/lint). determinism,
+// counterownership, portdiscipline and tenantnamespace check one package
+// at a time; checkpointcoverage and allocfree (the hot-path escape-analysis
+// gate) see the whole module at once. It exits 0 when the checked
+// packages are clean, 1 when any diagnostic fires, and 2 on load errors.
 //
 // Usage:
 //

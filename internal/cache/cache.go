@@ -105,6 +105,10 @@ func New(cfg Config) (*Cache, error) {
 		return nil, fmt.Errorf("cache %s: %dB/%d-way yields %d sets; must be a power of two",
 			cfg.Name, cfg.SizeBytes, cfg.Ways, numSets)
 	}
+	if cfg.ProtectedWays < 0 || cfg.ProtectedWays > cfg.Ways {
+		return nil, fmt.Errorf("cache %s: ProtectedWays %d outside [0, %d]: EMISSARY cannot protect more ways than exist",
+			cfg.Name, cfg.ProtectedWays, cfg.Ways)
+	}
 	if cfg.MSHRs <= 0 {
 		cfg.MSHRs = 16
 	}

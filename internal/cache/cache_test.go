@@ -186,6 +186,14 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Name: "bad", SizeBytes: 3 * 64, Ways: 1}); err == nil {
 		t.Fatal("non-power-of-two sets accepted")
 	}
+	for _, prot := range []int{-1, 9} {
+		if _, err := New(Config{Name: "bad", SizeBytes: 32 << 10, Ways: 8, ProtectedWays: prot}); err == nil {
+			t.Errorf("ProtectedWays %d on an 8-way cache accepted", prot)
+		}
+	}
+	if _, err := New(Config{Name: "ok", SizeBytes: 32 << 10, Ways: 8, ProtectedWays: 8}); err != nil {
+		t.Fatalf("ProtectedWays == Ways rejected: %v", err)
+	}
 }
 
 func TestContainsAfterFillProperty(t *testing.T) {

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -228,5 +230,33 @@ func TestCheckpointSharedDirCache(t *testing.T) {
 	sum.Add(r2.Stats())
 	if sum.Checkpoint.DirCacheHits != 1 || sum.Checkpoint.WarmupsExecuted != 1 {
 		t.Errorf("aggregated stats: %+v (want the cache fork to survive aggregation)", sum.Checkpoint)
+	}
+}
+
+// TestCheckpointSaveFailureForks holds the store to being a cache: a warm
+// state that cannot be saved (the store sits below a regular file) must
+// not fail the run, nor poison the tuple for later specs once the store
+// is writable again. Both runs fork the simulated state, equal Execute,
+// and the failed save is counted.
+func TestCheckpointSaveFailureForks(t *testing.T) {
+	dir := t.TempDir()
+	blocker := filepath.Join(dir, "blocker")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunnerWithCheckpoints(1, filepath.Join(blocker, "ck"))
+	spec := RunSpec{Benchmark: "kafka", Policy: "baseline", Warmup: 20_000, Measure: 20_000}
+	forkEquals(t, r, spec)
+	if s := r.CheckpointStats(); s.WarmupsExecuted != 1 || s.DiskStores != 0 || s.DiskStoreFailures != 1 {
+		t.Errorf("after the failed save: %+v (want 1 warmup, 0 stores, 1 failed store)", s)
+	}
+
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	spec.Measure = 30_000
+	forkEquals(t, r, spec)
+	if s := r.CheckpointStats(); s.WarmupsExecuted != 1 || s.Forks != 2 {
+		t.Errorf("same tuple after the store recovered: %+v (want the memoised warm state forked again)", s)
 	}
 }

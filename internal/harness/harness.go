@@ -29,8 +29,6 @@ type Options struct {
 	Warmup, Measure uint64
 	// Benchmarks restricts the benchmark set (nil = all 16).
 	Benchmarks []string
-	// Parallelism bounds concurrent runs (0 = GOMAXPROCS).
-	Parallelism int
 	// CollectSets enables FEC/coverage set collection on every run.
 	CollectSets bool
 	// NoFastForward disables idle-cycle fast-forward on every run (see
@@ -60,13 +58,6 @@ func (o Options) benchmarks() []string {
 		return o.Benchmarks
 	}
 	return workload.Names()
-}
-
-func (o Options) parallelism() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // RunSpec identifies one simulation run.
@@ -226,6 +217,7 @@ func (s *RunnerStats) Add(o RunnerStats) {
 	s.Checkpoint.DirCacheHits += o.Checkpoint.DirCacheHits
 	s.Checkpoint.DiskHits += o.Checkpoint.DiskHits
 	s.Checkpoint.DiskStores += o.Checkpoint.DiskStores
+	s.Checkpoint.DiskStoreFailures += o.Checkpoint.DiskStoreFailures
 }
 
 // CheckpointStats counts warm-state reuse for before/after reporting.
@@ -245,9 +237,14 @@ type CheckpointStats struct {
 	// for the decode.
 	DirCacheHits uint64
 	// DiskHits counts warm states read and decoded from the on-disk
-	// -checkpoint-dir store; DiskStores counts warm states written to it.
-	DiskHits   uint64
-	DiskStores uint64
+	// -checkpoint-dir store; DiskStores counts warm states written to it,
+	// and DiskStoreFailures the writes that failed (the run forks the
+	// simulated state regardless). The failure count is left out of the
+	// fabric's JSON stats while zero, so a healthy fleet's messages keep
+	// their bytes.
+	DiskHits          uint64
+	DiskStores        uint64
+	DiskStoreFailures uint64 `json:",omitempty"`
 }
 
 // Runner executes and memoises runs. Runs whose spec includes a warmup
@@ -482,11 +479,15 @@ func (r *Runner) buildWarmState(wk warmKey) (*checkpoint.State, error) {
 	r.mu.Unlock()
 
 	if key != "" {
-		if err := r.ck.Save(key, st); err != nil {
-			return nil, err
-		}
+		// The store is a cache: a failed save costs a later process its
+		// warmup, never this run, which forks the state just simulated.
+		err := r.ck.Save(key, st)
 		r.mu.Lock()
-		r.ckStats.DiskStores++
+		if err != nil {
+			r.ckStats.DiskStoreFailures++
+		} else {
+			r.ckStats.DiskStores++
+		}
 		r.mu.Unlock()
 	}
 	return st, nil

@@ -9,7 +9,10 @@ import (
 )
 
 // Determinism enforces the contracts behind bit-identical deterministic
-// replay in simulation packages (module/internal/...):
+// replay in every importable (non-main) package of the module — the
+// simulation packages under internal/ and any package they could import,
+// so a helper that reads the clock or leaks map order is flagged where it
+// is written, not where simulation code first calls it:
 //
 //   - no wall-clock time (time.Now and friends) — simulated time is the
 //     only clock;
@@ -38,7 +41,7 @@ func (*Determinism) Name() string { return "determinism" }
 
 // Doc implements Analyzer.
 func (*Determinism) Doc() string {
-	return "forbid wall-clock, global RNG, goroutines, and map-iteration-order dependence in simulation packages"
+	return "forbid wall-clock, global RNG, goroutines, and map-iteration-order dependence in every importable package"
 }
 
 // wallClockFuncs are the package time functions that read the host clock
@@ -58,10 +61,10 @@ var mutatingMetricMethods = map[string]bool{
 
 // Check implements Analyzer.
 func (d *Determinism) Check(p *Package, rep *Reporter) {
-	module := moduleOf(p.ImportPath)
-	if !isInternalPath(module, p.ImportPath) {
-		return
+	if p.Types.Name() == "main" {
+		return // a command cannot be imported, so simulation code never calls into it
 	}
+	module := moduleOf(p.ImportPath)
 	for _, file := range p.Files {
 		for _, imp := range file.Imports {
 			switch importPath(imp) {

@@ -4,16 +4,14 @@
 // would break them:
 //
 //   - determinism: no wall-clock time, no global RNG, no goroutines, and
-//     no map-iteration-order dependence in simulation packages — the
-//     contracts behind bit-identical deterministic replay (DESIGN.md
-//     §Observability).
+//     no map-iteration-order dependence in any importable (non-main)
+//     package — the contracts behind bit-identical deterministic replay
+//     (DESIGN.md §Observability), flagged where they are broken.
 //   - counterownership: every metrics counter is incremented only by the
 //     pipeline stage that owns its group (internal/core/metrics.go).
 //   - portdiscipline: all memory traffic flows through mem.Port; nothing
 //     outside internal/mem and internal/cache calls cache internals
 //     directly.
-//   - cfgbounds: cache/PDIP geometry literals satisfy the same rules the
-//     runtime validators enforce, so bad configs fail at lint time.
 //   - tenantnamespace: per-tenant metric namespaces are minted only by
 //     their owner — uncore.* inside internal/uncore, tenantN.* by nobody
 //     (it is synthesized at snapshot-merge time) — so no core-private
@@ -25,12 +23,8 @@
 //   - allocfree: the static twin of the perf-smoke zero-alloc gate —
 //     no heap allocation (per the compiler's own escape analysis) may be
 //     reachable through the call graph from a //lint:hotpath function.
-//   - determinismtaint: the interprocedural form of the determinism rule —
-//     a helper anywhere in the module that touches wall-clock time, global
-//     RNG, or map-iteration order taints every simulation-package caller
-//     transitively.
 //
-// The last three are whole-program analyzers (WholeProgram): they run over
+// The last two are whole-program analyzers (WholeProgram): they run over
 // a Program — every loaded package plus the package graph, the call graph,
 // and a facts store the per-package passes export into — mirroring the
 // shape of x/tools/go/analysis facts without the dependency.
@@ -78,11 +72,9 @@ func All() []Analyzer {
 		&Determinism{},
 		&CounterOwnership{},
 		&PortDiscipline{},
-		&CfgBounds{},
 		&TenantNamespace{},
 		&CheckpointCoverage{},
 		&AllocFree{},
-		&DeterminismTaint{},
 	}
 }
 
@@ -101,8 +93,8 @@ func (d Diagnostic) String() string {
 }
 
 // directive is one parsed //lint:ignore suppression. Used tracks whether
-// it suppressed (or blessed, for taint sources) anything this run; an
-// unused directive is stale and reported by ReportStale.
+// it suppressed anything this run; an unused directive is stale and
+// reported by ReportStale.
 type directive struct {
 	name string
 	pos  token.Position
@@ -201,12 +193,9 @@ func (r *Reporter) CheckDirectives() {
 	}
 }
 
-// Suppressed reports whether an ignore directive for analyzer covers pos,
-// marking any matching directive as used. Whole-program analyzers consult
-// it for decisions beyond plain report suppression (a suppressed
-// determinism source, for example, is blessed and does not taint its
-// callers).
-func (r *Reporter) Suppressed(analyzer string, pos token.Pos) bool {
+// suppressed reports whether an ignore directive for analyzer covers pos,
+// marking any matching directive as used.
+func (r *Reporter) suppressed(analyzer string, pos token.Pos) bool {
 	p := r.fset.Position(pos)
 	hit := false
 	for _, d := range r.ignores[p.Filename][p.Line] {
@@ -220,7 +209,7 @@ func (r *Reporter) Suppressed(analyzer string, pos token.Pos) bool {
 
 // Reportf records a diagnostic at pos unless an ignore directive covers it.
 func (r *Reporter) Reportf(analyzer string, pos token.Pos, format string, args ...any) {
-	if r.Suppressed(analyzer, pos) {
+	if r.suppressed(analyzer, pos) {
 		return
 	}
 	r.diag = append(r.diag, Diagnostic{

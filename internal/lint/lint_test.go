@@ -137,7 +137,8 @@ func TestCorpus(t *testing.T) {
 
 // TestRepoClean is the dogfooding gate: simlint over the real repository
 // must report zero diagnostics. Any new violation of the determinism,
-// ownership, port, or geometry contracts fails this test.
+// ownership, port, namespace, checkpoint-coverage, or hot-path contracts
+// fails this test.
 func TestRepoClean(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
@@ -156,8 +157,8 @@ func TestRepoClean(t *testing.T) {
 // names are part of the //lint:ignore interface.
 func TestAnalyzerMetadata(t *testing.T) {
 	wantNames := []string{
-		"determinism", "counterownership", "portdiscipline", "cfgbounds", "tenantnamespace",
-		"checkpointcoverage", "allocfree", "determinismtaint",
+		"determinism", "counterownership", "portdiscipline", "tenantnamespace",
+		"checkpointcoverage", "allocfree",
 	}
 	all := lint.All()
 	if len(all) != len(wantNames) {

@@ -136,12 +136,6 @@ func (f *Facts) ExportPackageFact(analyzer, path string, fact any) {
 	m[path] = fact
 }
 
-// PackageFact returns analyzer's fact about the package at path.
-func (f *Facts) PackageFact(analyzer, path string) (any, bool) {
-	fact, ok := f.pkg[analyzer][path]
-	return fact, ok
-}
-
 // PackageFactEntry is one exported fact with its package path.
 type PackageFactEntry struct {
 	Path string

@@ -1,16 +1,11 @@
-// Package cache is a miniature of the real cache level: the Config
-// geometry fields cfgbounds checks and the internal methods portdiscipline
-// guards.
+// Package cache is a miniature of the real cache level: the internal
+// methods portdiscipline guards.
 package cache
 
 // Config sizes one cache level.
 type Config struct {
-	Name          string
-	SizeBytes     int
-	Ways          int
-	HitLatency    int
-	MSHRs         int
-	ProtectedWays int
+	Name  string
+	MSHRs int
 }
 
 // Cache is one set-associative level.

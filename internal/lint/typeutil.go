@@ -2,9 +2,7 @@ package lint
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
-	"strings"
 )
 
 // namedOf unwraps pointers and returns the named type behind t, or nil.
@@ -65,13 +63,6 @@ func pkgFuncCall(p *Package, call *ast.CallExpr) (pkgPath, name string, ok bool)
 	return pn.Imported().Path(), sel.Sel.Name, true
 }
 
-// isInternalPath reports whether path is a simulation package of this
-// module (module/internal/...), which is where the determinism contract
-// applies.
-func isInternalPath(module, path string) bool {
-	return strings.HasPrefix(path, module+"/internal/")
-}
-
 // objOf resolves the object an identifier refers to (use or definition).
 func objOf(p *Package, id *ast.Ident) types.Object {
 	if o := p.Info.Uses[id]; o != nil {
@@ -83,36 +74,4 @@ func objOf(p *Package, id *ast.Ident) types.Object {
 // declaredWithin reports whether obj's declaration lies inside node.
 func declaredWithin(obj types.Object, node ast.Node) bool {
 	return obj != nil && obj.Pos() >= node.Pos() && obj.Pos() < node.End()
-}
-
-// constInt extracts an exact integer from a constant expression value,
-// returning ok=false for non-constant or non-integer expressions.
-func constInt(p *Package, e ast.Expr) (int64, bool) {
-	tv, ok := p.Info.Types[e]
-	if !ok || tv.Value == nil {
-		return 0, false
-	}
-	return exactInt(tv)
-}
-
-func exactInt(tv types.TypeAndValue) (int64, bool) {
-	v := constant.ToInt(tv.Value)
-	if v.Kind() != constant.Int {
-		return 0, false
-	}
-	return constant.Int64Val(v)
-}
-
-// constFloat extracts a float from a constant expression value.
-func constFloat(p *Package, e ast.Expr) (float64, bool) {
-	tv, ok := p.Info.Types[e]
-	if !ok || tv.Value == nil {
-		return 0, false
-	}
-	v := constant.ToFloat(tv.Value)
-	if v.Kind() != constant.Float && v.Kind() != constant.Int {
-		return 0, false
-	}
-	f, _ := constant.Float64Val(v)
-	return f, true
 }

@@ -13,6 +13,7 @@
 package pdip
 
 import (
+	"fmt"
 	"sort"
 
 	"pdip/internal/checkpoint"
@@ -108,9 +109,32 @@ type PDIP struct {
 	DebugLog func(kind string, trigger, line isa.Addr)
 }
 
+// validate checks the geometry the table layout and the §5.4 storage
+// accounting rest on. Zero selects a default and a negative MaskBits the
+// no-mask ablation, so both pass.
+func (c Config) validate() error {
+	switch {
+	case c.Sets < 0 || c.Ways < 0 || c.TargetsPerEntry < 0:
+		return fmt.Errorf("pdip: Sets %d, Ways %d, TargetsPerEntry %d must be non-negative (zero selects the paper default)",
+			c.Sets, c.Ways, c.TargetsPerEntry)
+	case c.MaskBits > 8:
+		return fmt.Errorf("pdip: MaskBits %d exceeds 8: the per-target successor mask is a uint8", c.MaskBits)
+	case c.TagBits < 0 || c.TagBits >= 32:
+		return fmt.Errorf("pdip: TagBits %d outside [0, 32): the partial tag is a uint32", c.TagBits)
+	case !(c.InsertProb >= 0 && c.InsertProb <= 1):
+		return fmt.Errorf("pdip: InsertProb %g outside [0, 1]", c.InsertProb)
+	}
+	return nil
+}
+
 // New builds a PDIP prefetcher; zero-value fields of cfg fall back to the
-// paper defaults.
+// paper defaults. Like cache.MustNew, it panics on geometry that
+// validate rejects, naming the broken rule: its callers are policy hooks
+// with no error return.
 func New(cfg Config) *PDIP {
+	if err := cfg.validate(); err != nil {
+		panic(err)
+	}
 	def := DefaultConfig()
 	if cfg.Sets == 0 {
 		cfg.Sets = def.Sets

@@ -1,6 +1,8 @@
 package pdip
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"pdip/internal/isa"
@@ -18,6 +20,46 @@ func TestStorageMatchesPaper(t *testing.T) {
 		if got := ConfigForWays(ways).StorageKB(); got != want {
 			t.Fatalf("ways=%d storage %.3f, want %.3f", ways, got, want)
 		}
+	}
+}
+
+// TestConfigValidation pins the geometry New rejects, each with a panic
+// naming the field: the mask must fit its uint8, the partial tag its
+// uint32, counts cannot be negative, and the insertion coin is a
+// probability. Zero fields (defaults) and the MaskBits = -1 no-mask
+// ablation still construct.
+func TestConfigValidation(t *testing.T) {
+	for _, tc := range []struct {
+		field  string
+		mutate func(*Config)
+	}{
+		{"MaskBits", func(c *Config) { c.MaskBits = 9 }},
+		{"TagBits", func(c *Config) { c.TagBits = -1 }},
+		{"TagBits", func(c *Config) { c.TagBits = 32 }},
+		{"Sets", func(c *Config) { c.Sets = -1 }},
+		{"Ways", func(c *Config) { c.Ways = -1 }},
+		{"TargetsPerEntry", func(c *Config) { c.TargetsPerEntry = -1 }},
+		{"InsertProb", func(c *Config) { c.InsertProb = -0.1 }},
+		{"InsertProb", func(c *Config) { c.InsertProb = 1.5 }},
+	} {
+		c := DefaultConfig()
+		tc.mutate(&c)
+		func() {
+			defer func() {
+				if r := recover(); !strings.Contains(fmt.Sprint(r), tc.field) {
+					t.Errorf("%+v: got panic %v, want a rejection naming %s", c, r, tc.field)
+				}
+			}()
+			New(c)
+		}()
+	}
+	nomask := DefaultConfig()
+	nomask.MaskBits = -1
+	if got := New(nomask).Config().MaskBits; got != 0 {
+		t.Errorf("MaskBits -1 built a %d-bit mask, want the no-mask ablation", got)
+	}
+	if got := New(Config{}).Config(); got.Sets != 512 || got.Ways != 8 || got.TagBits != 10 || got.InsertProb != 0.25 {
+		t.Errorf("all-zero config built %+v, want the paper defaults", got)
 	}
 }
 

@@ -41,7 +41,7 @@ type RunResult = harness.RunResult
 type Result = core.Result
 
 // Options scales a whole experiment (instruction budgets, benchmark
-// subset, parallelism).
+// subset, and knobs applied to every run).
 type Options = harness.Options
 
 // Runner executes and memoises simulation runs, warming each
