@@ -234,6 +234,22 @@ func reportSimCycles(b *testing.B, cycles int64) {
 	}
 }
 
+// BenchmarkProgramGenerate measures one cfg.Generate of cassandra, the
+// profile with the largest code footprint, per op: the set-up every
+// process that runs a grid pays once per benchmark.
+func BenchmarkProgramGenerate(b *testing.B) {
+	prof, err := workload.ByName("cassandra")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := cfg.Generate(prof.CFG); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkWalker measures the synthetic trace generator alone.
 func BenchmarkWalker(b *testing.B) {
 	p := cfg.DefaultParams()

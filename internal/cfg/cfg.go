@@ -14,6 +14,7 @@ package cfg
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"pdip/internal/isa"
@@ -103,7 +104,8 @@ type Params struct {
 
 	// CodeBase is the starting address for code layout.
 	CodeBase isa.Addr
-	// FuncAlign aligns function starts (bytes, power of two).
+	// FuncAlign aligns function starts (bytes, a power of two; 0 selects
+	// 64).
 	FuncAlign int
 }
 
@@ -142,66 +144,64 @@ func DefaultParams() Params {
 	}
 }
 
-// Terminator describes how control leaves a basic block.
+// Terminator describes how control leaves a basic block. It holds no
+// pointers: an indirect branch's targets live in its program's target
+// arena (Program.IndTargets).
 type Terminator struct {
+	// TakenProb is the taken probability for non-loop CondDirect.
+	TakenProb float64
+
+	// TakenBlock is the target block ID for direct branches (CondDirect
+	// taken-target, UncondDirect, DirectCall).
+	TakenBlock int32
+
+	// targetOff and numTargets locate the target block IDs of an indirect
+	// jump/call in the program's target arena.
+	targetOff uint32
+
+	// LoopTrip, if > 0, marks a CondDirect loop back-edge taken exactly
+	// LoopTrip-1 consecutive times then not taken (trip count LoopTrip).
+	LoopTrip uint16
+
 	// Kind is the branch kind of the block's final instruction;
 	// isa.NotBranch means pure fall-through into the next block.
 	Kind isa.BranchKind
 
-	// TakenBlock is the target block ID for direct branches (CondDirect
-	// taken-target, UncondDirect, DirectCall).
-	TakenBlock int
-
-	// TakenProb is the taken probability for non-loop CondDirect.
-	TakenProb float64
-	// LoopTrip, if > 0, marks a CondDirect loop back-edge taken exactly
-	// LoopTrip-1 consecutive times then not taken (trip count LoopTrip).
-	LoopTrip int
-
-	// IndTargets are the target block IDs of indirect jumps/calls, chosen
-	// uniformly at walk time.
-	IndTargets []int
+	numTargets uint8
 
 	// Dispatch marks the driver loop's indirect call: its target is the
 	// entry of a request handler chosen by the walker's dispatch policy
-	// rather than from IndTargets.
+	// rather than from its indirect targets.
 	Dispatch bool
 }
 
-// Block is one basic block.
+// Block is one basic block: a fixed-width, pointer-free record, so a
+// program's block table is one allocation the garbage collector never
+// scans. Its instruction sizes live in the program's instruction-size
+// arena (Program.InstSizes).
 type Block struct {
-	// ID is the block's index in Program.Blocks.
-	ID int
-	// Func is the ID of the owning function.
-	Func int
 	// Addr is the address of the block's first instruction.
 	Addr isa.Addr
-	// InstSizes holds the byte size of each instruction in order; the
-	// final instruction is the terminator when Term.Kind != NotBranch.
-	InstSizes []uint8
 	// Term describes the block's control-flow exit.
 	Term Terminator
+	// ID is the block's index in Program.Blocks; Func is the ID of the
+	// owning function.
+	ID, Func int32
+	// instOff is the index of the block's first instruction size in the
+	// arena; numInsts and size are its instruction count and byte size.
+	instOff  uint32
+	numInsts uint16
+	size     uint16
 }
 
 // NumInsts returns the number of instructions in the block.
-func (b *Block) NumInsts() int { return len(b.InstSizes) }
+func (b *Block) NumInsts() int { return int(b.numInsts) }
 
 // Size returns the block size in bytes.
-func (b *Block) Size() int {
-	n := 0
-	for _, s := range b.InstSizes {
-		n += int(s)
-	}
-	return n
-}
+func (b *Block) Size() int { return int(b.size) }
 
 // End returns the address one past the last byte of the block.
-func (b *Block) End() isa.Addr { return b.Addr + isa.Addr(b.Size()) }
-
-// LastPC returns the address of the block's final instruction.
-func (b *Block) LastPC() isa.Addr {
-	return b.End() - isa.Addr(b.InstSizes[len(b.InstSizes)-1])
-}
+func (b *Block) End() isa.Addr { return b.Addr + isa.Addr(b.size) }
 
 // Func is one function: a contiguous run of blocks.
 type Func struct {
@@ -229,6 +229,10 @@ type Program struct {
 	// Entry is the block ID where execution starts.
 	Entry int
 
+	// insts holds every block's instruction sizes, block after block;
+	// targets holds every indirect branch's target block IDs.
+	insts   []uint8
+	targets []int32
 	// blockStarts caches block start addresses for BlockAt binary search.
 	blockStarts []isa.Addr
 	// nHot caches the hot-function count for PickGlobalFunc.
@@ -242,14 +246,50 @@ type Program struct {
 // MaxLayer is the deepest call-graph layer; functions there make no calls.
 const MaxLayer = 4
 
+// Instruction sizes are drawn from [minInstSize, maxInstSize] bytes
+// (x86-like, mean ~4).
+const (
+	minInstSize = 2
+	maxInstSize = minInstSize + 5
+)
+
+// check rejects parameters the program layout cannot hold: a function
+// alignment that is not a power of two (the layout masks addresses with
+// it), a block longer than its count and byte-size fields, a loop trip
+// count past its field (and the walker's per-block loop counter), or an
+// indirect fan-out wider than its count field.
+func (p *Params) check() error {
+	if p.NumFuncs <= 0 {
+		return fmt.Errorf("cfg: NumFuncs must be positive, got %d", p.NumFuncs)
+	}
+	if p.BlocksPerFuncMean < 1 || p.InstsPerBlockMean < 1 {
+		return fmt.Errorf("cfg: block/inst means must be >= 1")
+	}
+	if p.FuncAlign < 0 || p.FuncAlign&(p.FuncAlign-1) != 0 {
+		return fmt.Errorf("cfg: FuncAlign must be a power of two, got %d", p.FuncAlign)
+	}
+	// The longest block Generate can draw (see layout) must fit a block's
+	// instruction count and byte size.
+	if longest := p.InstsPerBlockMean*5 + 2; longest*maxInstSize > math.MaxUint16 {
+		return fmt.Errorf("cfg: InstsPerBlockMean %g allows blocks of %.0f instructions, more than a block holds (%d bytes)",
+			p.InstsPerBlockMean, longest, math.MaxUint16)
+	}
+	// The longest trip genTerminator can draw must fit LoopTrip.
+	if longest := p.LoopTripMean*4 + 2; longest > math.MaxUint16 {
+		return fmt.Errorf("cfg: LoopTripMean %g allows loops of %.0f trips, more than a loop holds (%d)",
+			p.LoopTripMean, longest, math.MaxUint16)
+	}
+	if p.IndirectTargets > math.MaxUint8 {
+		return fmt.Errorf("cfg: IndirectTargets must be at most %d, got %d", math.MaxUint8, p.IndirectTargets)
+	}
+	return nil
+}
+
 // Generate builds a program from params. Generation is deterministic in
 // Params (including Seed).
 func Generate(p Params) (*Program, error) {
-	if p.NumFuncs <= 0 {
-		return nil, fmt.Errorf("cfg: NumFuncs must be positive, got %d", p.NumFuncs)
-	}
-	if p.BlocksPerFuncMean < 1 || p.InstsPerBlockMean < 1 {
-		return nil, fmt.Errorf("cfg: block/inst means must be >= 1")
+	if err := p.check(); err != nil {
+		return nil, err
 	}
 	if p.FuncAlign == 0 {
 		p.FuncAlign = 64
@@ -260,74 +300,18 @@ func Generate(p Params) (*Program, error) {
 	r := rng.New(p.Seed)
 	prog := &Program{Params: p}
 
-	// layerOf interleaves layers in index (and therefore address) space
-	// with fractions 8/4/2/1/1 per 16 functions, so call-locality
-	// neighbourhoods always contain every layer.
-	layerOf := func(i int) int {
-		switch m := i % 16; {
-		case m < 8:
-			return 0
-		case m < 12:
-			return 1
-		case m < 14:
-			return 2
-		case m < 15:
-			return 3
-		default:
-			return 4
-		}
-	}
-
 	// Pass 1: create functions and blocks with sizes; lay out addresses.
-	// Function 0 is the driver: a tiny dispatch loop that indirect-calls a
-	// request handler (layer-0 function) and loops. Handlers return here,
-	// so returns are RAS-predictable; the dispatch indirect call is the
-	// (realistically) hard-to-predict site.
-	addr := p.CodeBase
-	{
-		mkBlock := func(nInsts int) Block {
-			sizes := make([]uint8, nInsts)
-			for i := range sizes {
-				sizes[i] = uint8(2 + r.Intn(6))
-			}
-			blk := Block{ID: len(prog.Blocks), Func: 0, Addr: addr, InstSizes: sizes}
-			addr += isa.Addr(blk.Size())
-			prog.Blocks = append(prog.Blocks, blk)
-			return blk
-		}
-		mkBlock(4)
-		mkBlock(3)
-		prog.Blocks[0].Term = Terminator{Kind: isa.IndirectCall, Dispatch: true}
-		prog.Blocks[1].Term = Terminator{Kind: isa.UncondDirect, TakenBlock: 0}
-		prog.Funcs = append(prog.Funcs, Func{ID: 0, FirstBlock: 0, NumBlocks: 2, Layer: 0})
+	// A dry run on a copy of the generator makes the same draws and only
+	// counts, so the tables are allocated once at their exact size.
+	dry := *r
+	nBlocks, nInsts := layout(&dry, p, nil)
+	if nBlocks > math.MaxInt32 || uint64(nInsts) > math.MaxUint32 {
+		return nil, fmt.Errorf("cfg: %d blocks of %d instructions exceed the program layout", nBlocks, nInsts)
 	}
-	for f := 1; f < p.NumFuncs; f++ {
-		align := isa.Addr(p.FuncAlign)
-		addr = (addr + align - 1) &^ (align - 1)
-		nBlocks := r.Geometric(p.BlocksPerFuncMean, int(p.BlocksPerFuncMean*6)+2)
-		if nBlocks < 2 {
-			nBlocks = 2 // entry block + return block at minimum
-		}
-		fn := Func{ID: f, FirstBlock: len(prog.Blocks), NumBlocks: nBlocks, Layer: layerOf(f)}
-		fn.Hot = r.Bool(p.HotFuncFrac)
-		for b := 0; b < nBlocks; b++ {
-			nInsts := r.Geometric(p.InstsPerBlockMean, int(p.InstsPerBlockMean*5)+2)
-			sizes := make([]uint8, nInsts)
-			for i := range sizes {
-				// x86-like: 2..7 bytes, mean ~4.
-				sizes[i] = uint8(2 + r.Intn(6))
-			}
-			blk := Block{
-				ID:        len(prog.Blocks),
-				Func:      f,
-				Addr:      addr,
-				InstSizes: sizes,
-			}
-			addr += isa.Addr(blk.Size())
-			prog.Blocks = append(prog.Blocks, blk)
-		}
-		prog.Funcs = append(prog.Funcs, fn)
-	}
+	prog.Blocks = make([]Block, 0, nBlocks)
+	prog.insts = make([]uint8, 0, nInsts)
+	prog.Funcs = make([]Func, 0, p.NumFuncs)
+	layout(r, p, prog)
 
 	prog.layerFuncs = make([][]int, MaxLayer+1)
 	for _, fn := range prog.Funcs {
@@ -357,6 +341,10 @@ func Generate(p Params) (*Program, error) {
 			blk.Term = prog.genTerminator(r, fn, b, weights, kinds)
 		}
 	}
+	if uint64(len(prog.targets)) > math.MaxUint32 {
+		return nil, fmt.Errorf("cfg: %d indirect targets exceed the program layout", len(prog.targets))
+	}
+	prog.targets = append([]int32(nil), prog.targets...) // drop the growth slack
 
 	// Execution starts in the driver loop.
 	prog.Entry = 0
@@ -366,6 +354,81 @@ func Generate(p Params) (*Program, error) {
 		prog.blockStarts[i] = prog.Blocks[i].Addr
 	}
 	return prog, nil
+}
+
+// layout makes pass 1's draws: function 0's two driver blocks, then each
+// further function's block count and hot bit and each block's
+// instruction sizes. It returns how many blocks and instructions it
+// drew. With prog nil it only draws and counts; otherwise it appends the
+// functions, blocks and sizes to prog's tables, laying addresses out from
+// CodeBase.
+func layout(r *rng.RNG, p Params, prog *Program) (blocks, insts int) {
+	addr := p.CodeBase
+	block := func(f, n int) {
+		blocks++
+		insts += n
+		if prog == nil {
+			for i := 0; i < n; i++ {
+				r.Intn(maxInstSize - minInstSize + 1)
+			}
+			return
+		}
+		blk := Block{ID: int32(len(prog.Blocks)), Func: int32(f), Addr: addr, instOff: uint32(len(prog.insts)), numInsts: uint16(n)}
+		for i := 0; i < n; i++ {
+			sz := uint8(minInstSize + r.Intn(maxInstSize-minInstSize+1))
+			prog.insts = append(prog.insts, sz)
+			blk.size += uint16(sz)
+		}
+		addr += isa.Addr(blk.size)
+		prog.Blocks = append(prog.Blocks, blk)
+	}
+
+	// Function 0 is the driver: a tiny dispatch loop that indirect-calls a
+	// request handler (layer-0 function) and loops. Handlers return here,
+	// so returns are RAS-predictable; the dispatch indirect call is the
+	// (realistically) hard-to-predict site.
+	block(0, 4)
+	block(0, 3)
+	if prog != nil {
+		prog.Blocks[0].Term = Terminator{Kind: isa.IndirectCall, Dispatch: true}
+		prog.Blocks[1].Term = Terminator{Kind: isa.UncondDirect, TakenBlock: 0}
+		prog.Funcs = append(prog.Funcs, Func{ID: 0, FirstBlock: 0, NumBlocks: 2, Layer: 0})
+	}
+	align := isa.Addr(p.FuncAlign)
+	for f := 1; f < p.NumFuncs; f++ {
+		addr = (addr + align - 1) &^ (align - 1)
+		nBlocks := r.Geometric(p.BlocksPerFuncMean, int(p.BlocksPerFuncMean*6)+2)
+		if nBlocks < 2 {
+			nBlocks = 2 // entry block + return block at minimum
+		}
+		fn := Func{ID: f, FirstBlock: blocks, NumBlocks: nBlocks, Layer: layerOf(f)}
+		fn.Hot = r.Bool(p.HotFuncFrac)
+		for b := 0; b < nBlocks; b++ {
+			block(f, r.Geometric(p.InstsPerBlockMean, int(p.InstsPerBlockMean*5)+2))
+		}
+		if prog != nil {
+			prog.Funcs = append(prog.Funcs, fn)
+		}
+	}
+	return blocks, insts
+}
+
+// layerOf interleaves layers in index (and therefore address) space with
+// fractions 8/4/2/1/1 per 16 functions, so call-locality neighbourhoods
+// always contain every layer.
+func layerOf(i int) int {
+	switch m := i % 16; {
+	case m < 8:
+		return 0
+	case m < 12:
+		return 1
+	case m < 14:
+		return 2
+	case m < 15:
+		return 3
+	default:
+		return 4
+	}
 }
 
 // MustGenerate is Generate that panics on error, for tests and examples
@@ -397,8 +460,8 @@ func (prog *Program) genTerminator(r *rng.RNG, fn *Func, b int, weights []float6
 			if reach > b {
 				reach = b
 			}
-			t.TakenBlock = fn.FirstBlock + b - reach
-			t.LoopTrip = 1 + r.Geometric(prog.Params.LoopTripMean, int(prog.Params.LoopTripMean*4)+1)
+			t.TakenBlock = int32(fn.FirstBlock + b - reach)
+			t.LoopTrip = uint16(1 + r.Geometric(prog.Params.LoopTripMean, int(prog.Params.LoopTripMean*4)+1))
 		} else {
 			// Easy branches take short forward skips: compilers lay hot
 			// paths out straight, so their taken targets land a block or
@@ -417,7 +480,7 @@ func (prog *Program) genTerminator(r *rng.RNG, fn *Func, b int, weights []float6
 			if max := fn.NumBlocks - b - 1; skip > max {
 				skip = max
 			}
-			t.TakenBlock = fn.FirstBlock + b + skip
+			t.TakenBlock = int32(fn.FirstBlock + b + skip)
 			if hard {
 				// Hard branches are majority-taken long forward skips
 				// guarding a cold slow path: the predictor learns
@@ -446,9 +509,9 @@ func (prog *Program) genTerminator(r *rng.RNG, fn *Func, b int, weights []float6
 		if max := fn.NumBlocks - b - 1; skip > max {
 			skip = max
 		}
-		t.TakenBlock = fn.FirstBlock + b + skip
+		t.TakenBlock = int32(fn.FirstBlock + b + skip)
 	case isa.DirectCall:
-		t.TakenBlock = prog.Funcs[prog.pickCallee(r, fn.ID)].FirstBlock
+		t.TakenBlock = int32(prog.Funcs[prog.pickCallee(r, fn.ID)].FirstBlock)
 	case isa.IndirectJump:
 		n := prog.Params.IndirectTargets
 		if n < 2 {
@@ -456,22 +519,22 @@ func (prog *Program) genTerminator(r *rng.RNG, fn *Func, b int, weights []float6
 		}
 		// Forward-only, like UncondDirect: switch dispatch to later arms,
 		// spread a little wider than plain jumps.
-		t.IndTargets = make([]int, n)
-		for i := range t.IndTargets {
+		t.targetOff, t.numTargets = uint32(len(prog.targets)), uint8(n)
+		for i := 0; i < n; i++ {
 			skip := r.Geometric(5, 16)
 			if max := fn.NumBlocks - b - 1; skip > max {
 				skip = max
 			}
-			t.IndTargets[i] = fn.FirstBlock + b + skip
+			prog.targets = append(prog.targets, int32(fn.FirstBlock+b+skip))
 		}
 	case isa.IndirectCall:
 		n := prog.Params.IndirectTargets
 		if n < 2 {
 			n = 2
 		}
-		t.IndTargets = make([]int, n)
-		for i := range t.IndTargets {
-			t.IndTargets[i] = prog.Funcs[prog.pickCallee(r, fn.ID)].FirstBlock
+		t.targetOff, t.numTargets = uint32(len(prog.targets)), uint8(n)
+		for i := 0; i < n; i++ {
+			prog.targets = append(prog.targets, int32(prog.Funcs[prog.pickCallee(r, fn.ID)].FirstBlock))
 		}
 	case isa.Return:
 	}
@@ -581,6 +644,27 @@ func (prog *Program) PickGlobalFunc(r *rng.RNG) int {
 		}
 	}
 	return r.Intn(len(prog.Funcs))
+}
+
+// InstSizes returns the byte size of each of b's instructions in order;
+// the final instruction is the terminator when b.Term.Kind != NotBranch.
+// The slice aliases the program and must not be modified.
+func (prog *Program) InstSizes(b *Block) []uint8 {
+	end := b.instOff + uint32(b.numInsts)
+	return prog.insts[b.instOff:end:end]
+}
+
+// IndTargets returns the target block IDs of b's indirect jump or call
+// (none for other terminators). The slice aliases the program and must
+// not be modified.
+func (prog *Program) IndTargets(b *Block) []int32 {
+	end := b.Term.targetOff + uint32(b.Term.numTargets)
+	return prog.targets[b.Term.targetOff:end:end]
+}
+
+// LastPC returns the address of b's final instruction.
+func (prog *Program) LastPC(b *Block) isa.Addr {
+	return b.End() - isa.Addr(prog.insts[b.instOff+uint32(b.numInsts)-1])
 }
 
 // BlockAt returns the block containing addr, or nil if addr is outside the

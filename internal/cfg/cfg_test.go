@@ -1,8 +1,10 @@
 package cfg
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"pdip/internal/isa"
 	"pdip/internal/rng"
@@ -28,17 +30,77 @@ func TestGenerateDeterminism(t *testing.T) {
 	}
 }
 
+// TestGenerateValidation feeds Generate empty shapes and parameters the
+// program layout cannot hold. Each must fail instead of yielding
+// overlapping blocks (a negative alignment), unaligned functions (an
+// alignment the address mask cannot express), truncated block fields, or
+// loops whose trip count wraps the walker's counter and never exit.
 func TestGenerateValidation(t *testing.T) {
-	p := smallParams(1)
-	p.NumFuncs = 0
-	if _, err := Generate(p); err == nil {
-		t.Fatal("NumFuncs=0 accepted")
+	for _, tc := range []struct {
+		name string
+		set  func(*Params)
+		ok   bool
+	}{
+		{"NumFuncs 0", func(p *Params) { p.NumFuncs = 0 }, false},
+		{"BlocksPerFuncMean 0", func(p *Params) { p.BlocksPerFuncMean = 0 }, false},
+		{"FuncAlign -64", func(p *Params) { p.FuncAlign = -64 }, false},
+		{"FuncAlign 48", func(p *Params) { p.FuncAlign = 48 }, false},
+		{"FuncAlign 0 (default)", func(p *Params) { p.FuncAlign = 0 }, true},
+		{"FuncAlign 1", func(p *Params) { p.FuncAlign = 1 }, true},
+		{"FuncAlign 4096", func(p *Params) { p.FuncAlign = 4096 }, true},
+		{"InstsPerBlockMean past a block's byte size", func(p *Params) { p.InstsPerBlockMean = 2000 }, false},
+		{"InstsPerBlockMean 1e300", func(p *Params) { p.InstsPerBlockMean = 1e300 }, false},
+		{"InstsPerBlockMean 22 (verilator)", func(p *Params) { p.InstsPerBlockMean = 22 }, true},
+		{"LoopTripMean past a loop's trip count", func(p *Params) { p.LoopTripMean = 20000 }, false},
+		{"LoopTripMean 5 (workloads)", func(p *Params) { p.LoopTripMean = 5 }, true},
+		{"IndirectTargets 256", func(p *Params) { p.IndirectTargets = 256 }, false},
+		{"IndirectTargets 255", func(p *Params) { p.IndirectTargets = 255 }, true},
+	} {
+		p := smallParams(14)
+		tc.set(&p)
+		prog, err := Generate(p)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Generate error = %v, want ok=%v", tc.name, err, tc.ok)
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		for i := 1; i < len(prog.Blocks); i++ {
+			if prog.Blocks[i].Addr < prog.Blocks[i-1].End() {
+				t.Fatalf("%s: block %d overlaps block %d", tc.name, i, i-1)
+			}
+		}
+		for _, fn := range prog.Funcs[1:] {
+			if a := prog.Blocks[fn.FirstBlock].Addr; a%isa.Addr(prog.Params.FuncAlign) != 0 {
+				t.Fatalf("%s: function %d starts at %v, not %d-aligned", tc.name, fn.ID, a, prog.Params.FuncAlign)
+			}
+		}
 	}
-	p = smallParams(1)
-	p.BlocksPerFuncMean = 0
-	if _, err := Generate(p); err == nil {
-		t.Fatal("BlocksPerFuncMean=0 accepted")
+}
+
+// TestBlockIsFlat pins the block record's layout: no pointers (the block
+// table is one allocation the garbage collector never scans) and at most
+// 48 bytes.
+func TestBlockIsFlat(t *testing.T) {
+	if size := unsafe.Sizeof(Block{}); size > 48 {
+		t.Errorf("cfg.Block is %d bytes, want at most 48", size)
 	}
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(typ.Field(i).Type, path+"."+typ.Field(i).Name)
+			}
+		case reflect.Array:
+			walk(typ.Elem(), path+"[]")
+		case reflect.Pointer, reflect.Slice, reflect.Map, reflect.String,
+			reflect.Interface, reflect.Func, reflect.Chan, reflect.UnsafePointer:
+			t.Errorf("%s is a %s, which holds a pointer", path, typ.Kind())
+		}
+	}
+	walk(reflect.TypeOf(Block{}), "cfg.Block")
 }
 
 func TestDriverStructure(t *testing.T) {
@@ -76,7 +138,7 @@ func TestLayerDAG(t *testing.T) {
 			if blk.Term.Dispatch {
 				continue
 			}
-			for _, tgt := range blk.Term.IndTargets {
+			for _, tgt := range prog.IndTargets(&blk) {
 				callee := prog.Funcs[prog.Blocks[tgt].Func]
 				if callee.Layer != caller.Layer+1 {
 					t.Fatalf("indirect call from layer %d to layer %d", caller.Layer, callee.Layer)
@@ -97,7 +159,7 @@ func TestForwardOnlyJumps(t *testing.T) {
 	prog := MustGenerate(smallParams(4))
 	for _, blk := range prog.Blocks {
 		fn := prog.Funcs[blk.Func]
-		rel := blk.ID - fn.FirstBlock
+		rel := int(blk.ID) - fn.FirstBlock
 		switch blk.Term.Kind {
 		case isa.UncondDirect:
 			if blk.Func == 0 {
@@ -107,13 +169,13 @@ func TestForwardOnlyJumps(t *testing.T) {
 				t.Fatalf("unconditional backward/self jump at block %d", blk.ID)
 			}
 		case isa.IndirectJump:
-			for _, tgt := range blk.Term.IndTargets {
+			for _, tgt := range prog.IndTargets(&blk) {
 				if tgt <= blk.ID {
 					t.Fatalf("indirect backward/self jump at block %d", blk.ID)
 				}
 			}
 		case isa.CondDirect:
-			tgtRel := blk.Term.TakenBlock - fn.FirstBlock
+			tgtRel := int(blk.Term.TakenBlock) - fn.FirstBlock
 			if blk.Term.LoopTrip > 0 {
 				if tgtRel >= rel {
 					t.Fatalf("loop back-edge not backward at block %d", blk.ID)
@@ -140,7 +202,7 @@ func TestBlockAt(t *testing.T) {
 	for bi := range prog.Blocks {
 		blk := &prog.Blocks[bi]
 		pc := blk.Addr
-		for _, sz := range blk.InstSizes {
+		for _, sz := range prog.InstSizes(blk) {
 			got := prog.BlockAt(pc)
 			if got == nil || got.ID != blk.ID {
 				t.Fatalf("BlockAt(%v) did not find block %d", pc, blk.ID)

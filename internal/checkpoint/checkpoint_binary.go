@@ -781,3 +781,52 @@ func (d *decoder) column(first unsafe.Pointer, n int, size uintptr, kind opKind)
 		}
 	}
 }
+
+// ---------------------------------------------------------------------------
+// Footprint
+
+// Footprint returns the bytes st holds in memory: the State itself plus
+// every slice backing array, pointee and string it reaches, found by
+// walking the codec's plan (nothing is encoded). It is the cost a Dir
+// charges a cached state, so a Dir's budget bounds resident memory.
+// Allocator size-class rounding is not counted.
+func Footprint(st *State) int64 {
+	p, err := statePlan()
+	if err != nil {
+		return int64(unsafe.Sizeof(*st))
+	}
+	return int64(p.size) + footprint(unsafe.Pointer(st), p)
+}
+
+// footprint sums what the value at base reaches beyond its own inline
+// bytes, by plan p.
+func footprint(base unsafe.Pointer, p *plan) int64 {
+	var n int64
+	for i := range p.ops {
+		o := &p.ops[i]
+		at := unsafe.Add(base, o.off)
+		switch o.kind {
+		case opStr:
+			n += int64(len(*(*string)(at)))
+		case opPtr:
+			if q := *(*unsafe.Pointer)(at); q != nil {
+				n += int64(o.sub.size) + footprint(q, o.sub)
+			}
+		case opBytes:
+			n += int64(cap(*(*[]byte)(at)))
+		case opBools:
+			n += int64(cap(*(*[]bool)(at)))
+		case opSlice:
+			s := (*sliceHeader)(at)
+			n += int64(s.cap) * int64(o.sub.size)
+			if !o.sub.flat {
+				for i := 0; i < s.len; i++ {
+					n += footprint(unsafe.Add(s.data, uintptr(i)*o.sub.size), o.sub)
+				}
+			}
+		case opSection:
+			n += footprint(at, o.sub)
+		}
+	}
+	return n
+}

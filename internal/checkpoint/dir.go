@@ -43,10 +43,9 @@ func path(dir, key string) string {
 }
 
 // save writes st under key in dir, creating the directory as needed, and
-// returns the encoded size (the Dir cache's cost unit). The write goes
-// through a temp file and an atomic rename so concurrent processes warming
-// the same cell never observe a partial checkpoint — last writer wins with
-// identical bytes.
+// returns the encoded size. The write goes through a temp file and an
+// atomic rename so concurrent processes warming the same cell never
+// observe a partial checkpoint — last writer wins with identical bytes.
 func save(dir, key string, st *State) (int64, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, fmt.Errorf("checkpoint: save: %w", err)
@@ -75,10 +74,10 @@ func save(dir, key string, st *State) (int64, error) {
 	return int64(buf.Len()), nil
 }
 
-// DefaultCacheBytes is Dir's default in-memory cache budget. Cost is
-// accounted in encoded bytes (the decoded footprint is a few times
-// larger), so the default keeps roughly a few hundred warm states
-// resident — far more tuples than any one grid touches.
+// DefaultCacheBytes is Dir's default in-memory cache budget, in decoded
+// bytes (Footprint). A warmed default-machine core decodes to ~1.7 MiB,
+// so the default keeps ~150 warm states resident — more tuples than one
+// grid of the paper's figures touches (Fig 10 has 112).
 const DefaultCacheBytes = 256 << 20
 
 // Dir is a content-addressed warm-state store: the on-disk checkpoint
@@ -87,7 +86,12 @@ const DefaultCacheBytes = 256 << 20
 // later fork gets the already-decoded *State back directly. Cached states
 // are shared across callers, which is safe because restore code treats a
 // State as read-only (the same contract that lets one snapshot fork
-// concurrently).
+// concurrently). Each cached state is charged its decoded footprint, so
+// the budget bounds the memory the cache actually holds.
+//
+// A Dir with an empty path is memory-only: it never reads, writes,
+// touches or collects files, and Load finds only what Save or Put put in
+// memory.
 //
 // All methods are safe for concurrent use; concurrent Loads of the same
 // key are singleflighted so a cold tuple is read and decoded once, not
@@ -156,14 +160,14 @@ func (l *dirList) moveFront(e *dirEntry) {
 type dirLoad struct {
 	done chan struct{}
 	st   *State
-	cost int64
 	err  error
 }
 
 // DirStats counts the store's traffic since construction.
 type DirStats struct {
-	// CacheHits counts Loads served decoded from memory (including
-	// singleflight waiters that blocked on a leader's disk load).
+	// CacheHits counts Loads and Gets served decoded from memory
+	// (including singleflight waiters that blocked on a leader's disk
+	// load).
 	CacheHits uint64
 	// DiskHits counts Loads that found and decoded an on-disk checkpoint.
 	DiskHits uint64
@@ -176,9 +180,10 @@ type DirStats struct {
 }
 
 // NewDir opens the checkpoint directory at path with an in-memory cache
-// budget of cacheBytes encoded bytes. cacheBytes == 0 selects
+// budget of cacheBytes decoded bytes. cacheBytes == 0 selects
 // DefaultCacheBytes; cacheBytes < 0 disables the in-memory cache (every
-// Load decodes from disk). The directory is created lazily on first Save.
+// Load decodes from disk). The directory is created lazily on first Save;
+// an empty path makes the store memory-only.
 func NewDir(path string, cacheBytes int64) *Dir {
 	if cacheBytes == 0 {
 		cacheBytes = DefaultCacheBytes
@@ -232,13 +237,14 @@ func (d *Dir) Load(key string) (st *State, cached bool, err error) {
 	d.inflight[key] = c
 	d.mu.Unlock()
 
-	c.st, c.cost, c.err = d.loadDisk(key)
+	c.st, c.err = d.loadDisk(key)
+	cost := d.charge(c.st)
 
 	d.mu.Lock()
 	delete(d.inflight, key)
 	if c.st != nil {
 		d.stats.DiskHits++
-		d.insertLocked(key, c.st, c.cost)
+		d.insertLocked(key, c.st, cost)
 	} else {
 		d.stats.Misses++
 	}
@@ -247,38 +253,87 @@ func (d *Dir) Load(key string) (st *State, cached bool, err error) {
 	return c.st, false, c.err
 }
 
-// loadDisk reads and decodes key's file. The decoded cost is the encoded
-// length — the unit the cache budget is accounted in.
-func (d *Dir) loadDisk(key string) (*State, int64, error) {
+// loadDisk reads and decodes key's file; a memory-only Dir has none.
+func (d *Dir) loadDisk(key string) (*State, error) {
+	if d.path == "" {
+		return nil, nil
+	}
 	b, err := os.ReadFile(path(d.path, key))
 	if err != nil {
-		return nil, 0, nil // not stored: a plain miss, not an error
+		return nil, nil // not stored: a plain miss, not an error
 	}
 	st, err := DecodeBytes(b)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	d.touch(key)
-	return st, int64(len(b)), nil
+	return st, nil
+}
+
+// Get returns the state cached in memory under key, or nil. Unlike Load
+// it never reads or touches the disk; a hit counts as a cache hit and
+// refreshes the entry's recency.
+func (d *Dir) Get(key string) *State {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	e, ok := d.entries[key]
+	if !ok {
+		return nil
+	}
+	d.lru.moveFront(e)
+	d.stats.CacheHits++
+	return e.st
 }
 
 // Save writes st under key (atomic temp-file + rename, see save) and
 // installs the decoded state in the in-memory cache, so the tuple that
-// was just warmed forks from memory from the start.
+// was just warmed forks from memory from the start. A memory-only Dir
+// only installs it.
 func (d *Dir) Save(key string, st *State) error {
-	n, err := save(d.path, key, st)
-	if err != nil {
-		return err
+	if d.path != "" {
+		if _, err := save(d.path, key, st); err != nil {
+			return err
+		}
 	}
+	cost := d.charge(st)
 	d.mu.Lock()
 	d.stats.Stores++
-	d.insertLocked(key, st, n)
+	d.insertLocked(key, st, cost)
 	d.mu.Unlock()
 	return nil
 }
 
+// Put installs st under key in the in-memory cache only: for warm states
+// whose key does not address their content (trace-driven runs), and for
+// states whose Save failed, which stay servable in this process.
+func (d *Dir) Put(key string, st *State) {
+	cost := d.charge(st)
+	d.mu.Lock()
+	d.insertLocked(key, st, cost)
+	d.mu.Unlock()
+}
+
+// Resident returns how many decoded states the in-memory cache holds and
+// their summed footprint.
+func (d *Dir) Resident() (states int, bytes int64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.entries), d.cost
+}
+
+// charge is st's cost against the cache budget: its decoded footprint,
+// computed once per insertion (0 when nothing will be cached).
+func (d *Dir) charge(st *State) int64 {
+	if st == nil || d.cacheBytes < 0 {
+		return 0
+	}
+	return Footprint(st)
+}
+
 // insertLocked installs (key, st) with the given cost and evicts from the
-// LRU tail until the cache fits its budget. Caller holds d.mu.
+// LRU tail until the cache fits its budget. The entry just inserted is
+// never evicted, so one state larger than the whole budget still serves
+// its own forks. Caller holds d.mu.
 func (d *Dir) insertLocked(key string, st *State, cost int64) {
 	if d.cacheBytes < 0 {
 		return
@@ -305,6 +360,9 @@ func (d *Dir) insertLocked(key string, st *State, cost int64) {
 // actual use, not just write time. Best-effort: a failed touch (file
 // GC'd by another process) costs nothing.
 func (d *Dir) touch(key string) {
+	if d.path == "" {
+		return
+	}
 	//lint:ignore determinism host-side cache-recency metadata for GC eviction order; never observable by simulation state
 	now := time.Now()
 	_ = os.Chtimes(path(d.path, key), now, now)

@@ -1,12 +1,14 @@
 package checkpoint
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestDirLoadSaveCache covers the store's fast path: a miss before any
@@ -80,15 +82,7 @@ func TestDirCacheDisabled(t *testing.T) {
 // entry just inserted), and the evicted key falls back to disk.
 func TestDirEviction(t *testing.T) {
 	dir := t.TempDir()
-	probe := NewDir(dir, 0)
-	if err := probe.Save("a", sampleState()); err != nil {
-		t.Fatal(err)
-	}
-	info, err := os.Stat(filepath.Join(dir, "a"+ckptSuffix))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cost := info.Size()
+	cost := Footprint(sampleState()) // an entry's charge: its decoded footprint
 
 	d := NewDir(dir, cost+cost/2) // room for one entry, not two
 	if err := d.Save("a", sampleState()); err != nil {
@@ -247,5 +241,78 @@ func TestDirGC(t *testing.T) {
 	// A directory that was never created is an empty store, not an error.
 	if n, freed, err := NewDir(filepath.Join(dir, "never-created"), 0).GC(1); n != 0 || freed != 0 || err != nil {
 		t.Errorf("GC on a missing directory = (%d, %d, %v), want (0, 0, nil)", n, freed, err)
+	}
+}
+
+// TestDirMemoryOnly pins the empty-path contract: Save, Put and Load work
+// in memory, a key nobody stored is a plain miss, GC has nothing to
+// collect, and no checkpoint file appears anywhere relative to the
+// working directory.
+func TestDirMemoryOnly(t *testing.T) {
+	d := NewDir("", 0)
+	st, other := sampleState(), sampleState()
+	if err := d.Save("mem-only-a", st); err != nil {
+		t.Fatal(err)
+	}
+	d.Put("mem-only-b", other)
+	if got, cached, err := d.Load("mem-only-a"); got != st || !cached || err != nil {
+		t.Errorf("load after save = (%p, cached=%v, err=%v), want the saved state from memory", got, cached, err)
+	}
+	if got := d.Get("mem-only-b"); got != other {
+		t.Errorf("get after put = %p, want the put state", got)
+	}
+	if got, cached, err := d.Load("mem-only-c"); got != nil || cached || err != nil {
+		t.Errorf("load of an unknown key = (%v, cached=%v, err=%v), want a plain miss", got, cached, err)
+	}
+	if n, freed, err := d.GC(0); n != 0 || freed != 0 || err != nil {
+		t.Errorf("GC = (%d, %d, %v), want a no-op", n, freed, err)
+	}
+	for _, k := range []string{"mem-only-a", "mem-only-b", "mem-only-c"} {
+		if _, err := os.Stat(k + ckptSuffix); !os.IsNotExist(err) {
+			t.Errorf("a memory-only Dir left %s on disk (%v)", k+ckptSuffix, err)
+		}
+	}
+	if n, bytes := d.Resident(); n != 2 || bytes != 2*Footprint(st) {
+		t.Errorf("resident = (%d states, %d bytes), want 2 states of %d bytes", n, bytes, Footprint(st))
+	}
+	if s := d.Stats(); s.Stores != 1 || s.CacheHits != 2 || s.Misses != 1 || s.DiskHits != 0 {
+		t.Errorf("stats = %+v, want 1 store, 2 cache hits, 1 miss", s)
+	}
+}
+
+// TestFootprint checks the decoded-footprint walk against hand counts:
+// a flat column adds its capacity times its element size, a pointee adds
+// its own size, and a decoded copy is charged at least its wire size and
+// about what the original is.
+func TestFootprint(t *testing.T) {
+	st := sampleState()
+	base := Footprint(st)
+	if base <= int64(unsafe.Sizeof(State{})) {
+		t.Fatalf("footprint %d counts nothing beyond the State struct", base)
+	}
+	l2 := &st.Uncore.L2
+	l2.Tag = append(make([]uint64, 0, len(l2.Tag)+1000), l2.Tag...)
+	if got, want := Footprint(st)-base, int64(1000*8); got != want {
+		t.Errorf("1000 more uint64s of tag capacity added %d bytes, want %d", got, want)
+	}
+	l2.Tag = l2.Tag[:len(l2.Tag):len(l2.Tag)]
+	st.Tenants[0].IFU = nil
+	noIFU := Footprint(st)
+	st.Tenants[0].IFU = &FTQEntryState{}
+	if got, want := Footprint(st)-noIFU, int64(unsafe.Sizeof(FTQEntryState{})); got != want {
+		t.Errorf("an empty IFU entry added %d bytes, want %d", got, want)
+	}
+
+	var buf bytes.Buffer
+	if err := Encode(&buf, st); err != nil {
+		t.Fatal(err)
+	}
+	dec, err := DecodeBytes(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The decoder's slices may carry size-class slack the original lacks.
+	if got, orig := Footprint(dec), Footprint(st); got > orig+orig/4 || got < int64(buf.Len()) {
+		t.Errorf("decoded footprint %d, want at least the encoded %d bytes and near the original's %d", got, buf.Len(), orig)
 	}
 }

@@ -252,8 +252,8 @@ var checkpointManifest = map[string]map[string]string{
 	// from the workload parameters; the walker's position in them is the
 	// state (captured as a block ID re-resolved into the program).
 	"cfg.Block": {
-		"ID": "config", "Func": "config", "Addr": "config",
-		"InstSizes": "config", "Term": "config",
+		"ID": "config", "Func": "config", "Addr": "config", "Term": "config",
+		"instOff": "config", "numInsts": "config", "size": "config",
 	},
 	// ChampSim trace replay: the trace file is reconstruction input, the
 	// stream position and derived-wrong-path structures are the state

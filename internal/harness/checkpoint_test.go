@@ -260,3 +260,46 @@ func TestCheckpointSaveFailureForks(t *testing.T) {
 		t.Errorf("same tuple after the store recovered: %+v (want the memoised warm state forked again)", s)
 	}
 }
+
+// TestMemoryOnlyRunnerBounded drives a Runner without a checkpoint
+// directory through more distinct warm tuples than its memory-only store
+// holds: the store must stay within its budget after every run, and a
+// tuple whose warm state was evicted must warm again and still fork
+// bit-identically to a scratch run.
+func TestMemoryOnlyRunnerBounded(t *testing.T) {
+	r := NewRunner(1)
+	ck := r.CheckpointDir()
+	if ck.Path() != "" {
+		t.Fatalf("a Runner without a directory stores under %q", ck.Path())
+	}
+	spec := func(i int) RunSpec {
+		return RunSpec{Benchmark: "kafka", Policy: "baseline", Warmup: 10_000 + uint64(i)*1_000, Measure: 5_000}
+	}
+	tuples := 0
+	for i := 0; ; i++ {
+		if _, err := r.Run(spec(i)); err != nil {
+			t.Fatal(err)
+		}
+		n, bytes := ck.Resident()
+		if bytes > memoryCacheBytes {
+			t.Fatalf("after %d tuples the store holds %d states of %d bytes, over its %d-byte budget", i+1, n, bytes, memoryCacheBytes)
+		}
+		if tuples = i + 1; n < tuples {
+			break // the first tuple has been evicted
+		}
+	}
+	if s := ck.Stats(); s.Evictions == 0 {
+		t.Fatalf("%d tuples evicted nothing: %+v", tuples, s)
+	}
+	again := spec(0)
+	again.Measure = 6_000 // a new spec on the evicted tuple
+	forkEquals(t, r, again)
+	if s := r.CheckpointStats(); s.WarmupsExecuted != uint64(tuples)+1 || s.MemoryHits != 0 || s.DiskStores != 0 {
+		t.Errorf("after re-forking an evicted tuple: %+v (want %d warmups, no memory hits, no disk stores)", s, tuples+1)
+	}
+	again.Measure = 7_000 // and once more, now from memory
+	forkEquals(t, r, again)
+	if s := r.CheckpointStats(); s.WarmupsExecuted != uint64(tuples)+1 || s.MemoryHits != 1 {
+		t.Errorf("repeat fork of a resident tuple: %+v (want it served from memory)", s)
+	}
+}

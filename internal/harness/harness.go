@@ -181,9 +181,8 @@ func (s RunSpec) WarmTuple() string {
 	return fmt.Sprintf("%v", warmKeyOf(s))
 }
 
-// warmCall is one in-flight (or completed) warmup, singleflighted per
-// warmKey. Completed calls stay in Runner.warm as the in-memory
-// checkpoint cache.
+// warmCall is one in-flight warmup, singleflighted per warmKey. A
+// finished warm state lives in the Runner's checkpoint.Dir, not here.
 type warmCall struct {
 	done chan struct{}
 	st   *checkpoint.State
@@ -221,27 +220,30 @@ func (s *RunnerStats) Add(o RunnerStats) {
 }
 
 // CheckpointStats counts warm-state reuse for before/after reporting.
+// Every fork's warm tuple was resolved in one of four ways, counted by
+// MemoryHits, DirCacheHits, DiskHits and WarmupsExecuted.
 type CheckpointStats struct {
 	// Forks counts runs served by forking a warm snapshot.
 	Forks uint64
 	// WarmupsExecuted counts warmups actually simulated.
 	WarmupsExecuted uint64
-	// MemoryHits counts warm states served from this runner's own warm
-	// cache (including singleflight waiters who blocked on a leader's
-	// warmup).
+	// MemoryHits counts repeat resolutions: a tuple this runner already
+	// resolved, found decoded in its checkpoint.Dir, and singleflight
+	// waiters who blocked on a leader's warmup.
 	MemoryHits uint64
-	// DirCacheHits counts warm states served already-decoded from the
-	// checkpoint store's in-memory cache — no disk read, no decode. With
-	// several runners sharing one Dir (fleet workers), these are forks
-	// that skipped the disk entirely because a sibling had already paid
-	// for the decode.
+	// DirCacheHits counts a runner's first resolution of a tuple served
+	// already-decoded from its checkpoint.Dir — no disk read, no decode.
+	// With several runners sharing one Dir (fleet workers), these are
+	// forks that skipped the disk entirely because a sibling had already
+	// paid for the warmup or the decode.
 	DirCacheHits uint64
 	// DiskHits counts warm states read and decoded from the on-disk
-	// -checkpoint-dir store; DiskStores counts warm states written to it,
+	// -checkpoint-dir store: a first resolution, or a repeat whose state
+	// the Dir had evicted. DiskStores counts warm states written to it,
 	// and DiskStoreFailures the writes that failed (the run forks the
-	// simulated state regardless). The failure count is left out of the
-	// fabric's JSON stats while zero, so a healthy fleet's messages keep
-	// their bytes.
+	// simulated state regardless, and the Dir keeps it in memory). The
+	// failure count is left out of the fabric's JSON stats while zero, so
+	// a healthy fleet's messages keep their bytes.
 	DiskHits          uint64
 	DiskStores        uint64
 	DiskStoreFailures uint64 `json:",omitempty"`
@@ -251,26 +253,37 @@ type CheckpointStats struct {
 // window go through the warm-state layer: the runner warms each warmKey
 // tuple once (per process — or per checkpoint directory, when configured),
 // snapshots the complete simulator state, and forks the snapshot for
-// every spec that shares the tuple.
+// every spec that shares the tuple. Finished warm states live in one
+// place, the runner's checkpoint.Dir, whose LRU bounds their memory.
 type Runner struct {
 	mu       sync.Mutex
 	cache    map[RunSpec]*RunResult
 	errs     map[RunSpec]error
 	inflight map[RunSpec]*call
-	warm     map[warmKey]*warmCall
-	ckStats  CheckpointStats
-	stats    RunnerStats
+	// warm holds the in-flight warmups; keys holds the store key of every
+	// tuple this runner resolved, so a repeat fork neither rebuilds the
+	// configuration nor re-hashes it.
+	warm    map[warmKey]*warmCall
+	keys    map[warmKey]string
+	ckStats CheckpointStats
+	stats   RunnerStats
 	// executor, when set, replaces local execution for cache-missing
 	// runs: the spec is handed to it (the fabric fleet's submit path)
 	// and the returned result is memoised exactly as a local one.
 	executor func(RunSpec) (*RunResult, error)
-	// ck, when non-nil, is the content-addressed checkpoint store: the
-	// on-disk directory shared across processes, fronted by its decoded
-	// in-memory cache (shared across every Runner holding the same Dir —
-	// fleet workers in one process fork each tuple's decode exactly once).
+	// ck is the warm-state store: a content-addressed on-disk directory
+	// shared across processes, fronted by its decoded in-memory cache
+	// (shared across every Runner holding the same Dir — fleet workers in
+	// one process fork each tuple's decode exactly once), or that cache
+	// alone (memory-only).
 	ck  *checkpoint.Dir
 	sem chan struct{}
 }
+
+// memoryCacheBytes is the decoded-state budget of a Runner without a
+// checkpoint directory: ~9 warm states of a default-machine core. Grids
+// issue a tuple's specs together, so reuse needs few states resident.
+const memoryCacheBytes = 16 << 20
 
 // NewRunner returns a Runner bounded to parallelism concurrent runs.
 func NewRunner(parallelism int) *Runner {
@@ -291,23 +304,28 @@ func NewRunnerWithCheckpoints(parallelism int, dir string) *Runner {
 
 // NewRunnerWithDir is NewRunnerWithCheckpoints over an existing store —
 // the form that lets several Runners (the fabric fleet's workers) share
-// one decoded-state cache. A nil ck keeps checkpoints in memory only.
+// one decoded-state cache. A nil ck gives the Runner a memory-only store
+// of its own with a small budget.
 func NewRunnerWithDir(parallelism int, ck *checkpoint.Dir) *Runner {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
+	}
+	if ck == nil {
+		ck = checkpoint.NewDir("", memoryCacheBytes)
 	}
 	return &Runner{
 		cache:    make(map[RunSpec]*RunResult),
 		errs:     make(map[RunSpec]error),
 		inflight: make(map[RunSpec]*call),
 		warm:     make(map[warmKey]*warmCall),
+		keys:     make(map[warmKey]string),
 		ck:       ck,
 		sem:      make(chan struct{}, parallelism),
 	}
 }
 
-// CheckpointDir returns the checkpoint store this runner persists warm
-// states through, or nil when checkpoints stay in memory only.
+// CheckpointDir returns the store this runner keeps warm states in; its
+// Path is "" when the runner has no checkpoint directory.
 func (r *Runner) CheckpointDir() *checkpoint.Dir { return r.ck }
 
 // CheckpointStats returns a snapshot of the warm-state reuse counters.
@@ -394,7 +412,9 @@ func (r *Runner) execute(spec RunSpec) (*RunResult, error) {
 
 // warmState returns the warm simulator state for wk, singleflighting the
 // warmup: the first caller builds (or loads) it, concurrent callers block
-// on the result, later callers hit the in-memory cache.
+// on the result, later callers find it in the Dir's memory by the key the
+// first one remembered — unless the Dir evicted it, and then it is
+// resolved again.
 func (r *Runner) warmState(wk warmKey) (*checkpoint.State, error) {
 	r.mu.Lock()
 	if c, ok := r.warm[wk]; ok {
@@ -403,19 +423,34 @@ func (r *Runner) warmState(wk warmKey) (*checkpoint.State, error) {
 		<-c.done
 		return c.st, c.err
 	}
+	key := r.keys[wk]
+	if key != "" {
+		if st := r.ck.Get(key); st != nil {
+			r.ckStats.MemoryHits++
+			r.mu.Unlock()
+			return st, nil
+		}
+	}
 	c := &warmCall{done: make(chan struct{})}
 	r.warm[wk] = c
 	r.mu.Unlock()
 
-	c.st, c.err = r.buildWarmState(wk)
+	c.st, key, c.err = r.buildWarmState(wk, key)
+	r.mu.Lock()
+	delete(r.warm, wk)
+	if c.err == nil {
+		r.keys[wk] = key
+	}
+	r.mu.Unlock()
 	close(c.done)
 	return c.st, c.err
 }
 
-// buildWarmState produces wk's warm state: from the on-disk cache when
-// configured and populated, otherwise by simulating the warmup window on
-// a fresh core and snapshotting it (and storing the result on disk).
-func (r *Runner) buildWarmState(wk warmKey) (*checkpoint.State, error) {
+// buildWarmState produces wk's warm state and its store key (key, when
+// known from an earlier resolution): from the Dir when it holds the
+// state, otherwise by simulating the warmup window on a fresh core and
+// snapshotting it into the Dir.
+func (r *Runner) buildWarmState(wk warmKey, key string) (*checkpoint.State, string, error) {
 	// Warm with measure-phase knobs off: CollectSets has no timing effect
 	// and its sets are cleared at the measurement boundary anyway, so the
 	// cheapest configuration warms for all of them.
@@ -431,56 +466,64 @@ func (r *Runner) buildWarmState(wk warmKey) (*checkpoint.State, error) {
 	}
 	prog, c, err := buildConfig(wspec)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 
 	// The on-disk cache content-addresses the workload parameters and
 	// configuration, not the bytes of an arbitrary trace file, so
-	// trace-driven warm states stay in memory only.
-	var key string
-	if r.ck != nil && wspec.TracePath == "" {
-		key, err = diskKey(wspec, c)
-		if err != nil {
-			return nil, err
-		}
-		if st, cached, _ := r.ck.Load(key); st != nil {
-			r.mu.Lock()
-			if cached {
-				r.ckStats.DirCacheHits++
-			} else {
-				r.ckStats.DiskHits++
+	// trace-driven warm states are named by their tuple and stay in
+	// memory only.
+	var st *checkpoint.State
+	cached := true
+	if wspec.TracePath != "" {
+		key = wspec.WarmTuple()
+		st = r.ck.Get(key)
+	} else {
+		if key == "" {
+			if key, err = diskKey(wspec, c); err != nil {
+				return nil, "", err
 			}
-			r.mu.Unlock()
-			return st, nil
 		}
+		st, cached, _ = r.ck.Load(key)
+	}
+	if st != nil {
+		r.mu.Lock()
+		if cached {
+			r.ckStats.DirCacheHits++
+		} else {
+			r.ckStats.DiskHits++
+		}
+		r.mu.Unlock()
+		return st, key, nil
 	}
 
 	src, osrc, err := openSource(wspec, prog, c)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	defer closeSource(src)
 	co, err := core.NewWithSource(prog, osrc, c)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	if err := co.Run(wk.Warmup); err != nil {
-		return nil, fmt.Errorf("%s/%s warmup: %w", wk.Benchmark, wk.Policy, err)
+		return nil, "", fmt.Errorf("%s/%s warmup: %w", wk.Benchmark, wk.Policy, err)
 	}
 	if err := sourceErr(wspec, src); err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	st, err := co.Snapshot()
+	st, err = co.Snapshot()
 	if err != nil {
-		return nil, fmt.Errorf("%s/%s snapshot: %w", wk.Benchmark, wk.Policy, err)
+		return nil, "", fmt.Errorf("%s/%s snapshot: %w", wk.Benchmark, wk.Policy, err)
 	}
 	r.mu.Lock()
 	r.ckStats.WarmupsExecuted++
 	r.mu.Unlock()
 
-	if key != "" {
+	if r.ck.Path() != "" && wspec.TracePath == "" {
 		// The store is a cache: a failed save costs a later process its
-		// warmup, never this run, which forks the state just simulated.
+		// warmup, never this run, which forks the state just simulated
+		// and keeps it in memory.
 		err := r.ck.Save(key, st)
 		r.mu.Lock()
 		if err != nil {
@@ -489,8 +532,12 @@ func (r *Runner) buildWarmState(wk warmKey) (*checkpoint.State, error) {
 			r.ckStats.DiskStores++
 		}
 		r.mu.Unlock()
+		if err == nil {
+			return st, key, nil
+		}
 	}
-	return st, nil
+	r.ck.Put(key, st)
+	return st, key, nil
 }
 
 // diskKey content-addresses wspec's warm state. The hash covers the

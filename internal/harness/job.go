@@ -9,9 +9,10 @@ import (
 
 // ExecuteJob is the job-execution core shared by the local Runner and the
 // fabric worker: it resolves spec's warm state through the runner's
-// warm-state layer (in-memory singleflight, then the content-addressed
-// -checkpoint-dir, then a simulated warmup), forks it, and simulates the
-// measured window. onSample, when non-nil and spec.SampleEvery > 0,
+// warm-state layer (a warmup in flight, then the runner's checkpoint.Dir
+// — decoded states in memory, then the content-addressed -checkpoint-dir
+// files — then a simulated warmup), forks it, and simulates the measured
+// window. onSample, when non-nil and spec.SampleEvery > 0,
 // observes every interval snapshot the moment it is recorded — the hook
 // fabric workers use to stream incremental metrics back to the
 // coordinator while the run is still in flight.

@@ -28,7 +28,7 @@ func (w *Walker) CaptureCheckpoint() checkpoint.WalkerState {
 		st.LoopCnt = append([]uint16(nil), w.loopCnt...)
 	}
 	if w.cur != nil {
-		st.CurBlock = w.cur.ID
+		st.CurBlock = int(w.cur.ID)
 	}
 	return st
 }

@@ -134,7 +134,8 @@ func (w *Walker) jumpTo(pc isa.Addr) {
 	// Locate the instruction boundary containing pc. Wrong-path targets
 	// may land mid-instruction; snap to the containing instruction.
 	a := blk.Addr
-	for i, sz := range blk.InstSizes {
+	sizes := w.prog.InstSizes(blk)
+	for i, sz := range sizes {
 		next := a + isa.Addr(sz)
 		if pc < next {
 			w.cur = blk
@@ -145,7 +146,7 @@ func (w *Walker) jumpTo(pc isa.Addr) {
 	}
 	// pc == blk.End() cannot happen (BlockAt checked), but be safe.
 	w.cur = blk
-	w.instIdx = len(blk.InstSizes) - 1
+	w.instIdx = len(sizes) - 1
 }
 
 // Next produces the next instruction on this walker's path, including its
@@ -163,12 +164,13 @@ func (w *Walker) Next() isa.Inst {
 	}
 
 	blk := w.cur
+	sizes := w.prog.InstSizes(blk)
 	pc := blk.Addr
-	for i := 0; i < w.instIdx; i++ {
-		pc += isa.Addr(blk.InstSizes[i])
+	for _, sz := range sizes[:w.instIdx] {
+		pc += isa.Addr(sz)
 	}
-	size := blk.InstSizes[w.instIdx]
-	lastInst := w.instIdx == blk.NumInsts()-1
+	size := sizes[w.instIdx]
+	lastInst := w.instIdx == len(sizes)-1
 
 	if !lastInst || blk.Term.Kind == isa.NotBranch {
 		in := isa.Inst{PC: pc, Size: size, Kind: isa.NotBranch}
@@ -189,7 +191,7 @@ func (w *Walker) Next() isa.Inst {
 				// Wrong-path fork: sample the steady-state taken rate.
 				t := float64(blk.Term.LoopTrip)
 				in.Taken = w.r.Bool((t - 1) / t)
-			} else if cnt := w.loopCnt[blk.ID]; int(cnt)+1 < blk.Term.LoopTrip {
+			} else if cnt := w.loopCnt[blk.ID]; cnt+1 < blk.Term.LoopTrip {
 				in.Taken = true
 				w.loopCnt[blk.ID] = cnt + 1
 			} else {
@@ -218,17 +220,17 @@ func (w *Walker) Next() isa.Inst {
 		w.gotoBlock(tgt)
 	case isa.IndirectJump:
 		in.Taken = true
-		tgt := w.pickIndirect(blk.Term.IndTargets)
+		tgt := w.pickIndirect(w.prog.IndTargets(blk))
 		in.Target = w.prog.Blocks[tgt].Addr
 		w.gotoBlock(tgt)
 	case isa.IndirectCall:
 		in.Taken = true
-		var tgt int
+		var tgt int32
 		if blk.Term.Dispatch {
 			// Driver loop: dispatch to the next request handler.
-			tgt = w.prog.Funcs[w.dispatchFunc()].FirstBlock
+			tgt = int32(w.prog.Funcs[w.dispatchFunc()].FirstBlock)
 		} else {
-			tgt = w.capCall(w.pickIndirect(blk.Term.IndTargets))
+			tgt = w.capCall(w.pickIndirect(w.prog.IndTargets(blk)))
 		}
 		in.Target = w.prog.Blocks[tgt].Addr
 		w.pushRet(in.FallThrough())
@@ -244,7 +246,7 @@ func (w *Walker) Next() isa.Inst {
 // pickIndirect samples an indirect target: the dominant first target with
 // probability IndirectBias, else uniform over the rest (skewed receiver
 // distributions are what make indirect branches ITTAGE-predictable).
-func (w *Walker) pickIndirect(targets []int) int {
+func (w *Walker) pickIndirect(targets []int32) int32 {
 	bias := w.prog.Params.IndirectBias
 	if len(targets) == 1 || w.r.Bool(bias) {
 		return targets[0]
@@ -262,12 +264,12 @@ func (w *Walker) pushRet(addr isa.Addr) {
 // capCall redirects a call at the depth cap to the callee's return block,
 // so runaway recursion (e.g. a mutual-recursion cycle of entry blocks)
 // bounces and unwinds instead of trapping the walk forever.
-func (w *Walker) capCall(calleeEntry int) int {
+func (w *Walker) capCall(calleeEntry int32) int32 {
 	if len(w.stack) < maxCallDepth {
 		return calleeEntry
 	}
 	fn := w.prog.Funcs[w.prog.Blocks[calleeEntry].Func]
-	return fn.FirstBlock + fn.NumBlocks - 1
+	return int32(fn.FirstBlock + fn.NumBlocks - 1)
 }
 
 // popRet pops a return address; with an empty stack (only possible on
@@ -317,7 +319,7 @@ func (w *Walker) dispatchFunc() int {
 	return f
 }
 
-func (w *Walker) gotoBlock(id int) {
+func (w *Walker) gotoBlock(id int32) {
 	w.cur = &w.prog.Blocks[id]
 	w.instIdx = 0
 }
@@ -327,8 +329,8 @@ func (w *Walker) gotoBlock(id int) {
 // final block returns).
 func (w *Walker) advanceFallThrough(blk *cfg.Block) {
 	next := blk.ID + 1
-	if next >= len(w.prog.Blocks) {
-		next = w.prog.Entry
+	if int(next) >= len(w.prog.Blocks) {
+		next = int32(w.prog.Entry)
 	}
 	w.gotoBlock(next)
 }

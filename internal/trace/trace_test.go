@@ -141,10 +141,11 @@ func TestForkMidInstruction(t *testing.T) {
 	}
 	// Target one byte into the second instruction: the walker must snap
 	// to the containing instruction boundary.
-	target := blk.Addr + isa.Addr(blk.InstSizes[0]) + 1
+	first := isa.Addr(prog.InstSizes(blk)[0])
+	target := blk.Addr + first + 1
 	f := New(prog, 1).Fork(target)
 	in := f.Next()
-	if in.PC != blk.Addr+isa.Addr(blk.InstSizes[0]) {
+	if in.PC != blk.Addr+first {
 		t.Fatalf("mid-instruction fork produced PC %v", in.PC)
 	}
 }
@@ -191,9 +192,9 @@ func TestLoopTripsAreDeterministic(t *testing.T) {
 	}
 	w := New(prog, 12)
 	taken, seen := 0, 0
-	for i := 0; i < 2000000 && seen < 3*loopBlock.Term.LoopTrip; i++ {
+	for i := 0; i < 2000000 && seen < 3*int(loopBlock.Term.LoopTrip); i++ {
 		in := w.Next()
-		if in.PC == loopBlock.LastPC() && in.Kind == isa.CondDirect {
+		if in.PC == prog.LastPC(loopBlock) && in.Kind == isa.CondDirect {
 			seen++
 			if in.Taken {
 				taken++

@@ -211,23 +211,23 @@ func ByName(name string) (Profile, error) {
 
 var (
 	progMu    sync.Mutex
-	progCache = map[string]*cfg.Program{}
+	progCache = map[cfg.Params]*cfg.Program{}
 )
 
 // Program generates (and caches) the profile's synthetic program. Programs
-// are deterministic in the profile parameters, and read-only once built,
-// so sharing across runs is safe.
+// are deterministic in their parameters, and read-only once built, so the
+// cache is keyed on the whole cfg.Params and shared across runs and
+// profiles: a profile reshaped in any parameter gets its own program.
 func (p Profile) Program() (*cfg.Program, error) {
-	key := fmt.Sprintf("%s/%d/%d/%v", p.Name, p.CFG.Seed, p.CFG.NumFuncs, p.CFG.BlocksPerFuncMean)
 	progMu.Lock()
 	defer progMu.Unlock()
-	if prog, ok := progCache[key]; ok {
+	if prog, ok := progCache[p.CFG]; ok {
 		return prog, nil
 	}
 	prog, err := cfg.Generate(p.CFG)
 	if err != nil {
 		return nil, err
 	}
-	progCache[key] = prog
+	progCache[p.CFG] = prog
 	return prog, nil
 }

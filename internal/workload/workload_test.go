@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
+	"pdip/internal/cfg"
 	"pdip/internal/isa"
 	"pdip/internal/trace"
 )
@@ -59,6 +61,58 @@ func TestProgramCaching(t *testing.T) {
 	b, _ := p.Program()
 	if a != b {
 		t.Fatal("program not cached")
+	}
+}
+
+// TestProgramCacheKeysEveryParam reshapes a profile in each cfg.Params
+// field in turn: every variant must get a program of its own, generated
+// from its own parameters, while profiles with equal parameters (even
+// under another name) share one.
+func TestProgramCacheKeysEveryParam(t *testing.T) {
+	small := cfg.DefaultParams()
+	small.Seed = 0x7e57
+	base := Profile{Name: "small", CFG: small}
+	prog, err := base.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if twin, err := (Profile{Name: "twin", CFG: small}).Program(); err != nil || twin != prog {
+		t.Fatalf("equal parameters got another program (%v)", err)
+	}
+	typ := reflect.TypeOf(small)
+	for i := 0; i < typ.NumField(); i++ {
+		p := base
+		f := reflect.ValueOf(&p.CFG).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Float64:
+			f.SetFloat(f.Float() + 1)
+		case reflect.Int:
+			f.SetInt(f.Int() * 2)
+		case reflect.Uint64:
+			f.SetUint(f.Uint() * 2)
+		default:
+			t.Fatalf("cfg.Params.%s: no perturbation for a %s", typ.Field(i).Name, f.Kind())
+		}
+		got, err := p.Program()
+		if err != nil {
+			t.Fatalf("%s: %v", typ.Field(i).Name, err)
+		}
+		if got == prog || got.Params != p.CFG {
+			t.Errorf("a profile reshaped in %s got the program of other parameters", typ.Field(i).Name)
+		}
+	}
+	// The reshaping a HardBranchFrac sweep makes.
+	ycsb, err := ByName("ycsb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stock, err := ycsb.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ycsb.CFG.HardBranchFrac, ycsb.CFG.InstsPerBlockMean = 0.3, 12
+	if reshaped, err := ycsb.Program(); err != nil || reshaped == stock {
+		t.Fatalf("reshaped ycsb got the stock program (%v)", err)
 	}
 }
 

@@ -137,7 +137,8 @@ func NewRunnerWithCheckpoints(n int, dir string) *Runner {
 // CheckpointDir is a content-addressed on-disk warm-state store fronted
 // by a size-bounded in-memory cache of decoded states, so repeated forks
 // of the same warm tuple pay the binary decode once per process rather
-// than once per run.
+// than once per run. It is a Runner's only warm-state cache; with an
+// empty path it is memory-only.
 type CheckpointDir = checkpoint.Dir
 
 // CheckpointDirStats is a CheckpointDir's cache accounting (memory hits,
@@ -145,9 +146,10 @@ type CheckpointDir = checkpoint.Dir
 type CheckpointDirStats = checkpoint.DirStats
 
 // NewCheckpointDir opens the warm-state store rooted at path. cacheBytes
-// bounds the in-memory decoded-state cache (0 selects the default of
-// 256 MiB; negative disables caching). The directory is created lazily
-// on first Save.
+// bounds the in-memory decoded-state cache, charging each state its
+// decoded size (0 selects the default of 256 MiB, ~150 warm states;
+// negative disables caching). The directory is created lazily on first
+// Save; an empty path keeps states in memory only.
 func NewCheckpointDir(path string, cacheBytes int64) *CheckpointDir {
 	return checkpoint.NewDir(path, cacheBytes)
 }

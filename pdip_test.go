@@ -68,3 +68,32 @@ func TestDefaultConfigIsTable1(t *testing.T) {
 		t.Fatal("default config drifted from Table 1")
 	}
 }
+
+// TestRunDeterministic runs one spec through the public Run twice, with
+// the profile's default seed (0) and with a sweep seed: each pair must
+// produce identical metrics and samples. A zero seed filled from the
+// clock, or any other unseeded stream behind Run, fails it.
+func TestRunDeterministic(t *testing.T) {
+	for _, seed := range []uint64{0, 7} {
+		spec := RunSpec{Benchmark: "kafka", Policy: "pdip44", Warmup: 20_000, Measure: 40_000, SampleEvery: 20_000, Seed: seed}
+		a, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := a.Metrics.Diff(b.Metrics); len(d) > 0 {
+			t.Errorf("seed %d: %d metrics differ between two identical runs, first %s", seed, len(d), d[0])
+		}
+		if len(a.Samples) != len(b.Samples) {
+			t.Fatalf("seed %d: %d samples vs %d", seed, len(a.Samples), len(b.Samples))
+		}
+		for i := range a.Samples {
+			if d := a.Samples[i].Metrics.Diff(b.Samples[i].Metrics); len(d) > 0 {
+				t.Errorf("seed %d: sample %d differs, first %s", seed, i, d[0])
+			}
+		}
+	}
+}
