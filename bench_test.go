@@ -502,12 +502,13 @@ func BenchmarkCheckpointSaveRestore(b *testing.B) {
 }
 
 // benchCheckpointFork measures the warm-fork path through the checkpoint
-// store: Load a stored warm state from a Dir and instantiate a fresh core
-// from it — the per-cell cost a grid pays once its warmup is amortized.
-// cacheBytes selects the path under test: with the decoded-state cache
-// disabled every Load pays the full disk decode; with it enabled every
-// Load after the first is an in-memory hit and the fork cost is just the
-// core rebuild.
+// store: Load a stored warm state from a Dir, instantiate a core from it
+// and release the core, as the harness does once a fork is measured — the
+// per-cell cost a grid pays once its warmup is amortized. cacheBytes
+// selects the path under test: with the decoded-state cache disabled
+// every Load pays the full disk decode; with it enabled every Load after
+// the first is an in-memory hit and the fork cost is just the core
+// rebuild, on the tables the previous fork released (internal/recycle).
 func benchCheckpointFork(b *testing.B, cacheBytes int64) {
 	prof, err := workload.ByName("cassandra")
 	if err != nil {
@@ -544,9 +545,11 @@ func benchCheckpointFork(b *testing.B, cacheBytes int64) {
 		}
 		cf := c
 		cf.Prefetcher = ipdip.New(ipdip.DefaultConfig())
-		if _, err := core.NewFromSnapshot(prog, cf, got); err != nil {
+		fork, err := core.NewFromSnapshot(prog, cf, got)
+		if err != nil {
 			b.Fatal(err)
 		}
+		fork.Release()
 	}
 }
 

@@ -27,6 +27,7 @@ import (
 	"pdip"
 	"pdip/internal/fabric"
 	"pdip/internal/profiling"
+	"pdip/internal/recycle"
 )
 
 func main() {
@@ -222,9 +223,11 @@ func reportStats(runner *pdip.Runner, fleet *fabric.Fleet) {
 	if ck.Forks == 0 {
 		return
 	}
+	tables := recycle.Stats()
 	fmt.Fprintf(os.Stderr,
-		"experiments: checkpoints: %d forked runs from %d simulated warmups (%d in-memory hits, %d store-cache forks, %d disk hits, %d disk stores, %d failed stores)\n",
-		ck.Forks, ck.WarmupsExecuted, ck.MemoryHits, ck.DirCacheHits, ck.DiskHits, ck.DiskStores, ck.DiskStoreFailures)
+		"experiments: checkpoints: %d forked runs from %d simulated warmups (%d in-memory hits, %d store-cache forks, %d disk hits, %d disk stores, %d failed stores); tables built in this process: %.1f MiB recycled, %.1f MiB fresh\n",
+		ck.Forks, ck.WarmupsExecuted, ck.MemoryHits, ck.DirCacheHits, ck.DiskHits, ck.DiskStores, ck.DiskStoreFailures,
+		float64(tables.Recycled)/(1<<20), float64(tables.Fresh)/(1<<20))
 }
 
 // gcCheckpoints trims the warm-state store to maxMB mebibytes, oldest

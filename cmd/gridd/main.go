@@ -27,6 +27,7 @@ import (
 	"pdip/internal/checkpoint"
 	"pdip/internal/fabric"
 	"pdip/internal/harness"
+	"pdip/internal/recycle"
 	"pdip/internal/workload"
 )
 
@@ -171,9 +172,11 @@ func reportStats(st fabric.Stats) {
 		"gridd: %d cells: %d completed, %d failed, %d retries, %d re-queues across %d workers\n",
 		st.Cells, st.Completed, st.Failed, st.Retries, st.Requeues, st.Workers)
 	ck := st.Runner.Checkpoint
+	tables := recycle.Stats()
 	fmt.Fprintf(os.Stderr,
-		"gridd: workers executed %d runs; checkpoints: %d forks from %d simulated warmups (%d memory hits, %d store-cache forks, %d disk hits, %d disk stores, %d failed stores)\n",
-		st.Runner.RunsExecuted, ck.Forks, ck.WarmupsExecuted, ck.MemoryHits, ck.DirCacheHits, ck.DiskHits, ck.DiskStores, ck.DiskStoreFailures)
+		"gridd: workers executed %d runs; checkpoints: %d forks from %d simulated warmups (%d memory hits, %d store-cache forks, %d disk hits, %d disk stores, %d failed stores); tables built in this process: %.1f MiB recycled, %.1f MiB fresh\n",
+		st.Runner.RunsExecuted, ck.Forks, ck.WarmupsExecuted, ck.MemoryHits, ck.DirCacheHits, ck.DiskHits, ck.DiskStores, ck.DiskStoreFailures,
+		float64(tables.Recycled)/(1<<20), float64(tables.Fresh)/(1<<20))
 }
 
 // gcStore trims the warm-state store to maxMB mebibytes, oldest

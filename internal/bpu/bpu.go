@@ -63,6 +63,14 @@ func New(cfg Config) *BPU {
 	}
 }
 
+// Release hands the TAGE, ITTAGE and BTB tables to the recycler (see
+// internal/recycle); the BPU must not be used afterwards.
+func (b *BPU) Release() {
+	b.Tage.Release()
+	b.Ittage.Release()
+	b.Btb.Release()
+}
+
 // PredictAndTrain predicts the branch instruction in (whose actual outcome
 // is known to the walker) and immediately trains the predictors with the
 // actual outcome. It returns the prediction as made *before* training, so

@@ -3,6 +3,7 @@ package bpu
 import (
 	"pdip/internal/checkpoint"
 	"pdip/internal/isa"
+	"pdip/internal/recycle"
 )
 
 // btbWays is the BTB associativity; capacity is varied by set count.
@@ -37,10 +38,16 @@ func NewBTB(entries int) *BTB {
 		panic("bpu: BTB entry count / 8 must be a power of two")
 	}
 	return &BTB{
-		entries:  make([]checkpoint.BTBEntryState, numSets*btbWays),
+		entries:  recycle.Make[[]checkpoint.BTBEntryState](numSets * btbWays),
 		setShift: 1, // branch PCs are at least 2-byte aligned in practice
 		setMask:  uint64(numSets - 1),
 	}
+}
+
+// Release hands the table to the recycler and drops it.
+func (b *BTB) Release() {
+	recycle.Free(b.entries)
+	b.entries = nil
 }
 
 // Entries returns the total entry capacity.

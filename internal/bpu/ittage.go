@@ -3,6 +3,7 @@ package bpu
 import (
 	"pdip/internal/checkpoint"
 	"pdip/internal/isa"
+	"pdip/internal/recycle"
 )
 
 // ittageTables is the number of tagged ITTAGE components.
@@ -41,13 +42,24 @@ type ITTAGE struct {
 // NewITTAGE returns an ITTAGE predictor with the default (≈64KB-class)
 // geometry.
 func NewITTAGE() *ITTAGE {
-	it := &ITTAGE{base: make([]isa.Addr, 1<<ittageBaseBits)}
+	it := &ITTAGE{base: recycle.Make[[]isa.Addr](1 << ittageBaseBits)}
 	for i := range it.tables {
-		it.tables[i] = make([]checkpoint.ITTAGEEntry, 1<<ittageEntryBits)
+		it.tables[i] = recycle.Make[[]checkpoint.ITTAGEEntry](1 << ittageEntryBits)
 		it.idxFold[i] = newFolded(ittageHistLens[i], ittageEntryBits)
 		it.tagFold[i] = newFolded(ittageHistLens[i], ittageTagBits)
 	}
 	return it
+}
+
+// Release hands the base and tagged tables to the recycler and drops
+// them.
+func (it *ITTAGE) Release() {
+	recycle.Free(it.base)
+	it.base = nil
+	for i := range it.tables {
+		recycle.Free(it.tables[i])
+		it.tables[i] = nil
+	}
 }
 
 func (it *ITTAGE) index(table int, pc isa.Addr) int {

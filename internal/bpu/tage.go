@@ -9,6 +9,7 @@ package bpu
 import (
 	"pdip/internal/checkpoint"
 	"pdip/internal/isa"
+	"pdip/internal/recycle"
 )
 
 // tageTables is the number of tagged TAGE components.
@@ -102,14 +103,25 @@ type TAGE struct {
 
 // NewTAGE returns a TAGE predictor with the default (≈64KB-class) geometry.
 func NewTAGE() *TAGE {
-	t := &TAGE{base: make([]int8, 1<<baseBits)}
+	t := &TAGE{base: recycle.Make[[]int8](1 << baseBits)}
 	for i := range t.tables {
-		t.tables[i] = make([]checkpoint.TAGEEntry, 1<<tageEntryBits)
+		t.tables[i] = recycle.Make[[]checkpoint.TAGEEntry](1 << tageEntryBits)
 		t.idxFold[i] = newFolded(tageHistLens[i], tageEntryBits)
 		t.tagFold[i] = newFolded(tageHistLens[i], tageTagBits)
 		t.tg2Fold[i] = newFolded(tageHistLens[i], tageTagBits-1)
 	}
 	return t
+}
+
+// Release hands the base and tagged tables to the recycler and drops
+// them.
+func (t *TAGE) Release() {
+	recycle.Free(t.base)
+	t.base = nil
+	for i := range t.tables {
+		recycle.Free(t.tables[i])
+		t.tables[i] = nil
+	}
 }
 
 func (t *TAGE) index(table int, pc isa.Addr) int {

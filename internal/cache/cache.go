@@ -17,6 +17,7 @@ import (
 	"pdip/internal/checkpoint"
 	"pdip/internal/invariant"
 	"pdip/internal/isa"
+	"pdip/internal/recycle"
 )
 
 // Config sizes one cache level.
@@ -116,13 +117,28 @@ func New(cfg Config) (*Cache, error) {
 	return &Cache{
 		cfg:        cfg,
 		setMask:    uint64(numSets - 1),
-		tag:        make([]uint64, n),
-		lru:        make([]uint32, n),
-		readyAt:    make([]int64, n),
-		valid:      checkpoint.NewBitmask(n),
-		priority:   checkpoint.NewBitmask(n),
-		prefetched: checkpoint.NewBitmask(n),
+		tag:        recycle.Make[[]uint64](n),
+		lru:        recycle.Make[[]uint32](n),
+		readyAt:    recycle.Make[[]int64](n),
+		valid:      recycle.Make[checkpoint.Bitmask](checkpoint.BitmaskBytes(n)),
+		priority:   recycle.Make[checkpoint.Bitmask](checkpoint.BitmaskBytes(n)),
+		prefetched: recycle.Make[checkpoint.Bitmask](checkpoint.BitmaskBytes(n)),
 	}, nil
+}
+
+// Release hands the level's line columns to the recycler and drops them,
+// so the next cache built in the process can reuse them; a released
+// cache panics on its next access.
+func (c *Cache) Release() {
+	recycle.Free(c.tag)
+	recycle.Free(c.lru)
+	recycle.Free(c.readyAt)
+	recycle.Free(c.valid)
+	recycle.Free(c.priority)
+	recycle.Free(c.prefetched)
+	recycle.Free(c.owner)
+	c.tag, c.lru, c.readyAt, c.owner = nil, nil, nil, nil
+	c.valid, c.priority, c.prefetched = nil, nil, nil
 }
 
 // MustNew is New for known-good configurations.

@@ -261,8 +261,8 @@ type OwnerStats struct {
 // so n bools cost n/8 bytes on the wire.
 type Bitmask []byte
 
-// NewBitmask returns an all-false mask with capacity for n entries.
-func NewBitmask(n int) Bitmask { return make(Bitmask, (n+7)/8) }
+// BitmaskBytes is the length of a mask with capacity for n entries.
+func BitmaskBytes(n int) int { return (n + 7) / 8 }
 
 // The accessors index with unsigned arithmetic: it compiles to a plain
 // shift and mask, which matters on the cache lookup path that reads the

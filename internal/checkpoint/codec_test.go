@@ -21,9 +21,9 @@ func sampleCache(sets, ways int, owned bool) CacheState {
 		Tag:         make([]uint64, n),
 		LRU:         make([]uint32, n),
 		ReadyAt:     make([]int64, n),
-		Valid:       NewBitmask(n),
-		Priority:    NewBitmask(n),
-		Prefetched:  NewBitmask(n),
+		Valid:       make(Bitmask, BitmaskBytes(n)),
+		Priority:    make(Bitmask, BitmaskBytes(n)),
+		Prefetched:  make(Bitmask, BitmaskBytes(n)),
 		Tick:        77,
 		Inflight:    []int64{250, 90, 100},
 		InflightMin: 90,

@@ -40,6 +40,9 @@ import (
 // neither captured nor on the explicit skip list, so future state
 // additions cannot silently desynchronize this format.
 func (s *Socket) Snapshot() (*checkpoint.State, error) {
+	if s.unc == nil {
+		panic("core: Snapshot of a released socket")
+	}
 	st := &checkpoint.State{
 		Version:          checkpoint.FormatVersion,
 		Now:              s.now,
@@ -189,8 +192,10 @@ func sortedAddrSet(m map[isa.Addr]struct{}) []isa.Addr {
 // describe the snapshotted socket's machine (same shape and geometry
 // everywhere; measure-phase knobs such as CollectSets, NoFastForward and
 // sampling may differ) — then overwrites all state from st. The restored
-// socket replays bit-identically to the original. st is only read: one
-// snapshot can be forked concurrently from many goroutines.
+// socket replays bit-identically to the original, whether its tables
+// are fresh or recycled (internal/recycle); a failed restore releases
+// it. st is only read: one snapshot can be forked concurrently from many
+// goroutines.
 func NewSocketFromSnapshot(tenants []SocketTenant, sc SocketConfig, st *checkpoint.State) (*Socket, error) {
 	if st.Version != checkpoint.FormatVersion {
 		return nil, fmt.Errorf("socket: snapshot format version %d, simulator speaks %d", st.Version, checkpoint.FormatVersion)
@@ -206,10 +211,12 @@ func NewSocketFromSnapshot(tenants []SocketTenant, sc SocketConfig, st *checkpoi
 		return nil, err
 	}
 	if err := s.unc.RestoreCheckpoint(st.Uncore); err != nil {
+		s.Release()
 		return nil, err
 	}
 	for i, co := range s.cores {
 		if err := co.restore(&st.Tenants[i]); err != nil {
+			s.Release()
 			return nil, fmt.Errorf("socket: tenant %d: %w", i, err)
 		}
 	}

@@ -51,6 +51,8 @@ var checkpointManifest = map[string]map[string]string{
 		"hier":  "state",
 		"iport": "wiring", "dport": "wiring",
 		"bp": "state", "iag": "state", "ftq": "state", "pq": "state", "rob": "state",
+		// walker is the oracle iag captures, kept to release its tables.
+		"walker": "wiring",
 		// pf is captured through prefetch.Checkpointer; the concrete types
 		// are walk roots because reflection cannot traverse an interface.
 		"pf":       "state",
@@ -78,9 +80,15 @@ var checkpointManifest = map[string]map[string]string{
 	"eip.EIP": {
 		"cfg": "config", "hist": "state", "head": "state", "size": "state",
 		"sets": "state", "anal": "state", "tick": "state", "Stats": "state",
+		// entries and dsts back sets and every entry's Dsts: captured
+		// through sets, rebuilt by New.
+		"entries": "wiring", "dsts": "wiring",
 	},
 	"rdip.RDIP": {
 		"cfg": "config", "sets": "state", "tick": "state", "ras": "state",
+		// entries and lines back sets and every entry's Lines: captured
+		// through sets, rebuilt by New.
+		"entries": "wiring", "lines": "wiring",
 		"sig": "state", "pending": "state", "Stats": "state",
 	},
 	"fnlmma.FNLMMA": {

@@ -52,6 +52,10 @@ type Core struct {
 	rob *backend.ROB
 	pf  prefetch.Prefetcher
 
+	// walker is the oracle when the core built it (no caller source); the
+	// core releases its loop counters with its other tables.
+	walker *trace.Walker
+
 	// pipe is the ordered stage list ticked once per cycle.
 	pipe *pipeline.Pipeline
 
@@ -159,9 +163,11 @@ func newCore(prog *cfg.Program, src trace.OracleSource, c Config, hier *mem.Hier
 		return nil, fmt.Errorf("core: need a program or an instruction source")
 	}
 	bp := bpu.New(c.BPU)
+	var walker *trace.Walker
 	oracle := src
 	if oracle == nil {
-		oracle = trace.New(prog, c.Seed)
+		walker = trace.New(prog, c.Seed)
+		oracle = walker
 	}
 	pf := c.Prefetcher
 	if pf == nil {
@@ -184,6 +190,7 @@ func newCore(prog *cfg.Program, src trace.OracleSource, c Config, hier *mem.Hier
 		dport:    hier.DataPort(),
 		bp:       bp,
 		iag:      frontend.NewIAG(bp, oracle, c.MaxEntryInsts),
+		walker:   walker,
 		ftq:      frontend.NewFTQ(c.FTQDepth),
 		pq:       pq,
 		rob:      backend.NewROB(c.ROBSize),
@@ -222,6 +229,24 @@ func newCore(prog *cfg.Program, src trace.OracleSource, c Config, hier *mem.Hier
 		co.pfCallsRet = o
 	}
 	return co, nil
+}
+
+// Release releases the core's socket (see Socket.Release).
+func (co *Core) Release() { co.sock.Release() }
+
+// release hands the core's private tables to the recycler: the L1
+// columns, the predictor tables, the loop counters of the walker it
+// built, and, when withPrefetcher, the prefetcher's tables.
+func (co *Core) release(withPrefetcher bool) {
+	co.hier.L1I.Release()
+	co.hier.L1D.Release()
+	co.bp.Release()
+	if co.walker != nil {
+		co.walker.Release()
+	}
+	if r, ok := co.pf.(interface{ Release() }); ok && withPrefetcher {
+		r.Release()
+	}
 }
 
 // MustNew is New for known-good configurations.

@@ -131,6 +131,24 @@ func NewSocket(tenants []SocketTenant, sc SocketConfig) (*Socket, error) {
 	return s, nil
 }
 
+// Release ends the socket's life. Every table its caches, predictors,
+// prefetchers and walkers took from the recycler (internal/recycle) goes
+// back for the next socket the process builds, and the socket drops it,
+// so a released socket panics when it is used again. Results, metric
+// snapshots, samples and checkpoints taken before stay valid: none of
+// them aliases a table. A shared prefetcher is released once; releasing
+// twice is a no-op.
+func (s *Socket) Release() {
+	if s.unc == nil {
+		return
+	}
+	for i, co := range s.cores {
+		co.release(i == 0 || !s.cfg.SharedPrefetcher)
+	}
+	s.unc.Release()
+	s.unc = nil
+}
+
 // NumCores returns the tenant count.
 func (s *Socket) NumCores() int { return len(s.cores) }
 
@@ -203,6 +221,9 @@ func (s *Socket) Step() { s.step() }
 // measured over exactly n instructions. Returns an error when the cycle
 // budget explodes (deadlock or pathological configuration guard).
 func (s *Socket) Run(n uint64) error {
+	if s.unc == nil {
+		panic("core: Run on a released socket")
+	}
 	maxPer := 0
 	for i, co := range s.cores {
 		s.targets[i] = co.retired + n

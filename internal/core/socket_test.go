@@ -39,6 +39,35 @@ func TestSocketLockstep(t *testing.T) {
 	}
 }
 
+// TestReleasedSocketPanics: Release ends a socket's life. Running or
+// snapshotting it afterwards panics instead of simulating on tables the
+// next socket now owns; releasing again, shared prefetcher included, is
+// a no-op.
+func TestReleasedSocketPanics(t *testing.T) {
+	s, err := NewSocket(socketTenants(71, 72), SocketConfig{SharedPrefetcher: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(4000); err != nil {
+		t.Fatal(err)
+	}
+	s.Release()
+	s.Release()
+	for name, use := range map[string]func(){
+		"Run":      func() { _ = s.Run(1000) },
+		"Snapshot": func() { _, _ = s.Snapshot() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a released socket did not panic", name)
+				}
+			}()
+			use()
+		}()
+	}
+}
+
 // TestSocketRejectsMismatchedUncore pins the constructor contract: tenants
 // whose shared-level geometry differs from tenant 0's are refused (there
 // is only one uncore).

@@ -14,6 +14,7 @@ import (
 	"pdip/internal/checkpoint"
 	"pdip/internal/isa"
 	"pdip/internal/prefetch"
+	"pdip/internal/recycle"
 )
 
 // Config parameterises EIP.
@@ -74,7 +75,12 @@ type EIP struct {
 
 	sets [][]checkpoint.EIPEntryState // bounded table
 	anal map[isa.Addr][]isa.Addr      // analytical unbounded table
-	tick uint32
+	// entries backs every set and dsts every entry's Dsts, so the
+	// bounded table is three recycled allocations (internal/recycle),
+	// not one per entry.
+	entries []checkpoint.EIPEntryState
+	dsts    []isa.Addr
+	tick    uint32
 
 	Stats Stats
 }
@@ -92,18 +98,29 @@ func New(cfg Config) *EIP {
 	}
 	e := &EIP{cfg: cfg, hist: make([]checkpoint.EIPHistEntry, cfg.HistorySize)}
 	if cfg.Sets > 0 {
-		e.sets = make([][]checkpoint.EIPEntryState, cfg.Sets)
+		n, w, t := cfg.Sets*cfg.Ways, cfg.Ways, cfg.TargetsPerEntry
+		e.sets = recycle.Make[[][]checkpoint.EIPEntryState](cfg.Sets)
+		e.entries = recycle.Make[[]checkpoint.EIPEntryState](n)
+		e.dsts = recycle.Make[[]isa.Addr](n * t)
 		for i := range e.sets {
-			ways := make([]checkpoint.EIPEntryState, cfg.Ways)
-			for w := range ways {
-				ways[w].Dsts = make([]isa.Addr, 0, cfg.TargetsPerEntry)
-			}
-			e.sets[i] = ways
+			e.sets[i] = e.entries[i*w : (i+1)*w : (i+1)*w]
+		}
+		for k := range e.entries {
+			e.entries[k].Dsts = e.dsts[k*t : k*t : (k+1)*t]
 		}
 	} else {
 		e.anal = make(map[isa.Addr][]isa.Addr)
 	}
 	return e
+}
+
+// Release hands the bounded table to the recycler (internal/recycle) and
+// drops it; the prefetcher must not be used afterwards.
+func (e *EIP) Release() {
+	recycle.Free(e.sets)
+	recycle.Free(e.entries)
+	recycle.Free(e.dsts)
+	e.sets, e.entries, e.dsts = nil, nil, nil
 }
 
 // Name implements prefetch.Prefetcher.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"pdip/internal/harness"
+	"pdip/internal/recycle"
 )
 
 // testGrid is the small distributed-vs-serial reference grid: two
@@ -55,7 +56,9 @@ func mergedDoc(t *testing.T, results []*harness.RunResult) []byte {
 // TestFabricBitIdenticalToSerial distributes the reference grid over two
 // in-process workers with a shared checkpoint directory and requires the
 // merged document to be byte-identical to a serial Runner.RunAll over the
-// same specs.
+// same specs. The two workers fork concurrently on the tables earlier
+// sockets released (internal/recycle), so under -race this is also the
+// recycler's concurrency test.
 func TestFabricBitIdenticalToSerial(t *testing.T) {
 	specs, err := testGrid().Specs()
 	if err != nil {
@@ -65,9 +68,14 @@ func TestFabricBitIdenticalToSerial(t *testing.T) {
 
 	fleet := StartFleet(2, 1, t.TempDir(), Config{})
 	defer fleet.Close()
+	before := recycle.Stats().Recycled
 	results, err := fleet.RunGrid(specs)
 	if err != nil {
 		t.Fatalf("fabric grid: %v", err)
+	}
+	// Every fork and warmup after the first finds the uncore's ~1 MB idle.
+	if got := recycle.Stats().Recycled - before; got < uint64(len(specs))<<20 {
+		t.Errorf("the fleet built on %d bytes of recycled table, want at least 1 MiB per cell", got)
 	}
 	got := mergedDoc(t, results)
 	if !bytes.Equal(got, want) {

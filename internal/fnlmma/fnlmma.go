@@ -18,6 +18,7 @@ import (
 	"pdip/internal/checkpoint"
 	"pdip/internal/isa"
 	"pdip/internal/prefetch"
+	"pdip/internal/recycle"
 )
 
 // Config sizes the two tables.
@@ -72,11 +73,21 @@ func New(cfg Config) *FNLMMA {
 	}
 	return &FNLMMA{
 		cfg:      cfg,
-		worth:    make([]uint8, cfg.WorthEntries),
-		mmaTag:   make([]uint32, cfg.MMAEntries),
-		mmaDst:   make([]isa.Addr, cfg.MMAEntries),
+		worth:    recycle.Make[[]uint8](cfg.WorthEntries),
+		mmaTag:   recycle.Make[[]uint32](cfg.MMAEntries),
+		mmaDst:   recycle.Make[[]isa.Addr](cfg.MMAEntries),
 		missRing: make([]isa.Addr, cfg.Distance),
 	}
+}
+
+// Release hands the worth and MMA tables to the recycler
+// (internal/recycle) and drops them; the prefetcher must not be used
+// afterwards.
+func (f *FNLMMA) Release() {
+	recycle.Free(f.worth)
+	recycle.Free(f.mmaTag)
+	recycle.Free(f.mmaDst)
+	f.worth, f.mmaTag, f.mmaDst = nil, nil, nil
 }
 
 // Name implements prefetch.Prefetcher.

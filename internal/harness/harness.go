@@ -506,15 +506,12 @@ func (r *Runner) buildWarmState(wk warmKey, key string) (*checkpoint.State, stri
 	if err != nil {
 		return nil, "", err
 	}
-	if err := co.Run(wk.Warmup); err != nil {
-		return nil, "", fmt.Errorf("%s/%s warmup: %w", wk.Benchmark, wk.Policy, err)
-	}
-	if err := sourceErr(wspec, src); err != nil {
-		return nil, "", err
-	}
-	st, err = co.Snapshot()
+	st, err = warmSnapshot(co, wspec, src)
+	// The snapshot is a clone: the warm socket's tables go to the next
+	// build (internal/recycle).
+	co.Release()
 	if err != nil {
-		return nil, "", fmt.Errorf("%s/%s snapshot: %w", wk.Benchmark, wk.Policy, err)
+		return nil, "", err
 	}
 	r.mu.Lock()
 	r.ckStats.WarmupsExecuted++
@@ -538,6 +535,21 @@ func (r *Runner) buildWarmState(wk warmKey, key string) (*checkpoint.State, stri
 	}
 	r.ck.Put(key, st)
 	return st, key, nil
+}
+
+// warmSnapshot simulates wspec's warmup window on co and snapshots it.
+func warmSnapshot(co *core.Core, wspec RunSpec, src *champsim.Source) (*checkpoint.State, error) {
+	if err := co.Run(wspec.Warmup); err != nil {
+		return nil, fmt.Errorf("%s/%s warmup: %w", wspec.Benchmark, wspec.Policy, err)
+	}
+	if err := sourceErr(wspec, src); err != nil {
+		return nil, err
+	}
+	st, err := co.Snapshot()
+	if err != nil {
+		return nil, fmt.Errorf("%s/%s snapshot: %w", wspec.Benchmark, wspec.Policy, err)
+	}
+	return st, nil
 }
 
 // diskKey content-addresses wspec's warm state. The hash covers the
@@ -652,7 +664,9 @@ func buildConfig(spec RunSpec) (*cfg.Program, core.Config, error) {
 // (TestCheckpointBitIdentical). Only a one-tenant socket samples (see
 // executeScratch); onSample, when non-nil, observes each interval
 // snapshot the moment it is recorded (the fabric worker's streaming
-// path) and has no effect on the simulation or the result.
+// path) and has no effect on the simulation or the result. It stays
+// installed for this window only. Results own their samples: the core's
+// sample storage is reused by its next window.
 func measureRun(s *core.Socket, specs []RunSpec, measure uint64, onSample func(metrics.Sample)) ([]*RunResult, error) {
 	s.ResetStats()
 	if every := specs[0].SampleEvery; every > 0 {
@@ -660,6 +674,7 @@ func measureRun(s *core.Socket, specs []RunSpec, measure uint64, onSample func(m
 		co.EnableSampling(every)
 		if onSample != nil {
 			co.SetSampleHook(onSample)
+			defer co.SetSampleHook(nil)
 		}
 	}
 	if err := s.Run(measure); err != nil {
@@ -668,7 +683,8 @@ func measureRun(s *core.Socket, specs []RunSpec, measure uint64, onSample func(m
 	out := make([]*RunResult, len(specs))
 	for i, spec := range specs {
 		res, snap := s.TenantResult(i)
-		out[i] = &RunResult{Spec: spec, Res: res, Metrics: snap, Samples: s.Core(i).Samples()}
+		out[i] = &RunResult{Spec: spec, Res: res, Metrics: snap,
+			Samples: append([]metrics.Sample(nil), s.Core(i).Samples()...)}
 	}
 	return out, nil
 }
@@ -692,10 +708,11 @@ func Execute(spec RunSpec) (*RunResult, error) {
 
 // executeOne is Execute with measureRun's streaming-sample hook exposed.
 func executeOne(spec RunSpec, onSample func(metrics.Sample)) (*RunResult, error) {
-	res, _, err := executeScratch([]RunSpec{spec}, SocketOptions{}, onSample)
+	res, s, err := executeScratch([]RunSpec{spec}, SocketOptions{}, onSample)
 	if err != nil {
 		return nil, err
 	}
+	s.Release()
 	return res[0], nil
 }
 
@@ -705,7 +722,8 @@ func executeOne(spec RunSpec, onSample func(metrics.Sample)) (*RunResult, error)
 // must carry the same Warmup/Measure budgets — the socket warms and
 // measures all tenants over one shared clock. Sampling needs a single
 // spec: a tenant frozen at its quota while co-tenants run on has no
-// defined sample stream. onSample is measureRun's streaming hook.
+// defined sample stream. onSample is measureRun's streaming hook. The
+// caller releases the returned socket; on error it is already released.
 func executeScratch(specs []RunSpec, so SocketOptions, onSample func(metrics.Sample)) ([]*RunResult, *core.Socket, error) {
 	if len(specs) == 0 {
 		return nil, nil, fmt.Errorf("socket: need at least one spec")
@@ -753,11 +771,13 @@ func executeScratch(specs []RunSpec, so SocketOptions, onSample func(metrics.Sam
 		return nil, nil, err
 	}
 	if err := s.Run(warmup); err != nil {
+		s.Release()
 		closeAll()
 		return nil, nil, fmt.Errorf("%s warmup: %w", runLabel(specs), err)
 	}
 	res, err := measureRun(s, specs, measure, onSample)
 	if err != nil {
+		s.Release()
 		closeAll()
 		return nil, nil, err
 	}
@@ -765,6 +785,7 @@ func executeScratch(specs []RunSpec, so SocketOptions, onSample func(metrics.Sam
 		res[i], err = finishSource(spec, srcs[i], res[i], nil)
 		srcs[i] = nil // finishSource closed it
 		if err != nil {
+			s.Release()
 			closeAll()
 			return nil, nil, err
 		}

@@ -51,6 +51,9 @@ func (r *Runner) ExecuteJob(spec RunSpec, onSample func(metrics.Sample)) (*RunRe
 		closeSource(src)
 		return nil, fmt.Errorf("%s fork: %w", spec.Key(), err)
 	}
+	// The result owns everything it holds, so the fork's tables go to the
+	// next build (internal/recycle) once it is measured.
+	defer s.Release()
 	r.mu.Lock()
 	r.ckStats.Forks++
 	r.mu.Unlock()

@@ -41,6 +41,7 @@ func ExecuteSocket(specs []RunSpec, so SocketOptions) (*SocketRunResult, error) 
 	if err != nil {
 		return nil, err
 	}
+	defer s.Release()
 	return &SocketRunResult{
 		Tenants:      tenants,
 		Interference: s.InterferenceSnapshot(),

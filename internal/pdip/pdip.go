@@ -19,6 +19,7 @@ import (
 	"pdip/internal/checkpoint"
 	"pdip/internal/isa"
 	"pdip/internal/prefetch"
+	"pdip/internal/recycle"
 	"pdip/internal/rng"
 )
 
@@ -160,10 +161,18 @@ func New(cfg Config) *PDIP {
 	n := cfg.Sets * cfg.Ways
 	return &PDIP{
 		cfg:     cfg,
-		entries: make([]checkpoint.PDIPEntryState, n),
-		targets: make([]checkpoint.PDIPTargetState, n*cfg.TargetsPerEntry),
+		entries: recycle.Make[[]checkpoint.PDIPEntryState](n),
+		targets: recycle.Make[[]checkpoint.PDIPTargetState](n * cfg.TargetsPerEntry),
 		r:       rng.New(cfg.Seed ^ 0x9d19),
 	}
+}
+
+// Release hands the table to the recycler (internal/recycle) and drops
+// it; the prefetcher must not be used afterwards.
+func (p *PDIP) Release() {
+	recycle.Free(p.entries)
+	recycle.Free(p.targets)
+	p.entries, p.targets = nil, nil
 }
 
 // Name implements prefetch.Prefetcher.

@@ -40,6 +40,21 @@ func pdipOn(c *core.Config, ways int) {
 	c.Prefetcher = pdip.New(pc)
 }
 
+// policies is the registry, built once; idx maps each name to its place.
+// Lookups hand out copies.
+var (
+	policies = registry()
+	idx      = indexOf(policies)
+)
+
+func indexOf(ps []Policy) map[string]int {
+	m := make(map[string]int, len(ps))
+	for i := range ps {
+		m[ps[i].Name] = i
+	}
+	return m
+}
+
 // registry builds the full policy table.
 func registry() []Policy {
 	ps := []Policy{
@@ -142,14 +157,13 @@ func registry() []Policy {
 }
 
 // All returns every policy, stable-ordered.
-func All() []Policy { return registry() }
+func All() []Policy { return append([]Policy(nil), policies...) }
 
 // Names returns all registry keys, sorted.
 func Names() []string {
-	ps := registry()
-	names := make([]string, len(ps))
-	for i := range ps {
-		names[i] = ps[i].Name
+	names := make([]string, len(policies))
+	for i := range policies {
+		names[i] = policies[i].Name
 	}
 	sort.Strings(names)
 	return names
@@ -157,10 +171,8 @@ func Names() []string {
 
 // ByName returns the named policy.
 func ByName(name string) (Policy, error) {
-	for _, p := range registry() {
-		if p.Name == name {
-			return p, nil
-		}
+	if i, ok := idx[name]; ok {
+		return policies[i], nil
 	}
 	return Policy{}, fmt.Errorf("policy: unknown policy %q (known: %v)", name, Names())
 }

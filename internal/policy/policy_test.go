@@ -40,6 +40,24 @@ func TestByNameUnknown(t *testing.T) {
 	}
 }
 
+// TestByNameCopiesOutOfRegistry: the registry is built once, a lookup
+// copies a policy out of it without allocating, and changing the copy
+// leaves the registry as it was.
+func TestByNameCopiesOutOfRegistry(t *testing.T) {
+	var p Policy
+	if n := testing.AllocsPerRun(100, func() { p, _ = ByName("pdip44") }); n != 0 {
+		t.Errorf("ByName allocates %v times per call, want 0", n)
+	}
+	p.Name, p.Description, p.Apply = "changed", "changed", nil
+	All()[0].Apply = nil
+	for _, name := range []string{"pdip44", All()[0].Name} {
+		got, err := ByName(name)
+		if err != nil || got.Name != name || got.Description == "changed" || got.Apply == nil {
+			t.Errorf("mutating returned policies changed %q in the registry: %+v (%v)", name, got, err)
+		}
+	}
+}
+
 func TestEveryPolicyYieldsValidConfig(t *testing.T) {
 	for _, p := range All() {
 		c := core.DefaultConfig()

@@ -13,6 +13,7 @@ import (
 	"pdip/internal/checkpoint"
 	"pdip/internal/isa"
 	"pdip/internal/prefetch"
+	"pdip/internal/recycle"
 )
 
 // Config sizes the signature table.
@@ -46,7 +47,11 @@ type Stats = checkpoint.RDIPStats
 type RDIP struct {
 	cfg  Config
 	sets [][]checkpoint.RDIPEntryState
-	tick uint32
+	// entries backs every set and lines every entry's Lines, so the table
+	// is three recycled allocations (internal/recycle), not one per entry.
+	entries []checkpoint.RDIPEntryState
+	lines   []isa.Addr
+	tick    uint32
 
 	// ras mirrors the call stack for signature computation.
 	ras []isa.Addr
@@ -63,15 +68,29 @@ func New(cfg Config) *RDIP {
 	if cfg.Sets == 0 {
 		cfg = DefaultConfig()
 	}
-	r := &RDIP{cfg: cfg, sets: make([][]checkpoint.RDIPEntryState, cfg.Sets)}
+	n, w, l := cfg.Sets*cfg.Ways, cfg.Ways, cfg.LinesPerEntry
+	r := &RDIP{
+		cfg:     cfg,
+		sets:    recycle.Make[[][]checkpoint.RDIPEntryState](cfg.Sets),
+		entries: recycle.Make[[]checkpoint.RDIPEntryState](n),
+		lines:   recycle.Make[[]isa.Addr](n * l),
+	}
 	for i := range r.sets {
-		ways := make([]checkpoint.RDIPEntryState, cfg.Ways)
-		for w := range ways {
-			ways[w].Lines = make([]isa.Addr, 0, cfg.LinesPerEntry)
-		}
-		r.sets[i] = ways
+		r.sets[i] = r.entries[i*w : (i+1)*w : (i+1)*w]
+	}
+	for k := range r.entries {
+		r.entries[k].Lines = r.lines[k*l : k*l : (k+1)*l]
 	}
 	return r
+}
+
+// Release hands the signature table to the recycler (internal/recycle)
+// and drops it; the prefetcher must not be used afterwards.
+func (r *RDIP) Release() {
+	recycle.Free(r.sets)
+	recycle.Free(r.entries)
+	recycle.Free(r.lines)
+	r.sets, r.entries, r.lines = nil, nil, nil
 }
 
 // Name implements prefetch.Prefetcher.

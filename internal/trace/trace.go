@@ -20,6 +20,7 @@ package trace
 import (
 	"pdip/internal/cfg"
 	"pdip/internal/isa"
+	"pdip/internal/recycle"
 	"pdip/internal/rng"
 )
 
@@ -68,10 +69,18 @@ func New(prog *cfg.Program, seed uint64) *Walker {
 	w := &Walker{
 		prog:    prog,
 		r:       rng.New(seed),
-		loopCnt: make([]uint16, len(prog.Blocks)),
+		loopCnt: recycle.Make[[]uint16](len(prog.Blocks)),
 	}
 	w.cur = &prog.Blocks[prog.Entry]
 	return w
+}
+
+// Release hands the walker's loop counters to the recycler
+// (internal/recycle) and drops them; the walker must not be used
+// afterwards.
+func (w *Walker) Release() {
+	recycle.Free(w.loopCnt)
+	w.loopCnt = nil
 }
 
 // Fork creates a wrong-path walker positioned at pc. The fork has its own

@@ -112,6 +112,13 @@ func reserveFor(configured, mshrs, requesters int) int {
 	return r
 }
 
+// Release hands the L2 and L3 line columns to the recycler (see
+// cache.Cache.Release); the uncore must not be used afterwards.
+func (u *Uncore) Release() {
+	u.L2.Release()
+	u.L3.Release()
+}
+
 // Requesters returns the number of tenant ports.
 func (u *Uncore) Requesters() int { return len(u.ports) }
 

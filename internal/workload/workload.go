@@ -86,8 +86,18 @@ func base(seed uint64) cfg.Params {
 	return p
 }
 
+// profiles is the registry, built once; idx maps each name to its place.
+// Lookups hand out copies, so a caller may reshape what it gets.
+var (
+	profiles = build()
+	idx      = indexOf(profiles)
+)
+
 // All returns the 16 profiles in the paper's presentation order.
-func All() []Profile {
+func All() []Profile { return append([]Profile(nil), profiles...) }
+
+// build constructs the 16 profiles.
+func build() []Profile {
 	mk := func(name, suite, desc string, seed uint64, funcs int,
 		mut func(*cfg.Params)) Profile {
 		p := base(seed)
@@ -189,45 +199,86 @@ func indexOf(list []Profile) map[string]int {
 
 // Names returns all profile names in presentation order.
 func Names() []string {
-	all := All()
-	names := make([]string, len(all))
-	for i := range all {
-		names[i] = all[i].Name
+	names := make([]string, len(profiles))
+	for i := range profiles {
+		names[i] = profiles[i].Name
 	}
 	return names
 }
 
 // ByName returns the named profile.
 func ByName(name string) (Profile, error) {
-	for _, p := range All() {
-		if p.Name == name {
-			return p, nil
-		}
+	if i, ok := idx[name]; ok {
+		return profiles[i], nil
 	}
 	known := Names()
 	sort.Strings(known)
 	return Profile{}, fmt.Errorf("workload: unknown benchmark %q (known: %v)", name, known)
 }
 
+// maxReshaped bounds the programs kept for parameters no registered
+// profile has: a sweep through a long-lived process reshapes one profile
+// many times (~4.4 MiB per stock-size program), and its specs use each
+// shape together, so a few suffice.
+const maxReshaped = 4
+
+// reshapedProg is one cached program of unregistered parameters.
+type reshapedProg struct {
+	params cfg.Params
+	prog   *cfg.Program
+}
+
 var (
-	progMu    sync.Mutex
-	progCache = map[cfg.Params]*cfg.Program{}
+	progMu sync.Mutex
+	// stockProgs holds the registered profiles' programs for the process
+	// lifetime: a key with a nil program is registered but not yet built.
+	stockProgs = stockKeys()
+	// reshaped holds the programs of other parameters, least recently
+	// used first, at most maxReshaped of them.
+	reshaped []reshapedProg
 )
+
+func stockKeys() map[cfg.Params]*cfg.Program {
+	m := make(map[cfg.Params]*cfg.Program, len(profiles))
+	for _, p := range profiles {
+		m[p.CFG] = nil
+	}
+	return m
+}
 
 // Program generates (and caches) the profile's synthetic program. Programs
 // are deterministic in their parameters, and read-only once built, so the
 // cache is keyed on the whole cfg.Params and shared across runs and
 // profiles: a profile reshaped in any parameter gets its own program.
+// The registered profiles' programs stay for the life of the process;
+// a reshaped one may be evicted and later generated again.
 func (p Profile) Program() (*cfg.Program, error) {
 	progMu.Lock()
 	defer progMu.Unlock()
-	if prog, ok := progCache[p.CFG]; ok {
+	prog, registered := stockProgs[p.CFG]
+	if prog != nil {
 		return prog, nil
+	}
+	for i, e := range reshaped {
+		if e.params == p.CFG {
+			copy(reshaped[i:], reshaped[i+1:])
+			reshaped[len(reshaped)-1] = e
+			return e.prog, nil
+		}
 	}
 	prog, err := cfg.Generate(p.CFG)
 	if err != nil {
 		return nil, err
 	}
-	progCache[p.CFG] = prog
+	if registered {
+		stockProgs[p.CFG] = prog
+		return prog, nil
+	}
+	if len(reshaped) == maxReshaped {
+		n := copy(reshaped, reshaped[1:])
+		reshaped[n] = reshapedProg{}
+		reshaped = reshaped[:n]
+	}
+	reshaped = append(reshaped, reshapedProg{p.CFG, prog})
 	return prog, nil
 }

@@ -35,6 +35,19 @@ func TestByName(t *testing.T) {
 	if _, err := ByName("doom"); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
+	// The registry is built once: a lookup copies a profile out of it
+	// without allocating, and reshaping the copy leaves the registry as
+	// it was.
+	if n := testing.AllocsPerRun(100, func() { p, _ = ByName("kafka") }); n != 0 {
+		t.Errorf("ByName allocates %v times per call, want 0", n)
+	}
+	want := p
+	p.CFG.NumFuncs *= 2
+	p.MemOpFrac = 0.5
+	All()[2].DataHotFrac = 0.1
+	if got, _ := ByName("kafka"); got != want {
+		t.Errorf("mutating returned profiles changed the registry: %+v, want %+v", got, want)
+	}
 }
 
 func TestProgramsGenerateAndExceedL1I(t *testing.T) {
@@ -113,6 +126,18 @@ func TestProgramCacheKeysEveryParam(t *testing.T) {
 	ycsb.CFG.HardBranchFrac, ycsb.CFG.InstsPerBlockMean = 0.3, 12
 	if reshaped, err := ycsb.Program(); err != nil || reshaped == stock {
 		t.Fatalf("reshaped ycsb got the stock program (%v)", err)
+	}
+	// Only a bounded number of reshaped programs stays resident; the
+	// registered profiles' programs stay for the life of the process.
+	progMu.Lock()
+	resident := len(reshaped)
+	progMu.Unlock()
+	if resident > maxReshaped {
+		t.Errorf("%d reshaped programs resident, want at most %d", resident, maxReshaped)
+	}
+	ycsb, _ = ByName("ycsb")
+	if again, err := ycsb.Program(); err != nil || again != stock {
+		t.Errorf("the stock ycsb program was evicted (%v)", err)
 	}
 }
 
