@@ -4,7 +4,7 @@
 GO ?= go
 
 .PHONY: all build fmt-check vet test race determinism golden check bench clean
-.PHONY: lint lint-fix-report check-invariant fuzz bench-track bench-diff bench-pair perf-smoke trace-suite socket fabric-smoke examples
+.PHONY: lint lint-fix-report check-invariant fuzz bench-track bench-pair perf-smoke trace-suite socket fabric-smoke examples
 
 all: build
 
@@ -114,28 +114,13 @@ bench:
 
 # Perf snapshot: run the benchmark suite at a stable benchtime and record
 # ns/op, allocs/op, B/op, and simulated cycles/sec per bench into
-# BENCH_simulator.json (via cmd/benchtrack). Diff the regenerated file
-# against the committed snapshot for before/after evidence in perf PRs.
+# BENCH_simulator.json (via cmd/benchtrack): a record of this host's
+# numbers. Changes are judged by same-host pairs (bench-pair), not
+# against the snapshot.
 BENCHTIME ?= 0.5s
 bench-track:
 	$(GO) test -run '^$$' -bench=. -benchtime=$(BENCHTIME) -benchmem . \
 		| $(GO) run ./cmd/benchtrack -o BENCH_simulator.json
-
-# Perf-regression gate: rerun the benchmark suite and compare ns/op
-# against the committed BENCH_simulator.json, failing when any benchmark
-# regressed beyond the threshold (default 15% — generous enough for CI
-# machine noise, tight enough to catch a real slowdown). The checkpoint
-# rows (codec round trip, disk/cached forks) are pure CPU + small-file
-# I/O with far less run-to-run variance than the end-to-end grids, so
-# they get a tighter per-row gate: the binary codec is the warm-state
-# layer's whole perf budget and must not creep. After an intentional perf
-# change, regenerate the snapshot with `make bench-track`.
-BENCH_THRESHOLD ?= 0.15
-BENCH_CKPT_THRESHOLD ?= 0.10
-bench-diff:
-	$(GO) test -run '^$$' -bench=. -benchtime=$(BENCHTIME) -benchmem . \
-		| $(GO) run ./cmd/benchtrack -diff BENCH_simulator.json -threshold $(BENCH_THRESHOLD) \
-			-threshold-for '^BenchmarkCheckpoint=$(BENCH_CKPT_THRESHOLD)'
 
 # Paired micro-benchmark comparison against another commit on this host,
 # the perf gate CI runs (the committed BENCH_simulator.json was recorded on
@@ -148,6 +133,7 @@ bench-diff:
 # ranges separate.
 #
 #   make bench-pair BASE=HEAD~1 BENCH='^BenchmarkCheckpoint(SaveRestore|ForkDisk)$$'
+BENCH_THRESHOLD ?= 0.15
 BASE ?= HEAD
 PAIRS ?= 10
 BENCH ?= ^BenchmarkCheckpoint

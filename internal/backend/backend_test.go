@@ -3,11 +3,12 @@ package backend
 import (
 	"testing"
 
+	"pdip/internal/checkpoint"
 	"pdip/internal/frontend"
 )
 
 func uop(seq uint64, done int64, wrong bool) *frontend.Uop {
-	return &frontend.Uop{Seq: seq, DoneAt: done, WrongPath: wrong}
+	return &frontend.Uop{UopState: checkpoint.UopState{Seq: seq, DoneAt: done, WrongPath: wrong}}
 }
 
 func TestROBInOrderRetire(t *testing.T) {

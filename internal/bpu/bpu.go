@@ -19,16 +19,7 @@ func DefaultConfig() Config {
 }
 
 // Prediction is the IAG-visible outcome of predicting one branch.
-type Prediction struct {
-	// Taken is the predicted direction. When the BTB misses, the IAG does
-	// not know a branch exists, so the prediction is always fall-through
-	// (Taken == false) regardless of what TAGE would have said.
-	Taken bool
-	// Target is the predicted target when Taken.
-	Target isa.Addr
-	// BTBHit reports whether the branch was visible to the IAG at all.
-	BTBHit bool
-}
+type Prediction = checkpoint.Prediction
 
 // Stats counts prediction events on the correct path.
 type Stats = checkpoint.BPUStats

@@ -7,15 +7,16 @@
 //
 // The package is a leaf: it imports only the ISA vocabulary and the
 // standard library, so every component package can depend on it without
-// cycles. The components keep their tables and stats in these
-// declarations directly (cache columns, TAGE/ITTAGE and BTB entries, the
-// PDIP, EIP and RDIP rows, every Stats struct), so each shape is declared
-// once, a capture is a clone and a restore is checks plus copy. State
-// structs deliberately contain no Go maps (map-backed component state is
-// captured as key-sorted slices): the wire encoding must be byte-identical for
-// identical simulator state, because the on-disk cache is content
-// addressed and the bit-identity tests diff restored runs against
-// from-scratch runs.
+// cycles. The components keep their tables, stats and pipeline records in
+// these declarations directly (cache columns, TAGE/ITTAGE and BTB
+// entries, the PDIP, EIP and RDIP rows, every Stats struct, the episode,
+// uop, FTQ-entry, prefetch-request and pending-resteer records), so each
+// shape is declared once, a capture is a clone and a restore is checks
+// plus copy. State structs deliberately contain no Go maps (map-backed
+// component state is captured as key-sorted slices): the wire encoding
+// must be byte-identical for identical simulator state, because the
+// on-disk cache is content addressed and the bit-identity tests diff
+// restored runs against from-scratch runs.
 //
 // Every snapshot is socket-shaped: a single-core run is a one-tenant
 // socket, so State holds the shared uncore once and one TenantState per
@@ -116,11 +117,8 @@ type CoreState struct {
 	Seq     uint64
 	Retired uint64
 
-	HasResteer     bool
-	ResteerAt      int64
-	ResteerTarget  isa.Addr
-	ResteerTrigger isa.Addr
-	ResteerCause   uint8
+	HasResteer bool
+	Resteer    ResteerState
 
 	IAGResumeAt     int64
 	ShadowTrigger   isa.Addr
@@ -483,67 +481,197 @@ type ChampSimDecodeEntry struct {
 	Target isa.Addr
 }
 
-// EpisodeState is one live line-fetch episode. Episodes are shared (an
-// FTQ entry's uops all reference their line's episode), so they are
-// captured once in State.Episodes and referenced by index.
-type EpisodeState struct {
-	Line             isa.Addr
-	WrongPath        bool
-	Missed           bool
-	ServedBy         uint8
-	FetchCycle       int64
-	DoneCycle        int64
-	Starve           int
-	BackendEmpty     bool
-	WasPrefetch      bool
-	Processed        bool
-	ResteerTrigger   isa.Addr
-	ResteerWasReturn bool
-	Refs             int32
+// Level identifies which memory level served an access (mem.Level).
+type Level uint8
+
+const (
+	// LevelL1 means the first-level cache (L1I or L1D) hit.
+	LevelL1 Level = iota
+	// LevelL2 means the access missed L1 and hit L2.
+	LevelL2
+	// LevelL3 means the access missed L1 and L2 and hit L3.
+	LevelL3
+	// LevelMem means the access went to DRAM.
+	LevelMem
+)
+
+func (l Level) String() string {
+	switch l {
+	case LevelL1:
+		return "L1"
+	case LevelL2:
+		return "L2"
+	case LevelL3:
+		return "L3"
+	default:
+		return "Mem"
+	}
 }
 
-// FTQEntryState is one predicted basic block in the FTQ or IFU.
-type FTQEntryState struct {
-	Insts     []isa.Inst
-	Start     isa.Addr
-	Lines     []isa.Addr
+// ResteerCause classifies front-end resteers for stats and PDIP triggers
+// (frontend.ResteerCause).
+type ResteerCause uint8
+
+const (
+	// ResteerNone means no resteer.
+	ResteerNone ResteerCause = iota
+	// ResteerMispredict is a conditional direction or indirect target
+	// mispredict.
+	ResteerMispredict
+	// ResteerBTBMiss is a taken branch that was invisible to the IAG.
+	ResteerBTBMiss
+	// ResteerReturn is a return-target mispredict.
+	ResteerReturn
+)
+
+func (c ResteerCause) String() string {
+	switch c {
+	case ResteerMispredict:
+		return "mispredict"
+	case ResteerBTBMiss:
+		return "btb-miss"
+	case ResteerReturn:
+		return "return"
+	default:
+		return "none"
+	}
+}
+
+// ResteerState is the core's single pending front-end redirect: the
+// cycle it takes effect, where it sends the IAG, the trigger block of
+// the resteering branch, and why.
+type ResteerState struct {
+	At      int64
+	Target  isa.Addr
+	Trigger isa.Addr
+	Cause   ResteerCause
+}
+
+// The pipeline records below are the live records themselves:
+// frontend.LineEpisode embeds EpisodeState, frontend.Uop is UopState plus
+// its episode pointer, frontend.FTQEntry is FTQEntryState plus its
+// episode pointers, and prefetch.Request is RequestState. A capture copies
+// the record and maps each pointer to an index (EpisodeID, EpisodeIDs)
+// into TenantState.Episodes; a restore copies it back and resolves the
+// indexes. The index fields mean nothing on a live record.
+
+// EpisodeState is one demand-fetch episode of an instruction cache line
+// (frontend.LineEpisode): the unit the FEC conditions are evaluated over.
+// Episodes are created when the IFU issues the demand access and processed
+// once, when the first instruction they delivered retires. They are
+// shared (an FTQ entry's uops all reference their line's episode), so a
+// checkpoint holds each once in TenantState.Episodes, referenced by index.
+type EpisodeState struct {
+	// Line is the cache line address.
+	Line isa.Addr
+	// WrongPath marks episodes created for squashed fetches.
 	WrongPath bool
+	// Missed reports an L1I demand miss; ServedBy is the filling level.
+	Missed   bool
+	ServedBy Level
+	// FetchCycle is the demand issue cycle; DoneCycle its completion.
+	FetchCycle, DoneCycle int64
+	// Starve counts decode-starvation cycles attributed to this episode.
+	Starve int
+	// BackendEmpty records an empty back-end during the starvation.
+	BackendEmpty bool
+	// WasPrefetch marks a demand access that consumed a prefetched line.
+	WasPrefetch bool
+	// Processed marks retire-time FEC handling as done.
+	Processed bool
+	// ResteerTrigger is the trigger block (line) of the most recent
+	// resteer when this episode was fetched in its shadow, else 0.
+	ResteerTrigger isa.Addr
+	// ResteerWasReturn marks return-caused resteer shadows.
+	ResteerWasReturn bool
+	// Refs counts live uop references to this episode so the core can
+	// recycle episode storage once the last referencing uop retires or is
+	// squashed. It is allocator bookkeeping, not simulated state.
+	Refs int32
+}
+
+// Prediction is the BPU's prediction for a block's terminator
+// (bpu.Prediction).
+type Prediction struct {
+	// Taken is the predicted direction. When the BTB misses, the IAG does
+	// not know a branch exists, so the prediction is always fall-through
+	// (Taken == false) regardless of what TAGE would have said.
+	Taken bool
+	// Target is the predicted target when Taken.
+	Target isa.Addr
+	// BTBHit reports whether the branch was visible to the IAG at all.
+	BTBHit bool
+}
+
+// FTQEntryState is one predicted basic block in the FTQ or IFU
+// (frontend.FTQEntry).
+type FTQEntryState struct {
+	// Insts are the entry's instructions with actual outcomes.
+	Insts []isa.Inst
+	// Start is the address of the first instruction.
+	Start isa.Addr
+	// Lines are the distinct cache lines the entry spans (in order).
+	Lines []isa.Addr
+	// WrongPath marks entries fetched beyond an unresolved mispredict.
+	WrongPath bool
+	// HasBranch reports whether the entry ends in a branch.
 	HasBranch bool
-
-	PredTaken  bool
-	PredTarget isa.Addr
-	PredBTBHit bool
-
+	// Pred is the BPU's prediction for the terminator.
+	Pred Prediction
+	// Mispredict, Cause, ResolveAtDecode, CorrectTarget describe the
+	// pending resteer when the prediction was wrong (correct path only).
 	Mispredict      bool
-	Cause           uint8
+	Cause           ResteerCause
 	ResolveAtDecode bool
 	CorrectTarget   isa.Addr
 
-	ShadowTrigger   isa.Addr
+	// ShadowTrigger carries the trigger block of the most recent resteer
+	// for correct-path entries inserted before the FTQ refilled (the
+	// "wake of a resteer" of §4.2); 0 outside any resteer shadow.
+	ShadowTrigger isa.Addr
+	// ShadowWasReturn marks return-caused resteer shadows.
 	ShadowWasReturn bool
 
-	// Episodes indexes State.Episodes (IFU entry only; queued FTQ entries
-	// have none).
-	Episodes []int
-	ReadyAt  int64
+	// EpisodeIDs index TenantState.Episodes, one per line the IFU has
+	// issued (the IFU entry only: queued FTQ entries have none).
+	EpisodeIDs []int
+	// ReadyAt is when all lines are fetched (set by the IFU).
+	ReadyAt int64
 }
 
-// UopState is one in-flight instruction (fetch→decode latch or ROB).
+// UopState is one instruction flowing through decode, the ROB and retire
+// (frontend.Uop).
 type UopState struct {
-	Inst      isa.Inst
-	Seq       uint64
+	// Inst is the architectural instruction with its actual outcome.
+	Inst isa.Inst
+	// Seq is a global fetch-order sequence number.
+	Seq uint64
+	// WrongPath marks squashed-on-resteer instructions.
 	WrongPath bool
-	// Episode indexes State.Episodes; -1 means no episode reference.
-	Episode         int
-	Mispredict      bool
+	// EpisodeID indexes TenantState.Episodes: the fetch episode of the
+	// line the instruction came from, -1 for none.
+	EpisodeID int
+	// Mispredict marks the (correct-path) branch whose prediction was
+	// wrong; resolution triggers the resteer.
+	Mispredict bool
+	// ResolveAtDecode resolves the resteer at decode (early correction
+	// for direct branches missing in the BTB) instead of at execute.
 	ResolveAtDecode bool
-	Cause           uint8
-	CorrectTarget   isa.Addr
-	TriggerBlock    isa.Addr
-	IsMemOp         bool
-	DataLine        isa.Addr
-	DoneAt          int64
-	AvailableAt     int64
+	// Cause classifies the resteer for stats and trigger selection.
+	Cause ResteerCause
+	// CorrectTarget is where the front-end must resteer to.
+	CorrectTarget isa.Addr
+	// TriggerBlock is the block (line) address of the FTQ entry that
+	// contained this branch — the PDIP trigger key.
+	TriggerBlock isa.Addr
+	// IsMemOp marks instructions that access the data hierarchy.
+	IsMemOp bool
+	// DataLine is the data cache line touched when IsMemOp.
+	DataLine isa.Addr
+	// DoneAt is the execution-complete cycle, set when entering the ROB.
+	DoneAt int64
+	// AvailableAt is when the uop leaves the fetch/decode pipe.
+	AvailableAt int64
 }
 
 // ROBState captures the reorder buffer contents, oldest first.
@@ -566,10 +694,39 @@ type QueueState struct {
 	Stats   QueueStats
 }
 
-// RequestState is one queued prefetch target.
+// TriggerKind classifies why a prefetch was issued (Figure 16;
+// prefetch.TriggerKind).
+type TriggerKind uint8
+
+const (
+	// TriggerNone is used by prefetchers without PDIP-style triggers.
+	TriggerNone TriggerKind = iota
+	// TriggerMispredict means the trigger was a front-end resteering
+	// instruction (branch mispredict or BTB miss).
+	TriggerMispredict
+	// TriggerLastTaken means the trigger was the last retired taken
+	// branch (long-latency misses with no resteer).
+	TriggerLastTaken
+)
+
+func (k TriggerKind) String() string {
+	switch k {
+	case TriggerMispredict:
+		return "mispredict"
+	case TriggerLastTaken:
+		return "last-taken"
+	default:
+		return "none"
+	}
+}
+
+// RequestState is one prefetch target emitted by a prefetcher, queued in
+// the PQ or pending in a prefetcher (prefetch.Request).
 type RequestState struct {
-	Line    isa.Addr `ckpt:"delta"`
-	Trigger uint8
+	// Line is the cache line to prefetch.
+	Line isa.Addr `ckpt:"delta"`
+	// Trigger records the trigger class for Figure 16 accounting.
+	Trigger TriggerKind
 }
 
 // QueueStats aggregates the prefetch queue's issue accounting
@@ -586,7 +743,7 @@ type QueueStats struct {
 	// DroppedMSHR counts prefetches discarded for MSHR headroom.
 	DroppedMSHR uint64
 	// ByTrigger splits issued prefetches by trigger class (Figure 16),
-	// indexed by prefetch.TriggerKind.
+	// indexed by TriggerKind.
 	ByTrigger [3]uint64
 }
 
@@ -625,9 +782,9 @@ type PDIPEntryState struct {
 // PDIPTargetState is one target slot.
 type PDIPTargetState struct {
 	Valid bool
-	Base  isa.Addr // line address of the FEC prefetch candidate
-	Mask  uint8    // bit k set → also prefetch Base + (k+1) lines
-	Trig  uint8    // prefetch.TriggerKind of the insertion
+	Base  isa.Addr    // line address of the FEC prefetch candidate
+	Mask  uint8       // bit k set → also prefetch Base + (k+1) lines
+	Trig  TriggerKind // trigger class of the insertion
 	LRU   uint32
 }
 

@@ -177,8 +177,8 @@ func sampleTenant() TenantState {
 	var st TenantState
 	st.Core = CoreState{
 		Now: 12345, Seq: 99, Retired: 88,
-		HasResteer: true, ResteerAt: 12350, ResteerTarget: 0x4000,
-		ResteerTrigger: 0x4040, ResteerCause: 2,
+		HasResteer: true, Resteer: ResteerState{At: 12350, Target: 0x4000,
+			Trigger: 0x4040, Cause: 2},
 		IAGResumeAt: 12351, ShadowTrigger: 0x80, ShadowWasReturn: true,
 		ShadowLeft: 3, LastTakenBlock: 0x1000,
 		Promoted:    []isa.Addr{0x40, 0x80, 0x100},
@@ -258,21 +258,21 @@ func sampleTenant() TenantState {
 	}
 	st.FTQ = []FTQEntryState{{
 		Insts: insts, Start: 0x2000, Lines: []isa.Addr{0x2000, 0x2040},
-		HasBranch: true, PredTaken: true, PredTarget: 0x2100, PredBTBHit: true,
+		HasBranch: true, Pred: Prediction{Taken: true, Target: 0x2100, BTBHit: true},
 		Mispredict: true, Cause: 1, ResolveAtDecode: true, CorrectTarget: 0x2200,
 		ShadowTrigger: 0x2004, ShadowWasReturn: true, ReadyAt: 120,
 	}}
 	st.IFU = &FTQEntryState{
 		Insts: insts[:1:1], Start: 0x3000, Lines: []isa.Addr{0x3000}, WrongPath: true,
-		Episodes: []int{0, 1}, ReadyAt: 130,
+		EpisodeIDs: []int{0, 1}, ReadyAt: 130,
 	}
 	st.DecodeQ = []UopState{{
-		Inst: insts[0], Seq: 5, WrongPath: true, Episode: 0, IsMemOp: true,
+		Inst: insts[0], Seq: 5, WrongPath: true, EpisodeID: 0, IsMemOp: true,
 		DataLine: 0x9000, DoneAt: 140, AvailableAt: 135,
 	}}
 	st.ROB = ROBState{
 		Uops: []UopState{{
-			Inst: insts[1], Seq: 6, Episode: -1, Mispredict: true, ResolveAtDecode: true,
+			Inst: insts[1], Seq: 6, EpisodeID: -1, Mispredict: true, ResolveAtDecode: true,
 			Cause: 2, CorrectTarget: 0x2200, TriggerBlock: 0x2000, DoneAt: 160, AvailableAt: 150,
 		}},
 		Stats: ROBStats{Pushed: 10, Retired: 8, Squashed: 1},

@@ -111,7 +111,7 @@ func (co *Core) capture(st *checkpoint.TenantState) error {
 
 	st.Episodes = make([]checkpoint.EpisodeState, len(eps))
 	for i, ep := range eps {
-		st.Episodes[i] = ep.CaptureCheckpoint()
+		st.Episodes[i] = ep.EpisodeState
 	}
 	st.FTQ = co.ftq.CaptureCheckpoint(epID)
 	if co.ifuEntry != nil {
@@ -144,10 +144,7 @@ func (co *Core) captureCoreState() checkpoint.CoreState {
 		Seq:             co.seq,
 		Retired:         co.retired,
 		HasResteer:      co.hasResteer,
-		ResteerAt:       co.pendingResteer.at,
-		ResteerTarget:   co.pendingResteer.target,
-		ResteerTrigger:  co.pendingResteer.trigger,
-		ResteerCause:    uint8(co.pendingResteer.cause),
+		Resteer:         co.pendingResteer,
 		IAGResumeAt:     co.iagResumeAt,
 		ShadowTrigger:   co.shadowTrigger,
 		ShadowWasReturn: co.shadowWasReturn,
@@ -266,9 +263,8 @@ func (co *Core) restore(st *checkpoint.TenantState) error {
 
 	eps := make([]*frontend.LineEpisode, len(st.Episodes))
 	for i := range st.Episodes {
-		ep := co.newEpisode()
-		ep.RestoreCheckpoint(st.Episodes[i])
-		eps[i] = ep
+		eps[i] = co.newEpisode()
+		eps[i].EpisodeState = st.Episodes[i]
 	}
 	if err := co.ftq.RestoreCheckpoint(st.FTQ, eps); err != nil {
 		return err
@@ -307,12 +303,7 @@ func (co *Core) restoreCoreState(st checkpoint.CoreState) error {
 	co.seq = st.Seq
 	co.retired = st.Retired
 	co.hasResteer = st.HasResteer
-	co.pendingResteer = resteerEvent{
-		at:      st.ResteerAt,
-		target:  st.ResteerTarget,
-		trigger: st.ResteerTrigger,
-		cause:   frontend.ResteerCause(st.ResteerCause),
-	}
+	co.pendingResteer = st.Resteer
 	co.iagResumeAt = st.IAGResumeAt
 	co.shadowTrigger = st.ShadowTrigger
 	co.shadowWasReturn = st.ShadowWasReturn

@@ -154,16 +154,12 @@ var checkpointManifest = map[string]map[string]string{
 		"buf":  "state",
 		"head": "derived",
 	},
-	"frontend.FTQEntry": {
-		"Insts": "state", "Start": "state", "Lines": "state",
-		"WrongPath": "state", "HasBranch": "state", "Pred": "state",
-		"Mispredict": "state", "Cause": "state", "ResolveAtDecode": "state",
-		"CorrectTarget": "state", "ShadowTrigger": "state",
-		"ShadowWasReturn": "state", "Episodes": "state", "ReadyAt": "state",
-	},
-	"core.resteerEvent": {
-		"at": "state", "target": "state", "trigger": "state", "cause": "state",
-	},
+	// Pipeline records hold their checkpoint declarations; the episode
+	// pointers beside them are captured as indexes into the deduplicated
+	// episode table, so shared-episode identity survives the round trip.
+	"frontend.FTQEntry":    {"FTQEntryState": "state", "Episodes": "state"},
+	"frontend.Uop":         {"UopState": "state", "Ep": "state"},
+	"frontend.LineEpisode": {"EpisodeState": "state"},
 	"rng.RNG": {
 		"state": "state",
 	},
@@ -172,9 +168,6 @@ var checkpointManifest = map[string]map[string]string{
 		// read live simulator state and are excluded by construction.
 		"counters": "state", "gauges": "state", "hists": "state",
 		"counterFns": "wiring", "gaugeFns": "wiring",
-	},
-	"prefetch.Request": {
-		"Line": "state", "Trigger": "state",
 	},
 
 	"cache.Cache": {
@@ -219,28 +212,9 @@ var checkpointManifest = map[string]map[string]string{
 		"instIdx": "state", "lostPC": "state", "wrongPath": "state",
 		"dispatchCenter": "state", "count": "state",
 	},
-	"frontend.Uop": {
-		"Inst": "state", "Seq": "state", "WrongPath": "state",
-		// Ep is serialized as an index into the deduplicated episode table
-		// so shared-episode identity survives the round trip.
-		"Ep":         "state",
-		"Mispredict": "state", "ResolveAtDecode": "state", "Cause": "state",
-		"CorrectTarget": "state", "TriggerBlock": "state", "IsMemOp": "state",
-		"DataLine": "state", "DoneAt": "state", "AvailableAt": "state",
-	},
 	"isa.Inst": {
 		"PC": "state", "Size": "state", "Kind": "state",
 		"Taken": "state", "Target": "state",
-	},
-	"bpu.Prediction": {
-		"Taken": "state", "Target": "state", "BTBHit": "state",
-	},
-	"frontend.LineEpisode": {
-		"Line": "state", "WrongPath": "state", "Missed": "state",
-		"ServedBy": "state", "FetchCycle": "state", "DoneCycle": "state",
-		"Starve": "state", "BackendEmpty": "state", "WasPrefetch": "state",
-		"Processed": "state", "ResteerTrigger": "state",
-		"ResteerWasReturn": "state", "Refs": "state",
 	},
 	"metrics.Counter": {"v": "state"},
 	"metrics.Gauge":   {"v": "state"},

@@ -19,14 +19,6 @@ import (
 	"pdip/internal/trace"
 )
 
-// resteerEvent is the single pending front-end redirect.
-type resteerEvent struct {
-	at      int64
-	target  isa.Addr
-	trigger isa.Addr
-	cause   frontend.ResteerCause
-}
-
 // Core is one simulated core bound to a program. The per-cycle work is
 // decomposed into pipeline stages (stage_*.go) ticked in order by pipe;
 // Core itself holds the architectural and microarchitectural state the
@@ -72,7 +64,7 @@ type Core struct {
 
 	// pendingResteer is the single in-flight redirect, stored inline
 	// (hasResteer gates validity) so scheduling one allocates nothing.
-	pendingResteer resteerEvent
+	pendingResteer checkpoint.ResteerState
 	hasResteer     bool
 	iagResumeAt    int64
 

@@ -66,8 +66,9 @@ func TestRestoreRejectsCorruptIndexes(t *testing.T) {
 	if err := s.Run(100_000); err != nil {
 		t.Fatal(err)
 	}
-	// Step to a cycle with a queued prefetch and an MSHR file in use, so
-	// the PQ-trigger and MSHR-minimum cases have something to corrupt.
+	// Step to a cycle with a queued prefetch, an MSHR file in use and a
+	// uop in the ROB, so the PQ-trigger, MSHR-minimum and episode-index
+	// cases have something to corrupt.
 	var base []byte
 	for step := 0; step < 2000 && base == nil; step++ {
 		if err := s.Run(7); err != nil {
@@ -77,7 +78,7 @@ func TestRestoreRejectsCorruptIndexes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(st.Tenants[0].PQ.Entries) > 0 && len(st.Tenants[0].Mem.L1D.Inflight) > 0 {
+		if ten := st.Tenants[0]; len(ten.PQ.Entries) > 0 && len(ten.Mem.L1D.Inflight) > 0 && len(ten.ROB.Uops) > 0 {
 			base = encodeState(t, st)
 		}
 	}
@@ -134,6 +135,18 @@ func TestRestoreRejectsCorruptIndexes(t *testing.T) {
 		{"FNL+MMA miss head", func(st *checkpoint.State) {
 			f := st.Tenants[2].Prefetcher.FNLMMA
 			f.MissHead = len(f.MissRing)
+		}},
+		{"uop episode index", func(st *checkpoint.State) {
+			st.Tenants[0].ROB.Uops[0].EpisodeID = len(st.Tenants[0].Episodes)
+		}},
+		{"IFU episode index", func(st *checkpoint.State) {
+			st.Tenants[0].IFU = &checkpoint.FTQEntryState{EpisodeIDs: []int{-1}}
+		}},
+		{"FTQ depth", func(st *checkpoint.State) {
+			st.Tenants[0].FTQ = make([]checkpoint.FTQEntryState, 25)
+		}},
+		{"PQ capacity", func(st *checkpoint.State) {
+			st.Tenants[0].PQ.Entries = make([]checkpoint.RequestState, 41)
 		}},
 	}
 	for _, tc := range cases {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"pdip/internal/checkpoint"
 	"pdip/internal/frontend"
 	"pdip/internal/invariant"
 	"pdip/internal/mem"
@@ -128,11 +129,11 @@ func (s *decodeStage) allocate(u *frontend.Uop, now int64) {
 		if u.ResolveAtDecode {
 			at = now
 		}
-		co.pendingResteer = resteerEvent{
-			at:      at,
-			target:  u.CorrectTarget,
-			trigger: u.TriggerBlock,
-			cause:   u.Cause,
+		co.pendingResteer = checkpoint.ResteerState{
+			At:      at,
+			Target:  u.CorrectTarget,
+			Trigger: u.TriggerBlock,
+			Cause:   u.Cause,
 		}
 		co.hasResteer = true
 	}

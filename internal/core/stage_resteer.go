@@ -23,14 +23,14 @@ func (s *resteerStage) Name() string { return "resteer" }
 //lint:hotpath
 func (s *resteerStage) Tick(now int64) {
 	co := s.co
-	if !co.hasResteer || now < co.pendingResteer.at {
+	if !co.hasResteer || now < co.pendingResteer.At {
 		return
 	}
 	ev := co.pendingResteer
 	co.hasResteer = false
 
 	ct := &co.ct.resteer
-	switch ev.cause {
+	switch ev.Cause {
 	case frontend.ResteerBTBMiss:
 		ct.btbMiss.Inc()
 	case frontend.ResteerReturn:
@@ -71,8 +71,8 @@ func (s *resteerStage) Tick(now int64) {
 	co.iag.Resteer()
 	co.iagResumeAt = now + int64(co.cfg.ResteerPenalty)
 
-	co.shadowTrigger = ev.trigger
-	co.shadowWasReturn = ev.cause == frontend.ResteerReturn
+	co.shadowTrigger = ev.Trigger
+	co.shadowWasReturn = ev.Cause == frontend.ResteerReturn
 	co.shadowLeft = co.cfg.ResteerShadowBlocks
 }
 
@@ -83,8 +83,8 @@ func (s *resteerStage) NextEventAt(now int64) int64 {
 	if !co.hasResteer {
 		return pipeline.Never
 	}
-	if co.pendingResteer.at <= now {
+	if co.pendingResteer.At <= now {
 		return now + 1
 	}
-	return co.pendingResteer.at
+	return co.pendingResteer.At
 }

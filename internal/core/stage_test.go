@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"pdip/internal/checkpoint"
 	"pdip/internal/frontend"
 	"pdip/internal/isa"
 	"pdip/internal/prefetch"
@@ -110,7 +111,7 @@ func TestDecodeStageMovesReadyUops(t *testing.T) {
 	co := stageCore(t)
 	ds := stageOf(t, co, "decode")
 	for i := 0; i < 3; i++ {
-		co.decodeQ.Push(&frontend.Uop{Seq: uint64(i + 1), AvailableAt: 5})
+		co.decodeQ.Push(&frontend.Uop{UopState: checkpoint.UopState{Seq: uint64(i + 1), AvailableAt: 5}})
 	}
 	ds.Tick(4) // not yet available
 	if co.rob.Len() != 0 {
@@ -133,15 +134,15 @@ func TestResteerStageSquashesWrongPath(t *testing.T) {
 	rs := stageOf(t, co, "resteer")
 	// Two correct-path uops below a wrong-path suffix in the latch and
 	// one wrong-path uop in the ROB.
-	co.decodeQ.Push(&frontend.Uop{Seq: 1})
-	co.decodeQ.Push(&frontend.Uop{Seq: 2, WrongPath: true})
-	co.decodeQ.Push(&frontend.Uop{Seq: 3, WrongPath: true})
-	co.rob.Push(&frontend.Uop{Seq: 4})
-	co.rob.Push(&frontend.Uop{Seq: 5, WrongPath: true})
-	co.pendingResteer = resteerEvent{
-		at:      10,
-		trigger: isa.Addr(0x40),
-		cause:   frontend.ResteerMispredict,
+	co.decodeQ.Push(&frontend.Uop{UopState: checkpoint.UopState{Seq: 1}})
+	co.decodeQ.Push(&frontend.Uop{UopState: checkpoint.UopState{Seq: 2, WrongPath: true}})
+	co.decodeQ.Push(&frontend.Uop{UopState: checkpoint.UopState{Seq: 3, WrongPath: true}})
+	co.rob.Push(&frontend.Uop{UopState: checkpoint.UopState{Seq: 4}})
+	co.rob.Push(&frontend.Uop{UopState: checkpoint.UopState{Seq: 5, WrongPath: true}})
+	co.pendingResteer = checkpoint.ResteerState{
+		At:      10,
+		Trigger: isa.Addr(0x40),
+		Cause:   frontend.ResteerMispredict,
 	}
 	co.hasResteer = true
 	rs.Tick(9) // not due yet
@@ -177,9 +178,9 @@ func TestRetireStageRetiresAndCounts(t *testing.T) {
 	rs := stageOf(t, co, "retire")
 	// Refs mirrors the pool contract: one live reference per uop built
 	// below, so retire's release path sees a consistent refcount.
-	ep := &frontend.LineEpisode{Line: isa.Addr(0x1000), Missed: true, Starve: 5, Refs: 2}
-	co.rob.Push(&frontend.Uop{Seq: 1, DoneAt: 3, Ep: ep})
-	co.rob.Push(&frontend.Uop{Seq: 2, DoneAt: 3, Ep: ep})
+	ep := &frontend.LineEpisode{EpisodeState: checkpoint.EpisodeState{Line: isa.Addr(0x1000), Missed: true, Starve: 5, Refs: 2}}
+	co.rob.Push(&frontend.Uop{UopState: checkpoint.UopState{Seq: 1, DoneAt: 3}, Ep: ep})
+	co.rob.Push(&frontend.Uop{UopState: checkpoint.UopState{Seq: 2, DoneAt: 3}, Ep: ep})
 	rs.Tick(2) // head not done
 	if co.Retired() != 0 {
 		t.Fatal("retired before DoneAt")

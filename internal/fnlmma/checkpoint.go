@@ -20,7 +20,7 @@ func (f *FNLMMA) CaptureCheckpoint() checkpoint.PrefetcherState {
 			MMADst:   append([]isa.Addr(nil), f.mmaDst...),
 			MissRing: append([]isa.Addr(nil), f.missRing...),
 			MissHead: f.missHead,
-			Pending:  prefetch.CaptureRequests(f.pending),
+			Pending:  append([]prefetch.Request(nil), f.pending...),
 			Stats:    f.Stats,
 		},
 	}
@@ -42,8 +42,7 @@ func (f *FNLMMA) RestoreCheckpoint(st checkpoint.PrefetcherState) error {
 	if s.MissHead < 0 || s.MissHead >= len(f.missRing) {
 		return fmt.Errorf("fnlmma: checkpoint miss-ring head %d outside 0..%d", s.MissHead, len(f.missRing)-1)
 	}
-	pending, err := prefetch.RestoreRequests(f.pending[:0], s.Pending)
-	if err != nil {
+	if err := prefetch.CheckRequests(s.Pending); err != nil {
 		return err
 	}
 	copy(f.worth, s.Worth)
@@ -51,7 +50,7 @@ func (f *FNLMMA) RestoreCheckpoint(st checkpoint.PrefetcherState) error {
 	copy(f.mmaDst, s.MMADst)
 	copy(f.missRing, s.MissRing)
 	f.missHead = s.MissHead
-	f.pending = pending
+	f.pending = append(f.pending[:0], s.Pending...)
 	f.Stats = s.Stats
 	return nil
 }

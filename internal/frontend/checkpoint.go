@@ -5,155 +5,59 @@ import (
 
 	"pdip/internal/checkpoint"
 	"pdip/internal/isa"
-	"pdip/internal/mem"
 )
 
-// CaptureCheckpoint converts the episode to its wire form.
-func (ep *LineEpisode) CaptureCheckpoint() checkpoint.EpisodeState {
-	return checkpoint.EpisodeState{
-		Line:             ep.Line,
-		WrongPath:        ep.WrongPath,
-		Missed:           ep.Missed,
-		ServedBy:         uint8(ep.ServedBy),
-		FetchCycle:       ep.FetchCycle,
-		DoneCycle:        ep.DoneCycle,
-		Starve:           ep.Starve,
-		BackendEmpty:     ep.BackendEmpty,
-		WasPrefetch:      ep.WasPrefetch,
-		Processed:        ep.Processed,
-		ResteerTrigger:   ep.ResteerTrigger,
-		ResteerWasReturn: ep.ResteerWasReturn,
-		Refs:             ep.Refs,
-	}
-}
-
-// RestoreCheckpoint overwrites the episode from its wire form.
-func (ep *LineEpisode) RestoreCheckpoint(st checkpoint.EpisodeState) {
-	*ep = LineEpisode{
-		Line:             st.Line,
-		WrongPath:        st.WrongPath,
-		Missed:           st.Missed,
-		ServedBy:         mem.Level(st.ServedBy),
-		FetchCycle:       st.FetchCycle,
-		DoneCycle:        st.DoneCycle,
-		Starve:           st.Starve,
-		BackendEmpty:     st.BackendEmpty,
-		WasPrefetch:      st.WasPrefetch,
-		Processed:        st.Processed,
-		ResteerTrigger:   st.ResteerTrigger,
-		ResteerWasReturn: st.ResteerWasReturn,
-		Refs:             st.Refs,
-	}
-}
-
-// CaptureCheckpoint converts the uop to its wire form. epID maps the
-// uop's episode pointer to its index in the checkpoint's deduplicated
-// episode table (-1 for no episode).
+// CaptureCheckpoint returns the uop's record with its episode pointer
+// mapped by epID to an index in the checkpoint's deduplicated episode
+// table (-1 for no episode).
 func (u *Uop) CaptureCheckpoint(epID func(*LineEpisode) int) checkpoint.UopState {
-	st := checkpoint.UopState{
-		Inst:            u.Inst,
-		Seq:             u.Seq,
-		WrongPath:       u.WrongPath,
-		Episode:         -1,
-		Mispredict:      u.Mispredict,
-		ResolveAtDecode: u.ResolveAtDecode,
-		Cause:           uint8(u.Cause),
-		CorrectTarget:   u.CorrectTarget,
-		TriggerBlock:    u.TriggerBlock,
-		IsMemOp:         u.IsMemOp,
-		DataLine:        u.DataLine,
-		DoneAt:          u.DoneAt,
-		AvailableAt:     u.AvailableAt,
-	}
+	st := u.UopState
+	st.EpisodeID = -1
 	if u.Ep != nil {
-		st.Episode = epID(u.Ep)
+		st.EpisodeID = epID(u.Ep)
 	}
 	return st
 }
 
-// RestoreCheckpoint overwrites the uop from its wire form, resolving the
+// RestoreCheckpoint overwrites the uop with its record, resolving the
 // episode index against eps (the restored episode table).
 func (u *Uop) RestoreCheckpoint(st checkpoint.UopState, eps []*LineEpisode) error {
-	if st.Episode >= len(eps) {
-		return fmt.Errorf("frontend: uop episode index %d out of range (%d episodes)", st.Episode, len(eps))
+	if st.EpisodeID >= len(eps) {
+		return fmt.Errorf("frontend: uop episode index %d out of range (%d episodes)", st.EpisodeID, len(eps))
 	}
-	*u = Uop{
-		Inst:            st.Inst,
-		Seq:             st.Seq,
-		WrongPath:       st.WrongPath,
-		Mispredict:      st.Mispredict,
-		ResolveAtDecode: st.ResolveAtDecode,
-		Cause:           ResteerCause(st.Cause),
-		CorrectTarget:   st.CorrectTarget,
-		TriggerBlock:    st.TriggerBlock,
-		IsMemOp:         st.IsMemOp,
-		DataLine:        st.DataLine,
-		DoneAt:          st.DoneAt,
-		AvailableAt:     st.AvailableAt,
-	}
-	if st.Episode >= 0 {
-		u.Ep = eps[st.Episode]
+	u.UopState, u.Ep = st, nil
+	if st.EpisodeID >= 0 {
+		u.Ep = eps[st.EpisodeID]
 	}
 	return nil
 }
 
-// CaptureCheckpoint converts the FTQ entry to its wire form. epID maps
-// episode pointers to indices in the checkpoint's episode table.
+// CaptureCheckpoint returns the FTQ entry's record with its own copies of
+// the instruction and line slices and its episode pointers mapped by epID
+// to indexes in the checkpoint's episode table.
 func (e *FTQEntry) CaptureCheckpoint(epID func(*LineEpisode) int) checkpoint.FTQEntryState {
-	st := checkpoint.FTQEntryState{
-		Insts:           append([]isa.Inst(nil), e.Insts...),
-		Start:           e.Start,
-		Lines:           append([]isa.Addr(nil), e.Lines...),
-		WrongPath:       e.WrongPath,
-		HasBranch:       e.HasBranch,
-		PredTaken:       e.Pred.Taken,
-		PredTarget:      e.Pred.Target,
-		PredBTBHit:      e.Pred.BTBHit,
-		Mispredict:      e.Mispredict,
-		Cause:           uint8(e.Cause),
-		ResolveAtDecode: e.ResolveAtDecode,
-		CorrectTarget:   e.CorrectTarget,
-		ShadowTrigger:   e.ShadowTrigger,
-		ShadowWasReturn: e.ShadowWasReturn,
-		ReadyAt:         e.ReadyAt,
-	}
-	if len(e.Episodes) > 0 {
-		st.Episodes = make([]int, len(e.Episodes))
-		for i, ep := range e.Episodes {
-			st.Episodes[i] = epID(ep)
-		}
+	st := e.FTQEntryState
+	st.Insts = append([]isa.Inst(nil), e.Insts...)
+	st.Lines = append([]isa.Addr(nil), e.Lines...)
+	st.EpisodeIDs = nil
+	for _, ep := range e.Episodes {
+		st.EpisodeIDs = append(st.EpisodeIDs, epID(ep))
 	}
 	return st
 }
 
-// NewEntryFromCheckpoint builds a fresh FTQ entry from its wire form,
-// resolving episode indices against eps.
+// NewEntryFromCheckpoint builds a fresh FTQ entry from its record,
+// copying its slices and resolving episode indexes against eps.
 func NewEntryFromCheckpoint(st checkpoint.FTQEntryState, eps []*LineEpisode) (*FTQEntry, error) {
-	e := &FTQEntry{
-		Insts:           append([]isa.Inst(nil), st.Insts...),
-		Start:           st.Start,
-		Lines:           append([]isa.Addr(nil), st.Lines...),
-		WrongPath:       st.WrongPath,
-		HasBranch:       st.HasBranch,
-		Mispredict:      st.Mispredict,
-		Cause:           ResteerCause(st.Cause),
-		ResolveAtDecode: st.ResolveAtDecode,
-		CorrectTarget:   st.CorrectTarget,
-		ShadowTrigger:   st.ShadowTrigger,
-		ShadowWasReturn: st.ShadowWasReturn,
-		ReadyAt:         st.ReadyAt,
-	}
-	e.Pred.Taken = st.PredTaken
-	e.Pred.Target = st.PredTarget
-	e.Pred.BTBHit = st.PredBTBHit
-	if len(st.Episodes) > 0 {
-		e.Episodes = make([]*LineEpisode, len(st.Episodes))
-		for i, id := range st.Episodes {
-			if id < 0 || id >= len(eps) {
-				return nil, fmt.Errorf("frontend: FTQ entry episode index %d out of range (%d episodes)", id, len(eps))
-			}
-			e.Episodes[i] = eps[id]
+	e := &FTQEntry{FTQEntryState: st}
+	e.Insts = append([]isa.Inst(nil), st.Insts...)
+	e.Lines = append([]isa.Addr(nil), st.Lines...)
+	e.EpisodeIDs = nil
+	for _, id := range st.EpisodeIDs {
+		if id < 0 || id >= len(eps) {
+			return nil, fmt.Errorf("frontend: FTQ entry episode index %d out of range (%d episodes)", id, len(eps))
 		}
+		e.Episodes = append(e.Episodes, eps[id])
 	}
 	return e, nil
 }

@@ -7,139 +7,47 @@ package frontend
 
 import (
 	"pdip/internal/bpu"
+	"pdip/internal/checkpoint"
 	"pdip/internal/invariant"
 	"pdip/internal/isa"
-	"pdip/internal/mem"
 	"pdip/internal/trace"
 )
 
 // ResteerCause classifies front-end resteers for stats and PDIP triggers.
-type ResteerCause uint8
+type ResteerCause = checkpoint.ResteerCause
 
+// The resteer causes.
 const (
-	// ResteerNone means no resteer.
-	ResteerNone ResteerCause = iota
-	// ResteerMispredict is a conditional direction or indirect target
-	// mispredict.
-	ResteerMispredict
-	// ResteerBTBMiss is a taken branch that was invisible to the IAG.
-	ResteerBTBMiss
-	// ResteerReturn is a return-target mispredict.
-	ResteerReturn
+	ResteerNone       = checkpoint.ResteerNone
+	ResteerMispredict = checkpoint.ResteerMispredict
+	ResteerBTBMiss    = checkpoint.ResteerBTBMiss
+	ResteerReturn     = checkpoint.ResteerReturn
 )
 
-func (c ResteerCause) String() string {
-	switch c {
-	case ResteerMispredict:
-		return "mispredict"
-	case ResteerBTBMiss:
-		return "btb-miss"
-	case ResteerReturn:
-		return "return"
-	default:
-		return "none"
-	}
-}
-
 // LineEpisode is one demand-fetch episode of an instruction cache line:
-// the unit the FEC conditions are evaluated over. Episodes are created
-// when the IFU issues the demand access and processed once, when the first
-// instruction they delivered retires.
+// the unit the FEC conditions are evaluated over. Its record is declared
+// once, as checkpoint.EpisodeState.
 type LineEpisode struct {
-	// Line is the cache line address.
-	Line isa.Addr
-	// WrongPath marks episodes created for squashed fetches.
-	WrongPath bool
-	// Missed reports an L1I demand miss; ServedBy is the filling level.
-	Missed   bool
-	ServedBy mem.Level
-	// FetchCycle is the demand issue cycle; DoneCycle its completion.
-	FetchCycle, DoneCycle int64
-	// Starve counts decode-starvation cycles attributed to this episode.
-	Starve int
-	// BackendEmpty records an empty back-end during the starvation.
-	BackendEmpty bool
-	// WasPrefetch marks a demand access that consumed a prefetched line.
-	WasPrefetch bool
-	// Processed marks retire-time FEC handling as done.
-	Processed bool
-	// ResteerTrigger is the trigger block (line) of the most recent
-	// resteer when this episode was fetched in its shadow, else 0.
-	ResteerTrigger isa.Addr
-	// ResteerWasReturn marks return-caused resteer shadows.
-	ResteerWasReturn bool
-	// Refs counts live Uop references to this episode so the core can
-	// recycle episode storage once the last referencing uop retires or is
-	// squashed. It is allocator bookkeeping, not simulated state.
-	Refs int32
+	checkpoint.EpisodeState
 }
 
-// Uop is one instruction flowing through decode, the ROB, and retire.
+// Uop is one instruction flowing through decode, the ROB, and retire: its
+// checkpoint record plus the episode it points at.
 type Uop struct {
-	// Inst is the architectural instruction with its actual outcome.
-	Inst isa.Inst
-	// Seq is a global fetch-order sequence number.
-	Seq uint64
-	// WrongPath marks squashed-on-resteer instructions.
-	WrongPath bool
-	// Ep is the fetch episode of the line this instruction came from.
+	checkpoint.UopState
+	// Ep is the fetch episode of the line this instruction came from
+	// (UopState.EpisodeID is its index in a checkpoint).
 	Ep *LineEpisode
-	// Mispredict marks the (correct-path) branch whose prediction was
-	// wrong; resolution triggers the resteer.
-	Mispredict bool
-	// ResolveAtDecode resolves the resteer at decode (early correction
-	// for direct branches missing in the BTB) instead of at execute.
-	ResolveAtDecode bool
-	// Cause classifies the resteer for stats and trigger selection.
-	Cause ResteerCause
-	// CorrectTarget is where the front-end must resteer to.
-	CorrectTarget isa.Addr
-	// TriggerBlock is the block (line) address of the FTQ entry that
-	// contained this branch — the PDIP trigger key.
-	TriggerBlock isa.Addr
-	// IsMemOp marks instructions that access the data hierarchy.
-	IsMemOp bool
-	// DataLine is the data cache line touched when IsMemOp.
-	DataLine isa.Addr
-	// DoneAt is the execution-complete cycle, set when entering the ROB.
-	DoneAt int64
-	// AvailableAt is when the uop leaves the fetch/decode pipe.
-	AvailableAt int64
 }
 
-// FTQEntry is one predicted basic block in the fetch target queue.
+// FTQEntry is one predicted basic block in the fetch target queue: its
+// checkpoint record plus the episodes the IFU assigns.
 type FTQEntry struct {
-	// Insts are the entry's instructions with actual outcomes.
-	Insts []isa.Inst
-	// Start is the address of the first instruction.
-	Start isa.Addr
-	// Lines are the distinct cache lines the entry spans (in order).
-	Lines []isa.Addr
-	// WrongPath marks entries fetched beyond an unresolved mispredict.
-	WrongPath bool
-	// HasBranch reports whether the entry ends in a branch.
-	HasBranch bool
-	// Pred is the BPU's prediction for the terminator.
-	Pred bpu.Prediction
-	// Mispredict, Cause, ResolveAtDecode, CorrectTarget describe the
-	// pending resteer when the prediction was wrong (correct path only).
-	Mispredict      bool
-	Cause           ResteerCause
-	ResolveAtDecode bool
-	CorrectTarget   isa.Addr
-
-	// ShadowTrigger carries the trigger block of the most recent resteer
-	// for correct-path entries inserted before the FTQ refilled (the
-	// "wake of a resteer" of §4.2); 0 outside any resteer shadow.
-	ShadowTrigger isa.Addr
-	// ShadowWasReturn marks return-caused resteer shadows.
-	ShadowWasReturn bool
-
+	checkpoint.FTQEntryState
 	// Episodes are assigned by the IFU when demand fetch issues, one per
-	// line in Lines.
+	// line in Lines (FTQEntryState.EpisodeIDs are their indexes in a
+	// checkpoint).
 	Episodes []*LineEpisode
-	// ReadyAt is when all lines are fetched (set by the IFU).
-	ReadyAt int64
 }
 
 // FTQ is the fixed-depth fetch target queue.
@@ -285,15 +193,17 @@ func (g *IAG) newEntry(wrongPath bool) *FTQEntry {
 		e := g.free[n-1]
 		g.free = g.free[:n-1]
 		*e = FTQEntry{
-			Insts:     e.Insts[:0],
-			Lines:     e.Lines[:0],
-			Episodes:  e.Episodes[:0],
-			WrongPath: wrongPath,
+			FTQEntryState: checkpoint.FTQEntryState{
+				Insts:     e.Insts[:0],
+				Lines:     e.Lines[:0],
+				WrongPath: wrongPath,
+			},
+			Episodes: e.Episodes[:0],
 		}
 		return e
 	}
 	//lint:ignore allocfree pool refill when the FTQ entry free list is empty; amortized
-	return &FTQEntry{WrongPath: wrongPath}
+	return &FTQEntry{FTQEntryState: checkpoint.FTQEntryState{WrongPath: wrongPath}}
 }
 
 // NextEntry assembles the next FTQ entry from the predicted stream: it

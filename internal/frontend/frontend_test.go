@@ -5,6 +5,7 @@ import (
 
 	"pdip/internal/bpu"
 	"pdip/internal/cfg"
+	"pdip/internal/checkpoint"
 	"pdip/internal/isa"
 	"pdip/internal/trace"
 )
@@ -17,7 +18,7 @@ func TestFTQBasics(t *testing.T) {
 		t.Fatal("bad initial state")
 	}
 	for i := 0; i < 3; i++ {
-		q.Push(&FTQEntry{Start: isa.Addr(i)})
+		q.Push(&FTQEntry{FTQEntryState: checkpoint.FTQEntryState{Start: isa.Addr(i)}})
 	}
 	if !q.Full() {
 		t.Fatal("not full after 3 pushes")
@@ -46,8 +47,8 @@ func TestFTQOverflowPanics(t *testing.T) {
 
 func TestFTQFlushAndContains(t *testing.T) {
 	q := NewFTQ(4)
-	q.Push(&FTQEntry{Lines: []isa.Addr{0x40, 0x80}})
-	q.Push(&FTQEntry{Lines: []isa.Addr{0x1c0}})
+	q.Push(&FTQEntry{FTQEntryState: checkpoint.FTQEntryState{Lines: []isa.Addr{0x40, 0x80}}})
+	q.Push(&FTQEntry{FTQEntryState: checkpoint.FTQEntryState{Lines: []isa.Addr{0x1c0}}})
 	if !q.Contains(0x80) || !q.Contains(0x1c0) || q.Contains(0x200) {
 		t.Fatal("Contains wrong")
 	}
@@ -60,7 +61,7 @@ func TestFTQFlushAndContains(t *testing.T) {
 func TestFTQWrapAround(t *testing.T) {
 	q := NewFTQ(2)
 	for i := 0; i < 10; i++ {
-		q.Push(&FTQEntry{Start: isa.Addr(i)})
+		q.Push(&FTQEntry{FTQEntryState: checkpoint.FTQEntryState{Start: isa.Addr(i)}})
 		if e := q.Pop(); e.Start != isa.Addr(i) {
 			t.Fatalf("wrap iteration %d: %v", i, e.Start)
 		}

@@ -487,6 +487,11 @@ func (r *Runner) buildWarmState(wk warmKey, key string) (*checkpoint.State, stri
 		st, cached, _ = r.ck.Load(key)
 	}
 	if st != nil {
+		// No core is built on c, so the prefetcher its policy hook made
+		// (for pdip44 a 240 KB PDIP table) goes back to the recycler.
+		if p, ok := c.Prefetcher.(interface{ Release() }); ok {
+			p.Release()
+		}
 		r.mu.Lock()
 		if cached {
 			r.ckStats.DirCacheHits++

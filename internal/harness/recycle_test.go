@@ -209,6 +209,31 @@ func TestForkAfterReleaseAllocatesLittle(t *testing.T) {
 	}
 }
 
+// TestStoreHitReleasesPrefetcher: a runner that finds the warm state in
+// its store builds no warm core, so the prefetcher its warm configuration
+// made goes back to the recycler, and the fork builds on it. The priming
+// fork leaves one socket's tables idle, so the second runner's fork
+// allocates no fresh table. Not parallel: it reads the process-wide
+// recycler counters.
+func TestStoreHitReleasesPrefetcher(t *testing.T) {
+	spec := RunSpec{Benchmark: "kafka", Policy: "pdip44", Warmup: 20_000, Measure: 5_000}
+	ck := checkpoint.NewDir(t.TempDir(), 0)
+	if _, err := NewRunnerWithDir(1, ck).ExecuteJob(spec, nil); err != nil {
+		t.Fatal(err)
+	}
+	before := recycle.Stats().Fresh
+	r := NewRunnerWithDir(1, ck)
+	if _, err := r.ExecuteJob(spec, nil); err != nil {
+		t.Fatal(err)
+	}
+	if s := r.CheckpointStats(); s.DirCacheHits != 1 || s.WarmupsExecuted != 0 {
+		t.Fatalf("second runner: %+v (want the warm state from the store)", s)
+	}
+	if got := recycle.Stats().Fresh - before; got != 0 {
+		t.Errorf("the fork after a store hit allocated %d bytes of fresh tables, want 0", got)
+	}
+}
+
 // TestMeasureRunOwnsSamples: a result keeps the samples of its own window
 // after the socket that produced them measures another sampled window,
 // and the streaming hook observes only the window it was installed for.

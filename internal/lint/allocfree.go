@@ -19,10 +19,10 @@ import (
 // Roots are function declarations whose doc comment contains a line
 // `//lint:hotpath` — the six pipeline-stage ticks, PQ drain, cache
 // lookup, MSHR prune, and socket stepping. Reachability follows direct
-// calls, method calls, and interface dispatch (class-hierarchy analysis
-// over the module's types); calls through plain function values are not
-// traced, but closures defined inside a reachable function are checked by
-// position.
+// calls, method calls, interface dispatch (class-hierarchy analysis over
+// the module's types), and module functions and methods referenced as
+// values (a method value passed to a callee may be called there);
+// closures defined inside a reachable function are checked by position.
 //
 // Deliberate amortized allocations (pool refills, buffer growth on the
 // cold setup path) are suppressed with `//lint:ignore allocfree <reason>`

@@ -11,9 +11,12 @@ import (
 // functions and methods. Edges cover direct calls, package-qualified
 // calls, method calls on concrete receivers, and — via class-hierarchy
 // analysis — interface method calls, resolved to every module type that
-// implements the interface. Calls through function values are not
-// resolved (the repo's hot paths avoid them; closures defined inside a
-// function are attributed to that function by position).
+// implements the interface. A module function or concrete method
+// referenced as a value inside a function (co.priorityOf handed to a
+// callee, a function stored in a field) counts as called from it, since
+// whoever receives the value may call it. Calls through function values
+// are not otherwise resolved (closures defined inside a function are
+// attributed to that function by position).
 type CallGraph struct {
 	// nodes maps each declared function (its generic origin) to its node.
 	nodes map[*types.Func]*FuncNode
@@ -91,13 +94,25 @@ func NewCallGraph(pkgs []*Package) *CallGraph {
 			continue
 		}
 		p := node.Pkg
+		// callees are the identifiers resolve already handled as the
+		// function of a call; every other use of a function is a value.
+		callees := map[*ast.Ident]bool{}
 		ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			for _, callee := range cg.resolve(p, call) {
-				node.Calls = append(node.Calls, callee)
+			switch x := n.(type) {
+			case *ast.CallExpr:
+				node.Calls = append(node.Calls, cg.resolve(p, x)...)
+				switch fun := ast.Unparen(x.Fun).(type) {
+				case *ast.Ident:
+					callees[fun] = true
+				case *ast.SelectorExpr:
+					callees[fun.Sel] = true
+				}
+			case *ast.Ident:
+				if fn, ok := p.Info.Uses[x].(*types.Func); ok && !callees[x] {
+					if edge, ok := cg.moduleEdge(fn, x.Pos(), false); ok {
+						node.Calls = append(node.Calls, edge)
+					}
+				}
 			}
 			return true
 		})

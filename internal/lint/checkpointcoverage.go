@@ -40,7 +40,8 @@ import (
 //     package: a keyed literal, an assignment, or a wholesale clone of a
 //     live field of that type (append(T(nil), x.f...), copy's source, or
 //     x.f as a literal or assignment value), which writes every field of
-//     it. A mirror field nothing populates is a format hole that would
+//     it and of every checkpoint struct it holds by value (not through a
+//     pointer or slice). A mirror field nothing populates is a format hole that would
 //     silently decode to zero. Reads don't count: a restore that
 //     faithfully reads a field the capture stopped writing must still
 //     fail lint. Neither do the checkpoint package's own writes — a
@@ -181,14 +182,15 @@ func (a *CheckpointCoverage) collectRefs(p *Package, f *ast.File, module string,
 		return false
 	}
 	// markClone records a wholesale clone of e: a live value of a
-	// checkpoint type copied as a whole populates every field of it.
+	// checkpoint type copied as a whole populates every field of it, and
+	// of every checkpoint record it holds by value.
 	markClone := func(e ast.Expr) {
 		if !fromLive(e) {
 			return
 		}
 		for _, n := range walkableNamed(p.Info.TypeOf(e), module) {
 			if n.Obj().Pkg().Path() == ckptPkg {
-				fact.wholeWrites[fullTypeKey(n)] = true
+				markHeld(fact.wholeWrites, n, ckptPkg)
 			}
 		}
 	}
@@ -269,6 +271,29 @@ func (a *CheckpointCoverage) collectRefs(p *Package, f *ast.File, module string,
 		}
 		return true
 	})
+}
+
+// markHeld records the checkpoint record n as written whole, and with it
+// every checkpoint record n holds by value (a struct field, or the
+// element of a fixed array field), recursively: copying a record copies
+// those too (a struct cannot hold itself by value, so this ends). A
+// record behind a pointer or slice is shared, not copied.
+func markHeld(set map[string]bool, n *types.Named, ckptPkg string) {
+	set[fullTypeKey(n)] = true
+	st := n.Underlying().(*types.Struct)
+	for i := 0; i < st.NumFields(); i++ {
+		t := types.Unalias(st.Field(i).Type())
+		for a, ok := t.(*types.Array); ok; a, ok = t.(*types.Array) {
+			t = types.Unalias(a.Elem())
+		}
+		h, ok := t.(*types.Named)
+		if !ok || h.Obj().Pkg() == nil || h.Obj().Pkg().Path() != ckptPkg {
+			continue
+		}
+		if _, ok := h.Underlying().(*types.Struct); ok {
+			markHeld(set, h, ckptPkg)
+		}
+	}
 }
 
 // walkableNamed unwraps aliases, pointers and containers down to the

@@ -19,7 +19,29 @@ type SimState struct {
 	Hist   []int64
 	Gen    uint32
 	Rows   []Row
+	Rec    Rec
 	Orphan int // want:checkpointcoverage
+}
+
+// Rec is a record sim.Machine keeps in this wire shape, captured by a
+// wholesale copy. The copy writes Pred's fields too, since Rec holds Pred
+// by value; Link is only pointed at, so the copy shares it and writes
+// none of its fields: they must be flagged.
+type Rec struct {
+	Seq  int64
+	Pred Pred
+	Via  *Link
+}
+
+// Pred is held by value inside Rec.
+type Pred struct {
+	Taken  bool
+	Target int64
+}
+
+// Link is held through a pointer inside Rec.
+type Link struct {
+	N int // want:checkpointcoverage
 }
 
 // Row is one table row that sim.Machine keeps in this wire shape.

@@ -1,6 +1,7 @@
 // Package hot exercises the allocfree analyzer: a //lint:hotpath root, a
 // two-hop reachable allocation, a cold function whose allocation is
-// ignored, and a blessed amortized refill.
+// ignored, a blessed amortized refill, and an allocation reached only
+// through a method value.
 package hot
 
 // sink keeps allocations observable to escape analysis.
@@ -40,4 +41,29 @@ func Cold(n int) *int {
 func Refill() {
 	//lint:ignore allocfree corpus pool refill, amortized across the free list
 	sink = new(int)
+}
+
+// Queue hands one of its methods to a helper as a method value.
+type Queue struct{ n int }
+
+// Drain is a hot-path root that passes the method value q.note to apply,
+// which calls it: note is reached through the value.
+//
+//lint:hotpath
+func (q *Queue) Drain() {
+	apply(q.note)
+}
+
+// apply calls fn.
+//
+//go:noinline
+func apply(fn func(int)) { fn(1) }
+
+// note allocates, and only the method value leads to it.
+//
+//go:noinline
+func (q *Queue) note(n int) {
+	p := new(int) // want:allocfree
+	*p = n + q.n
+	sink = p
 }

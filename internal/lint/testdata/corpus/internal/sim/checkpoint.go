@@ -12,6 +12,7 @@ func (m *Machine) Capture() checkpoint.SimState {
 		Cyc:  m.cyc,
 		Gen:  m.gen,
 		Rows: append([]checkpoint.Row(nil), m.rows...),
+		Rec:  m.rec,
 	}
 	for _, e := range m.hist {
 		st.Hist = append(st.Hist, e.V)
@@ -24,6 +25,7 @@ func (m *Machine) Capture() checkpoint.SimState {
 func (m *Machine) Restore(st checkpoint.SimState) {
 	m.cyc = st.Cyc
 	m.rows = append(m.rows[:0], st.Rows...)
+	m.rec = st.Rec
 	m.hist = m.hist[:0]
 	for _, v := range st.Hist {
 		m.hist = append(m.hist, Entry{V: v})

@@ -16,6 +16,7 @@ var checkpointManifest = map[string]map[string]string{
 		"g":    "state",
 		"gen":  "state",
 		"rows": "state",
+		"rec":  "state",
 		"gone": "state", // want:checkpointcoverage
 	},
 	"sim.Entry": {

@@ -18,6 +18,8 @@ type Machine struct {
 	// rows is wire state: the walk needs no manifest entry for
 	// checkpoint.Row, and the capture clone writes all of its fields.
 	rows []checkpoint.Row
+	// rec is a record kept in its wire shape and copied whole.
+	rec checkpoint.Rec
 }
 
 // Entry is reached through Machine.hist and fully covered.

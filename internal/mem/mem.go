@@ -11,35 +11,20 @@ package mem
 
 import (
 	"pdip/internal/cache"
+	"pdip/internal/checkpoint"
 	"pdip/internal/isa"
 )
 
 // Level identifies which level served an access.
-type Level uint8
+type Level = checkpoint.Level
 
+// The levels, nearest first.
 const (
-	// LevelL1 means the first-level cache (L1I or L1D) hit.
-	LevelL1 Level = iota
-	// LevelL2 means the access missed L1 and hit L2.
-	LevelL2
-	// LevelL3 means the access missed L1 and L2 and hit L3.
-	LevelL3
-	// LevelMem means the access went to DRAM.
-	LevelMem
+	LevelL1  = checkpoint.LevelL1
+	LevelL2  = checkpoint.LevelL2
+	LevelL3  = checkpoint.LevelL3
+	LevelMem = checkpoint.LevelMem
 )
-
-func (l Level) String() string {
-	switch l {
-	case LevelL1:
-		return "L1"
-	case LevelL2:
-		return "L2"
-	case LevelL3:
-		return "L3"
-	default:
-		return "Mem"
-	}
-}
 
 // Config sizes the hierarchy.
 type Config struct {

@@ -220,13 +220,12 @@ func (p *PDIP) OnFTQInsert(block isa.Addr, out []prefetch.Request) []prefetch.Re
 			if p.DebugLog != nil {
 				p.DebugLog("emit", block.Line(), tg.Base)
 			}
-			trig := prefetch.TriggerKind(tg.Trig)
-			out = append(out, prefetch.Request{Line: tg.Base, Trigger: trig})
+			out = append(out, prefetch.Request{Line: tg.Base, Trigger: tg.Trig})
 			for k := 0; k < p.cfg.MaskBits; k++ {
 				if tg.Mask&(1<<k) != 0 {
 					out = append(out, prefetch.Request{
 						Line:    tg.Base + isa.Addr((k+1)*isa.LineSize),
-						Trigger: trig,
+						Trigger: tg.Trig,
 					})
 				}
 			}
@@ -358,7 +357,7 @@ func (p *PDIP) insert(trigBlock, targetLine isa.Addr, kind prefetch.TriggerKind)
 		}
 		p.DebugLog("insert", trigBlock, targetLine)
 	}
-	targets[victim] = checkpoint.PDIPTargetState{Valid: true, Base: targetLine, Trig: uint8(kind), LRU: p.tick}
+	targets[victim] = checkpoint.PDIPTargetState{Valid: true, Base: targetLine, Trig: kind, LRU: p.tick}
 	p.Stats.Inserted++
 }
 

@@ -20,34 +20,22 @@ type Checkpointer interface {
 
 // CheckTrigger rejects a captured trigger class the PQ cannot account:
 // Stats.ByTrigger has one slot per TriggerKind.
-func CheckTrigger(k uint8) error {
+func CheckTrigger(k TriggerKind) error {
 	if int(k) >= len(Stats{}.ByTrigger) {
 		return fmt.Errorf("trigger kind %d outside 0..%d", k, len(Stats{}.ByTrigger)-1)
 	}
 	return nil
 }
 
-// CaptureRequests converts queued requests to their wire form.
-func CaptureRequests(reqs []Request) []checkpoint.RequestState {
-	if len(reqs) == 0 {
-		return nil
-	}
-	out := make([]checkpoint.RequestState, len(reqs))
-	for i, r := range reqs {
-		out[i] = checkpoint.RequestState{Line: r.Line, Trigger: uint8(r.Trigger)}
-	}
-	return out
-}
-
-// RestoreRequests converts wire-form requests back, appending to dst.
-func RestoreRequests(dst []Request, sts []checkpoint.RequestState) ([]Request, error) {
-	for _, st := range sts {
-		if err := CheckTrigger(st.Trigger); err != nil {
-			return dst, fmt.Errorf("prefetch: checkpoint request: %w", err)
+// CheckRequests rejects captured requests whose trigger class the PQ
+// cannot account.
+func CheckRequests(reqs []Request) error {
+	for _, r := range reqs {
+		if err := CheckTrigger(r.Trigger); err != nil {
+			return fmt.Errorf("prefetch: checkpoint request: %w", err)
 		}
-		dst = append(dst, Request{Line: st.Line, Trigger: TriggerKind(st.Trigger)})
 	}
-	return dst, nil
+	return nil
 }
 
 // CaptureCheckpoint captures the queued requests oldest-first and the
@@ -56,12 +44,11 @@ func RestoreRequests(dst []Request, sts []checkpoint.RequestState) ([]Request, e
 // simulated state.
 func (q *Queue) CaptureCheckpoint() checkpoint.QueueState {
 	st := checkpoint.QueueState{
-		Entries: make([]checkpoint.RequestState, 0, q.count),
+		Entries: make([]Request, q.count),
 		Stats:   q.Stats,
 	}
-	for i := 0; i < q.count; i++ {
-		r := q.entries[(q.head+i)%len(q.entries)]
-		st.Entries = append(st.Entries, checkpoint.RequestState{Line: r.Line, Trigger: uint8(r.Trigger)})
+	for i := range st.Entries {
+		st.Entries[i] = q.entries[(q.head+i)%len(q.entries)]
 	}
 	return st
 }
@@ -72,12 +59,11 @@ func (q *Queue) RestoreCheckpoint(st checkpoint.QueueState) error {
 	if len(st.Entries) > len(q.entries) {
 		return fmt.Errorf("prefetch: checkpoint has %d PQ entries, capacity is %d", len(st.Entries), len(q.entries))
 	}
-	reqs, err := RestoreRequests(q.entries[:0], st.Entries)
-	if err != nil {
+	if err := CheckRequests(st.Entries); err != nil {
 		return err
 	}
 	q.head = 0
-	q.count = len(reqs)
+	q.count = copy(q.entries, st.Entries)
 	q.Stats = st.Stats
 	return nil
 }
@@ -103,7 +89,7 @@ func (n *NextLine) CaptureCheckpoint() checkpoint.PrefetcherState {
 		NextLine: &checkpoint.NextLineState{
 			Degree:  n.Degree,
 			Emitted: n.Emitted,
-			Pending: CaptureRequests(n.pending),
+			Pending: append([]Request(nil), n.pending...),
 		},
 	}
 }
@@ -116,11 +102,10 @@ func (n *NextLine) RestoreCheckpoint(st checkpoint.PrefetcherState) error {
 	if st.NextLine.Degree != n.Degree {
 		return fmt.Errorf("prefetch: checkpoint nextline degree %d, prefetcher has %d", st.NextLine.Degree, n.Degree)
 	}
-	pending, err := RestoreRequests(n.pending[:0], st.NextLine.Pending)
-	if err != nil {
+	if err := CheckRequests(st.NextLine.Pending); err != nil {
 		return err
 	}
 	n.Emitted = st.NextLine.Emitted
-	n.pending = pending
+	n.pending = append(n.pending[:0], st.NextLine.Pending...)
 	return nil
 }

@@ -12,37 +12,17 @@ import (
 )
 
 // TriggerKind classifies why a prefetch was issued (Figure 16).
-type TriggerKind uint8
+type TriggerKind = checkpoint.TriggerKind
 
+// The trigger classes.
 const (
-	// TriggerNone is used by prefetchers without PDIP-style triggers.
-	TriggerNone TriggerKind = iota
-	// TriggerMispredict means the trigger was a front-end resteering
-	// instruction (branch mispredict or BTB miss).
-	TriggerMispredict
-	// TriggerLastTaken means the trigger was the last retired taken
-	// branch (long-latency misses with no resteer).
-	TriggerLastTaken
+	TriggerNone       = checkpoint.TriggerNone
+	TriggerMispredict = checkpoint.TriggerMispredict
+	TriggerLastTaken  = checkpoint.TriggerLastTaken
 )
 
-func (k TriggerKind) String() string {
-	switch k {
-	case TriggerMispredict:
-		return "mispredict"
-	case TriggerLastTaken:
-		return "last-taken"
-	default:
-		return "none"
-	}
-}
-
 // Request is one prefetch target emitted by a prefetcher.
-type Request struct {
-	// Line is the cache line to prefetch.
-	Line isa.Addr
-	// Trigger records the trigger class for Figure 16 accounting.
-	Trigger TriggerKind
-}
+type Request = checkpoint.RequestState
 
 // RetireEvent describes the retirement of the first instruction of one
 // cache-line fetch episode, carrying everything the FEC machinery and the

@@ -17,7 +17,7 @@ func (r *RDIP) CaptureCheckpoint() checkpoint.PrefetcherState {
 		Tick:    r.tick,
 		RAS:     append([]isa.Addr(nil), r.ras...),
 		Sig:     r.sig,
-		Pending: prefetch.CaptureRequests(r.pending),
+		Pending: append([]prefetch.Request(nil), r.pending...),
 		Stats:   r.Stats,
 	}
 	for si := range r.sets {
@@ -45,8 +45,7 @@ func (r *RDIP) RestoreCheckpoint(st checkpoint.PrefetcherState) error {
 			return fmt.Errorf("rdip: checkpoint set %d has %d ways, table has %d", si, len(ws), len(r.sets[si]))
 		}
 	}
-	pending, err := prefetch.RestoreRequests(r.pending[:0], s.Pending)
-	if err != nil {
+	if err := prefetch.CheckRequests(s.Pending); err != nil {
 		return err
 	}
 	for si, ws := range s.Sets {
@@ -59,7 +58,7 @@ func (r *RDIP) RestoreCheckpoint(st checkpoint.PrefetcherState) error {
 	r.tick = s.Tick
 	r.ras = append(r.ras[:0], s.RAS...)
 	r.sig = s.Sig
-	r.pending = pending
+	r.pending = append(r.pending[:0], s.Pending...)
 	r.Stats = s.Stats
 	return nil
 }
