@@ -557,16 +557,17 @@ func BenchmarkCheckpointForkDisk(b *testing.B)   { benchCheckpointFork(b, -1) }
 func BenchmarkCheckpointForkCached(b *testing.B) { benchCheckpointFork(b, 0) }
 
 // BenchmarkGridWarmupReuse measures a grid of specs that share one warm
-// tuple through the runner's warm-state layer: one simulated warmup plus
-// one snapshot fork per cell, against cellCount full warmups from scratch
-// before this layer existed. The cells differ only in SampleEvery (set
-// beyond the measure budget so no samples are actually recorded), which
-// makes them distinct specs with identical simulated work.
+// tuple through the runner's warm-state layer over a memory-only store:
+// one simulated warmup plus one snapshot fork per cell, against cellCount
+// full warmups from scratch on a runner without a store. The cells differ
+// only in SampleEvery (set beyond the measure budget so no samples are
+// actually recorded), which makes them distinct specs with identical
+// simulated work.
 func BenchmarkGridWarmupReuse(b *testing.B) {
 	const cells = 6
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r := NewRunner(0)
+		r := NewRunnerWithDir(0, NewCheckpointDir("", 0))
 		specs := make([]RunSpec, cells)
 		for j := range specs {
 			specs[j] = RunSpec{
@@ -577,6 +578,9 @@ func BenchmarkGridWarmupReuse(b *testing.B) {
 		}
 		if _, err := r.RunAll(specs); err != nil {
 			b.Fatal(err)
+		}
+		if s := r.CheckpointStats(); s.Forks != cells || s.WarmupsExecuted != 1 {
+			b.Fatalf("%+v: want %d forks of one warmup", s, cells)
 		}
 	}
 }

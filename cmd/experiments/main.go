@@ -219,15 +219,22 @@ func reportStats(runner *pdip.Runner, fleet *fabric.Fleet) {
 		return
 	}
 	fmt.Fprintf(os.Stderr, "experiments: runs: %d executed, %d memoisation hits\n", s.RunsExecuted, s.CacheHits)
+	tables := recycle.Stats()
+	built := fmt.Sprintf("tables built in this process: %.1f MiB recycled, %.1f MiB fresh",
+		float64(tables.Recycled)/(1<<20), float64(tables.Fresh)/(1<<20))
+	if runner.CheckpointDir() == nil {
+		// Without -checkpoint-dir the runner (and every fleet worker)
+		// has no store: each run warms and measures on one socket.
+		fmt.Fprintf(os.Stderr, "experiments: checkpoints: no store (no -checkpoint-dir), every run warmed and measured on one socket; %s\n", built)
+		return
+	}
 	ck := s.Checkpoint
 	if ck.Forks == 0 {
 		return
 	}
-	tables := recycle.Stats()
 	fmt.Fprintf(os.Stderr,
-		"experiments: checkpoints: %d forked runs from %d simulated warmups (%d in-memory hits, %d store-cache forks, %d disk hits, %d disk stores, %d failed stores); tables built in this process: %.1f MiB recycled, %.1f MiB fresh\n",
-		ck.Forks, ck.WarmupsExecuted, ck.MemoryHits, ck.DirCacheHits, ck.DiskHits, ck.DiskStores, ck.DiskStoreFailures,
-		float64(tables.Recycled)/(1<<20), float64(tables.Fresh)/(1<<20))
+		"experiments: checkpoints: %d forked runs from %d simulated warmups (%d in-memory hits, %d store-cache forks, %d disk hits, %d disk stores, %d failed stores); %s\n",
+		ck.Forks, ck.WarmupsExecuted, ck.MemoryHits, ck.DirCacheHits, ck.DiskHits, ck.DiskStores, ck.DiskStoreFailures, built)
 }
 
 // gcCheckpoints trims the warm-state store to maxMB mebibytes, oldest

@@ -340,3 +340,31 @@ func TestMSHROccupancyAcrossPruneFillInterleavings(t *testing.T) {
 	check(1010)
 	check(1030)
 }
+
+// TestOwnerMSHRSearchOverfullAllocatesNothing: a shared level that does
+// not gate issue on its MSHRs still installs fills when the file is full
+// (the owner-mode send bounds the reply instead of delaying the issue),
+// so the in-flight file can hold more fills than MSHRs and outgrow the
+// scratch EarliestMSHRFreeFor sorts them in. The search keeps the grown
+// scratch: after its first call it allocates nothing.
+func TestOwnerMSHRSearchOverfullAllocatesNothing(t *testing.T) {
+	c := MustNew(Config{Name: "S", SizeBytes: 64 << 10, Ways: 4, HitLatency: 2, MSHRs: 4})
+	if err := c.EnableOwnerTracking(2, 1); err != nil {
+		t.Fatal(err)
+	}
+	// Twelve fills against four MSHRs, owners alternating, deadlines
+	// 100..111.
+	for i := 0; i < 12; i++ {
+		c.Fill(isa.Addr(i)*isa.LineSize, 0, 100+int64(i), FillOpts{Owner: uint8(i % 2)})
+	}
+	var at int64
+	if n := testing.AllocsPerRun(100, func() { at = c.EarliestMSHRFreeFor(10, 0) }); n != 0 {
+		t.Errorf("EarliestMSHRFreeFor over %d in-flight fills and %d MSHRs: %v allocations per call, want 0",
+			12, c.Config().MSHRs, n)
+	}
+	// Owner 0 may issue once nine fills have retired: three in flight,
+	// its own reserved slot taken, one of the two shared slots free.
+	if at != 108 {
+		t.Errorf("EarliestMSHRFreeFor = %d, want 108", at)
+	}
+}

@@ -97,9 +97,11 @@ func (c *Cache) OwnerCanIssue(now int64, owner int) bool {
 // EarliestMSHRFreeFor returns the earliest cycle >= now at which owner may
 // allocate an MSHR under the reservation policy. With owner tracking off
 // it degenerates to EarliestMSHRFree. The search simulates in-flight
-// retirements in deadline order on preallocated scratch (insertion sort —
-// the file is small and sort.Slice would allocate), so the hot path stays
-// allocation-free.
+// retirements in deadline order on scratch (insertion sort — the file is
+// small and sort.Slice would allocate), so the hot path stays
+// allocation-free. The scratch starts at the MSHR count, but a level that
+// does not gate issue installs fills past it, so the file can outgrow it:
+// the grown scratch is kept for the next search.
 func (c *Cache) EarliestMSHRFreeFor(now int64, owner int) int64 {
 	if c.Owners == nil {
 		return c.EarliestMSHRFree(now)
@@ -110,6 +112,7 @@ func (c *Cache) EarliestMSHRFreeFor(now int64, owner int) int64 {
 	}
 	st := append(c.scratchT[:0], c.inflight...)
 	so := append(c.scratchO[:0], c.inflightOwner...)
+	c.scratchT, c.scratchO = st, so
 	for i := 1; i < len(st); i++ {
 		t, o := st[i], so[i]
 		j := i - 1

@@ -207,19 +207,29 @@ func NewSocketFromSnapshot(tenants []SocketTenant, sc SocketConfig, st *checkpoi
 	if err != nil {
 		return nil, err
 	}
-	if err := s.unc.RestoreCheckpoint(st.Uncore); err != nil {
+	if err := s.restore(st); err != nil {
 		s.Release()
 		return nil, err
 	}
+	return s, nil
+}
+
+// restore overwrites the socket's state from st, whose tenant count and
+// sharing mode match the socket's. A restore into a socket that has
+// already run equals one into a freshly built socket
+// (TestDirtyRestoreEqualsFresh).
+func (s *Socket) restore(st *checkpoint.State) error {
+	if err := s.unc.RestoreCheckpoint(st.Uncore); err != nil {
+		return err
+	}
 	for i, co := range s.cores {
 		if err := co.restore(&st.Tenants[i]); err != nil {
-			s.Release()
-			return nil, fmt.Errorf("socket: tenant %d: %w", i, err)
+			return fmt.Errorf("socket: tenant %d: %w", i, err)
 		}
 	}
 	s.now = st.Now
 	s.first = int(st.Now % int64(len(s.cores)))
-	return s, nil
+	return nil
 }
 
 // NewFromSnapshot builds a core over prog with configuration c and
@@ -241,8 +251,10 @@ func NewFromSnapshotWithSource(prog *cfg.Program, src trace.OracleSource, c Conf
 	return s.cores[0], nil
 }
 
-// restore overwrites a freshly constructed core's state from st. Slices
-// held by st are copied, never aliased.
+// restore overwrites the core's state from st. Slices held by st are
+// copied, never aliased. Every record in flight is replaced by one drawn
+// from the core's pools and overwritten whole, so a core that has already
+// run restores exactly as a fresh one does.
 func (co *Core) restore(st *checkpoint.TenantState) error {
 	ck, ok := co.pf.(prefetch.Checkpointer)
 	if !ok {

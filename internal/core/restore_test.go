@@ -333,7 +333,7 @@ func drivePrefetcher(lines []isa.Addr) func(pf prefetch.Checkpointer, r *rng.RNG
 // already run a different workload (another program and seed, same
 // geometry) is indistinguishable from restoring it into a freshly built
 // one. It covers the private caches, the owner-tracked shared caches, the
-// BPU, the PQ and every prefetcher kind.
+// BPU, the PQ, every prefetcher kind, and a whole core's pipeline records.
 func TestDirtyRestoreEqualsFresh(t *testing.T) {
 	for name, mk := range prefetcherKinds {
 		t.Run(name, func(t *testing.T) {
@@ -393,4 +393,86 @@ func TestDirtyRestoreEqualsFresh(t *testing.T) {
 		checkDirtyRestore(t, "L2", st.Uncore.L2, dirty.unc.L2, fresh.unc.L2, driveCache(st.Uncore.L2))
 		checkDirtyRestore(t, "L3", st.Uncore.L3, dirty.unc.L3, fresh.unc.L3, driveCache(st.Uncore.L3))
 	})
+	t.Run("pipeline", func(t *testing.T) {
+		t.Parallel()
+		checkDirtyPipelineRestore(t)
+	})
+}
+
+// checkDirtyPipelineRestore restores a snapshot taken with uops in the
+// decode latch and the ROB, an IFU entry holding episodes, and entries in
+// the FTQ into a socket that has run (its latches, ROB and FTQ hold live
+// records and its pools recycled ones) and into a fresh one. Both must
+// capture back to the snapshot, and then run on exactly as the source
+// socket does.
+func checkDirtyPipelineRestore(t *testing.T) {
+	build := func() *Socket {
+		s, err := NewSocket(socketTenants(12), SocketConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	src, dirty, fresh := build(), build(), build()
+	// The dirty socket runs a shorter window than the source, so the
+	// restored clock and sequence numbers are ahead of its own, as a
+	// fork's are: decode's last sequence number and the drain stage's
+	// last tick are invariant bookkeeping, not state.
+	if err := dirty.Run(20011); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Run(30011); err != nil {
+		t.Fatal(err)
+	}
+	co := src.cores[0]
+	inFlight := func() bool {
+		return co.decodeQ.Len() > 0 && co.rob.Len() > 0 && co.ftq.Len() > 0 &&
+			co.ifuEntry != nil && len(co.ifuEntry.Episodes) > 0
+	}
+	for step := 0; !inFlight(); step++ {
+		if step == 2000 {
+			t.Fatal("no cycle with records in the decode latch, the ROB, the FTQ and the IFU")
+		}
+		src.Step()
+	}
+	if d := dirty.cores[0]; d.decodeQ.Len() == 0 || d.rob.Len() == 0 || len(d.uopFree) == 0 || len(d.epFree) == 0 {
+		t.Fatal("the dirty socket holds no live or recycled records")
+	}
+	st, err := src.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		s    *Socket
+	}{{"dirty", dirty}, {"fresh", fresh}} {
+		if err := c.s.restore(st); err != nil {
+			t.Fatalf("%s restore: %v", c.name, err)
+		}
+		got, err := c.s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, st) {
+			t.Fatalf("pipeline: the %s socket does not capture back to the snapshot it was restored from", c.name)
+		}
+	}
+	var want *checkpoint.State
+	for _, c := range []struct {
+		name string
+		s    *Socket
+	}{{"source", src}, {"dirty", dirty}, {"fresh", fresh}} {
+		if err := c.s.Run(20000); err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Fatalf("pipeline: the %s restore runs on differently from the source socket", c.name)
+		}
+	}
 }

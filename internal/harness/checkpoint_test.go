@@ -10,32 +10,33 @@ import (
 	"pdip/internal/checkpoint"
 )
 
-// forkEquals runs spec through the runner's warm-fork path and through
-// the from-scratch reference path, and requires bit-identical metrics.
-func forkEquals(t *testing.T, r *Runner, spec RunSpec) {
+// matchesExecute runs spec through the runner (a warm fork when the runner
+// has a store) and through the from-scratch reference path, and requires
+// bit-identical metrics.
+func matchesExecute(t *testing.T, r *Runner, spec RunSpec) {
 	t.Helper()
-	forked, err := r.Run(spec)
+	got, err := r.Run(spec)
 	if err != nil {
-		t.Fatalf("warm-fork run: %v", err)
+		t.Fatalf("runner run: %v", err)
 	}
 	scratch, err := Execute(spec)
 	if err != nil {
 		t.Fatalf("scratch run: %v", err)
 	}
-	if diff := forked.Metrics.Diff(scratch.Metrics); len(diff) > 0 {
+	if diff := got.Metrics.Diff(scratch.Metrics); len(diff) > 0 {
 		show := diff
 		if len(show) > 20 {
 			show = show[:20]
 		}
-		t.Errorf("%d metrics differ between warm-fork and from-scratch execution:\n  %s",
+		t.Errorf("%d metrics differ between the runner and from-scratch execution:\n  %s",
 			len(diff), strings.Join(show, "\n  "))
 	}
-	if len(forked.Samples) != len(scratch.Samples) {
-		t.Fatalf("sample counts differ: %d (fork) vs %d (scratch)", len(forked.Samples), len(scratch.Samples))
+	if len(got.Samples) != len(scratch.Samples) {
+		t.Fatalf("sample counts differ: %d (runner) vs %d (scratch)", len(got.Samples), len(scratch.Samples))
 	}
-	for i := range forked.Samples {
-		if diff := forked.Samples[i].Metrics.Diff(scratch.Samples[i].Metrics); len(diff) > 0 {
-			t.Errorf("sample %d differs between warm-fork and from-scratch execution: %s",
+	for i := range got.Samples {
+		if diff := got.Samples[i].Metrics.Diff(scratch.Samples[i].Metrics); len(diff) > 0 {
+			t.Errorf("sample %d differs between the runner and from-scratch execution: %s",
 				i, strings.Join(diff[:1], ""))
 		}
 	}
@@ -46,8 +47,16 @@ func forkEquals(t *testing.T, r *Runner, spec RunSpec) {
 // bit-identical to warming up from scratch — over the golden grid, with
 // and without idle-cycle fast-forward, and for measure-phase knob
 // variants (sampling, coverage sets) forked from the same warm state.
+// The runner has a memory-only store, so every cell forks.
 func TestCheckpointBitIdentical(t *testing.T) {
-	r := NewRunner(0)
+	r := NewRunnerWithDir(0, checkpoint.NewDir("", 16<<20))
+	cells := 0
+	// Cleanup runs once every parallel cell below has finished.
+	t.Cleanup(func() {
+		if s := r.CheckpointStats(); s.Forks != uint64(cells) {
+			t.Errorf("%d forks for %d cells: %+v (want every cell forked)", s.Forks, cells, s)
+		}
+	})
 	for _, base := range goldenSpecs() {
 		for _, noFF := range []bool{false, true} {
 			spec := base
@@ -56,9 +65,10 @@ func TestCheckpointBitIdentical(t *testing.T) {
 			if noFF {
 				name += "/no-fast-forward"
 			}
+			cells++
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
-				forkEquals(t, r, spec)
+				matchesExecute(t, r, spec)
 			})
 		}
 	}
@@ -68,18 +78,43 @@ func TestCheckpointBitIdentical(t *testing.T) {
 	variant := goldenSpecs()[0]
 	variant.CollectSets = true
 	variant.SampleEvery = 50_000
+	cells++
 	t.Run(variant.Key()+"/collect-sets+sampling", func(t *testing.T) {
 		t.Parallel()
-		forkEquals(t, r, variant)
+		matchesExecute(t, r, variant)
 	})
 	// A seeded spec is its own warm tuple: the warmup must run under the
 	// seed, or the fork measures a seed-0 machine.
 	seeded := goldenSpecs()[0]
 	seeded.Seed = 5
+	cells++
 	t.Run(seeded.Key(), func(t *testing.T) {
 		t.Parallel()
-		forkEquals(t, r, seeded)
+		matchesExecute(t, r, seeded)
 	})
+}
+
+// TestRunnerWithoutStoreExecutes: a Runner without a checkpoint store
+// warms and measures every spec on one socket, Execute's path. It forks
+// nothing, counts every spec as executed, and matches Execute bit for
+// bit, sampled and with coverage sets too.
+func TestRunnerWithoutStoreExecutes(t *testing.T) {
+	r := NewRunner(1)
+	if ck := r.CheckpointDir(); ck != nil {
+		t.Fatalf("NewRunner has a store at %q", ck.Path())
+	}
+	specs := []RunSpec{goldenSpecs()[1], goldenSpecs()[1]}
+	specs[1].Measure, specs[1].CollectSets, specs[1].SampleEvery = 120_000, true, 40_000
+	for _, spec := range specs {
+		matchesExecute(t, r, spec)
+	}
+	s := r.Stats()
+	if s.RunsExecuted != uint64(len(specs)) || s.Checkpoint != (CheckpointStats{}) {
+		t.Errorf("after %d specs: %+v (want %d runs executed and no fork, warmup or store traffic)", len(specs), s, len(specs))
+	}
+	if NewRunnerWithCheckpoints(1, "").CheckpointDir() != nil {
+		t.Errorf("NewRunnerWithCheckpoints with an empty dir has a store")
+	}
 }
 
 // TestRunSingleflight submits the same spec from many goroutines at once
@@ -87,7 +122,7 @@ func TestCheckpointBitIdentical(t *testing.T) {
 // pre-singleflight Runner would run the spec once per goroutine that got
 // past the cache check before the first finished.
 func TestRunSingleflight(t *testing.T) {
-	r := NewRunner(4)
+	r := NewRunnerWithDir(4, checkpoint.NewDir("", 0))
 	o := QuickOptions()
 	spec := o.spec("cassandra", "baseline")
 	const waiters = 16
@@ -122,7 +157,7 @@ func TestRunSingleflight(t *testing.T) {
 // TestWarmStateSharedAcrossSpecs runs a grid of specs that differ only in
 // measure-phase knobs and requires a single warmup to serve all of them.
 func TestWarmStateSharedAcrossSpecs(t *testing.T) {
-	r := NewRunner(2)
+	r := NewRunnerWithDir(2, checkpoint.NewDir("", 0))
 	o := QuickOptions()
 	base := o.spec("tomcat", "pdip44")
 	specs := []RunSpec{base}
@@ -246,7 +281,7 @@ func TestCheckpointSaveFailureForks(t *testing.T) {
 	}
 	r := NewRunnerWithCheckpoints(1, filepath.Join(blocker, "ck"))
 	spec := RunSpec{Benchmark: "kafka", Policy: "baseline", Warmup: 20_000, Measure: 20_000}
-	forkEquals(t, r, spec)
+	matchesExecute(t, r, spec)
 	if s := r.CheckpointStats(); s.WarmupsExecuted != 1 || s.DiskStores != 0 || s.DiskStoreFailures != 1 {
 		t.Errorf("after the failed save: %+v (want 1 warmup, 0 stores, 1 failed store)", s)
 	}
@@ -255,23 +290,21 @@ func TestCheckpointSaveFailureForks(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec.Measure = 30_000
-	forkEquals(t, r, spec)
+	matchesExecute(t, r, spec)
 	if s := r.CheckpointStats(); s.WarmupsExecuted != 1 || s.Forks != 2 {
 		t.Errorf("same tuple after the store recovered: %+v (want the memoised warm state forked again)", s)
 	}
 }
 
-// TestMemoryOnlyRunnerBounded drives a Runner without a checkpoint
-// directory through more distinct warm tuples than its memory-only store
-// holds: the store must stay within its budget after every run, and a
-// tuple whose warm state was evicted must warm again and still fork
-// bit-identically to a scratch run.
+// TestMemoryOnlyRunnerBounded drives a Runner over a memory-only store
+// through more distinct warm tuples than the store's budget holds: the
+// store must stay within its budget after every run, and a tuple whose
+// warm state was evicted must warm again and still fork bit-identically
+// to a scratch run.
 func TestMemoryOnlyRunnerBounded(t *testing.T) {
-	r := NewRunner(1)
-	ck := r.CheckpointDir()
-	if ck.Path() != "" {
-		t.Fatalf("a Runner without a directory stores under %q", ck.Path())
-	}
+	const budget = 6 << 20 // three or four warm states
+	ck := checkpoint.NewDir("", budget)
+	r := NewRunnerWithDir(1, ck)
 	spec := func(i int) RunSpec {
 		return RunSpec{Benchmark: "kafka", Policy: "baseline", Warmup: 10_000 + uint64(i)*1_000, Measure: 5_000}
 	}
@@ -281,8 +314,8 @@ func TestMemoryOnlyRunnerBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		n, bytes := ck.Resident()
-		if bytes > memoryCacheBytes {
-			t.Fatalf("after %d tuples the store holds %d states of %d bytes, over its %d-byte budget", i+1, n, bytes, memoryCacheBytes)
+		if bytes > budget {
+			t.Fatalf("after %d tuples the store holds %d states of %d bytes, over its %d-byte budget", i+1, n, bytes, budget)
 		}
 		if tuples = i + 1; n < tuples {
 			break // the first tuple has been evicted
@@ -293,13 +326,13 @@ func TestMemoryOnlyRunnerBounded(t *testing.T) {
 	}
 	again := spec(0)
 	again.Measure = 6_000 // a new spec on the evicted tuple
-	forkEquals(t, r, again)
+	matchesExecute(t, r, again)
 	if s := r.CheckpointStats(); s.WarmupsExecuted != uint64(tuples)+1 || s.MemoryHits != 0 || s.DiskStores != 0 {
 		t.Errorf("after re-forking an evicted tuple: %+v (want %d warmups, no memory hits, no disk stores)", s, tuples+1)
 	}
 	again.Measure = 7_000 // and once more, now from memory
-	forkEquals(t, r, again)
-	if s := r.CheckpointStats(); s.WarmupsExecuted != uint64(tuples)+1 || s.MemoryHits != 1 {
-		t.Errorf("repeat fork of a resident tuple: %+v (want it served from memory)", s)
+	matchesExecute(t, r, again)
+	if s := r.CheckpointStats(); s.WarmupsExecuted != uint64(tuples)+1 || s.MemoryHits != 1 || s.Forks != uint64(tuples)+2 {
+		t.Errorf("repeat fork of a resident tuple: %+v (want it served from memory, and every run forked)", s)
 	}
 }

@@ -249,12 +249,14 @@ type CheckpointStats struct {
 	DiskStoreFailures uint64 `json:",omitempty"`
 }
 
-// Runner executes and memoises runs. Runs whose spec includes a warmup
-// window go through the warm-state layer: the runner warms each warmKey
-// tuple once (per process — or per checkpoint directory, when configured),
-// snapshots the complete simulator state, and forks the snapshot for
-// every spec that shares the tuple. Finished warm states live in one
-// place, the runner's checkpoint.Dir, whose LRU bounds their memory.
+// Runner executes and memoises runs. A Runner with a checkpoint store
+// runs specs that include a warmup window through the warm-state layer:
+// it warms each warmKey tuple once (per process — or per checkpoint
+// directory, when the store has one), snapshots the complete simulator
+// state, and forks the snapshot for every spec that shares the tuple.
+// Finished warm states live in one place, the store, whose LRU bounds
+// their memory. A Runner without a store warms and measures every spec on
+// one socket, as Execute does, and snapshots nothing.
 type Runner struct {
 	mu       sync.Mutex
 	cache    map[RunSpec]*RunResult
@@ -275,17 +277,13 @@ type Runner struct {
 	// shared across processes, fronted by its decoded in-memory cache
 	// (shared across every Runner holding the same Dir — fleet workers in
 	// one process fork each tuple's decode exactly once), or that cache
-	// alone (memory-only).
+	// alone (memory-only). Nil for a Runner without a store.
 	ck  *checkpoint.Dir
 	sem chan struct{}
 }
 
-// memoryCacheBytes is the decoded-state budget of a Runner without a
-// checkpoint directory: ~9 warm states of a default-machine core. Grids
-// issue a tuple's specs together, so reuse needs few states resident.
-const memoryCacheBytes = 16 << 20
-
-// NewRunner returns a Runner bounded to parallelism concurrent runs.
+// NewRunner returns a Runner bounded to parallelism concurrent runs,
+// without a checkpoint store: each spec warms and measures on one socket.
 func NewRunner(parallelism int) *Runner {
 	return NewRunnerWithDir(parallelism, nil)
 }
@@ -293,7 +291,8 @@ func NewRunner(parallelism int) *Runner {
 // NewRunnerWithCheckpoints returns a Runner that additionally persists
 // warm-state checkpoints under dir (content-addressed by workload +
 // configuration + format version), so repeat process invocations skip
-// warmup entirely. An empty dir keeps checkpoints in memory only.
+// warmup entirely. An empty dir gives a Runner without a store, as
+// NewRunner does.
 func NewRunnerWithCheckpoints(parallelism int, dir string) *Runner {
 	var ck *checkpoint.Dir
 	if dir != "" {
@@ -304,14 +303,12 @@ func NewRunnerWithCheckpoints(parallelism int, dir string) *Runner {
 
 // NewRunnerWithDir is NewRunnerWithCheckpoints over an existing store —
 // the form that lets several Runners (the fabric fleet's workers) share
-// one decoded-state cache. A nil ck gives the Runner a memory-only store
-// of its own with a small budget.
+// one decoded-state cache. A nil ck gives a Runner without a store. To
+// share warm states within one process without files, pass a memory-only
+// store, checkpoint.NewDir("", budget).
 func NewRunnerWithDir(parallelism int, ck *checkpoint.Dir) *Runner {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if ck == nil {
-		ck = checkpoint.NewDir("", memoryCacheBytes)
 	}
 	return &Runner{
 		cache:    make(map[RunSpec]*RunResult),
@@ -324,8 +321,8 @@ func NewRunnerWithDir(parallelism int, ck *checkpoint.Dir) *Runner {
 	}
 }
 
-// CheckpointDir returns the store this runner keeps warm states in; its
-// Path is "" when the runner has no checkpoint directory.
+// CheckpointDir returns the store this runner keeps warm states in, or nil
+// when it has none. A memory-only store's Path is "".
 func (r *Runner) CheckpointDir() *checkpoint.Dir { return r.ck }
 
 // CheckpointStats returns a snapshot of the warm-state reuse counters.
@@ -487,11 +484,7 @@ func (r *Runner) buildWarmState(wk warmKey, key string) (*checkpoint.State, stri
 		st, cached, _ = r.ck.Load(key)
 	}
 	if st != nil {
-		// No core is built on c, so the prefetcher its policy hook made
-		// (for pdip44 a 240 KB PDIP table) goes back to the recycler.
-		if p, ok := c.Prefetcher.(interface{ Release() }); ok {
-			p.Release()
-		}
+		releasePrefetcher(c)
 		r.mu.Lock()
 		if cached {
 			r.ckStats.DirCacheHits++
@@ -504,11 +497,13 @@ func (r *Runner) buildWarmState(wk warmKey, key string) (*checkpoint.State, stri
 
 	src, osrc, err := openSource(wspec, prog, c)
 	if err != nil {
+		releasePrefetcher(c)
 		return nil, "", err
 	}
 	defer closeSource(src)
 	co, err := core.NewWithSource(prog, osrc, c)
 	if err != nil {
+		releasePrefetcher(c)
 		return nil, "", err
 	}
 	st, err = warmSnapshot(co, wspec, src)
@@ -663,6 +658,16 @@ func buildConfig(spec RunSpec) (*cfg.Program, core.Config, error) {
 	return prog, c, nil
 }
 
+// releasePrefetcher hands the prefetcher that c's policy hook built (for
+// pdip44 a 240 KB PDIP table) back to the recycler, for a configuration
+// no socket was built on or that a socket left unused: nothing else
+// releases it.
+func releasePrefetcher(c core.Config) {
+	if p, ok := c.Prefetcher.(interface{ Release() }); ok {
+		p.Release()
+	}
+}
+
 // measureRun resets a warmed socket's measurement counters, simulates the
 // measured window, and packages one result per tenant — shared by the
 // from-scratch and fork-from-snapshot paths, which must agree bit-for-bit
@@ -745,26 +750,34 @@ func executeScratch(specs []RunSpec, so SocketOptions, onSample func(metrics.Sam
 		}
 	}
 
-	tenants := make([]core.SocketTenant, len(specs))
+	tenants := make([]core.SocketTenant, 0, len(specs))
 	srcs := make([]*champsim.Source, len(specs))
 	closeAll := func() {
 		for _, src := range srcs {
 			closeSource(src)
 		}
 	}
+	// unbuilt undoes the tenants configured before an error: no socket
+	// holds their prefetchers or sources.
+	unbuilt := func(err error) ([]*RunResult, *core.Socket, error) {
+		for _, t := range tenants {
+			releasePrefetcher(t.Config)
+		}
+		closeAll()
+		return nil, nil, err
+	}
 	for i, spec := range specs {
 		prog, c, err := buildConfig(spec)
 		if err != nil {
-			closeAll()
-			return nil, nil, err
+			return unbuilt(err)
 		}
 		src, osrc, err := openSource(spec, prog, c)
 		if err != nil {
-			closeAll()
-			return nil, nil, err
+			releasePrefetcher(c)
+			return unbuilt(err)
 		}
 		srcs[i] = src
-		tenants[i] = core.SocketTenant{Prog: prog, Src: osrc, Config: c}
+		tenants = append(tenants, core.SocketTenant{Prog: prog, Src: osrc, Config: c})
 	}
 	s, err := core.NewSocket(tenants, core.SocketConfig{
 		SharedPrefetcher: so.SharedPrefetcher,
@@ -772,8 +785,13 @@ func executeScratch(specs []RunSpec, so SocketOptions, onSample func(metrics.Sam
 		L3Reserve:        so.L3Reserve,
 	})
 	if err != nil {
-		closeAll()
-		return nil, nil, err
+		return unbuilt(err)
+	}
+	if so.SharedPrefetcher {
+		// Every tenant runs on tenant 0's table; the others' go back.
+		for _, t := range tenants[1:] {
+			releasePrefetcher(t.Config)
+		}
 	}
 	if err := s.Run(warmup); err != nil {
 		s.Release()

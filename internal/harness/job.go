@@ -12,7 +12,9 @@ import (
 // warm-state layer (a warmup in flight, then the runner's checkpoint.Dir
 // — decoded states in memory, then the content-addressed -checkpoint-dir
 // files — then a simulated warmup), forks it, and simulates the measured
-// window. onSample, when non-nil and spec.SampleEvery > 0,
+// window. A runner without a store, and a spec without a warmup window,
+// take Execute's path instead: warm and measure on one socket, with no
+// snapshot. onSample, when non-nil and spec.SampleEvery > 0,
 // observes every interval snapshot the moment it is recorded — the hook
 // fabric workers use to stream incremental metrics back to the
 // coordinator while the run is still in flight.
@@ -30,8 +32,9 @@ func (r *Runner) ExecuteJob(spec RunSpec, onSample func(metrics.Sample)) (*RunRe
 	r.mu.Unlock()
 
 	warmup, measure := spec.budgets()
-	if warmup == 0 {
-		// Nothing to amortize; run from scratch.
+	if warmup == 0 || r.ck == nil {
+		// Nothing to amortize, or no store to keep a warm state in: warm
+		// and measure on one socket, as Execute does.
 		return executeOne(spec, onSample)
 	}
 	st, err := r.warmState(warmKeyOf(spec))
@@ -44,6 +47,7 @@ func (r *Runner) ExecuteJob(spec RunSpec, onSample func(metrics.Sample)) (*RunRe
 	}
 	src, osrc, err := openSource(spec, prog, c)
 	if err != nil {
+		releasePrefetcher(c)
 		return nil, err
 	}
 	s, err := core.NewSocketFromSnapshot([]core.SocketTenant{{Prog: prog, Src: osrc, Config: c}}, core.SocketConfig{}, st)

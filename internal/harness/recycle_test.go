@@ -2,6 +2,8 @@ package harness
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -179,7 +181,7 @@ func TestForkOnRecycledTablesEqualsFresh(t *testing.T) {
 func TestForkAfterReleaseAllocatesLittle(t *testing.T) {
 	first := RunSpec{Benchmark: "kafka", Policy: "pdip44", Warmup: 20_000, Measure: 5_000}
 	second := RunSpec{Benchmark: "kafka", Policy: "pdip44-insert3", Seed: 2, Warmup: 20_000, Measure: 6_000}
-	r := NewRunner(1)
+	r := NewRunnerWithDir(1, checkpoint.NewDir("", 0))
 	if _, err := r.Run(first); err != nil {
 		t.Fatal(err)
 	}
@@ -207,6 +209,9 @@ func TestForkAfterReleaseAllocatesLittle(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > 256<<10 {
 		t.Errorf("the second fork allocated %d bytes, want under 256 KiB", got)
 	}
+	if s := r.CheckpointStats(); s.Forks != 2 {
+		t.Errorf("the runner made %d forks, want 2 (the fork path is what this measures)", s.Forks)
+	}
 }
 
 // TestStoreHitReleasesPrefetcher: a runner that finds the warm state in
@@ -231,6 +236,102 @@ func TestStoreHitReleasesPrefetcher(t *testing.T) {
 	}
 	if got := recycle.Stats().Fresh - before; got != 0 {
 		t.Errorf("the fork after a store hit allocated %d bytes of fresh tables, want 0", got)
+	}
+}
+
+// TestFailedRunsReleasePrefetchers: a run that fails after its
+// configuration is built hands every prefetcher it configured back to the
+// recycler, whatever the path: Execute and a runner without a store on a
+// trace that cannot be opened, ExecuteSocket whose second tenant's trace
+// is missing or whose socket cannot be built, a warmup into a store, and
+// a fork from a warm state whose trace has gone. One failing call of each
+// kind primes the recycler; after that, failing again takes no fresh
+// table. Not parallel: it reads the process-wide recycler counters.
+func TestFailedRunsReleasePrefetchers(t *testing.T) {
+	dir := t.TempDir()
+	good := RunSpec{Benchmark: "kafka", Policy: "pdip44", Warmup: 20_000, Measure: 5_000}
+	missing := good
+	missing.TracePath = filepath.Join(dir, "missing.champsim")
+	mixedFF := good
+	mixedFF.NoFastForward = true
+
+	// A warm state whose trace is removed after the warmup: its next
+	// fork fails to open the trace.
+	gone := good
+	gone.TracePath = filepath.Join(dir, "gone.champsim")
+	if err := RecordTrace(gone, gone.TracePath, 0); err != nil {
+		t.Fatal(err)
+	}
+	forker := NewRunnerWithDir(1, checkpoint.NewDir("", 0))
+	if _, err := forker.ExecuteJob(gone, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(gone.TracePath); err != nil {
+		t.Fatal(err)
+	}
+	gone.Measure++ // a new spec on the warm tuple
+
+	calls := []struct {
+		name string
+		run  func() error
+	}{
+		{"Execute", func() error { _, err := Execute(missing); return err }},
+		{"runner without a store", func() error {
+			_, err := NewRunner(1).ExecuteJob(missing, nil)
+			return err
+		}},
+		{"ExecuteSocket, second trace missing", func() error {
+			_, err := ExecuteSocket([]RunSpec{good, missing}, SocketOptions{})
+			return err
+		}},
+		{"ExecuteSocket, socket not built", func() error {
+			_, err := ExecuteSocket([]RunSpec{good, mixedFF}, SocketOptions{})
+			return err
+		}},
+		{"warmup into a store", func() error {
+			_, err := NewRunnerWithDir(1, checkpoint.NewDir("", 0)).ExecuteJob(missing, nil)
+			return err
+		}},
+		{"fork from a store", func() error { _, err := forker.ExecuteJob(gone, nil); return err }},
+	}
+	for _, c := range calls {
+		if c.run() == nil {
+			t.Fatalf("%s: the run did not fail", c.name)
+		}
+	}
+	// A leak shows when a later call finds no idle table to take, so the
+	// call that fails the check need not be the one that leaked.
+	before := recycle.Stats().Fresh
+	for i := 0; i < 3; i++ {
+		for _, c := range calls {
+			c.run()
+			if got := recycle.Stats().Fresh - before; got != 0 {
+				t.Fatalf("round %d, by %q: failing runs took %d bytes of fresh table, want 0 (one of them kept a prefetcher)", i+1, c.name, got)
+			}
+		}
+	}
+}
+
+// TestSharedSocketReleasesUnusedPrefetchers: every tenant of a
+// SharedPrefetcher socket runs on tenant 0's table, so the prefetchers
+// the other tenants' configurations built go back to the recycler, and a
+// second run of the same cell takes no fresh table. Not parallel: it
+// reads the process-wide recycler counters.
+func TestSharedSocketReleasesUnusedPrefetchers(t *testing.T) {
+	specs := []RunSpec{
+		{Benchmark: "kafka", Policy: "pdip44", Warmup: 5_000, Measure: 5_000},
+		{Benchmark: "tomcat", Policy: "pdip44", Warmup: 5_000, Measure: 5_000},
+	}
+	so := SocketOptions{SharedPrefetcher: true}
+	if _, err := ExecuteSocket(specs, so); err != nil {
+		t.Fatal(err)
+	}
+	before := recycle.Stats().Fresh
+	if _, err := ExecuteSocket(specs, so); err != nil {
+		t.Fatal(err)
+	}
+	if got := recycle.Stats().Fresh - before; got != 0 {
+		t.Errorf("the second shared-prefetcher socket took %d bytes of fresh table, want 0", got)
 	}
 }
 

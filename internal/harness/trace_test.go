@@ -149,7 +149,7 @@ func TestTraceWarmForkMatchesScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRunner(2)
+	r := NewRunnerWithDir(2, checkpoint.NewDir("", 0))
 	forked, err := r.Run(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -4,8 +4,9 @@ package pipeline
 // pushes at the tail, the consumer peeks and pops at the head, and a
 // flush-style Filter drops entries wholesale (wrong-path squash). It is a
 // slice with a head cursor rather than a ring so batch production (a
-// fetch group) amortises to one append each, and storage is recycled once
-// the consumer fully drains.
+// fetch group) amortises to one append each. Storage is recycled once the
+// consumer fully drains, and a push into a full array slides the live
+// entries to its front, so a latch that never drains keeps its capacity.
 //
 // A Latch imposes no capacity of its own — pipeline structures bound
 // occupancy with their own rules (e.g. decode checks Len before accepting
@@ -29,8 +30,17 @@ func (l *Latch[T]) Grow(n int) {
 	l.buf = make([]T, 0, n)
 }
 
-// Push appends v at the tail.
+// Push appends v at the tail. When the array is full but entries have
+// been consumed, the live entries slide to its front first (the vacated
+// slots are cleared, so consumed entries are not retained) instead of
+// growing it.
 func (l *Latch[T]) Push(v T) {
+	if len(l.buf) == cap(l.buf) && l.head > 0 {
+		n := copy(l.buf, l.buf[l.head:])
+		clear(l.buf[n:])
+		l.buf = l.buf[:n]
+		l.head = 0
+	}
 	l.buf = append(l.buf, v)
 }
 

@@ -82,6 +82,54 @@ func TestLatchStorageRecycledOnDrain(t *testing.T) {
 	}
 }
 
+// TestLatchKeepsItsDepth: a latch Grown to n and fed without ever being
+// drained (the decode queue, whose consumer rarely empties it) keeps
+// capacity n, allocates nothing, and stays FIFO.
+func TestLatchKeepsItsDepth(t *testing.T) {
+	const n = 8
+	var l Latch[*int]
+	l.Grow(n)
+	vals := make([]int, 64)
+	next, want := 0, 0
+	push := func() {
+		l.Push(&vals[next%len(vals)])
+		next++
+	}
+	for l.Len() < n-1 {
+		push()
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		// Take two, put two back: occupancy stays at n-1, so the head
+		// walks through the array and the tail reaches its end.
+		for k := 0; k < 2; k++ {
+			v, ok := l.Pop()
+			if !ok || v != &vals[want%len(vals)] {
+				t.Fatalf("pop %d: got %p, want %p", want, v, &vals[want%len(vals)])
+			}
+			want++
+		}
+		push()
+		push()
+	}); a != 0 {
+		t.Errorf("%v allocations per round, want 0", a)
+	}
+	if got := cap(l.buf); got != n {
+		t.Errorf("capacity %d after %d pushes, want %d", got, next, n)
+	}
+	for i := 0; i < l.Len(); i++ {
+		if l.At(i) != &vals[(want+i)%len(vals)] {
+			t.Fatalf("At(%d) is out of order", i)
+		}
+	}
+	// Every round ends with a slide and one push after it, so the slot
+	// past the tail is one the slide vacated.
+	for _, p := range l.buf[len(l.buf):cap(l.buf)] {
+		if p != nil {
+			t.Fatalf("a slot past the tail still holds a consumed entry")
+		}
+	}
+}
+
 func TestLatchFilter(t *testing.T) {
 	var l Latch[int]
 	for i := 0; i < 10; i++ {

@@ -123,13 +123,17 @@ func RecordTrace(spec RunSpec, path string, n uint64) error {
 func VerifyDeterminism(spec RunSpec) error { return harness.VerifyDeterminism(spec) }
 
 // NewRunner returns a memoising runner bounded to n concurrent runs
-// (n <= 0 uses GOMAXPROCS).
+// (n <= 0 uses GOMAXPROCS). It has no checkpoint store: each run warms
+// and measures on one socket, as Run does, and no warm state is kept.
 func NewRunner(n int) *Runner { return harness.NewRunner(n) }
 
 // NewRunnerWithCheckpoints returns a runner that additionally persists
 // warm-state checkpoints under dir (content-addressed by workload,
 // configuration, and state-format version), so repeat process invocations
-// skip warmup entirely. An empty dir keeps warm states in memory only.
+// skip warmup entirely and runs sharing a warm tuple fork one warm state.
+// An empty dir gives a runner without a store, as NewRunner does; to share
+// warm states within one process without files, pass
+// NewCheckpointDir("", budget) to NewRunnerWithDir.
 func NewRunnerWithCheckpoints(n int, dir string) *Runner {
 	return harness.NewRunnerWithCheckpoints(n, dir)
 }
@@ -138,7 +142,7 @@ func NewRunnerWithCheckpoints(n int, dir string) *Runner {
 // by a size-bounded in-memory cache of decoded states, so repeated forks
 // of the same warm tuple pay the binary decode once per process rather
 // than once per run. It is a Runner's only warm-state cache; with an
-// empty path it is memory-only.
+// empty path it is memory-only. A Runner given none keeps no warm state.
 type CheckpointDir = checkpoint.Dir
 
 // CheckpointDirStats is a CheckpointDir's cache accounting (memory hits,
@@ -149,7 +153,8 @@ type CheckpointDirStats = checkpoint.DirStats
 // bounds the in-memory decoded-state cache, charging each state its
 // decoded size (0 selects the default of 256 MiB, ~150 warm states;
 // negative disables caching). The directory is created lazily on first
-// Save; an empty path keeps states in memory only.
+// Save. An empty path keeps states in memory only: the store that lets
+// runners of one process share warm states without files.
 func NewCheckpointDir(path string, cacheBytes int64) *CheckpointDir {
 	return checkpoint.NewDir(path, cacheBytes)
 }
