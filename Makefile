@@ -4,7 +4,7 @@
 GO ?= go
 
 .PHONY: all build fmt-check vet test race determinism golden check bench clean
-.PHONY: lint lint-fix-report check-invariant fuzz bench-track bench-pair perf-smoke trace-suite socket fabric-smoke examples
+.PHONY: lint lint-fix-report check-invariant fuzz bench-track bench-pair perf-smoke perfbench-vet trace-suite socket fabric-smoke examples
 
 all: build
 
@@ -17,6 +17,12 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
+
+# The benchmark under _perfbench is a module of its own, which ./... and
+# simlint skip: vet it against this checkout, so a change to a public API
+# it calls fails here rather than when the benchmark runs.
+perfbench-vet:
+	cd _perfbench && $(GO) vet ./...
 
 # Repo-specific static analysis (cmd/simlint): per-package analyzers
 # (determinism over every importable package, counter ownership, port
@@ -107,7 +113,7 @@ socket:
 	$(GO) test ./internal/harness -run 'TestSocketContentionInterference|TestSocketSharedPrefetcherRuns|TestExecuteSocketRejectsMixedBudgets' -count=1
 	$(GO) test ./internal/core -run 'TestSocket' -count=1
 
-check: fmt-check vet build lint test race determinism golden socket
+check: fmt-check vet perfbench-vet build lint test race determinism golden socket
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem

@@ -579,7 +579,7 @@ func BenchmarkGridWarmupReuse(b *testing.B) {
 		if _, err := r.RunAll(specs); err != nil {
 			b.Fatal(err)
 		}
-		if s := r.CheckpointStats(); s.Forks != cells || s.WarmupsExecuted != 1 {
+		if s := r.Stats().Checkpoint; s.Forks != cells || s.WarmupsExecuted != 1 {
 			b.Fatalf("%+v: want %d forks of one warmup", s, cells)
 		}
 	}

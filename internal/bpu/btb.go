@@ -23,8 +23,6 @@ type BTB struct {
 	setShift uint
 	setMask  uint64
 	tick     uint32
-
-	lookups, hits uint64
 }
 
 // NewBTB creates a BTB with the given total entry count, which must be a
@@ -77,14 +75,12 @@ func popcount(x uint64) int {
 // Lookup probes the BTB for a branch at pc. On a hit it returns the stored
 // target and branch kind.
 func (b *BTB) Lookup(pc isa.Addr) (target isa.Addr, kind isa.BranchKind, hit bool) {
-	b.lookups++
 	set, tag := b.setOf(pc)
 	for i := range set {
 		e := &set[i]
 		if e.Valid && e.Tag == tag {
 			b.tick++
 			e.LRU = b.tick
-			b.hits++
 			return e.Target, e.Kind, true
 		}
 	}
@@ -115,14 +111,6 @@ func (b *BTB) Insert(pc isa.Addr, target isa.Addr, kind isa.BranchKind) {
 		}
 	}
 	set[victim] = checkpoint.BTBEntryState{Valid: true, Tag: tag, Target: target, Kind: kind, LRU: b.tick}
-}
-
-// HitRate returns the fraction of lookups that hit, for diagnostics.
-func (b *BTB) HitRate() float64 {
-	if b.lookups == 0 {
-		return 0
-	}
-	return float64(b.hits) / float64(b.lookups)
 }
 
 // RAS is a fixed-depth circular return address stack. Pushing beyond the

@@ -148,8 +148,6 @@ func (b *BTB) captureCheckpoint() checkpoint.BTBState {
 		Ways:    btbWays,
 		Entries: append([]checkpoint.BTBEntryState(nil), b.entries...),
 		Tick:    b.tick,
-		Lookups: b.lookups,
-		Hits:    b.hits,
 	}
 }
 
@@ -162,8 +160,6 @@ func (b *BTB) restoreCheckpoint(st checkpoint.BTBState) error {
 	}
 	copy(b.entries, st.Entries)
 	b.tick = st.Tick
-	b.lookups = st.Lookups
-	b.hits = st.Hits
 	return nil
 }
 

@@ -58,8 +58,10 @@ import (
 // header lost its kind byte; 6 = one reflection-built plan per type
 // replaced the hand codec: slices of fixed-width-scalar structs are
 // written field-major (one column per field), and PDIPState became two
-// flat arrays (Entries, Targets) with no per-set or per-entry counts.
-const FormatVersion = 6
+// flat arrays (Entries, Targets) with no per-set or per-entry counts;
+// 7 = CoreState lost FECSet and FECTrace, and BTBState its Lookups and
+// Hits: diagnostics go through the metrics registry only.
+const FormatVersion = 7
 
 // State is the complete simulator state at one cycle boundary: the
 // socket's shared uncore captured exactly once, then every core as a
@@ -131,12 +133,11 @@ type CoreState struct {
 	Promoted []isa.Addr
 	FECEver  []isa.Addr
 
-	// Coverage diagnostics (CollectSets runs only; nil otherwise).
-	FECSet    []isa.Addr
+	// CollectSets diagnostics (PFSet is nil when it is off): the request
+	// set and the counters behind core.fec.req_age.* and core.fec.holds.*.
 	PFSet     []PFSetEntry
 	FECReqAge [4]uint64
 	FECHolds  [3]uint64
-	FECTrace  []FECInstanceState
 
 	SampleEvery uint64
 
@@ -145,18 +146,10 @@ type CoreState struct {
 }
 
 // PFSetEntry is one (line → last-request-cycle) pair of the prefetch
-// coverage set, sorted by line.
+// request set, sorted by line.
 type PFSetEntry struct {
 	Line  isa.Addr `ckpt:"delta"`
 	Cycle int64
-}
-
-// FECInstanceState is one sampled FEC diagnostic instance.
-type FECInstanceState struct {
-	Line    isa.Addr
-	Trigger isa.Addr
-	Starve  int
-	Served  uint8
 }
 
 // RegistryState captures the owned values of a metrics registry in sorted
@@ -374,12 +367,11 @@ type ITTAGEEntry struct {
 }
 
 // BTBState captures the branch target buffer as a dense set-major entry
-// array plus its LRU clock and hit accounting.
+// array plus its LRU clock.
 type BTBState struct {
-	Sets, Ways    int
-	Entries       []BTBEntryState
-	Tick          uint32
-	Lookups, Hits uint64
+	Sets, Ways int
+	Entries    []BTBEntryState
+	Tick       uint32
 }
 
 // BTBEntryState is one BTB entry: a taken branch's full tag (upper PC

@@ -1,4 +1,4 @@
-// Binary columnar wire format (FormatVersion 6).
+// Binary columnar wire format (FormatVersion 7).
 //
 // One plan per type, built once by reflection from the State declarations,
 // drives both Encode and DecodeBytes, so each layout is written only once:

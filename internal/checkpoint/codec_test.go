@@ -183,11 +183,9 @@ func sampleTenant() TenantState {
 		ShadowLeft: 3, LastTakenBlock: 0x1000,
 		Promoted:    []isa.Addr{0x40, 0x80, 0x100},
 		FECEver:     []isa.Addr{0x40},
-		FECSet:      []isa.Addr{0x40, 0xc0},
 		PFSet:       []PFSetEntry{{Line: 0x40, Cycle: 10}, {Line: 0x80, Cycle: 12}},
 		FECReqAge:   [4]uint64{1, 2, 3, 4},
 		FECHolds:    [3]uint64{5, 6, 7},
-		FECTrace:    []FECInstanceState{{Line: 0x40, Trigger: 0x20, Starve: 4, Served: 1}},
 		SampleEvery: 1000, DataRng: 777, PromoRng: 888,
 	}
 	st.Metrics = RegistryState{
@@ -224,7 +222,7 @@ func sampleTenant() TenantState {
 			{},
 			{Valid: true, Tag: 11, Target: 0x500, Kind: isa.Return, LRU: 2},
 			{Valid: true, Tag: 12, Target: 0x600, Kind: isa.IndirectCall, LRU: 3},
-		}, Tick: 4, Lookups: 100, Hits: 60},
+		}, Tick: 4},
 		RAS: RASState{Entries: []isa.Addr{0x700, 0x800, 0}, Top: 1, Depth: 2},
 		Stats: BPUStats{CondBranches: 50, CondMispredict: 5, BTBLookups: 80,
 			BTBMissTaken: 8, IndBranches: 7, IndMispredict: 2, Returns: 6, RetMispredict: 1},
@@ -347,7 +345,7 @@ func TestBinaryRoundTripAllPrefetchers(t *testing.T) {
 // encoding per tuple. If this digest changes, the wire format changed:
 // bump FormatVersion (so stale directories miss instead of misdecoding)
 // and re-pin.
-const binarySampleDigest = "8bcada2c5fa0969c0810ada8303dc498d44c418d8983d0c0295589cc0b870aad"
+const binarySampleDigest = "428080dd89256d1537b0f637122d1d4d61be29a72f75f8cf418bad13d2b13ef6"
 
 // TestBinaryDeterministicBytes requires byte-identical encodings across
 // repeated encodes, across a decode/re-encode round trip, and across time

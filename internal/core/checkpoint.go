@@ -29,9 +29,9 @@ import (
 //     field-for-field to zero, so an empty pool is behaviourally
 //     identical to a warm one.
 //   - TAGE/ITTAGE index memos: pure caches, recomputed on demand.
-//   - Per-stage scratch (decodeStage.lastSeq, prefetchDrainStage.lastTick,
-//     reqBuf, retireBuf): invariant bookkeeping and within-cycle buffers
-//     that are empty at every cycle boundary.
+//   - Per-stage scratch: invariant bookkeeping (decodeStage.lastSeq,
+//     prefetchDrainStage.lastTick; a restore resets it) and within-cycle
+//     buffers (reqBuf, retireBuf), empty at every cycle boundary.
 //   - Interval samples: measurement output, cleared by ResetStats; warm
 //     cores have sampling disabled.
 //
@@ -150,33 +150,25 @@ func (co *Core) captureCoreState() checkpoint.CoreState {
 		ShadowWasReturn: co.shadowWasReturn,
 		ShadowLeft:      co.shadowLeft,
 		LastTakenBlock:  co.lastTakenBlock,
-		Promoted:        sortedAddrSet(co.promoted),
-		FECEver:         sortedAddrSet(co.fecEver),
+		Promoted:        sortedKeys(co.promoted),
+		FECEver:         sortedKeys(co.fecEver),
 		FECReqAge:       co.fecReqAge,
 		FECHolds:        co.fecHolds,
 		SampleEvery:     co.sampleEvery,
 		DataRng:         co.dataRng.State(),
 		PromoRng:        co.promoRng.State(),
 	}
-	if co.fecSet != nil {
-		st.FECSet = sortedAddrSet(co.fecSet)
-	}
 	if co.pfSet != nil {
-		lines := make([]isa.Addr, 0, len(co.pfSet))
-		for line := range co.pfSet {
-			lines = append(lines, line)
-		}
-		sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-		st.PFSet = make([]checkpoint.PFSetEntry, 0, len(lines))
-		for _, line := range lines {
-			st.PFSet = append(st.PFSet, checkpoint.PFSetEntry{Line: line, Cycle: co.pfSet[line]})
+		lines := sortedKeys(co.pfSet)
+		st.PFSet = make([]checkpoint.PFSetEntry, len(lines))
+		for i, line := range lines {
+			st.PFSet[i] = checkpoint.PFSetEntry{Line: line, Cycle: co.pfSet[line]}
 		}
 	}
-	st.FECTrace = append([]checkpoint.FECInstanceState(nil), co.fecTrace...)
 	return st
 }
 
-func sortedAddrSet(m map[isa.Addr]struct{}) []isa.Addr {
+func sortedKeys[V any](m map[isa.Addr]V) []isa.Addr {
 	out := make([]isa.Addr, 0, len(m))
 	for a := range m {
 		out = append(out, a)
@@ -306,6 +298,15 @@ func (co *Core) restore(st *checkpoint.TenantState) error {
 	if err := ck.RestoreCheckpoint(st.Prefetcher); err != nil {
 		return err
 	}
+	// Invariant bookkeeping restarts as in a fresh core.
+	for _, stage := range co.pipe.Stages() {
+		switch stage := stage.(type) {
+		case *decodeStage:
+			stage.lastSeq = 0
+		case *prefetchDrainStage:
+			stage.lastTick = 0
+		}
+	}
 	return co.restoreCoreState(st.Core)
 }
 
@@ -329,16 +330,10 @@ func (co *Core) restoreCoreState(st checkpoint.CoreState) error {
 	for _, a := range st.FECEver {
 		co.fecEver[a] = struct{}{}
 	}
-	// The CollectSets diagnostics restore only into a core that has them
-	// enabled; a fork that turns CollectSets on over a snapshot taken
-	// without it simply starts with empty sets (identical to a scratch run,
-	// whose ResetStats clears them at the warmup boundary).
-	if co.fecSet != nil {
-		clear(co.fecSet)
-		for _, a := range st.FECSet {
-			co.fecSet[a] = struct{}{}
-		}
-	}
+	// The request set restores only into a core that has CollectSets on;
+	// a fork that turns CollectSets on over a snapshot taken without it
+	// simply starts with an empty set (identical to a scratch run, whose
+	// ResetStats clears it at the warmup boundary).
 	if co.pfSet != nil {
 		clear(co.pfSet)
 		for _, e := range st.PFSet {
@@ -347,7 +342,6 @@ func (co *Core) restoreCoreState(st checkpoint.CoreState) error {
 	}
 	co.fecReqAge = st.FECReqAge
 	co.fecHolds = st.FECHolds
-	co.fecTrace = append(co.fecTrace[:0], st.FECTrace...)
 	co.sampleEvery = st.SampleEvery
 	co.dataRng.SetState(st.DataRng)
 	co.promoRng.SetState(st.PromoRng)

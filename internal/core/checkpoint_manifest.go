@@ -64,8 +64,7 @@ var checkpointManifest = map[string]map[string]string{
 		"shadowTrigger": "state", "shadowWasReturn": "state", "shadowLeft": "state",
 		"lastTakenBlock": "state",
 		"promoted":       "state", "fecEver": "state",
-		"fecSet": "state", "pfSet": "state",
-		"fecReqAge": "state", "fecHolds": "state", "fecTrace": "state",
+		"pfSet": "state", "fecReqAge": "state", "fecHolds": "state",
 		"dataRng": "state", "promoRng": "state",
 		"reg": "state", "ct": "wiring",
 		"sampleEvery": "state", "samples": "diag", "sampleHook": "diag",
@@ -75,7 +74,7 @@ var checkpointManifest = map[string]map[string]string{
 	},
 	"pdip.PDIP": {
 		"cfg": "config", "entries": "state", "targets": "state", "tick": "state", "r": "state",
-		"Stats": "state", "debugInserted": "diag", "DebugLog": "diag",
+		"Stats": "state",
 	},
 	"eip.EIP": {
 		"cfg": "config", "hist": "state", "head": "state", "size": "state",
@@ -200,7 +199,7 @@ var checkpointManifest = map[string]map[string]string{
 	"bpu.BTB": {
 		"entries":  "state",
 		"setShift": "derived", "setMask": "derived",
-		"tick": "state", "lookups": "state", "hits": "state",
+		"tick": "state",
 	},
 	"bpu.RAS": {
 		"entries": "state", "top": "state", "depth": "state",

@@ -95,8 +95,10 @@ type Config struct {
 	// (the FEC-Ideal ceiling of §3).
 	FECIdeal bool
 
-	// CollectSets gathers the FEC-line and prefetch-target sets needed
-	// for coverage analysis (§7.3); costs memory, off by default.
+	// CollectSets classifies each measured FEC episode (§7.3) into the
+	// core.fec.req_age.* counters (age of the line's last prefetch request)
+	// and, under PDIP, core.fec.holds.* (whether the table held its
+	// (trigger, line) pair). Off by default; all seven then read 0.
 	CollectSets bool
 
 	// MaxCyclesPerInst aborts a run whose cycle count explodes (guards

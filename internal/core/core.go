@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"pdip/internal/backend"
 	"pdip/internal/bpu"
 	"pdip/internal/cache"
@@ -82,18 +80,15 @@ type Core struct {
 	// FEC-Ideal serves these at L1I latency (the §3 ceiling).
 	fecEver map[isa.Addr]struct{}
 
-	// Coverage sets (CollectSets only). pfSet records the cycle of the
-	// most recent PQ request per line.
-	fecSet map[isa.Addr]struct{}
-	pfSet  map[isa.Addr]int64
+	// CollectSets diagnostics. pfSet records the cycle of the most recent
+	// PQ request per line; nil when CollectSets is off.
+	pfSet map[isa.Addr]int64
 	// fecReqAge histograms FEC instances by age of the last prefetch
 	// request for their line: [never, >10K cycles, 100..10K, <=100].
 	fecReqAge [4]uint64
 	// fecHolds classifies FEC instances (CollectSets + PDIP only):
 	// [no-trigger, table-holds-pair, table-missing-pair].
 	fecHolds [3]uint64
-	// fecTrace samples FEC instances for diagnostics (CollectSets only).
-	fecTrace []checkpoint.FECInstanceState
 
 	dataRng  *rng.RNG
 	promoRng *rng.RNG
@@ -149,11 +144,8 @@ func NewWithSource(prog *cfg.Program, src trace.OracleSource, c Config) (*Core, 
 }
 
 // newCore assembles a core over an already-built hierarchy (NewSocket
-// builds it over the core's uncore tenant port).
-func newCore(prog *cfg.Program, src trace.OracleSource, c Config, hier *mem.Hierarchy) (*Core, error) {
-	if src == nil && prog == nil {
-		return nil, fmt.Errorf("core: need a program or an instruction source")
-	}
+// builds it over the core's uncore tenant port and checks the source).
+func newCore(prog *cfg.Program, src trace.OracleSource, c Config, hier *mem.Hierarchy) *Core {
 	bp := bpu.New(c.BPU)
 	var walker *trace.Walker
 	oracle := src
@@ -209,7 +201,6 @@ func newCore(prog *cfg.Program, src trace.OracleSource, c Config, hier *mem.Hier
 	}
 	co.registerMetrics()
 	if c.CollectSets {
-		co.fecSet = make(map[isa.Addr]struct{})
 		co.pfSet = make(map[isa.Addr]int64)
 	}
 	if e, ok := pf.(prefetch.RetireEmitter); ok {
@@ -220,7 +211,7 @@ func newCore(prog *cfg.Program, src trace.OracleSource, c Config, hier *mem.Hier
 	}); ok {
 		co.pfCallsRet = o
 	}
-	return co, nil
+	return co
 }
 
 // Release releases the core's socket (see Socket.Release).
@@ -316,20 +307,16 @@ func (co *Core) resetStats() {
 	co.pq.Stats = prefetch.Stats{}
 	co.bp.Stats = bpu.Stats{}
 	co.rob.Stats = backend.Stats{}
-	// Clear the CollectSets diagnostics too, so the coverage sets describe
-	// the measured window only. This makes CollectSets a pure measure-phase
-	// knob: a core forked from a warm snapshot (whose warmup ran without
-	// CollectSets) starts the measured window with exactly the same empty
-	// sets as a from-scratch run reset here.
-	if co.fecSet != nil {
-		clear(co.fecSet)
-	}
+	// Clear the CollectSets diagnostics too, so they describe the measured
+	// window only. This makes CollectSets a pure measure-phase knob: a core
+	// forked from a warm snapshot (whose warmup ran without CollectSets)
+	// starts the measured window with exactly the same empty state as a
+	// from-scratch run reset here.
 	if co.pfSet != nil {
 		clear(co.pfSet)
 	}
 	co.fecReqAge = [4]uint64{}
 	co.fecHolds = [3]uint64{}
-	co.fecTrace = co.fecTrace[:0]
 	if r, ok := co.pf.(interface{ ResetStats() }); ok {
 		r.ResetStats()
 	}

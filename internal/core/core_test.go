@@ -267,20 +267,51 @@ func TestNoFDIPIsSlower(t *testing.T) {
 	}
 }
 
+// TestCollectSets checks the FEC classification CollectSets turns on:
+// under PDIP every FEC episode lands in exactly one request-age bucket and
+// exactly one holds class, so each family sums to core.fec.lines; with
+// CollectSets off all seven counters read 0.
 func TestCollectSets(t *testing.T) {
-	c := testConfig(17)
-	c.CollectSets = true
-	pc := pdip.DefaultConfig()
-	pc.InsertProb = 1.0
-	pc.RequireHighCost = false
-	c.Prefetcher = pdip.New(pc)
-	co := MustNew(prog17, c)
-	if err := co.Run(120000); err != nil {
-		t.Fatal(err)
-	}
-	r := co.Result()
-	if uint64(len(r.FECLineSet)) > r.Core.FECLines {
-		t.Fatal("FEC line set larger than FEC episode count")
+	reqAge := []string{"core.fec.req_age.never", "core.fec.req_age.gt_10k",
+		"core.fec.req_age.100_to_10k", "core.fec.req_age.le_100"}
+	holds := []string{"core.fec.holds.no_trigger", "core.fec.holds.table_holds_pair",
+		"core.fec.holds.table_missing_pair"}
+	for _, on := range []bool{true, false} {
+		c := testConfig(17)
+		c.CollectSets = on
+		pc := pdip.DefaultConfig()
+		pc.InsertProb = 1.0
+		pc.RequireHighCost = false
+		c.Prefetcher = pdip.New(pc)
+		co := MustNew(prog17, c)
+		if err := co.Run(120000); err != nil {
+			t.Fatal(err)
+		}
+		snap := co.MetricsSnapshot()
+		read := func(name string) uint64 {
+			v, ok := snap.Counter(name)
+			if !ok {
+				t.Fatalf("counter %s not registered", name)
+			}
+			return v
+		}
+		lines := read("core.fec.lines")
+		if lines == 0 {
+			t.Fatal("no FEC episodes to classify")
+		}
+		want := uint64(0)
+		if on {
+			want = lines
+		}
+		for _, family := range [][]string{reqAge, holds} {
+			var sum uint64
+			for _, name := range family {
+				sum += read(name)
+			}
+			if sum != want {
+				t.Errorf("CollectSets=%v: %v sum to %d, want %d", on, family, sum, want)
+			}
+		}
 	}
 }
 

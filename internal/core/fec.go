@@ -1,7 +1,6 @@
 package core
 
 import (
-	"pdip/internal/checkpoint"
 	"pdip/internal/frontend"
 	"pdip/internal/isa"
 )
@@ -38,19 +37,10 @@ func (co *Core) isFECEver(line isa.Addr) bool {
 }
 
 // recordFECDiagnostics files one FEC episode into the CollectSets-only
-// diagnostic structures: the sampled trace, the trigger-pair holds
-// classification, and the request-age histogram.
+// core.fec.holds.* and core.fec.req_age.* classifications.
 func (co *Core) recordFECDiagnostics(ep *frontend.LineEpisode) {
 	if co.pfSet == nil {
 		return
-	}
-	if len(co.fecTrace) < 4000 {
-		co.fecTrace = append(co.fecTrace, checkpoint.FECInstanceState{
-			Line:    ep.Line,
-			Trigger: ep.ResteerTrigger,
-			Starve:  ep.Starve,
-			Served:  uint8(ep.ServedBy),
-		})
 	}
 	if holder, ok := co.pf.(interface{ DebugHolds(t, l isa.Addr) bool }); ok {
 		switch {

@@ -172,7 +172,7 @@ func (co *Core) registerMetrics() {
 	// time from the same counters Result exposes.
 	derived := func(name string, fn func(*Result) float64) {
 		reg.GaugeFunc(name, func() float64 {
-			r := co.liteResult()
+			r := co.Result()
 			return fn(&r)
 		})
 	}
@@ -187,20 +187,6 @@ func (co *Core) registerMetrics() {
 	derived("derived.useless_prefetch_pki", func(r *Result) float64 { return r.UselessPrefetchPKI() })
 	derived("derived.fec_line_pct", func(r *Result) float64 { return r.FECLinePct() })
 	derived("derived.fec_stall_share", func(r *Result) float64 { return r.FECStallShare() })
-}
-
-// liteResult builds a Result view without copying the coverage sets —
-// enough for every derived metric, cheap enough for snapshot time.
-func (co *Core) liteResult() Result {
-	return Result{
-		Core: co.ct.statsCore(),
-		L1I:  co.hier.L1I.Stats,
-		L1D:  co.hier.L1D.Stats,
-		L2:   co.hier.L2.Stats,
-		L3:   co.hier.L3.Stats,
-		PQ:   co.pq.Stats,
-		BPU:  co.bp.Stats,
-	}
 }
 
 // Metrics returns the core's metric registry. The registry is owned by the

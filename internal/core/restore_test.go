@@ -414,11 +414,11 @@ func checkDirtyPipelineRestore(t *testing.T) {
 		return s
 	}
 	src, dirty, fresh := build(), build(), build()
-	// The dirty socket runs a shorter window than the source, so the
-	// restored clock and sequence numbers are ahead of its own, as a
-	// fork's are: decode's last sequence number and the drain stage's
-	// last tick are invariant bookkeeping, not state.
-	if err := dirty.Run(20011); err != nil {
+	// The dirty socket runs a longer window than the source, so the
+	// restored clock and sequence numbers are behind its own: under
+	// siminvariant, decode's last sequence number and the drain stage's
+	// last tick must restart with the restore.
+	if err := dirty.Run(45007); err != nil {
 		t.Fatal(err)
 	}
 	if err := src.Run(30011); err != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"pdip/internal/bpu"
 	"pdip/internal/cache"
-	"pdip/internal/isa"
 	"pdip/internal/prefetch"
 	"pdip/internal/stats"
 )
@@ -26,22 +25,11 @@ type Result struct {
 	PrefetcherKB   float64
 	// BTBKB is the BTB storage (Figure 15 accounting).
 	BTBKB float64
-
-	// FECLineSet and PrefetchTargetSet are populated when
-	// Config.CollectSets is true (coverage analysis, §7.3).
-	FECLineSet        map[isa.Addr]struct{}
-	PrefetchTargetSet map[isa.Addr]struct{}
-	// FECReqAge buckets FEC instances by the age of the last prefetch
-	// request for their line: [never, >10K cycles, 100..10K, <=100].
-	FECReqAge [4]uint64
-	// FECHolds classifies FEC instances: [no-trigger, table-holds-pair,
-	// table-missing-pair] (PDIP + CollectSets only).
-	FECHolds [3]uint64
 }
 
 // Result snapshots the current counters.
 func (co *Core) Result() Result {
-	r := Result{
+	return Result{
 		Core:           co.ct.statsCore(),
 		L1I:            co.hier.L1I.Stats,
 		L1D:            co.hier.L1D.Stats,
@@ -53,19 +41,6 @@ func (co *Core) Result() Result {
 		PrefetcherKB:   co.pf.StorageKB(),
 		BTBKB:          co.bp.Btb.StorageKB(),
 	}
-	if co.fecSet != nil {
-		r.FECLineSet = make(map[isa.Addr]struct{}, len(co.fecSet))
-		for k := range co.fecSet {
-			r.FECLineSet[k] = struct{}{}
-		}
-		r.PrefetchTargetSet = make(map[isa.Addr]struct{}, len(co.pfSet))
-		for k := range co.pfSet {
-			r.PrefetchTargetSet[k] = struct{}{}
-		}
-		r.FECReqAge = co.fecReqAge
-		r.FECHolds = co.fecHolds
-	}
-	return r
 }
 
 // IPC returns retired instructions per cycle.

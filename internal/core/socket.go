@@ -75,13 +75,17 @@ type Socket struct {
 // NewSocket builds a socket over the given tenants. Tenant configs must
 // agree on the shared-level geometry (L2, L3, DRAM) and the fast-forward
 // mode; everything core-private (benchmark, policy, prefetcher, BTB, seed)
-// may differ per tenant.
+// may differ per tenant. A failed build hands every table it took back to
+// the recycler, except the tenants' prefetchers: those stay the caller's.
 func NewSocket(tenants []SocketTenant, sc SocketConfig) (*Socket, error) {
 	if len(tenants) == 0 {
 		return nil, fmt.Errorf("socket: need at least one tenant")
 	}
 	base := tenants[0].Config
 	for i, t := range tenants {
+		if t.Src == nil && t.Prog == nil {
+			return nil, fmt.Errorf("socket: tenant %d: need a program or an instruction source", i)
+		}
 		if err := t.Config.Validate(); err != nil {
 			return nil, fmt.Errorf("socket: tenant %d: %w", i, err)
 		}
@@ -119,12 +123,14 @@ func NewSocket(tenants []SocketTenant, sc SocketConfig) (*Socket, error) {
 		}
 		hier, err := mem.New(c.Mem, unc.L2, unc.L3, unc.Port(i))
 		if err != nil {
-			return nil, err
-		}
-		co, err := newCore(t.Prog, t.Src, c, hier)
-		if err != nil {
+			// Everything built goes back but the caller's prefetchers.
+			for _, co := range s.cores {
+				co.release(false)
+			}
+			unc.Release()
 			return nil, fmt.Errorf("socket: tenant %d: %w", i, err)
 		}
+		co := newCore(t.Prog, t.Src, c, hier)
 		co.sock = s
 		s.cores = append(s.cores, co)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"pdip/internal/checkpoint"
 	"pdip/internal/pdip"
+	"pdip/internal/recycle"
 )
 
 // socketTenants builds one tenant per seed, each with its own program,
@@ -20,6 +21,54 @@ func socketTenants(seeds ...uint64) []SocketTenant {
 		out[i] = SocketTenant{Prog: testProgram(seed), Config: c}
 	}
 	return out
+}
+
+// TestFailedNewSocketReleasesTables: a socket build that fails after it
+// has taken tables (a cache geometry that passes Config.Validate but not
+// cache.New, in tenant 1's L1D or in the shared L3) hands them back, so
+// the next build takes no fresh table. Not parallel: it reads the
+// process-wide recycler counters.
+func TestFailedNewSocketReleasesTables(t *testing.T) {
+	build := func(breakIt func([]SocketTenant)) error {
+		tenants := socketTenants(41, 42)
+		breakIt(tenants)
+		s, err := NewSocket(tenants, SocketConfig{})
+		if err != nil {
+			// The caller keeps the prefetchers of a failed build.
+			for _, tn := range tenants {
+				tn.Config.Prefetcher.(*pdip.PDIP).Release()
+			}
+			return err
+		}
+		s.Release()
+		return nil
+	}
+	good := func([]SocketTenant) {}
+	for _, c := range []struct {
+		name    string
+		breakIt func([]SocketTenant)
+	}{
+		{"tenant 1 L1D", func(ts []SocketTenant) { ts[1].Config.Mem.L1D.Ways = 3 }},
+		{"shared L3", func(ts []SocketTenant) {
+			for i := range ts {
+				ts[i].Config.Mem.L3.Ways = 3
+			}
+		}},
+	} {
+		if err := build(good); err != nil {
+			t.Fatal(err)
+		}
+		if build(c.breakIt) == nil {
+			t.Fatalf("%s: a socket with a 3-way cache was built", c.name)
+		}
+		before := recycle.Stats().Fresh
+		if err := build(good); err != nil {
+			t.Fatal(err)
+		}
+		if got := recycle.Stats().Fresh - before; got != 0 {
+			t.Errorf("%s: the build after a failed one took %d bytes of fresh table, want 0", c.name, got)
+		}
+	}
 }
 
 // TestSocketLockstep pins the socket clock discipline: after any Run,

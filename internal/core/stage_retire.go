@@ -111,9 +111,6 @@ func (s *retireStage) processEpisode(ep *frontend.LineEpisode) {
 			}
 		}
 		co.fecEver[ep.Line] = struct{}{}
-		if co.fecSet != nil {
-			co.fecSet[ep.Line] = struct{}{}
-		}
 		if (co.cfg.Emissary || co.cfg.FECIdeal) && co.promoRng.Bool(co.cfg.EmissaryPromoteProb) {
 			co.promoted[ep.Line] = struct{}{}
 			co.hier.PromoteInstLine(ep.Line)

@@ -53,7 +53,7 @@ func TestCheckpointBitIdentical(t *testing.T) {
 	cells := 0
 	// Cleanup runs once every parallel cell below has finished.
 	t.Cleanup(func() {
-		if s := r.CheckpointStats(); s.Forks != uint64(cells) {
+		if s := r.Stats().Checkpoint; s.Forks != uint64(cells) {
 			t.Errorf("%d forks for %d cells: %+v (want every cell forked)", s.Forks, cells, s)
 		}
 	})
@@ -147,7 +147,7 @@ func TestRunSingleflight(t *testing.T) {
 			t.Fatalf("waiter %d received a different result object — the run executed more than once", i)
 		}
 	}
-	s := r.CheckpointStats()
+	s := r.Stats().Checkpoint
 	if s.WarmupsExecuted != 1 || s.Forks != 1 {
 		t.Errorf("singleflight leak: %d warmups and %d forks for %d concurrent submissions of one spec (want 1 and 1)",
 			s.WarmupsExecuted, s.Forks, waiters)
@@ -169,7 +169,7 @@ func TestWarmStateSharedAcrossSpecs(t *testing.T) {
 	if _, err := r.RunAll(specs); err != nil {
 		t.Fatal(err)
 	}
-	s := r.CheckpointStats()
+	s := r.Stats().Checkpoint
 	if s.WarmupsExecuted != 1 {
 		t.Errorf("%d warmups executed for %d specs sharing one warm tuple (want 1)", s.WarmupsExecuted, len(specs))
 	}
@@ -191,7 +191,7 @@ func TestCheckpointDiskCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := r1.CheckpointStats(); s.WarmupsExecuted != 1 || s.DiskStores != 1 || s.DiskHits != 0 {
+	if s := r1.Stats().Checkpoint; s.WarmupsExecuted != 1 || s.DiskStores != 1 || s.DiskHits != 0 {
 		t.Errorf("cold-cache runner: %+v (want 1 warmup, 1 store, 0 hits)", s)
 	}
 
@@ -200,7 +200,7 @@ func TestCheckpointDiskCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := r2.CheckpointStats(); s.WarmupsExecuted != 0 || s.DiskHits != 1 {
+	if s := r2.Stats().Checkpoint; s.WarmupsExecuted != 0 || s.DiskHits != 1 {
 		t.Errorf("warm-cache runner: %+v (want 0 warmups, 1 disk hit)", s)
 	}
 	if diff := a.Metrics.Diff(b.Metrics); len(diff) > 0 {
@@ -219,7 +219,7 @@ func TestCheckpointDiskCache(t *testing.T) {
 		if _, err := r2.Run(other); err != nil {
 			t.Fatal(err)
 		}
-		if s := r2.CheckpointStats(); s.WarmupsExecuted != uint64(i+1) || s.DiskStores != uint64(i+1) {
+		if s := r2.Stats().Checkpoint; s.WarmupsExecuted != uint64(i+1) || s.DiskStores != uint64(i+1) {
 			t.Errorf("%s: changed-tuple runner: %+v (want the changed tuple to warm and store fresh)", other.Key(), s)
 		}
 	}
@@ -239,7 +239,7 @@ func TestCheckpointSharedDirCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := r1.CheckpointStats(); s.WarmupsExecuted != 1 || s.DiskStores != 1 || s.DirCacheHits != 0 {
+	if s := r1.Stats().Checkpoint; s.WarmupsExecuted != 1 || s.DiskStores != 1 || s.DirCacheHits != 0 {
 		t.Errorf("warming runner: %+v (want 1 warmup, 1 store, 0 cache forks)", s)
 	}
 
@@ -248,7 +248,7 @@ func TestCheckpointSharedDirCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := r2.CheckpointStats(); s.WarmupsExecuted != 0 || s.DirCacheHits != 1 || s.DiskHits != 0 {
+	if s := r2.Stats().Checkpoint; s.WarmupsExecuted != 0 || s.DirCacheHits != 1 || s.DiskHits != 0 {
 		t.Errorf("sibling runner: %+v (want 0 warmups, 1 cache fork, 0 disk hits)", s)
 	}
 	if diff := a.Metrics.Diff(b.Metrics); len(diff) > 0 {
@@ -282,7 +282,7 @@ func TestCheckpointSaveFailureForks(t *testing.T) {
 	r := NewRunnerWithCheckpoints(1, filepath.Join(blocker, "ck"))
 	spec := RunSpec{Benchmark: "kafka", Policy: "baseline", Warmup: 20_000, Measure: 20_000}
 	matchesExecute(t, r, spec)
-	if s := r.CheckpointStats(); s.WarmupsExecuted != 1 || s.DiskStores != 0 || s.DiskStoreFailures != 1 {
+	if s := r.Stats().Checkpoint; s.WarmupsExecuted != 1 || s.DiskStores != 0 || s.DiskStoreFailures != 1 {
 		t.Errorf("after the failed save: %+v (want 1 warmup, 0 stores, 1 failed store)", s)
 	}
 
@@ -291,7 +291,7 @@ func TestCheckpointSaveFailureForks(t *testing.T) {
 	}
 	spec.Measure = 30_000
 	matchesExecute(t, r, spec)
-	if s := r.CheckpointStats(); s.WarmupsExecuted != 1 || s.Forks != 2 {
+	if s := r.Stats().Checkpoint; s.WarmupsExecuted != 1 || s.Forks != 2 {
 		t.Errorf("same tuple after the store recovered: %+v (want the memoised warm state forked again)", s)
 	}
 }
@@ -327,12 +327,12 @@ func TestMemoryOnlyRunnerBounded(t *testing.T) {
 	again := spec(0)
 	again.Measure = 6_000 // a new spec on the evicted tuple
 	matchesExecute(t, r, again)
-	if s := r.CheckpointStats(); s.WarmupsExecuted != uint64(tuples)+1 || s.MemoryHits != 0 || s.DiskStores != 0 {
+	if s := r.Stats().Checkpoint; s.WarmupsExecuted != uint64(tuples)+1 || s.MemoryHits != 0 || s.DiskStores != 0 {
 		t.Errorf("after re-forking an evicted tuple: %+v (want %d warmups, no memory hits, no disk stores)", s, tuples+1)
 	}
 	again.Measure = 7_000 // and once more, now from memory
 	matchesExecute(t, r, again)
-	if s := r.CheckpointStats(); s.WarmupsExecuted != uint64(tuples)+1 || s.MemoryHits != 1 || s.Forks != uint64(tuples)+2 {
+	if s := r.Stats().Checkpoint; s.WarmupsExecuted != uint64(tuples)+1 || s.MemoryHits != 1 || s.Forks != uint64(tuples)+2 {
 		t.Errorf("repeat fork of a resident tuple: %+v (want it served from memory, and every run forked)", s)
 	}
 }

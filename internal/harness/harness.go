@@ -29,8 +29,6 @@ type Options struct {
 	Warmup, Measure uint64
 	// Benchmarks restricts the benchmark set (nil = all 16).
 	Benchmarks []string
-	// CollectSets enables FEC/coverage set collection on every run.
-	CollectSets bool
 	// NoFastForward disables idle-cycle fast-forward on every run (see
 	// RunSpec.NoFastForward).
 	NoFastForward bool
@@ -68,7 +66,7 @@ type RunSpec struct {
 	BTBEntries int
 	// Warmup and Measure are instruction budgets.
 	Warmup, Measure uint64
-	// CollectSets enables coverage-set collection.
+	// CollectSets turns on the FEC classification (core.Config.CollectSets).
 	CollectSets bool
 	// SampleEvery > 0 records a full metrics snapshot every that many
 	// measured instructions (IPC/MPKI trajectories).
@@ -265,10 +263,9 @@ type Runner struct {
 	// warm holds the in-flight warmups; keys holds the store key of every
 	// tuple this runner resolved, so a repeat fork neither rebuilds the
 	// configuration nor re-hashes it.
-	warm    map[warmKey]*warmCall
-	keys    map[warmKey]string
-	ckStats CheckpointStats
-	stats   RunnerStats
+	warm  map[warmKey]*warmCall
+	keys  map[warmKey]string
+	stats RunnerStats
 	// executor, when set, replaces local execution for cache-missing
 	// runs: the spec is handed to it (the fabric fleet's submit path)
 	// and the returned result is memoised exactly as a local one.
@@ -325,22 +322,13 @@ func NewRunnerWithDir(parallelism int, ck *checkpoint.Dir) *Runner {
 // when it has none. A memory-only store's Path is "".
 func (r *Runner) CheckpointDir() *checkpoint.Dir { return r.ck }
 
-// CheckpointStats returns a snapshot of the warm-state reuse counters.
-func (r *Runner) CheckpointStats() CheckpointStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ckStats
-}
-
 // Stats returns an atomic snapshot of the runner's activity counters
 // (runs executed, cache hits, warm-state reuse). Consumers report it once
 // at end of run instead of interleaving prints under concurrency.
 func (r *Runner) Stats() RunnerStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := r.stats
-	s.Checkpoint = r.ckStats
-	return s
+	return r.stats
 }
 
 // SetExecutor routes every cache-missing Run through exec instead of
@@ -415,7 +403,7 @@ func (r *Runner) execute(spec RunSpec) (*RunResult, error) {
 func (r *Runner) warmState(wk warmKey) (*checkpoint.State, error) {
 	r.mu.Lock()
 	if c, ok := r.warm[wk]; ok {
-		r.ckStats.MemoryHits++
+		r.stats.Checkpoint.MemoryHits++
 		r.mu.Unlock()
 		<-c.done
 		return c.st, c.err
@@ -423,7 +411,7 @@ func (r *Runner) warmState(wk warmKey) (*checkpoint.State, error) {
 	key := r.keys[wk]
 	if key != "" {
 		if st := r.ck.Get(key); st != nil {
-			r.ckStats.MemoryHits++
+			r.stats.Checkpoint.MemoryHits++
 			r.mu.Unlock()
 			return st, nil
 		}
@@ -487,9 +475,9 @@ func (r *Runner) buildWarmState(wk warmKey, key string) (*checkpoint.State, stri
 		releasePrefetcher(c)
 		r.mu.Lock()
 		if cached {
-			r.ckStats.DirCacheHits++
+			r.stats.Checkpoint.DirCacheHits++
 		} else {
-			r.ckStats.DiskHits++
+			r.stats.Checkpoint.DiskHits++
 		}
 		r.mu.Unlock()
 		return st, key, nil
@@ -514,7 +502,7 @@ func (r *Runner) buildWarmState(wk warmKey, key string) (*checkpoint.State, stri
 		return nil, "", err
 	}
 	r.mu.Lock()
-	r.ckStats.WarmupsExecuted++
+	r.stats.Checkpoint.WarmupsExecuted++
 	r.mu.Unlock()
 
 	if r.ck.Path() != "" && wspec.TracePath == "" {
@@ -524,9 +512,9 @@ func (r *Runner) buildWarmState(wk warmKey, key string) (*checkpoint.State, stri
 		err := r.ck.Save(key, st)
 		r.mu.Lock()
 		if err != nil {
-			r.ckStats.DiskStoreFailures++
+			r.stats.Checkpoint.DiskStoreFailures++
 		} else {
-			r.ckStats.DiskStores++
+			r.stats.Checkpoint.DiskStores++
 		}
 		r.mu.Unlock()
 		if err == nil {
@@ -877,7 +865,6 @@ func (o Options) spec(bench, pol string) RunSpec {
 		Policy:            pol,
 		Warmup:            o.Warmup,
 		Measure:           o.Measure,
-		CollectSets:       o.CollectSets,
 		NoFastForward:     o.NoFastForward,
 		TraceDifferential: o.TraceDifferential,
 	}

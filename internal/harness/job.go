@@ -59,7 +59,7 @@ func (r *Runner) ExecuteJob(spec RunSpec, onSample func(metrics.Sample)) (*RunRe
 	// next build (internal/recycle) once it is measured.
 	defer s.Release()
 	r.mu.Lock()
-	r.ckStats.Forks++
+	r.stats.Checkpoint.Forks++
 	r.mu.Unlock()
 	res, err := measureRun(s, []RunSpec{spec}, measure, onSample)
 	if err != nil {

@@ -209,7 +209,7 @@ func TestForkAfterReleaseAllocatesLittle(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > 256<<10 {
 		t.Errorf("the second fork allocated %d bytes, want under 256 KiB", got)
 	}
-	if s := r.CheckpointStats(); s.Forks != 2 {
+	if s := r.Stats().Checkpoint; s.Forks != 2 {
 		t.Errorf("the runner made %d forks, want 2 (the fork path is what this measures)", s.Forks)
 	}
 }
@@ -231,7 +231,7 @@ func TestStoreHitReleasesPrefetcher(t *testing.T) {
 	if _, err := r.ExecuteJob(spec, nil); err != nil {
 		t.Fatal(err)
 	}
-	if s := r.CheckpointStats(); s.DirCacheHits != 1 || s.WarmupsExecuted != 0 {
+	if s := r.Stats().Checkpoint; s.DirCacheHits != 1 || s.WarmupsExecuted != 0 {
 		t.Fatalf("second runner: %+v (want the warm state from the store)", s)
 	}
 	if got := recycle.Stats().Fresh - before; got != 0 {

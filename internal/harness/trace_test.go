@@ -154,7 +154,7 @@ func TestTraceWarmForkMatchesScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.CheckpointStats().Forks == 0 {
+	if r.Stats().Checkpoint.Forks == 0 {
 		t.Fatal("runner did not take the warm-fork path")
 	}
 	if diff := scratch.Metrics.Diff(forked.Metrics); len(diff) > 0 {

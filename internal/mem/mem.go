@@ -72,6 +72,7 @@ func New(cfg Config, l2, l3 *cache.Cache, down Port) (*Hierarchy, error) {
 	}
 	l1d, err := cache.New(cfg.L1D)
 	if err != nil {
+		l1i.Release()
 		return nil, err
 	}
 	return &Hierarchy{

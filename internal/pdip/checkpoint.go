@@ -9,8 +9,7 @@ import (
 
 // CaptureCheckpoint implements prefetch.Checkpointer: the full
 // trigger→target table (tags, LRU stamps, target slots with masks), the
-// replacement clock, the insertion-coin rng, and the stats. The debug
-// hooks (debugInserted, DebugLog) are diagnostics, not simulated state.
+// replacement clock, the insertion-coin rng, and the stats.
 func (p *PDIP) CaptureCheckpoint() checkpoint.PrefetcherState {
 	return checkpoint.PrefetcherState{Kind: "pdip", PDIP: &checkpoint.PDIPState{
 		Entries: append([]checkpoint.PDIPEntryState(nil), p.entries...),

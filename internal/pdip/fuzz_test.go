@@ -11,9 +11,8 @@ import (
 // (trigger, target) retirements with the insertion filters disabled
 // (InsertProb 1, no high-cost gate) and checks the table's round-trip
 // contract after every insert: the association is immediately visible to
-// DebugHolds, an FTQ probe of the trigger emits the target, and the
-// debug dump stays sorted. Capacity eviction of older pairs is legal;
-// losing the pair just inserted is not.
+// DebugHolds, and an FTQ probe of the trigger emits the target. Capacity
+// eviction of older pairs is legal; losing the pair just inserted is not.
 func FuzzPDIPTableInsertLookup(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6})
 	f.Add([]byte{7, 7, 1, 200, 200, 1})
@@ -24,7 +23,6 @@ func FuzzPDIPTableInsertLookup(f *testing.F) {
 			IgnoreReturns:   false,
 			Seed:            0x5eed,
 		})
-		p.EnableDebug()
 		var out []prefetch.Request
 		for i := 0; i+1 < len(data); i += 2 {
 			trig := isa.Addr(uint64(data[i])+1) * isa.LineSize
@@ -53,13 +51,6 @@ func FuzzPDIPTableInsertLookup(f *testing.F) {
 			if !found {
 				t.Fatalf("pair %d: FTQ probe of trigger %#x emitted %d requests, none for %#x",
 					i/2, uint64(trig), len(out), uint64(line))
-			}
-		}
-		lines := p.DebugInsertedLines()
-		for i := 1; i < len(lines); i++ {
-			if lines[i-1] >= lines[i] {
-				t.Fatalf("DebugInsertedLines not strictly ascending at %d: %#x >= %#x",
-					i, uint64(lines[i-1]), uint64(lines[i]))
 			}
 		}
 	})

@@ -14,7 +14,6 @@ package pdip
 
 import (
 	"fmt"
-	"sort"
 
 	"pdip/internal/checkpoint"
 	"pdip/internal/isa"
@@ -100,14 +99,6 @@ type PDIP struct {
 	r       *rng.RNG
 
 	Stats Stats
-
-	// debugInserted, allocated by EnableDebug, records every line ever
-	// placed (or mask-merged) as a prefetch target. Nil — and therefore
-	// free — unless debugging is requested.
-	debugInserted map[isa.Addr]struct{}
-	// DebugLog, when set by a test, receives table events:
-	// kind ∈ {"insert", "merge", "emit", "evict-target"}.
-	DebugLog func(kind string, trigger, line isa.Addr)
 }
 
 // validate checks the geometry the table layout and the §5.4 storage
@@ -217,9 +208,6 @@ func (p *PDIP) OnFTQInsert(block isa.Addr, out []prefetch.Request) []prefetch.Re
 			if !tg.Valid {
 				continue
 			}
-			if p.DebugLog != nil {
-				p.DebugLog("emit", block.Line(), tg.Base)
-			}
 			out = append(out, prefetch.Request{Line: tg.Base, Trigger: tg.Trig})
 			for k := 0; k < p.cfg.MaskBits; k++ {
 				if tg.Mask&(1<<k) != 0 {
@@ -272,9 +260,6 @@ func (p *PDIP) OnLineRetired(ev prefetch.RetireEvent) {
 	if !p.r.Bool(p.cfg.InsertProb) {
 		p.Stats.InsertFiltered++
 		return
-	}
-	if p.debugInserted != nil {
-		p.debugInserted[ev.Line] = struct{}{}
 	}
 	p.insert(trigBlock, ev.Line, kind)
 }
@@ -351,12 +336,6 @@ func (p *PDIP) insert(trigBlock, targetLine isa.Addr, kind prefetch.TriggerKind)
 			victim, oldest = t, tg.LRU
 		}
 	}
-	if p.DebugLog != nil {
-		if old := targets[victim]; old.Valid {
-			p.DebugLog("evict-target", trigBlock, old.Base)
-		}
-		p.DebugLog("insert", trigBlock, targetLine)
-	}
 	targets[victim] = checkpoint.PDIPTargetState{Valid: true, Base: targetLine, Trig: kind, LRU: p.tick}
 	p.Stats.Inserted++
 }
@@ -365,29 +344,8 @@ func (p *PDIP) insert(trigBlock, targetLine isa.Addr, kind prefetch.TriggerKind)
 // the end of the measurement warmup window).
 func (p *PDIP) ResetStats() { p.Stats = Stats{} }
 
-// EnableDebug turns on insertion recording: every line subsequently
-// placed (or mask-merged) as a prefetch target is remembered and can be
-// read back with DebugInsertedLines. Off by default so production runs
-// pay neither the map nor its growth.
-func (p *PDIP) EnableDebug() {
-	if p.debugInserted == nil {
-		p.debugInserted = make(map[isa.Addr]struct{})
-	}
-}
-
-// DebugInsertedLines returns every line recorded since EnableDebug, in
-// ascending address order (a deterministic dump of an unordered set).
-func (p *PDIP) DebugInsertedLines() []isa.Addr {
-	lines := make([]isa.Addr, 0, len(p.debugInserted))
-	for l := range p.debugInserted {
-		lines = append(lines, l)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	return lines
-}
-
 // DebugHolds reports whether the table currently associates trigger with
-// line (directly or via a mask bit). Test/diagnostic use only.
+// line (directly or via a mask bit). It backs core.fec.holds.*.
 func (p *PDIP) DebugHolds(trigger, line isa.Addr) bool {
 	set, tag := p.indexTag(trigger.Line())
 	for i := set * p.cfg.Ways; i < (set+1)*p.cfg.Ways; i++ {

@@ -60,6 +60,7 @@ func New(cfg Config) (*Uncore, error) {
 	}
 	l3, err := cache.New(cfg.L3)
 	if err != nil {
+		l2.Release()
 		return nil, err
 	}
 	dram := cfg.DRAMLatency
