@@ -263,6 +263,34 @@ func BenchmarkWalker(b *testing.B) {
 	}
 }
 
+// BenchmarkMicroWalkProgram walks cassandra's program, the largest, in
+// runs of up to 16 instructions as the IAG takes them, with the oracle
+// seed the harness uses; one op is one instruction. Unlike
+// BenchmarkWalker's small program, cassandra's block table does not fit
+// in cache, so this row shows the block layout as well as the run step.
+func BenchmarkMicroWalkProgram(b *testing.B) {
+	prof, err := workload.ByName("cassandra")
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := prof.Program()
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := trace.New(prog, prof.CFG.Seed^0x5eed)
+	defer w.Release()
+	run := make([]isa.Inst, 0, 16)
+	// Warm past the call stack's growth.
+	for n := 0; n < 50_000; n += len(run) {
+		run = w.AppendRun(run[:0], 16)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n += len(run) {
+		run = w.AppendRun(run[:0], min(16, b.N-n))
+	}
+}
+
 // --- per-stage micro-benches (EXPERIMENTS.md before/after table) ---
 //
 // These isolate the three hot paths the pipeline/port refactor touched:

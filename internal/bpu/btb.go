@@ -1,6 +1,8 @@
 package bpu
 
 import (
+	"math/bits"
+
 	"pdip/internal/checkpoint"
 	"pdip/internal/isa"
 	"pdip/internal/recycle"
@@ -19,10 +21,12 @@ const BTBEntryBits = 119
 // execute, which is the paper's "BTB miss" resteer class.
 type BTB struct {
 	// entries is the table, set-major: way w of set s is s*btbWays + w.
-	entries  []checkpoint.BTBEntryState
-	setShift uint
-	setMask  uint64
-	tick     uint32
+	entries []checkpoint.BTBEntryState
+	// A PC's set index is its bits above setShift under setMask, and its
+	// tag the bits above those: tagShift is setShift plus the mask width.
+	setShift, tagShift uint
+	setMask            uint64
+	tick               uint32
 }
 
 // NewBTB creates a BTB with the given total entry count, which must be a
@@ -35,9 +39,11 @@ func NewBTB(entries int) *BTB {
 	if numSets&(numSets-1) != 0 {
 		panic("bpu: BTB entry count / 8 must be a power of two")
 	}
+	const setShift = 1 // branch PCs are at least 2-byte aligned in practice
 	return &BTB{
 		entries:  recycle.Make[[]checkpoint.BTBEntryState](numSets * btbWays),
-		setShift: 1, // branch PCs are at least 2-byte aligned in practice
+		setShift: setShift,
+		tagShift: setShift + uint(bits.OnesCount(uint(numSets-1))),
 		setMask:  uint64(numSets - 1),
 	}
 }
@@ -58,18 +64,8 @@ func (b *BTB) StorageKB() float64 {
 
 // setOf returns the ways of pc's set and pc's tag.
 func (b *BTB) setOf(pc isa.Addr) ([]checkpoint.BTBEntryState, uint64) {
-	v := uint64(pc) >> b.setShift
-	base := int(v&b.setMask) * btbWays
-	return b.entries[base : base+btbWays], v >> uint(popcount(b.setMask))
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
+	base := int((uint64(pc)>>b.setShift)&b.setMask) * btbWays
+	return b.entries[base : base+btbWays], uint64(pc) >> b.tagShift
 }
 
 // Lookup probes the BTB for a branch at pc. On a hit it returns the stored

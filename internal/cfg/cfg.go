@@ -146,11 +146,9 @@ func DefaultParams() Params {
 
 // Terminator describes how control leaves a basic block. It holds no
 // pointers: an indirect branch's targets live in its program's target
-// arena (Program.IndTargets).
+// arena (Program.IndTargets), and its taken probability in the program's
+// probability table (Program.TakenProb).
 type Terminator struct {
-	// TakenProb is the taken probability for non-loop CondDirect.
-	TakenProb float64
-
 	// TakenBlock is the target block ID for direct branches (CondDirect
 	// taken-target, UncondDirect, DirectCall).
 	TakenBlock int32
@@ -168,6 +166,8 @@ type Terminator struct {
 	Kind isa.BranchKind
 
 	numTargets uint8
+	// prob indexes the program's probability table.
+	prob uint8
 
 	// Dispatch marks the driver loop's indirect call: its target is the
 	// entry of a request handler chosen by the walker's dispatch policy
@@ -175,18 +175,16 @@ type Terminator struct {
 	Dispatch bool
 }
 
-// Block is one basic block: a fixed-width, pointer-free record, so a
-// program's block table is one allocation the garbage collector never
-// scans. Its instruction sizes live in the program's instruction-size
-// arena (Program.InstSizes).
+// Block is one basic block: a fixed-width, pointer-free 32-byte record,
+// so a program's block table is one allocation the garbage collector
+// never scans. A block's ID is its index in Program.Blocks, and its
+// function is Program.FuncOf(ID). Its instruction sizes live in the
+// program's instruction-size arena (Program.InstSizes).
 type Block struct {
 	// Addr is the address of the block's first instruction.
 	Addr isa.Addr
 	// Term describes the block's control-flow exit.
 	Term Terminator
-	// ID is the block's index in Program.Blocks; Func is the ID of the
-	// owning function.
-	ID, Func int32
 	// instOff is the index of the block's first instruction size in the
 	// arena; numInsts and size are its instruction count and byte size.
 	instOff  uint32
@@ -230,11 +228,11 @@ type Program struct {
 	Entry int
 
 	// insts holds every block's instruction sizes, block after block;
-	// targets holds every indirect branch's target block IDs.
+	// targets holds every indirect branch's target block IDs; probs holds
+	// the distinct taken probabilities, probs[0] = 0.
 	insts   []uint8
 	targets []int32
-	// blockStarts caches block start addresses for BlockAt binary search.
-	blockStarts []isa.Addr
+	probs   []float64
 	// nHot caches the hot-function count for PickGlobalFunc.
 	nHot int
 	// layerFuncs lists function IDs per call-graph layer.
@@ -298,7 +296,7 @@ func Generate(p Params) (*Program, error) {
 		p.CodeBase = 0x400000
 	}
 	r := rng.New(p.Seed)
-	prog := &Program{Params: p}
+	prog := &Program{Params: p, probs: []float64{0}}
 
 	// Pass 1: create functions and blocks with sizes; lay out addresses.
 	// A dry run on a copy of the generator makes the same draws and only
@@ -345,14 +343,12 @@ func Generate(p Params) (*Program, error) {
 		return nil, fmt.Errorf("cfg: %d indirect targets exceed the program layout", len(prog.targets))
 	}
 	prog.targets = append([]int32(nil), prog.targets...) // drop the growth slack
+	if len(prog.probs) > math.MaxUint8+1 {
+		return nil, fmt.Errorf("cfg: %d distinct taken probabilities exceed the program layout (%d)", len(prog.probs), math.MaxUint8+1)
+	}
 
 	// Execution starts in the driver loop.
 	prog.Entry = 0
-
-	prog.blockStarts = make([]isa.Addr, len(prog.Blocks))
-	for i := range prog.Blocks {
-		prog.blockStarts[i] = prog.Blocks[i].Addr
-	}
 	return prog, nil
 }
 
@@ -364,7 +360,7 @@ func Generate(p Params) (*Program, error) {
 // CodeBase.
 func layout(r *rng.RNG, p Params, prog *Program) (blocks, insts int) {
 	addr := p.CodeBase
-	block := func(f, n int) {
+	block := func(n int) {
 		blocks++
 		insts += n
 		if prog == nil {
@@ -373,7 +369,7 @@ func layout(r *rng.RNG, p Params, prog *Program) (blocks, insts int) {
 			}
 			return
 		}
-		blk := Block{ID: int32(len(prog.Blocks)), Func: int32(f), Addr: addr, instOff: uint32(len(prog.insts)), numInsts: uint16(n)}
+		blk := Block{Addr: addr, instOff: uint32(len(prog.insts)), numInsts: uint16(n)}
 		for i := 0; i < n; i++ {
 			sz := uint8(minInstSize + r.Intn(maxInstSize-minInstSize+1))
 			prog.insts = append(prog.insts, sz)
@@ -387,8 +383,8 @@ func layout(r *rng.RNG, p Params, prog *Program) (blocks, insts int) {
 	// request handler (layer-0 function) and loops. Handlers return here,
 	// so returns are RAS-predictable; the dispatch indirect call is the
 	// (realistically) hard-to-predict site.
-	block(0, 4)
-	block(0, 3)
+	block(4)
+	block(3)
 	if prog != nil {
 		prog.Blocks[0].Term = Terminator{Kind: isa.IndirectCall, Dispatch: true}
 		prog.Blocks[1].Term = Terminator{Kind: isa.UncondDirect, TakenBlock: 0}
@@ -404,7 +400,7 @@ func layout(r *rng.RNG, p Params, prog *Program) (blocks, insts int) {
 		fn := Func{ID: f, FirstBlock: blocks, NumBlocks: nBlocks, Layer: layerOf(f)}
 		fn.Hot = r.Bool(p.HotFuncFrac)
 		for b := 0; b < nBlocks; b++ {
-			block(f, r.Geometric(p.InstsPerBlockMean, int(p.InstsPerBlockMean*5)+2))
+			block(r.Geometric(p.InstsPerBlockMean, int(p.InstsPerBlockMean*5)+2))
 		}
 		if prog != nil {
 			prog.Funcs = append(prog.Funcs, fn)
@@ -492,13 +488,13 @@ func (prog *Program) genTerminator(r *rng.RNG, fn *Func, b int, weights []float6
 				if bias == 0 {
 					bias = 0.7
 				}
-				t.TakenProb = bias
+				t.prob = prog.probIndex(bias)
 			} else {
 				bias := prog.Params.CondBias
 				if r.Bool(0.5) {
 					bias = 1 - bias
 				}
-				t.TakenProb = bias
+				t.prob = prog.probIndex(bias)
 			}
 		}
 	case isa.UncondDirect:
@@ -539,6 +535,18 @@ func (prog *Program) genTerminator(r *rng.RNG, fn *Func, b int, weights []float6
 	case isa.Return:
 	}
 	return t
+}
+
+// probIndex returns p's index in the probability table, adding it when
+// new. Generate rejects a table past a one-byte index.
+func (prog *Program) probIndex(p float64) uint8 {
+	for i, q := range prog.probs {
+		if math.Float64bits(q) == math.Float64bits(p) {
+			return uint8(i)
+		}
+	}
+	prog.probs = append(prog.probs, p)
+	return uint8(len(prog.probs) - 1)
 }
 
 // pickCallee chooses a callee for a call site in function caller: always
@@ -662,25 +670,34 @@ func (prog *Program) IndTargets(b *Block) []int32 {
 	return prog.targets[b.Term.targetOff:end:end]
 }
 
+// TakenProb returns the taken probability of b's non-loop CondDirect
+// terminator (0 for every other terminator).
+func (prog *Program) TakenProb(b *Block) float64 { return prog.probs[b.Term.prob] }
+
+// FuncOf returns the index of the function that owns block id (functions
+// are contiguous runs of blocks, in block order).
+func (prog *Program) FuncOf(id int) int {
+	return sort.Search(len(prog.Funcs), func(f int) bool {
+		return prog.Funcs[f].FirstBlock > id
+	}) - 1
+}
+
 // LastPC returns the address of b's final instruction.
 func (prog *Program) LastPC(b *Block) isa.Addr {
 	return b.End() - isa.Addr(prog.insts[b.instOff+uint32(b.numInsts)-1])
 }
 
-// BlockAt returns the block containing addr, or nil if addr is outside the
-// program's code region or inside inter-function alignment padding.
-func (prog *Program) BlockAt(addr isa.Addr) *Block {
-	i := sort.Search(len(prog.blockStarts), func(i int) bool {
-		return prog.blockStarts[i] > addr
+// BlockIndex returns the ID of the block containing addr, or -1 if addr is
+// outside the program's code region or inside inter-function alignment
+// padding.
+func (prog *Program) BlockIndex(addr isa.Addr) int {
+	i := sort.Search(len(prog.Blocks), func(i int) bool {
+		return prog.Blocks[i].Addr > addr
 	}) - 1
-	if i < 0 {
-		return nil
+	if i < 0 || addr >= prog.Blocks[i].End() {
+		return -1
 	}
-	blk := &prog.Blocks[i]
-	if addr >= blk.End() {
-		return nil
-	}
-	return blk
+	return i
 }
 
 // FootprintBytes returns the total code size in bytes including alignment

@@ -80,11 +80,11 @@ func TestGenerateValidation(t *testing.T) {
 }
 
 // TestBlockIsFlat pins the block record's layout: no pointers (the block
-// table is one allocation the garbage collector never scans) and at most
-// 48 bytes.
+// table is one allocation the garbage collector never scans) and 32
+// bytes.
 func TestBlockIsFlat(t *testing.T) {
-	if size := unsafe.Sizeof(Block{}); size > 48 {
-		t.Errorf("cfg.Block is %d bytes, want at most 48", size)
+	if size := unsafe.Sizeof(Block{}); size != 32 {
+		t.Errorf("cfg.Block is %d bytes, want 32", size)
 	}
 	var walk func(typ reflect.Type, path string)
 	walk = func(typ reflect.Type, path string) {
@@ -101,6 +101,48 @@ func TestBlockIsFlat(t *testing.T) {
 		}
 	}
 	walk(reflect.TypeOf(Block{}), "cfg.Block")
+}
+
+// TestFuncOf requires FuncOf to name the function whose block range
+// holds each block.
+func TestFuncOf(t *testing.T) {
+	prog := MustGenerate(smallParams(15))
+	for _, fn := range prog.Funcs {
+		for id := fn.FirstBlock; id < fn.FirstBlock+fn.NumBlocks; id++ {
+			if got := prog.FuncOf(id); got != fn.ID {
+				t.Fatalf("FuncOf(%d) = %d, want %d", id, got, fn.ID)
+			}
+		}
+	}
+}
+
+// TestTakenProbTable requires the probability table to hold only the
+// four values a generator can draw, and every block to read back the
+// probability its kind implies: CondBias or 1-CondBias for an easy
+// branch, HardBias for a hard one, 0 for loops and other terminators.
+func TestTakenProbTable(t *testing.T) {
+	p := smallParams(16)
+	prog := MustGenerate(p)
+	if len(prog.probs) > 4 {
+		t.Fatalf("probability table holds %d values %v, want at most 4", len(prog.probs), prog.probs)
+	}
+	seen := map[float64]bool{}
+	for i := range prog.Blocks {
+		blk := &prog.Blocks[i]
+		got := prog.TakenProb(blk)
+		seen[got] = true
+		switch {
+		case blk.Term.Kind != isa.CondDirect || blk.Term.LoopTrip > 0:
+			if got != 0 {
+				t.Fatalf("block %d (%v, trip %d) has taken probability %g", i, blk.Term.Kind, blk.Term.LoopTrip, got)
+			}
+		case got != p.CondBias && got != 1-p.CondBias && got != p.HardBias:
+			t.Fatalf("block %d has taken probability %g", i, got)
+		}
+	}
+	if !seen[p.CondBias] || !seen[1-p.CondBias] || !seen[p.HardBias] {
+		t.Fatalf("probabilities %v miss one of %g, %g, %g", seen, p.CondBias, 1-p.CondBias, p.HardBias)
+	}
 }
 
 func TestDriverStructure(t *testing.T) {
@@ -122,11 +164,11 @@ func TestDriverStructure(t *testing.T) {
 
 func TestLayerDAG(t *testing.T) {
 	prog := MustGenerate(smallParams(3))
-	for _, blk := range prog.Blocks {
-		caller := prog.Funcs[blk.Func]
+	for id, blk := range prog.Blocks {
+		caller := prog.Funcs[prog.FuncOf(id)]
 		switch blk.Term.Kind {
 		case isa.DirectCall:
-			callee := prog.Funcs[prog.Blocks[blk.Term.TakenBlock].Func]
+			callee := prog.Funcs[prog.FuncOf(int(blk.Term.TakenBlock))]
 			if blk.Term.Dispatch {
 				continue
 			}
@@ -139,7 +181,7 @@ func TestLayerDAG(t *testing.T) {
 				continue
 			}
 			for _, tgt := range prog.IndTargets(&blk) {
-				callee := prog.Funcs[prog.Blocks[tgt].Func]
+				callee := prog.Funcs[prog.FuncOf(int(tgt))]
 				if callee.Layer != caller.Layer+1 {
 					t.Fatalf("indirect call from layer %d to layer %d", caller.Layer, callee.Layer)
 				}
@@ -147,41 +189,41 @@ func TestLayerDAG(t *testing.T) {
 		}
 	}
 	// The deepest layer must make no calls.
-	for _, blk := range prog.Blocks {
-		if prog.Funcs[blk.Func].Layer == MaxLayer &&
+	for id, blk := range prog.Blocks {
+		if f := prog.FuncOf(id); prog.Funcs[f].Layer == MaxLayer &&
 			(blk.Term.Kind == isa.DirectCall || blk.Term.Kind == isa.IndirectCall) && !blk.Term.Dispatch {
-			t.Fatalf("layer %d function %d makes a call", MaxLayer, blk.Func)
+			t.Fatalf("layer %d function %d makes a call", MaxLayer, f)
 		}
 	}
 }
 
 func TestForwardOnlyJumps(t *testing.T) {
 	prog := MustGenerate(smallParams(4))
-	for _, blk := range prog.Blocks {
-		fn := prog.Funcs[blk.Func]
-		rel := int(blk.ID) - fn.FirstBlock
+	for id, blk := range prog.Blocks {
+		fn := prog.Funcs[prog.FuncOf(id)]
+		rel := id - fn.FirstBlock
 		switch blk.Term.Kind {
 		case isa.UncondDirect:
-			if blk.Func == 0 {
+			if fn.ID == 0 {
 				continue // the driver loop-back is the one allowed cycle
 			}
-			if blk.Term.TakenBlock <= blk.ID {
-				t.Fatalf("unconditional backward/self jump at block %d", blk.ID)
+			if int(blk.Term.TakenBlock) <= id {
+				t.Fatalf("unconditional backward/self jump at block %d", id)
 			}
 		case isa.IndirectJump:
 			for _, tgt := range prog.IndTargets(&blk) {
-				if tgt <= blk.ID {
-					t.Fatalf("indirect backward/self jump at block %d", blk.ID)
+				if int(tgt) <= id {
+					t.Fatalf("indirect backward/self jump at block %d", id)
 				}
 			}
 		case isa.CondDirect:
 			tgtRel := int(blk.Term.TakenBlock) - fn.FirstBlock
 			if blk.Term.LoopTrip > 0 {
 				if tgtRel >= rel {
-					t.Fatalf("loop back-edge not backward at block %d", blk.ID)
+					t.Fatalf("loop back-edge not backward at block %d", id)
 				}
 			} else if tgtRel <= rel {
-				t.Fatalf("forward conditional targets itself or earlier at block %d", blk.ID)
+				t.Fatalf("forward conditional targets itself or earlier at block %d", id)
 			}
 		}
 	}
@@ -203,19 +245,18 @@ func TestBlockAt(t *testing.T) {
 		blk := &prog.Blocks[bi]
 		pc := blk.Addr
 		for _, sz := range prog.InstSizes(blk) {
-			got := prog.BlockAt(pc)
-			if got == nil || got.ID != blk.ID {
-				t.Fatalf("BlockAt(%v) did not find block %d", pc, blk.ID)
+			if got := prog.BlockIndex(pc); got != bi {
+				t.Fatalf("BlockIndex(%v) = %d, want block %d", pc, got, bi)
 			}
 			pc += isa.Addr(sz)
 		}
 	}
-	if prog.BlockAt(prog.Params.CodeBase-1) != nil {
-		t.Fatal("BlockAt before code base returned a block")
+	if prog.BlockIndex(prog.Params.CodeBase-1) >= 0 {
+		t.Fatal("BlockIndex before code base returned a block")
 	}
 	last := prog.Blocks[len(prog.Blocks)-1]
-	if prog.BlockAt(last.End()+1024) != nil {
-		t.Fatal("BlockAt past code end returned a block")
+	if prog.BlockIndex(last.End()+1024) >= 0 {
+		t.Fatal("BlockIndex past code end returned a block")
 	}
 }
 
@@ -224,12 +265,12 @@ func TestBlockAtProperty(t *testing.T) {
 	foot := prog.FootprintBytes()
 	f := func(off uint32) bool {
 		addr := prog.Params.CodeBase + isa.Addr(int(off)%foot)
-		blk := prog.BlockAt(addr)
-		// Padding gaps return nil; any hit must actually contain addr.
-		if blk == nil {
+		i := prog.BlockIndex(addr)
+		// Padding gaps return -1; any hit must actually contain addr.
+		if i < 0 {
 			return true
 		}
-		return addr >= blk.Addr && addr < blk.End()
+		return addr >= prog.Blocks[i].Addr && addr < prog.Blocks[i].End()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Fatal(err)
@@ -284,12 +325,12 @@ func TestHardBranchesHaveFarTargets(t *testing.T) {
 	p.LoopFrac = 0
 	prog := MustGenerate(p)
 	far, total := 0, 0
-	for _, blk := range prog.Blocks[2:] { // skip driver
+	for id, blk := range prog.Blocks[2:] { // skip driver
 		if blk.Term.Kind != isa.CondDirect {
 			continue
 		}
 		total++
-		if blk.Term.TakenBlock-blk.ID >= 4 {
+		if int(blk.Term.TakenBlock)-(id+2) >= 4 {
 			far++
 		}
 	}

@@ -60,8 +60,10 @@ import (
 // written field-major (one column per field), and PDIPState became two
 // flat arrays (Entries, Targets) with no per-set or per-entry counts;
 // 7 = CoreState lost FECSet and FECTrace, and BTBState its Lookups and
-// Hits: diagnostics go through the metrics registry only.
-const FormatVersion = 7
+// Hits: diagnostics go through the metrics registry only; 8 =
+// WalkerState.LoopCnt holds only the nonzero counters as (block, count)
+// pairs, and NextLineState lost Emitted.
+const FormatVersion = 8
 
 // State is the complete simulator state at one cycle boundary: the
 // socket's shared uncore captured exactly once, then every core as a
@@ -433,17 +435,27 @@ type SourceState struct {
 
 // WalkerState captures a trace walker's position and stream state. The
 // current block is stored by ID (-1 when the walker is "lost" outside any
-// block); the program itself is reconstruction input, not state.
+// block) and each call in progress by its return address; the program
+// itself is reconstruction input, not state.
 type WalkerState struct {
-	Rng            uint64
-	Stack          []isa.Addr
-	LoopCnt        []uint16
+	Rng   uint64
+	Stack []isa.Addr
+	// LoopCnt lists the nonzero loop counters in block order: only loops
+	// the walk is inside count. A wrong-path walker (WrongPath) has none.
+	LoopCnt        []LoopCount
 	CurBlock       int
 	InstIdx        int
 	LostPC         isa.Addr
 	WrongPath      bool
 	DispatchCenter int
 	Count          uint64
+}
+
+// LoopCount is one nonzero loop counter of a walker: the block of a loop
+// back-edge and how often it has been taken in the current trip.
+type LoopCount struct {
+	Block uint32
+	Count uint16
 }
 
 // ChampSimState captures a ChampSim trace-replay source. For the oracle,
@@ -893,6 +905,5 @@ type FNLMMAStats struct {
 // NextLineState captures the sequential prefetcher.
 type NextLineState struct {
 	Degree  int
-	Emitted uint64
 	Pending []RequestState
 }

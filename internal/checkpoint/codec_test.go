@@ -114,7 +114,7 @@ func samplePrefetcher(kind string) PrefetcherState {
 		}}
 	case "nextline":
 		return PrefetcherState{Kind: "nextline", NextLine: &NextLineState{
-			Degree: 2, Emitted: 11,
+			Degree:  2,
 			Pending: []RequestState{{Line: 0x700, Trigger: 0}},
 		}}
 	default:
@@ -231,7 +231,7 @@ func sampleTenant() TenantState {
 		Oracle: SourceState{
 			Kind: SourceChampSim,
 			Walker: &WalkerState{Rng: 1, Stack: []isa.Addr{0x10, 0x20},
-				LoopCnt: []uint16{3, 0, 1}, CurBlock: 7, InstIdx: 2, LostPC: 0x30,
+				LoopCnt: []LoopCount{{Block: 0, Count: 3}, {Block: 2, Count: 1}}, CurBlock: 7, InstIdx: 2, LostPC: 0x30,
 				DispatchCenter: 5, Count: 999},
 			ChampSim: &ChampSimState{Count: 1234, Primed: true,
 				Decode: []ChampSimDecodeEntry{
@@ -345,7 +345,7 @@ func TestBinaryRoundTripAllPrefetchers(t *testing.T) {
 // encoding per tuple. If this digest changes, the wire format changed:
 // bump FormatVersion (so stale directories miss instead of misdecoding)
 // and re-pin.
-const binarySampleDigest = "428080dd89256d1537b0f637122d1d4d61be29a72f75f8cf418bad13d2b13ef6"
+const binarySampleDigest = "aa551d189f552e8b616b2a1064b366186e0395f7d9ec7ed14b127d33d45b33a7"
 
 // TestBinaryDeterministicBytes requires byte-identical encodings across
 // repeated encodes, across a decode/re-encode round trip, and across time

@@ -95,7 +95,7 @@ var checkpointManifest = map[string]map[string]string{
 		"missRing": "state", "missHead": "state", "pending": "state", "Stats": "state",
 	},
 	"prefetch.NextLine": {
-		"Degree": "config", "Emitted": "state", "pending": "state",
+		"Degree": "config", "pending": "state",
 	},
 	"prefetch.None": {},
 
@@ -198,15 +198,16 @@ var checkpointManifest = map[string]map[string]string{
 	},
 	"bpu.BTB": {
 		"entries":  "state",
-		"setShift": "derived", "setMask": "derived",
+		"setShift": "derived", "tagShift": "derived", "setMask": "derived",
 		"tick": "state",
 	},
 	"bpu.RAS": {
 		"entries": "state", "top": "state", "depth": "state",
 	},
 	"trace.Walker": {
+		// stack holds return blocks, captured as their addresses; loopCnt
+		// is captured as its nonzero counters.
 		"prog": "config", "r": "state", "stack": "state", "loopCnt": "state",
-		// cur is captured as a block ID and re-resolved into prog.
 		"cur":     "state",
 		"instIdx": "state", "lostPC": "state", "wrongPath": "state",
 		"dispatchCenter": "state", "count": "state",
@@ -228,13 +229,6 @@ var checkpointManifest = map[string]map[string]string{
 	"bpu.foldedHist": {
 		"comp":    "state",
 		"origLen": "derived", "width": "derived", "outPoint": "derived",
-	},
-	// Blocks are immutable program structure, regenerated deterministically
-	// from the workload parameters; the walker's position in them is the
-	// state (captured as a block ID re-resolved into the program).
-	"cfg.Block": {
-		"ID": "config", "Func": "config", "Addr": "config", "Term": "config",
-		"instOff": "config", "numInsts": "config", "size": "config",
 	},
 	// ChampSim trace replay: the trace file is reconstruction input, the
 	// stream position and derived-wrong-path structures are the state

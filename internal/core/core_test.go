@@ -341,9 +341,6 @@ func TestRetireEmitterIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := co.Result()
-	if nl.Emitted == 0 {
-		t.Fatal("next-line emitted nothing on an I-pressured program")
-	}
 	if r.PQ.Enqueued == 0 {
 		t.Fatal("retire-emitter requests never reached the PQ")
 	}

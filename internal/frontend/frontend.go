@@ -207,9 +207,9 @@ func (g *IAG) newEntry(wrongPath bool) *FTQEntry {
 }
 
 // NextEntry assembles the next FTQ entry from the predicted stream: it
-// pulls instructions from the active walker until a branch terminator or
-// the entry-size cap, predicts the terminator on the correct path, and
-// forks a wrong-path walker when the prediction diverges from the oracle.
+// takes one run from the active source, up to a branch terminator or the
+// entry-size cap, predicts the terminator on the correct path, and forks
+// a wrong-path source when the prediction diverges from the oracle.
 func (g *IAG) NextEntry() *FTQEntry {
 	var w trace.Source = g.oracle
 	if g.wrong != nil {
@@ -218,12 +218,9 @@ func (g *IAG) NextEntry() *FTQEntry {
 	//lint:ignore allocfree inlined pool refill (newEntry); amortized once the free list warms
 	e := g.newEntry(g.wrong != nil)
 
-	for len(e.Insts) < g.maxEntryInsts {
-		in := w.Next()
-		if len(e.Insts) == 0 {
-			e.Start = in.PC
-		}
-		e.Insts = append(e.Insts, in)
+	e.Insts = w.AppendRun(e.Insts, g.maxEntryInsts)
+	e.Start = e.Insts[0].PC
+	for _, in := range e.Insts {
 		ln := in.PC.Line()
 		if n := len(e.Lines); n == 0 || e.Lines[n-1] != ln {
 			e.Lines = append(e.Lines, ln)
@@ -232,11 +229,8 @@ func (g *IAG) NextEntry() *FTQEntry {
 		if end := in.PC + isa.Addr(in.Size) - 1; end.Line() != ln {
 			e.Lines = append(e.Lines, end.Line())
 		}
-		if in.Kind.IsBranch() {
-			e.HasBranch = true
-			break
-		}
 	}
+	e.HasBranch = e.Insts[len(e.Insts)-1].Kind.IsBranch()
 
 	if !e.HasBranch || e.WrongPath {
 		// Sequential continuation, or wrong-path entry whose outcome the

@@ -88,7 +88,6 @@ func (n *NextLine) CaptureCheckpoint() checkpoint.PrefetcherState {
 		Kind: "nextline",
 		NextLine: &checkpoint.NextLineState{
 			Degree:  n.Degree,
-			Emitted: n.Emitted,
 			Pending: append([]Request(nil), n.pending...),
 		},
 	}
@@ -105,7 +104,6 @@ func (n *NextLine) RestoreCheckpoint(st checkpoint.PrefetcherState) error {
 	if err := CheckRequests(st.NextLine.Pending); err != nil {
 		return err
 	}
-	n.Emitted = st.NextLine.Emitted
 	n.pending = append(n.pending[:0], st.NextLine.Pending...)
 	return nil
 }

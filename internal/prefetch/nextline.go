@@ -20,8 +20,6 @@ type RetireEmitter interface {
 type NextLine struct {
 	// Degree is how many following lines each miss requests.
 	Degree int
-	// Emitted counts generated requests.
-	Emitted uint64
 
 	pending []Request
 }
@@ -54,7 +52,6 @@ func (n *NextLine) OnLineRetired(ev RetireEvent) {
 			Line:    ev.Line + isa.Addr(i*isa.LineSize),
 			Trigger: TriggerNone,
 		})
-		n.Emitted++
 	}
 }
 

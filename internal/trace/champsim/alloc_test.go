@@ -65,10 +65,12 @@ func TestWrongPathAllocs(t *testing.T) {
 	// First fork allocates the adapter; recycled ones must not.
 	free := src.ForkWrong(nil, 0)
 	var sink uint64
+	run := make([]isa.Inst, 0, 64)
 	avg := testing.AllocsPerRun(50, func() {
 		w := src.ForkWrong(free, isa.Addr(pc))
-		for i := 0; i < 64; i++ {
-			sink += uint64(w.Next().PC)
+		for n := 0; n < 64; n += len(run) {
+			run = w.AppendRun(run[:0], 64-n)
+			sink += uint64(run[0].PC)
 		}
 		free = w
 	})

@@ -167,7 +167,7 @@ func (s *Source) decodeNext() isa.Inst {
 	return in
 }
 
-// Next implements trace.Source.
+// Next produces the next committed instruction.
 func (s *Source) Next() isa.Inst {
 	got := s.decodeNext()
 	if s.shadow == nil {
@@ -193,6 +193,22 @@ func (s *Source) Next() isa.Inst {
 		}
 	}
 	return want
+}
+
+// AppendRun implements trace.Source, one record step at a time.
+func (s *Source) AppendRun(dst []isa.Inst, n int) []isa.Inst { return appendRun(s, dst, n) }
+
+// appendRun appends src's next instructions to dst, one Next at a time,
+// up to and including the next branch and at most n of them.
+func appendRun[S interface{ Next() isa.Inst }](src S, dst []isa.Inst, n int) []isa.Inst {
+	for ; n > 0; n-- {
+		in := src.Next()
+		dst = append(dst, in)
+		if in.Kind.IsBranch() {
+			break
+		}
+	}
+	return dst
 }
 
 // Count returns how many instructions have been emitted.
@@ -239,7 +255,10 @@ type Wrong struct {
 	ras rasMirror
 }
 
-// Next implements trace.Source.
+// AppendRun implements trace.Source, one step at a time.
+func (w *Wrong) AppendRun(dst []isa.Inst, n int) []isa.Inst { return appendRun(w, dst, n) }
+
+// Next produces the next instruction of the derived wrong path.
 func (w *Wrong) Next() isa.Inst {
 	in, ok := w.src.dec.lookup(w.pc)
 	if !ok {

@@ -57,6 +57,15 @@ func recordWalker(t testing.TB, path string, prog *cfg.Program, seed uint64, n i
 // Not-taken branches never encode a target (ChampSim traces carry targets
 // only as the next record's IP), and nothing downstream reads Target when
 // !Taken, so it is excluded exactly there.
+// take collects n instructions from src, one run at a time.
+func take(src trace.Source, n int) []isa.Inst {
+	var out []isa.Inst
+	for len(out) < n {
+		out = src.AppendRun(out, n-len(out))
+	}
+	return out
+}
+
 func sameInst(got, want isa.Inst) bool {
 	if got.PC != want.PC || got.Size != want.Size || got.Kind != want.Kind || got.Taken != want.Taken {
 		return false
@@ -146,22 +155,15 @@ func TestWrongPathDerivation(t *testing.T) {
 		lastPC = src.Next().PC
 	}
 
-	w1 := src.ForkWrong(nil, lastPC)
-	var stream []isa.Inst
-	for i := 0; i < 200; i++ {
-		stream = append(stream, w1.Next())
-	}
-	w2 := src.ForkWrong(nil, lastPC)
-	for i := 0; i < 200; i++ {
-		if got := w2.Next(); got != stream[i] {
+	stream := take(src.ForkWrong(nil, lastPC), 200)
+	for i, got := range take(src.ForkWrong(nil, lastPC), 200) {
+		if got != stream[i] {
 			t.Fatalf("wrong-path fork %d diverged from its twin: %+v vs %+v", i, got, stream[i])
 		}
 	}
 
 	// An unvisited PC must fetch linearly, never panic or wander.
-	wl := src.ForkWrong(nil, 0x7fff_0000)
-	for i := 0; i < 16; i++ {
-		in := wl.Next()
+	for i, in := range take(src.ForkWrong(nil, 0x7fff_0000), 16) {
 		if in.Kind != isa.NotBranch || in.PC != 0x7fff_0000+isa.Addr(4*i) {
 			t.Fatalf("linear degradation broken at %d: %+v", i, in)
 		}
@@ -200,10 +202,10 @@ func TestSourceCheckpointRoundTrip(t *testing.T) {
 	// Wrong paths forked from the original and the restored source must
 	// agree (the decode cache travelled through the checkpoint).
 	wa, wb := src.ForkWrong(nil, lastPC), fork.ForkWrong(nil, lastPC)
-	for i := 0; i < 200; i++ {
-		a, b := wa.Next(), wb.Next()
-		if a != b {
-			t.Fatalf("restored wrong path %d: %+v vs %+v", i, a, b)
+	sb := take(wb, 200)
+	for i, a := range take(wa, 200) {
+		if a != sb[i] {
+			t.Fatalf("restored wrong path %d: %+v vs %+v", i, a, sb[i])
 		}
 	}
 	// And a captured wrong path must restore to the same stream position.
@@ -212,10 +214,10 @@ func TestSourceCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 200; i++ {
-		a, c := wa.Next(), wc.Next()
-		if a != c {
-			t.Fatalf("restored-from-checkpoint wrong path %d: %+v vs %+v", i, a, c)
+	sc := take(wc, 200)
+	for i, a := range take(wa, 200) {
+		if a != sc[i] {
+			t.Fatalf("restored-from-checkpoint wrong path %d: %+v vs %+v", i, a, sc[i])
 		}
 	}
 

@@ -11,53 +11,76 @@ import (
 
 // CaptureCheckpoint captures the walker's position and stream state. The
 // program is reconstruction input, not state: the current block is stored
-// by ID (-1 when the walker is lost outside any block, and also for a nil
-// LoopCnt — wrong-path forks carry no loop counters).
+// by ID (-1 when the walker is lost outside any block), each call in
+// progress by its return address, and the loop counters as the nonzero
+// ones (a wrong-path fork has none).
 func (w *Walker) CaptureCheckpoint() checkpoint.WalkerState {
 	st := checkpoint.WalkerState{
 		Rng:            w.r.State(),
-		Stack:          append([]isa.Addr(nil), w.stack...),
-		CurBlock:       -1,
+		CurBlock:       int(w.cur),
 		InstIdx:        w.instIdx,
 		LostPC:         w.lostPC,
 		WrongPath:      w.wrongPath,
 		DispatchCenter: w.dispatchCenter,
 		Count:          w.count,
 	}
-	if w.loopCnt != nil {
-		st.LoopCnt = append([]uint16(nil), w.loopCnt...)
+	if len(w.stack) > 0 {
+		st.Stack = make([]isa.Addr, len(w.stack))
+		for i, id := range w.stack {
+			st.Stack[i] = w.prog.Blocks[id].Addr
+		}
 	}
-	if w.cur != nil {
-		st.CurBlock = int(w.cur.ID)
+	for id, n := range w.loopCnt {
+		if n != 0 {
+			st.LoopCnt = append(st.LoopCnt, checkpoint.LoopCount{Block: uint32(id), Count: n})
+		}
 	}
 	return st
 }
 
 // RestoreCheckpoint overwrites the walker's position and stream state
 // from a captured state, keeping its program. Slices from st are copied,
-// never aliased.
+// never aliased. A correct-path state zeroes every loop counter before
+// writing the captured ones; a wrong-path state leaves the walker without
+// counters.
 func (w *Walker) RestoreCheckpoint(st checkpoint.WalkerState) error {
-	if st.CurBlock >= len(w.prog.Blocks) {
-		return fmt.Errorf("trace: checkpoint block %d out of range (program has %d blocks)", st.CurBlock, len(w.prog.Blocks))
+	nBlocks := len(w.prog.Blocks)
+	if st.CurBlock < -1 || st.CurBlock >= nBlocks {
+		return fmt.Errorf("trace: checkpoint block %d out of range (program has %d blocks)", st.CurBlock, nBlocks)
 	}
-	if st.LoopCnt != nil && len(st.LoopCnt) != len(w.prog.Blocks) {
-		return fmt.Errorf("trace: checkpoint has %d loop counters, program has %d blocks", len(st.LoopCnt), len(w.prog.Blocks))
+	if st.CurBlock >= 0 && (st.InstIdx < 0 || st.InstIdx >= w.prog.Blocks[st.CurBlock].NumInsts()) {
+		return fmt.Errorf("trace: checkpoint instruction %d outside block %d", st.InstIdx, st.CurBlock)
+	}
+	for _, addr := range st.Stack {
+		if id := w.prog.BlockIndex(addr); id < 0 || w.prog.Blocks[id].Addr != addr {
+			return fmt.Errorf("trace: checkpoint return address %v is not a block start", addr)
+		}
+	}
+	if st.WrongPath && len(st.LoopCnt) > 0 {
+		return fmt.Errorf("trace: wrong-path checkpoint has %d loop counters", len(st.LoopCnt))
+	}
+	for _, lc := range st.LoopCnt {
+		if int(lc.Block) >= nBlocks {
+			return fmt.Errorf("trace: checkpoint loop counter of block %d out of range (program has %d blocks)", lc.Block, nBlocks)
+		}
 	}
 	w.r.SetState(st.Rng)
-	w.stack = append(w.stack[:0], st.Stack...)
-	if st.LoopCnt == nil {
+	w.stack = w.stack[:0]
+	for _, addr := range st.Stack {
+		w.stack = append(w.stack, int32(w.prog.BlockIndex(addr)))
+	}
+	if st.WrongPath {
 		w.loopCnt = nil
 	} else {
 		if w.loopCnt == nil {
-			w.loopCnt = make([]uint16, len(st.LoopCnt))
+			w.loopCnt = make([]uint16, nBlocks)
 		}
-		copy(w.loopCnt, st.LoopCnt)
+		clear(w.loopCnt)
+		for _, lc := range st.LoopCnt {
+			w.loopCnt[lc.Block] = lc.Count
+		}
 	}
-	if st.CurBlock >= 0 {
-		w.cur = &w.prog.Blocks[st.CurBlock]
-	} else {
-		w.cur = nil
-	}
+	w.cur = int32(st.CurBlock)
 	w.instIdx = st.InstIdx
 	w.lostPC = st.LostPC
 	w.wrongPath = st.WrongPath

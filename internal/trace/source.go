@@ -12,9 +12,11 @@ import (
 // implement it, so the front-end's instruction address generator is
 // agnostic about where its committed and speculative paths come from.
 type Source interface {
-	// Next produces the next instruction on this source's path, including
-	// its actual control-flow outcome, and advances past it.
-	Next() isa.Inst
+	// AppendRun appends the next instructions on this source's path to
+	// dst, each with its actual control-flow outcome, and advances past
+	// them: up to and including the next branch, and at most n of them
+	// (n >= 1).
+	AppendRun(dst []isa.Inst, n int) []isa.Inst
 	// CaptureSource captures the source's position and stream state as a
 	// tagged union (the backing input — program, trace file — is
 	// reconstruction input, not state).

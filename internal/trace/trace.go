@@ -19,6 +19,7 @@ package trace
 
 import (
 	"pdip/internal/cfg"
+	"pdip/internal/invariant"
 	"pdip/internal/isa"
 	"pdip/internal/recycle"
 	"pdip/internal/rng"
@@ -37,15 +38,17 @@ type Walker struct {
 	prog *cfg.Program
 	r    *rng.RNG
 
-	// stack holds return addresses for calls.
-	stack []isa.Addr
+	// stack holds the return block of each call in progress. A call
+	// always ends its block and a function's last block returns, so a
+	// call returns to the start of the block after its own.
+	stack []int32
 	// loopCnt tracks per-block loop-iteration counters (indexed by block
 	// ID) so loop back-edges have deterministic, learnable trip counts.
 	loopCnt []uint16
 
-	// cur is the current block, nil when "lost" (walking addresses that
-	// belong to no block, only possible on wrong paths).
-	cur *cfg.Block
+	// cur is the ID of the current block, -1 when "lost" (walking
+	// addresses that belong to no block, only possible on wrong paths).
+	cur int32
 	// instIdx is the index of the next instruction within cur.
 	instIdx int
 	// lostPC is the next PC when lost.
@@ -66,13 +69,12 @@ type Walker struct {
 
 // New returns an oracle walker starting at the program entry.
 func New(prog *cfg.Program, seed uint64) *Walker {
-	w := &Walker{
+	return &Walker{
 		prog:    prog,
 		r:       rng.New(seed),
 		loopCnt: recycle.Make[[]uint16](len(prog.Blocks)),
+		cur:     int32(prog.Entry),
 	}
-	w.cur = &prog.Blocks[prog.Entry]
-	return w
 }
 
 // Release hands the walker's loop counters to the recycler
@@ -96,7 +98,7 @@ func (w *Walker) Fork(pc isa.Addr) *Walker {
 	f := &Walker{
 		prog:           w.prog,
 		r:              w.r.Fork(uint64(pc)),
-		stack:          append([]isa.Addr(nil), w.stack...),
+		stack:          append([]int32(nil), w.stack...),
 		dispatchCenter: w.dispatchCenter,
 		wrongPath:      true,
 	}
@@ -134,64 +136,90 @@ func (w *Walker) Depth() int { return len(w.stack) }
 // jumpTo repositions the walker at pc, resolving the containing block and
 // instruction index, or entering lost mode.
 func (w *Walker) jumpTo(pc isa.Addr) {
-	blk := w.prog.BlockAt(pc)
-	if blk == nil {
-		w.cur = nil
+	id := w.prog.BlockIndex(pc)
+	if id < 0 {
+		w.cur = -1
 		w.lostPC = pc
 		return
 	}
 	// Locate the instruction boundary containing pc. Wrong-path targets
-	// may land mid-instruction; snap to the containing instruction.
+	// may land mid-instruction; snap to the containing instruction
+	// (BlockIndex found pc before the block's end).
+	blk := &w.prog.Blocks[id]
+	w.cur, w.instIdx = int32(id), 0
 	a := blk.Addr
-	sizes := w.prog.InstSizes(blk)
-	for i, sz := range sizes {
-		next := a + isa.Addr(sz)
-		if pc < next {
-			w.cur = blk
-			w.instIdx = i
+	for _, sz := range w.prog.InstSizes(blk) {
+		if a += isa.Addr(sz); pc < a {
 			return
 		}
-		a = next
+		w.instIdx++
 	}
-	// pc == blk.End() cannot happen (BlockAt checked), but be safe.
-	w.cur = blk
-	w.instIdx = len(sizes) - 1
 }
 
 // Next produces the next instruction on this walker's path, including its
-// actual control-flow outcome, and advances past it.
+// actual control-flow outcome, and advances past it: a run of one.
 func (w *Walker) Next() isa.Inst {
+	var one [1]isa.Inst
+	return w.AppendRun(one[:0], 1)[0]
+}
+
+// AppendRun implements Source: it appends the next instructions on the
+// walker's path to dst, at most n of them, up to and including the next
+// branch. A block's straight-line instructions go out in one loop; its
+// terminator goes through branch, so the walk makes the RNG draws of n
+// Next calls in the same order.
+func (w *Walker) AppendRun(dst []isa.Inst, n int) []isa.Inst {
+	for n > 0 {
+		if w.cur < 0 {
+			dst = append(dst, w.lost())
+			n--
+			continue
+		}
+		blk := &w.prog.Blocks[w.cur]
+		sizes := w.prog.InstSizes(blk)
+		pc := blk.Addr
+		for _, sz := range sizes[:w.instIdx] {
+			pc += isa.Addr(sz)
+		}
+		// Straight-line instructions: every one of a fall-through block,
+		// all but the final branch of any other.
+		plain := len(sizes)
+		if blk.Term.Kind != isa.NotBranch {
+			plain--
+		}
+		end := min(plain, w.instIdx+n)
+		for _, sz := range sizes[w.instIdx:end] {
+			dst = append(dst, isa.Inst{PC: pc, Size: sz, Kind: isa.NotBranch})
+			pc += isa.Addr(sz)
+		}
+		n -= end - w.instIdx
+		w.count += uint64(end - w.instIdx)
+		w.instIdx = end
+		switch {
+		case end == len(sizes):
+			w.advanceFallThrough()
+		case n > 0:
+			return append(dst, w.branch(blk, pc, sizes[end]))
+		}
+	}
+	return dst
+}
+
+// lost produces the next instruction of a lost walk: a plain 4-byte
+// instruction at lostPC.
+func (w *Walker) lost() isa.Inst {
 	w.count++
-	if w.cur == nil {
-		in := isa.Inst{PC: w.lostPC, Size: 4, Kind: isa.NotBranch}
-		w.lostPC += 4
-		// A lost wrong path may stumble back into real code.
-		if blk := w.prog.BlockAt(w.lostPC); blk != nil {
-			w.jumpTo(w.lostPC)
-		}
-		return in
-	}
+	in := isa.Inst{PC: w.lostPC, Size: 4, Kind: isa.NotBranch}
+	w.lostPC += 4
+	// A lost wrong path may stumble back into real code.
+	w.jumpTo(w.lostPC)
+	return in
+}
 
-	blk := w.cur
-	sizes := w.prog.InstSizes(blk)
-	pc := blk.Addr
-	for _, sz := range sizes[:w.instIdx] {
-		pc += isa.Addr(sz)
-	}
-	size := sizes[w.instIdx]
-	lastInst := w.instIdx == len(sizes)-1
-
-	if !lastInst || blk.Term.Kind == isa.NotBranch {
-		in := isa.Inst{PC: pc, Size: size, Kind: isa.NotBranch}
-		if lastInst {
-			w.advanceFallThrough(blk)
-		} else {
-			w.instIdx++
-		}
-		return in
-	}
-
-	// Terminator instruction: sample the actual outcome.
+// branch produces blk's terminator, the branch of the given size at pc,
+// with its sampled outcome, and moves the walker to its successor.
+func (w *Walker) branch(blk *cfg.Block, pc isa.Addr, size uint8) isa.Inst {
+	w.count++
 	in := isa.Inst{PC: pc, Size: size, Kind: blk.Term.Kind}
 	switch blk.Term.Kind {
 	case isa.CondDirect:
@@ -200,22 +228,21 @@ func (w *Walker) Next() isa.Inst {
 				// Wrong-path fork: sample the steady-state taken rate.
 				t := float64(blk.Term.LoopTrip)
 				in.Taken = w.r.Bool((t - 1) / t)
-			} else if cnt := w.loopCnt[blk.ID]; cnt+1 < blk.Term.LoopTrip {
+			} else if cnt := w.loopCnt[w.cur]; cnt+1 < blk.Term.LoopTrip {
 				in.Taken = true
-				w.loopCnt[blk.ID] = cnt + 1
+				w.loopCnt[w.cur] = cnt + 1
 			} else {
 				in.Taken = false
-				w.loopCnt[blk.ID] = 0
+				w.loopCnt[w.cur] = 0
 			}
 		} else {
-			in.Taken = w.r.Bool(blk.Term.TakenProb)
+			in.Taken = w.r.Bool(w.prog.TakenProb(blk))
 		}
+		in.Target = w.prog.Blocks[blk.Term.TakenBlock].Addr
 		if in.Taken {
-			in.Target = w.prog.Blocks[blk.Term.TakenBlock].Addr
 			w.gotoBlock(blk.Term.TakenBlock)
 		} else {
-			in.Target = w.prog.Blocks[blk.Term.TakenBlock].Addr
-			w.advanceFallThrough(blk)
+			w.advanceFallThrough()
 		}
 	case isa.UncondDirect:
 		in.Taken = true
@@ -225,7 +252,7 @@ func (w *Walker) Next() isa.Inst {
 		in.Taken = true
 		tgt := w.capCall(blk.Term.TakenBlock)
 		in.Target = w.prog.Blocks[tgt].Addr
-		w.pushRet(in.FallThrough())
+		w.pushRet(in)
 		w.gotoBlock(tgt)
 	case isa.IndirectJump:
 		in.Taken = true
@@ -242,12 +269,13 @@ func (w *Walker) Next() isa.Inst {
 			tgt = w.capCall(w.pickIndirect(w.prog.IndTargets(blk)))
 		}
 		in.Target = w.prog.Blocks[tgt].Addr
-		w.pushRet(in.FallThrough())
+		w.pushRet(in)
 		w.gotoBlock(tgt)
 	case isa.Return:
 		in.Taken = true
-		in.Target = w.popRet()
-		w.jumpTo(in.Target)
+		ret := w.popRet()
+		in.Target = w.prog.Blocks[ret].Addr
+		w.gotoBlock(ret)
 	}
 	return in
 }
@@ -263,11 +291,17 @@ func (w *Walker) pickIndirect(targets []int32) int32 {
 	return targets[1+w.r.Intn(len(targets)-1)]
 }
 
-func (w *Walker) pushRet(addr isa.Addr) {
+// pushRet pushes the return block of call, the current block's
+// terminator: the block after the current one.
+func (w *Walker) pushRet(call isa.Inst) {
 	if len(w.stack) >= maxCallDepth {
 		return // tail-call: deepest frames share the caller's return
 	}
-	w.stack = append(w.stack, addr)
+	ret := w.cur + 1
+	if invariant.Enabled && (int(ret) >= len(w.prog.Blocks) || w.prog.Blocks[ret].Addr != call.FallThrough()) {
+		invariant.Failf("walker: call at %v returns to block %d, which does not start at its fall-through %v", call.PC, ret, call.FallThrough())
+	}
+	w.stack = append(w.stack, ret)
 }
 
 // capCall redirects a call at the depth cap to the callee's return block,
@@ -277,19 +311,19 @@ func (w *Walker) capCall(calleeEntry int32) int32 {
 	if len(w.stack) < maxCallDepth {
 		return calleeEntry
 	}
-	fn := w.prog.Funcs[w.prog.Blocks[calleeEntry].Func]
+	fn := w.prog.Funcs[w.prog.FuncOf(int(calleeEntry))]
 	return int32(fn.FirstBlock + fn.NumBlocks - 1)
 }
 
-// popRet pops a return address; with an empty stack (only possible on
+// popRet pops a return block; with an empty stack (only possible on
 // wrong paths that over-unwind) the walk falls back to the driver loop.
-func (w *Walker) popRet() isa.Addr {
+func (w *Walker) popRet() int32 {
 	if n := len(w.stack); n > 0 {
-		addr := w.stack[n-1]
+		ret := w.stack[n-1]
 		w.stack = w.stack[:n-1]
-		return addr
+		return ret
 	}
-	return w.prog.Blocks[w.prog.Entry].Addr
+	return int32(w.prog.Entry)
 }
 
 // dispatchFunc selects a function for top-level dispatch. The center
@@ -329,15 +363,15 @@ func (w *Walker) dispatchFunc() int {
 }
 
 func (w *Walker) gotoBlock(id int32) {
-	w.cur = &w.prog.Blocks[id]
+	w.cur = id
 	w.instIdx = 0
 }
 
 // advanceFallThrough moves to the next sequential block; at the end of the
 // program it wraps to the entry (cannot happen in generated programs, whose
 // final block returns).
-func (w *Walker) advanceFallThrough(blk *cfg.Block) {
-	next := blk.ID + 1
+func (w *Walker) advanceFallThrough() {
+	next := w.cur + 1
 	if int(next) >= len(w.prog.Blocks) {
 		next = int32(w.prog.Entry)
 	}

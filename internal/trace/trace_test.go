@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"slices"
 	"testing"
 
 	"pdip/internal/cfg"
+	"pdip/internal/checkpoint"
 	"pdip/internal/isa"
 )
 
@@ -157,14 +159,13 @@ func TestDispatchEntersHandlers(t *testing.T) {
 	for i := 0; i < 50000; i++ {
 		in := w.Next()
 		if in.Kind == isa.IndirectCall {
-			blk := prog.BlockAt(in.PC)
-			if blk != nil && blk.Term.Dispatch {
+			if b := prog.BlockIndex(in.PC); b >= 0 && prog.Blocks[b].Term.Dispatch {
 				sawDispatch = true
-				tgt := prog.BlockAt(in.Target)
-				if tgt == nil {
+				tgt := prog.BlockIndex(in.Target)
+				if tgt < 0 {
 					t.Fatal("dispatch target outside program")
 				}
-				fn := prog.Funcs[tgt.Func]
+				fn := prog.Funcs[prog.FuncOf(tgt)]
 				if fn.Layer != 0 || fn.ID == 0 {
 					t.Fatalf("dispatch went to func %d (layer %d)", fn.ID, fn.Layer)
 				}
@@ -219,5 +220,74 @@ func TestCount(t *testing.T) {
 	}
 	if w.Count() != 123 {
 		t.Fatalf("Count = %d, want 123", w.Count())
+	}
+}
+
+// TestRestoreIntoUsedWalker restores a captured state into a walker that
+// has run elsewhere, inside other loops: the restored walker must hold
+// exactly the captured loop counters and replay the source's stream.
+func TestRestoreIntoUsedWalker(t *testing.T) {
+	prog := testProgram(13)
+	src, used := New(prog, 14), New(prog, 15)
+	for i := 0; i < 3000; i++ {
+		src.Next()
+	}
+	for i := 0; i < 50_000; i++ {
+		used.Next()
+	}
+	st := src.CaptureCheckpoint()
+	stale := 0
+	for id, n := range used.loopCnt {
+		if n != 0 && src.loopCnt[id] == 0 {
+			stale++
+		}
+	}
+	if stale == 0 || len(st.LoopCnt) == 0 || len(st.Stack) == 0 {
+		t.Fatalf("setup: %d stale counters, %d captured, stack depth %d; want all nonzero", stale, len(st.LoopCnt), len(st.Stack))
+	}
+	if err := used.RestoreCheckpoint(st); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(used.loopCnt, src.loopCnt) {
+		t.Fatal("restored loop counters differ from the captured walker's")
+	}
+	for i := 0; i < 20_000; i++ {
+		if a, b := src.Next(), used.Next(); a != b {
+			t.Fatalf("restored walker diverged at instruction %d: %+v vs %+v", i, b, a)
+		}
+	}
+}
+
+// TestRestoreRejects feeds RestoreCheckpoint states no walker over the
+// program can be in.
+func TestRestoreRejects(t *testing.T) {
+	prog := testProgram(16)
+	w := New(prog, 17)
+	for i := 0; i < 3000; i++ {
+		w.Next()
+	}
+	blk := &prog.Blocks[20]
+	for _, tc := range []struct {
+		name string
+		set  func(*checkpoint.WalkerState)
+	}{
+		{"block past the program", func(st *checkpoint.WalkerState) { st.CurBlock = len(prog.Blocks) }},
+		{"block below lost", func(st *checkpoint.WalkerState) { st.CurBlock = -2 }},
+		{"instruction past the block", func(st *checkpoint.WalkerState) { st.CurBlock, st.InstIdx = 20, blk.NumInsts() }},
+		{"return address inside a block", func(st *checkpoint.WalkerState) { st.Stack = append(st.Stack, blk.Addr+1) }},
+		{"return address in padding", func(st *checkpoint.WalkerState) { st.Stack = append(st.Stack, prog.Params.CodeBase-4) }},
+		{"loop counter past the program", func(st *checkpoint.WalkerState) {
+			st.LoopCnt = append(st.LoopCnt, checkpoint.LoopCount{Block: uint32(len(prog.Blocks)), Count: 1})
+		}},
+		{"loop counters on a wrong path", func(st *checkpoint.WalkerState) {
+			st.WrongPath = true
+			st.LoopCnt = append(st.LoopCnt, checkpoint.LoopCount{Block: 20, Count: 1})
+		}},
+	} {
+		st := w.CaptureCheckpoint()
+		tc.set(&st)
+		if err := New(prog, 1).RestoreCheckpoint(st); err == nil {
+			t.Errorf("%s: restore accepted", tc.name)
+		}
 	}
 }

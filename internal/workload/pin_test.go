@@ -12,9 +12,9 @@ import (
 )
 
 // programDigest hashes everything a walk over prog can observe: every
-// block's identity, address, instruction sizes and terminator (kind,
-// direct target, bias, loop trip, dispatch mark, indirect targets), the
-// function table and the entry block.
+// block's identity (its index and function), address, instruction sizes
+// and terminator (kind, direct target, bias, loop trip, dispatch mark,
+// indirect targets), the function table and the entry block.
 func programDigest(prog *cfg.Program) string {
 	var b []byte
 	put := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
@@ -22,8 +22,8 @@ func programDigest(prog *cfg.Program) string {
 	put(uint64(len(prog.Blocks)))
 	for i := range prog.Blocks {
 		blk := &prog.Blocks[i]
-		put(uint64(blk.ID))
-		put(uint64(blk.Func))
+		put(uint64(i))
+		put(uint64(prog.FuncOf(i)))
 		put(uint64(blk.Addr))
 		sizes := prog.InstSizes(blk)
 		put(uint64(len(sizes)))
@@ -31,7 +31,7 @@ func programDigest(prog *cfg.Program) string {
 		t := blk.Term
 		put(uint64(t.Kind))
 		put(uint64(t.TakenBlock))
-		put(math.Float64bits(t.TakenProb))
+		put(math.Float64bits(prog.TakenProb(blk)))
 		put(uint64(t.LoopTrip))
 		if t.Dispatch {
 			put(1)

@@ -218,7 +218,7 @@ func ByName(name string) (Profile, error) {
 
 // maxReshaped bounds the programs kept for parameters no registered
 // profile has: a sweep through a long-lived process reshapes one profile
-// many times (~4.4 MiB per stock-size program), and its specs use each
+// many times (~2.8 MiB per stock-size program), and its specs use each
 // shape together, so a few suffice.
 const maxReshaped = 4
 
