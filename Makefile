@@ -4,7 +4,7 @@
 GO ?= go
 
 .PHONY: all build fmt-check vet test race determinism golden check bench clean
-.PHONY: lint lint-fix-report check-invariant fuzz bench-track bench-pair perf-smoke perfbench-vet trace-suite socket fabric-smoke examples
+.PHONY: lint lint-fix-report check-invariant fuzz bench-track bench-pair perf-smoke perfbench-vet cross-vet trace-suite socket fabric-smoke examples
 
 all: build
 
@@ -23,6 +23,13 @@ vet:
 # it calls fails here rather than when the benchmark runs.
 perfbench-vet:
 	cd _perfbench && $(GO) vet ./...
+
+# Vet internal/recycle, the one package with a GOOS build tag, for a
+# GOOS on each side of it: darwin maps off-heap tables as linux does,
+# windows takes the fallback that keeps them on the heap.
+cross-vet:
+	GOOS=windows $(GO) vet ./internal/recycle/
+	GOOS=darwin $(GO) vet ./internal/recycle/
 
 # Repo-specific static analysis (cmd/simlint): per-package analyzers
 # (determinism over every importable package, counter ownership, port
@@ -113,7 +120,7 @@ socket:
 	$(GO) test ./internal/harness -run 'TestSocketContentionInterference|TestSocketSharedPrefetcherRuns|TestExecuteSocketRejectsMixedBudgets' -count=1
 	$(GO) test ./internal/core -run 'TestSocket' -count=1
 
-check: fmt-check vet perfbench-vet build lint test race determinism golden socket
+check: fmt-check vet perfbench-vet cross-vet build lint test race determinism golden socket
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -benchmem

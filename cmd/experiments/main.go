@@ -220,8 +220,8 @@ func reportStats(runner *pdip.Runner, fleet *fabric.Fleet) {
 	}
 	fmt.Fprintf(os.Stderr, "experiments: runs: %d executed, %d memoisation hits\n", s.RunsExecuted, s.CacheHits)
 	tables := recycle.Stats()
-	built := fmt.Sprintf("tables built in this process: %.1f MiB recycled, %.1f MiB fresh",
-		float64(tables.Recycled)/(1<<20), float64(tables.Fresh)/(1<<20))
+	built := fmt.Sprintf("tables built in this process: %.1f MiB recycled, %.1f MiB fresh, %.1f MiB of programs off-heap",
+		float64(tables.Recycled)/(1<<20), float64(tables.Fresh)/(1<<20), float64(tables.OffHeap)/(1<<20))
 	if runner.CheckpointDir() == nil {
 		// Without -checkpoint-dir the runner (and every fleet worker)
 		// has no store: each run warms and measures on one socket.

@@ -174,9 +174,9 @@ func reportStats(st fabric.Stats) {
 	ck := st.Runner.Checkpoint
 	tables := recycle.Stats()
 	fmt.Fprintf(os.Stderr,
-		"gridd: workers executed %d runs; checkpoints: %d forks from %d simulated warmups (%d memory hits, %d store-cache forks, %d disk hits, %d disk stores, %d failed stores); tables built in this process: %.1f MiB recycled, %.1f MiB fresh\n",
+		"gridd: workers executed %d runs; checkpoints: %d forks from %d simulated warmups (%d memory hits, %d store-cache forks, %d disk hits, %d disk stores, %d failed stores); tables built in this process: %.1f MiB recycled, %.1f MiB fresh, %.1f MiB of programs off-heap\n",
 		st.Runner.RunsExecuted, ck.Forks, ck.WarmupsExecuted, ck.MemoryHits, ck.DirCacheHits, ck.DiskHits, ck.DiskStores, ck.DiskStoreFailures,
-		float64(tables.Recycled)/(1<<20), float64(tables.Fresh)/(1<<20))
+		float64(tables.Recycled)/(1<<20), float64(tables.Fresh)/(1<<20), float64(tables.OffHeap)/(1<<20))
 }
 
 // gcStore trims the warm-state store to maxMB mebibytes, oldest

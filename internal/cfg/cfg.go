@@ -18,6 +18,7 @@ import (
 	"sort"
 
 	"pdip/internal/isa"
+	"pdip/internal/recycle"
 	"pdip/internal/rng"
 )
 
@@ -177,9 +178,10 @@ type Terminator struct {
 
 // Block is one basic block: a fixed-width, pointer-free 32-byte record,
 // so a program's block table is one allocation the garbage collector
-// never scans. A block's ID is its index in Program.Blocks, and its
-// function is Program.FuncOf(ID). Its instruction sizes live in the
-// program's instruction-size arena (Program.InstSizes).
+// never scans, and MoveOffHeap can take it out of the heap. A block's
+// ID is its index in Program.Blocks, and its function is
+// Program.FuncOf(ID). Its instruction sizes live in the program's
+// instruction-size arena (Program.InstSizes).
 type Block struct {
 	// Addr is the address of the block's first instruction.
 	Addr isa.Addr
@@ -350,6 +352,19 @@ func Generate(p Params) (*Program, error) {
 	// Execution starts in the driver loop.
 	prog.Entry = 0
 	return prog, nil
+}
+
+// MoveOffHeap moves the program's block, function, instruction-size and
+// indirect-target tables out of the collected heap into read-only memory
+// (recycle.OffHeap), for a program kept for the life of the process: the
+// garbage collector stops budgeting heap growth for them, and a write
+// into them faults. The moved tables are never freed, so a program that
+// may be dropped must stay on the heap.
+func (prog *Program) MoveOffHeap() {
+	prog.Blocks = recycle.OffHeap(prog.Blocks)
+	prog.Funcs = recycle.OffHeap(prog.Funcs)
+	prog.insts = recycle.OffHeap(prog.insts)
+	prog.targets = recycle.OffHeap(prog.targets)
 }
 
 // layout makes pass 1's draws: function 0's two driver blocks, then each

@@ -65,6 +65,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"reflect"
 	"strconv"
 	"strings"
@@ -294,13 +295,18 @@ func Encode(w io.Writer, st *State) error {
 	if err != nil {
 		return err
 	}
-	e := encPool.Get().(*encoder)
+	e := encoders.take()
+	if e == nil {
+		e = new(encoder)
+	}
 	e.reset()
 	e.buf = append(e.buf, binMagic[:]...)
 	e.uv(uint64(st.Version))
 	e.encode(unsafe.Pointer(st), p, 0)
 	_, err = w.Write(e.buf)
-	encPool.Put(e)
+	if cap(e.buf) <= maxKeptBuf {
+		encoders.give(e)
+	}
 	if err != nil {
 		return fmt.Errorf("checkpoint: encode: %w", err)
 	}
@@ -343,9 +349,51 @@ type corrupt struct{ msg string }
 // ---------------------------------------------------------------------------
 // Encoder
 
-// encPool recycles encoder buffers: a warmed state encodes to hundreds of
-// KB, and Save/fork paths encode repeatedly with identical sizes.
-var encPool = sync.Pool{New: func() any { return new(encoder) }}
+// encoders keeps encoders, and readBufs the buffers Dir reads files
+// into, between uses: a warmed state encodes to hundreds of KB, and the
+// save, fork and disk-load paths repeat with identical sizes. Both are
+// shared by the process rather than held per Dir, since a process may
+// open a Dir per Runner or per pass over a store, and each would make
+// its buffers again.
+var (
+	encoders = keep[*encoder]{max: 2}
+	readBufs = keep[[]byte]{max: 2}
+)
+
+// maxKeptBuf bounds the encoder and read buffers kept for reuse: a
+// larger one is dropped, so one outsized state does not pin its buffer.
+const maxKeptBuf = 8 << 20
+
+// keep holds up to max idle values. Unlike a sync.Pool it holds them
+// across garbage collections, which a process whose live heap is small
+// runs every few forks.
+type keep[T any] struct {
+	mu   sync.Mutex
+	max  int
+	idle []T
+}
+
+// take returns the most recently given value, or the zero T when none
+// is idle.
+func (k *keep[T]) take() T {
+	var v T
+	k.mu.Lock()
+	if n := len(k.idle); n > 0 {
+		v, k.idle[n-1] = k.idle[n-1], v
+		k.idle = k.idle[:n-1]
+	}
+	k.mu.Unlock()
+	return v
+}
+
+// give keeps v for a later take, unless max values are idle already.
+func (k *keep[T]) give(v T) {
+	k.mu.Lock()
+	if len(k.idle) < k.max {
+		k.idle = append(k.idle, v)
+	}
+	k.mu.Unlock()
+}
 
 // encoder accumulates the wire bytes.
 type encoder struct {
@@ -558,7 +606,34 @@ func (d *decoder) u8() byte {
 	return v
 }
 
+// uv reads an unsigned varint.
 func (d *decoder) uv() uint64 {
+	if i := d.off; i < len(d.b) && d.b[i] < 0x80 {
+		d.off = i + 1
+		return uint64(d.b[i])
+	}
+	return d.uvLong()
+}
+
+// uvLong reads a uvarint whose first byte is not a whole value. With
+// eight bytes left, a value of at most eight bytes (any below 2^56) is
+// gathered from one 64-bit load instead of a byte at a time; a longer
+// one, or one near the end, takes binary.Uvarint.
+func (d *decoder) uvLong() uint64 {
+	if i := d.off; len(d.b)-i >= 8 {
+		x := binary.LittleEndian.Uint64(d.b[i:])
+		if stop := ^x & 0x8080808080808080; stop != 0 {
+			n := bits.TrailingZeros64(stop) + 1 // 8 × the value's bytes
+			x &= math.MaxUint64 >> (64 - n)
+			// Drop each byte's continuation bit and close the gaps:
+			// 7-bit groups to 14, 14 to 28, 28 to 56.
+			x = x&0x007f007f007f007f | x&0x7f007f007f007f00>>1
+			x = x&0x00003fff00003fff | x&0x3fff00003fff0000>>2
+			x = x&0x000000000fffffff | x&0x0fffffff00000000>>4
+			d.off = i + n/8
+			return x
+		}
+	}
 	v, n := binary.Uvarint(d.b[d.off:])
 	if n <= 0 {
 		d.fail("bad uvarint")
@@ -567,37 +642,17 @@ func (d *decoder) uv() uint64 {
 	return v
 }
 
-func (d *decoder) sv() int64 {
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("bad varint")
+// sv reads a signed (zigzag) varint.
+func (d *decoder) sv() int64 { return unzigzag(d.uv()) }
+
+// unzigzag maps a zigzag-coded uvarint back to its signed value, as
+// binary.Varint does.
+func unzigzag(u uint64) int64 {
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
 	}
-	d.off += n
 	return v
-}
-
-func (d *decoder) u16() uint16 {
-	v := d.uv()
-	if v > math.MaxUint16 {
-		d.fail("uint16 overflow %d", v)
-	}
-	return uint16(v)
-}
-
-func (d *decoder) u32() uint32 {
-	v := d.uv()
-	if v > math.MaxUint32 {
-		d.fail("uint32 overflow %d", v)
-	}
-	return uint32(v)
-}
-
-func (d *decoder) i32() int32 {
-	v := d.sv()
-	if v != int64(int32(v)) {
-		d.fail("int32 overflow %d", v)
-	}
-	return int32(v)
 }
 
 func (d *decoder) bool() bool {
@@ -737,7 +792,9 @@ func (d *decoder) slice(at unsafe.Pointer, o *op) {
 	d.prev = d.prev[:fr]
 }
 
-// column mirrors encoder.column.
+// column mirrors encoder.column. The varint kinds share one loop that
+// takes a one-byte value in place, the common case in sorted and
+// clustered columns, and calls out only for a longer one.
 func (d *decoder) column(first unsafe.Pointer, n int, size uintptr, kind opKind) {
 	at := func(i int) unsafe.Pointer { return unsafe.Add(first, uintptr(i)*size) }
 	switch kind {
@@ -745,39 +802,52 @@ func (d *decoder) column(first unsafe.Pointer, n int, size uintptr, kind opKind)
 		for i := 0; i < n; i++ {
 			*(*uint8)(at(i)) = d.u8()
 		}
+		return
 	case opBool:
 		for i := 0; i < n; i++ {
 			*(*bool)(at(i)) = d.bool()
 		}
-	case opU16:
-		for i := 0; i < n; i++ {
-			*(*uint16)(at(i)) = d.u16()
-		}
-	case opU32:
-		for i := 0; i < n; i++ {
-			*(*uint32)(at(i)) = d.u32()
-		}
-	case opU64:
-		for i := 0; i < n; i++ {
-			*(*uint64)(at(i)) = d.uv()
-		}
-	case opI32:
-		for i := 0; i < n; i++ {
-			*(*int32)(at(i)) = d.i32()
-		}
-	case opI64:
-		for i := 0; i < n; i++ {
-			*(*int64)(at(i)) = d.sv()
-		}
+		return
 	case opF64:
 		for i := 0; i < n; i++ {
 			*(*uint64)(at(i)) = d.f64()
 		}
-	case opDelta:
-		var prev uint64
-		for i := 0; i < n; i++ {
-			prev += uint64(d.sv())
-			*(*uint64)(at(i)) = prev
+		return
+	}
+	var prev uint64
+	for i := 0; i < n; i++ {
+		var u uint64
+		if j := d.off; j < len(d.b) && d.b[j] < 0x80 {
+			u = uint64(d.b[j])
+			d.off = j + 1
+		} else {
+			u = d.uvLong()
+		}
+		p := at(i)
+		switch kind {
+		case opU16:
+			if u > math.MaxUint16 {
+				d.fail("uint16 overflow %d", u)
+			}
+			*(*uint16)(p) = uint16(u)
+		case opU32:
+			if u > math.MaxUint32 {
+				d.fail("uint32 overflow %d", u)
+			}
+			*(*uint32)(p) = uint32(u)
+		case opU64:
+			*(*uint64)(p) = u
+		case opI32:
+			v := unzigzag(u)
+			if v != int64(int32(v)) {
+				d.fail("int32 overflow %d", v)
+			}
+			*(*int32)(p) = int32(v)
+		case opI64:
+			*(*int64)(p) = unzigzag(u)
+		case opDelta:
+			prev += uint64(unzigzag(u))
+			*(*uint64)(p) = prev
 		}
 	}
 }

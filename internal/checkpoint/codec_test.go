@@ -3,13 +3,17 @@ package checkpoint
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"math"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"pdip/internal/isa"
+	"pdip/internal/rng"
 )
 
 // sampleCache fills one cache level with non-trivial values in every
@@ -501,6 +505,140 @@ func TestPlanRejectsUncarriableFields(t *testing.T) {
 		_, err := compile(reflect.TypeOf(c.v), "X", false)
 		if err == nil || !strings.Contains(err.Error(), c.path+":") {
 			t.Errorf("compile(%T) = %v, want an error naming %s", c.v, err, c.path)
+		}
+	}
+}
+
+// readUvarint runs the decoder's uvarint read over b: the value, the
+// bytes consumed, and false where the decoder refused the input.
+func readUvarint(b []byte) (v uint64, n int, ok bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, isCorrupt := r.(corrupt); !isCorrupt {
+				panic(r)
+			}
+			ok = false
+		}
+	}()
+	d := &decoder{b: b}
+	v = d.uv()
+	return v, d.off, true
+}
+
+// TestDecoderUvarintMatchesBinary holds the decoder's uvarint read (a
+// one-byte value in place, values of up to eight bytes from one 64-bit
+// load, longer ones byte by byte) to binary.Uvarint: every length from
+// 1 to 10 bytes, with 0 to 9 bytes after it, and every input either
+// accepts with the same value and length or both refuse.
+func TestDecoderUvarintMatchesBinary(t *testing.T) {
+	check := func(b []byte) {
+		t.Helper()
+		want, wn := binary.Uvarint(b)
+		got, n, ok := readUvarint(b)
+		if ok != (wn > 0) || ok && (got != want || n != wn) {
+			t.Fatalf("% x: decoder (%d, %d, %v), binary.Uvarint (%d, %d)", b, got, n, ok, want, wn)
+		}
+	}
+	vals := []uint64{math.MaxUint64, 0x0123456789abcdef}
+	for s := 0; s < 64; s += 7 {
+		vals = append(vals, 1<<s-1, 1<<s, 1<<s+1, 1<<(s+7)-1)
+	}
+	for _, v := range vals {
+		enc := binary.AppendUvarint(nil, v)
+		for pad := 0; pad < 10; pad++ {
+			b := append(append([]byte(nil), enc...), bytes.Repeat([]byte{0xff}, pad)...)
+			if got, n, ok := readUvarint(b); !ok || got != v || n != len(enc) {
+				t.Fatalf("%#x + %d bytes: (%#x, %d, %v), want (%#x, %d)", v, pad, got, n, ok, v, len(enc))
+			}
+			check(b)
+		}
+	}
+	// Non-minimal, truncated and overflowing inputs, then random ones
+	// whose bytes mostly carry the continuation bit.
+	check([]byte{0x80, 0x00})
+	check([]byte{0xff, 0x80, 0x80, 0x00, 1, 2, 3, 4, 5})
+	check([]byte{0x80})
+	check(bytes.Repeat([]byte{0xff}, 9))
+	check(append(bytes.Repeat([]byte{0xff}, 9), 0x02))
+	check(append(bytes.Repeat([]byte{0x80}, 10), 0x01))
+	r := rng.New(7)
+	for i := 0; i < 100_000; i++ {
+		b := make([]byte, r.Intn(13))
+		for j := range b {
+			b[j] = byte(r.Uint64())
+			if r.Intn(4) != 0 {
+				b[j] |= 0x80
+			}
+		}
+		check(b)
+	}
+}
+
+// TestDecoderColumnKinds decodes a three-element column of each varint
+// kind, then one value past the kind's range, which must be refused.
+func TestDecoderColumnKinds(t *testing.T) {
+	column := func(b []byte, first unsafe.Pointer, n int, size uintptr, kind opKind) (ok bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, isCorrupt := r.(corrupt); !isCorrupt {
+					panic(r)
+				}
+				ok = false
+			}
+		}()
+		d := &decoder{b: b}
+		d.column(first, n, size, kind)
+		return d.off == len(b)
+	}
+	uvs := func(vs ...uint64) (b []byte) {
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	svs := func(vs ...int64) (b []byte) {
+		for _, v := range vs {
+			b = binary.AppendVarint(b, v)
+		}
+		return b
+	}
+	var u16 [3]uint16
+	var u32 [3]uint32
+	var u64 [3]uint64
+	var i32 [3]int32
+	var i64 [3]int64
+	var delta [3]uint64
+	for _, c := range []struct {
+		b     []byte
+		first unsafe.Pointer
+		size  uintptr
+		kind  opKind
+		got   func() any
+		want  any
+	}{
+		{uvs(1, 300, math.MaxUint16), unsafe.Pointer(&u16), 2, opU16, func() any { return u16 }, [3]uint16{1, 300, math.MaxUint16}},
+		{uvs(0, 1<<20, math.MaxUint32), unsafe.Pointer(&u32), 4, opU32, func() any { return u32 }, [3]uint32{0, 1 << 20, math.MaxUint32}},
+		{uvs(5, 1<<60, math.MaxUint64), unsafe.Pointer(&u64), 8, opU64, func() any { return u64 }, [3]uint64{5, 1 << 60, math.MaxUint64}},
+		{svs(-1, 70000, math.MinInt32), unsafe.Pointer(&i32), 4, opI32, func() any { return i32 }, [3]int32{-1, 70000, math.MinInt32}},
+		{svs(-2, math.MaxInt64, math.MinInt64), unsafe.Pointer(&i64), 8, opI64, func() any { return i64 }, [3]int64{-2, math.MaxInt64, math.MinInt64}},
+		{svs(1000, -10, 1<<40), unsafe.Pointer(&delta), 8, opDelta, func() any { return delta }, [3]uint64{1000, 990, 990 + 1<<40}},
+	} {
+		if !column(c.b, c.first, 3, c.size, c.kind) || c.got() != c.want {
+			t.Errorf("kind %d: decoded %v, want %v", c.kind, c.got(), c.want)
+		}
+	}
+	for _, c := range []struct {
+		b    []byte
+		kind opKind
+	}{
+		{uvs(math.MaxUint16 + 1), opU16},
+		{uvs(math.MaxUint32 + 1), opU32},
+		{svs(math.MaxInt32 + 1), opI32},
+		{svs(math.MinInt32 - 1), opI32},
+	} {
+		var x [8]byte
+		if column(c.b, unsafe.Pointer(&x), 1, 0, c.kind) {
+			t.Errorf("kind %d accepted % x", c.kind, c.b)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -258,16 +259,45 @@ func (d *Dir) loadDisk(key string) (*State, error) {
 	if d.path == "" {
 		return nil, nil
 	}
-	b, err := os.ReadFile(path(d.path, key))
+	buf := readBufs.take()
+	b, err := readFile(path(d.path, key), buf)
 	if err != nil {
+		if buf != nil {
+			readBufs.give(buf)
+		}
 		return nil, nil // not stored: a plain miss, not an error
 	}
 	st, err := DecodeBytes(b)
+	if cap(b) <= maxKeptBuf {
+		readBufs.give(b) // the state never aliases b
+	}
 	if err != nil {
 		return nil, err
 	}
 	d.touch(key)
 	return st, nil
+}
+
+// readFile reads the file at name into b, grown if it is too small.
+func readFile(name string, b []byte) ([]byte, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	n := int(fi.Size())
+	if cap(b) < n {
+		b = make([]byte, n)
+	}
+	b = b[:n]
+	if _, err := io.ReadFull(f, b); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // Get returns the state cached in memory under key, or nil. Unlike Load

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -75,6 +77,82 @@ func TestDirCacheDisabled(t *testing.T) {
 	if s := d.Stats(); s.DiskHits != 2 || s.CacheHits != 0 {
 		t.Errorf("stats = %+v, want 2 disk hits and no cache hits", s)
 	}
+}
+
+// TestDirDiskLoadKeepsReadBuffer loads one file twice with the cache
+// off: the second load reads into the buffer the first one used, kept
+// across collections and a miss, and neither decoded state aliases
+// that buffer.
+func TestDirDiskLoadKeepsReadBuffer(t *testing.T) {
+	d := NewDir(t.TempDir(), -1)
+	if err := d.Save("k", sampleState()); err != nil {
+		t.Fatal(err)
+	}
+	load := func() (*State, []byte) {
+		st, _, err := d.Load("k")
+		if err != nil || st == nil {
+			t.Fatalf("load = (%v, %v), want a disk hit", st, err)
+		}
+		b := readBufs.take()
+		readBufs.give(b)
+		return st, b
+	}
+	first, b1 := load()
+	runtime.GC()
+	runtime.GC()
+	if st, _, err := d.Load("absent"); st != nil || err != nil {
+		t.Fatalf("load of an absent key = (%v, %v), want a plain miss", st, err)
+	}
+	second, b2 := load()
+	if len(b1) == 0 || unsafe.SliceData(b1) != unsafe.SliceData(b2) {
+		t.Error("the second load did not read into the first load's buffer")
+	}
+	clear(b2)
+	want := encodeState(t, sampleState())
+	for i, st := range []*State{first, second} {
+		if !bytes.Equal(encodeState(t, st), want) {
+			t.Errorf("load %d changed when its read buffer was cleared", i)
+		}
+	}
+}
+
+// TestCodecBuffersConcurrent encodes and loads from disk on several
+// goroutines at once, so they share the kept encoders and read buffers:
+// every encoding, and every loaded state's, must equal the one made
+// alone.
+func TestCodecBuffersConcurrent(t *testing.T) {
+	d := NewDir(t.TempDir(), -1)
+	states := []*State{sampleState(), sampleTwoTenantState()}
+	want := make([][]byte, len(states))
+	for i, st := range states {
+		want[i] = encodeState(t, st)
+		if err := d.Save(strconv.Itoa(i), st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				k := (g + i) % len(states)
+				st, _, err := d.Load(strconv.Itoa(k))
+				if err != nil || st == nil {
+					t.Errorf("load %d = (%v, %v)", k, st, err)
+					return
+				}
+				for _, s := range []*State{states[k], st} {
+					var buf bytes.Buffer
+					if err := Encode(&buf, s); err != nil || !bytes.Equal(buf.Bytes(), want[k]) {
+						t.Errorf("state %d encoded differently on goroutine %d (err %v)", k, g, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestDirEviction bounds the cache to less than two entries' cost and

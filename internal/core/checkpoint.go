@@ -177,6 +177,21 @@ func sortedKeys[V any](m map[isa.Addr]V) []isa.Addr {
 	return out
 }
 
+// refill empties set and adds keys. An empty set is replaced by one
+// sized for keys, so restoring a new core makes its table once instead
+// of growing it.
+func refill(set map[isa.Addr]struct{}, keys []isa.Addr) map[isa.Addr]struct{} {
+	if len(set) == 0 {
+		set = make(map[isa.Addr]struct{}, len(keys))
+	} else {
+		clear(set)
+	}
+	for _, a := range keys {
+		set[a] = struct{}{}
+	}
+	return set
+}
+
 // NewSocketFromSnapshot rebuilds a socket from tenants and sc — which must
 // describe the snapshotted socket's machine (same shape and geometry
 // everywhere; measure-phase knobs such as CollectSets, NoFastForward and
@@ -322,14 +337,8 @@ func (co *Core) restoreCoreState(st checkpoint.CoreState) error {
 	co.shadowWasReturn = st.ShadowWasReturn
 	co.shadowLeft = st.ShadowLeft
 	co.lastTakenBlock = st.LastTakenBlock
-	clear(co.promoted)
-	for _, a := range st.Promoted {
-		co.promoted[a] = struct{}{}
-	}
-	clear(co.fecEver)
-	for _, a := range st.FECEver {
-		co.fecEver[a] = struct{}{}
-	}
+	co.promoted = refill(co.promoted, st.Promoted)
+	co.fecEver = refill(co.fecEver, st.FECEver)
 	// The request set restores only into a core that has CollectSets on;
 	// a fork that turns CollectSets on over a snapshot taken without it
 	// simply starts with an empty set (identical to a scratch run, whose

@@ -10,12 +10,19 @@
 // behaves exactly like a build on new ones; Free takes a table back.
 // Idle tables are bounded by idleCap, oldest dropped first, so a process
 // never holds more than that beyond what its sockets use.
+//
+// A table that lives as long as the process (a registered benchmark's
+// program) is not lent at all: OffHeap copies it out of the collected
+// heap into read-only memory, so the garbage collector neither scans it
+// nor lets the heap grow by its size again before collecting.
 package recycle
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // idleCap bounds the bytes of idle tables: about two default-machine
@@ -41,7 +48,7 @@ var (
 	idle      []table // oldest first
 	idleBytes uint64
 
-	recycled, fresh atomic.Uint64
+	recycled, fresh, offHeap atomic.Uint64
 )
 
 // Make returns a zeroed slice of n elements: the most recently freed
@@ -98,9 +105,57 @@ type Counts struct {
 	Recycled uint64
 	// Fresh counts bytes Make allocated because no idle table fit.
 	Fresh uint64
+	// OffHeap counts bytes OffHeap copied out of the collected heap.
+	OffHeap uint64
 }
 
 // Stats returns the process's counts so far.
 func Stats() Counts {
-	return Counts{Recycled: recycled.Load(), Fresh: fresh.Load()}
+	return Counts{Recycled: recycled.Load(), Fresh: fresh.Load(), OffHeap: offHeap.Load()}
+}
+
+// OffHeap returns a copy of s in read-only memory outside the collected
+// heap, for a table that lives as long as the process: the collector
+// never scans it or counts it toward its heap goal, and a write into it
+// faults. The copy is never freed, so only a table the process keeps to
+// its end belongs there. E must hold no pointers, since the collector
+// never looks inside the copy; OffHeap panics otherwise. An empty s
+// comes back unchanged, and so does any s where the platform has no
+// read-only anonymous mappings or the mapping fails: only the memory
+// saving is lost.
+func OffHeap[S ~[]E, E any](s S) S {
+	elem := reflect.TypeFor[E]()
+	if !pointerFree(elem) {
+		panic(fmt.Sprintf("recycle: OffHeap of %v, which holds pointers", elem))
+	}
+	if len(s) == 0 {
+		return s
+	}
+	n := len(s) * int(elem.Size())
+	m := mapReadOnly(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), n))
+	if m == nil {
+		return s
+	}
+	offHeap.Add(uint64(n))
+	return S(unsafe.Slice((*E)(unsafe.Pointer(unsafe.SliceData(m))), len(s)))
+}
+
+// pointerFree reports whether values of t hold nothing the collector has
+// to follow: no pointer, string, slice, map, interface, channel or func
+// at any depth.
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice,
+		reflect.Map, reflect.Interface, reflect.Chan, reflect.Func:
+		return false
+	case reflect.Array:
+		return pointerFree(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -1,6 +1,7 @@
 package recycle
 
 import (
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -69,4 +70,67 @@ func TestIdleBounded(t *testing.T) {
 	if _, after := idleNow(); after != before {
 		t.Errorf("a table over the cap changed idle bytes from %d to %d", before, after)
 	}
+}
+
+// TestOffHeapCopies: OffHeap returns an equal copy and counts its bytes;
+// where it makes no mapping it returns s itself and counts nothing. An
+// empty table comes back as it was.
+func TestOffHeapCopies(t *testing.T) {
+	type rec struct {
+		A uint64
+		B [3]int32
+		C bool
+	}
+	s := make([]rec, 1000)
+	for i := range s {
+		s[i] = rec{uint64(i) << 40, [3]int32{int32(i), -1, 7}, i%3 == 0}
+	}
+	want := slices.Clone(s)
+	before := Stats().OffHeap
+	m := OffHeap(s)
+	if !slices.Equal(m, want) {
+		t.Fatal("the off-heap copy differs from its source")
+	}
+	moved := Stats().OffHeap - before
+	if unsafe.SliceData(m) == unsafe.SliceData(s) {
+		if moved != 0 {
+			t.Errorf("OffHeap returned its source but counted %d bytes moved", moved)
+		}
+	} else if size := uint64(len(s)) * uint64(unsafe.Sizeof(rec{})); moved != size {
+		t.Errorf("OffHeap counted %d bytes, want %d", moved, size)
+	}
+	if got := OffHeap([]uint64(nil)); got != nil {
+		t.Errorf("OffHeap(nil) = %v, want nil", got)
+	}
+}
+
+// TestOffHeapRejectsPointers: an element type that holds anything the
+// collector follows, at any depth, panics, even for an empty table, and
+// counts nothing.
+func TestOffHeapRejectsPointers(t *testing.T) {
+	cases := []struct {
+		name string
+		off  func()
+	}{
+		{"pointer", func() { OffHeap([]*int{new(int)}) }},
+		{"string in a struct", func() { OffHeap([]struct{ N, S string }{{}}) }},
+		{"slice in an array", func() { OffHeap([][2][]byte{{}}) }},
+		{"func", func() { OffHeap([]func(){nil}) }},
+		{"empty table of maps", func() { OffHeap([]map[int]int(nil)) }},
+	}
+	before := Stats().OffHeap
+	for _, c := range cases {
+		if !panics(c.off) {
+			t.Errorf("%s: OffHeap did not panic", c.name)
+		}
+	}
+	if after := Stats().OffHeap; after != before {
+		t.Errorf("rejected tables counted %d bytes off the heap", after-before)
+	}
+}
+
+func panics(f func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	f()
+	return false
 }

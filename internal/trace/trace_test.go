@@ -177,38 +177,40 @@ func TestDispatchEntersHandlers(t *testing.T) {
 	}
 }
 
+// TestLoopTripsAreDeterministic: a loop back-edge is taken trip-1 times,
+// then falls through, each time the loop is entered — the pattern TAGE
+// learns. It follows the first loop branch the walk reaches, from its
+// first execution on, over at least minPeriods trips through the loop.
 func TestLoopTripsAreDeterministic(t *testing.T) {
-	// A loop back-edge must be taken trip-1 times then fall through, each
-	// time the loop is entered — the pattern TAGE learns.
+	const minPeriods = 20
 	prog := testProgram(11)
-	var loopBlock *cfg.Block
-	for i := range prog.Blocks {
-		if prog.Blocks[i].Term.LoopTrip > 1 {
-			loopBlock = &prog.Blocks[i]
-			break
-		}
-	}
-	if loopBlock == nil {
-		t.Skip("no loop in program")
-	}
 	w := New(prog, 12)
-	taken, seen := 0, 0
-	for i := 0; i < 2000000 && seen < 3*int(loopBlock.Term.LoopTrip); i++ {
+	var loopPC isa.Addr
+	trip, seen := 0, 0
+	for i := 0; i < 2_000_000 && (trip == 0 || seen < minPeriods*trip); i++ {
 		in := w.Next()
-		if in.PC == prog.LastPC(loopBlock) && in.Kind == isa.CondDirect {
-			seen++
-			if in.Taken {
-				taken++
-			}
+		if in.Kind != isa.CondDirect {
+			continue
 		}
+		if trip == 0 {
+			blk := &prog.Blocks[prog.BlockIndex(in.PC)]
+			if blk.Term.LoopTrip <= 1 {
+				continue
+			}
+			loopPC, trip = in.PC, int(blk.Term.LoopTrip)
+		} else if in.PC != loopPC {
+			continue
+		}
+		if want := seen%trip != trip-1; in.Taken != want {
+			t.Fatalf("loop branch at %v (trip %d): execution %d taken=%v, want %v", loopPC, trip, seen, in.Taken, want)
+		}
+		seen++
 	}
-	if seen == 0 {
-		t.Skip("walk never reached the loop")
+	if trip == 0 {
+		t.Fatal("the walk reached no loop branch in 2M instructions")
 	}
-	wantTakenFrac := float64(loopBlock.Term.LoopTrip-1) / float64(loopBlock.Term.LoopTrip)
-	gotFrac := float64(taken) / float64(seen)
-	if gotFrac < wantTakenFrac-0.35 || gotFrac > wantTakenFrac+0.35 {
-		t.Fatalf("loop taken fraction %.2f far from expected %.2f (%d/%d)", gotFrac, wantTakenFrac, taken, seen)
+	if seen < minPeriods*trip {
+		t.Fatalf("loop branch at %v (trip %d) ran %d times, want at least %d", loopPC, trip, seen, minPeriods*trip)
 	}
 }
 

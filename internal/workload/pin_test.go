@@ -84,19 +84,27 @@ var pinnedPrograms = map[string]string{
 }
 
 // TestProgramsPinned regenerates all sixteen programs and requires each
-// to hash to its pinned digest.
+// to hash to its pinned digest, both as cfg.Generate returns it and as
+// Profile.Program keeps it, with its tables moved off the heap.
 func TestProgramsPinned(t *testing.T) {
 	for _, p := range workload.All() {
-		if _, ok := pinnedPrograms[p.Name]; !ok {
+		want, ok := pinnedPrograms[p.Name]
+		if !ok {
 			t.Errorf("%s: no pinned digest", p.Name)
 		}
 		prog, err := cfg.Generate(p.CFG)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
-		got := programDigest(prog)
-		if want := pinnedPrograms[p.Name]; got != want {
+		if got := programDigest(prog); got != want {
 			t.Errorf("%s: program digest %s, pinned %s", p.Name, got, want)
+		}
+		stock, err := p.Program()
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		if got := programDigest(stock); got != want {
+			t.Errorf("%s: stock program digest %s, pinned %s", p.Name, got, want)
 		}
 	}
 }

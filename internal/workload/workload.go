@@ -231,7 +231,8 @@ type reshapedProg struct {
 var (
 	progMu sync.Mutex
 	// stockProgs holds the registered profiles' programs for the process
-	// lifetime: a key with a nil program is registered but not yet built.
+	// lifetime, their tables off the collected heap: a key with a nil
+	// program is registered but not yet built.
 	stockProgs = stockKeys()
 	// reshaped holds the programs of other parameters, least recently
 	// used first, at most maxReshaped of them.
@@ -250,8 +251,10 @@ func stockKeys() map[cfg.Params]*cfg.Program {
 // are deterministic in their parameters, and read-only once built, so the
 // cache is keyed on the whole cfg.Params and shared across runs and
 // profiles: a profile reshaped in any parameter gets its own program.
-// The registered profiles' programs stay for the life of the process;
-// a reshaped one may be evicted and later generated again.
+// The registered profiles' programs stay for the life of the process,
+// so their tables move out of the collected heap into read-only memory
+// (cfg.Program.MoveOffHeap); a reshaped one stays on the heap, since it
+// may be evicted and later generated again.
 func (p Profile) Program() (*cfg.Program, error) {
 	progMu.Lock()
 	defer progMu.Unlock()
@@ -271,6 +274,7 @@ func (p Profile) Program() (*cfg.Program, error) {
 		return nil, err
 	}
 	if registered {
+		prog.MoveOffHeap()
 		stockProgs[p.CFG] = prog
 		return prog, nil
 	}

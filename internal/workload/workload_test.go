@@ -2,10 +2,12 @@ package workload
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"pdip/internal/cfg"
 	"pdip/internal/isa"
+	"pdip/internal/recycle"
 	"pdip/internal/trace"
 )
 
@@ -74,6 +76,36 @@ func TestProgramCaching(t *testing.T) {
 	b, _ := p.Program()
 	if a != b {
 		t.Fatal("program not cached")
+	}
+}
+
+// TestStockProgramsLeaveTheHeap builds every registered profile's program
+// and requires the collected heap to hold less than half of their tables
+// afterwards: the tables live off the heap, so the collector neither
+// scans them nor grows the heap by their size again before collecting.
+// Only stock programs move, so the recycler's off-heap count is their
+// table bytes. It stays 0 only where recycle makes no mappings (any
+// GOOS but linux and darwin).
+func TestStockProgramsLeaveTheHeap(t *testing.T) {
+	for _, p := range All() {
+		if _, err := p.Program(); err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+	}
+	tables := recycle.Stats().OffHeap
+	if tables == 0 {
+		if runtime.GOOS == "linux" || runtime.GOOS == "darwin" {
+			t.Fatal("no stock program's tables moved off the heap")
+		}
+		t.Skipf("no off-heap mappings on %s", runtime.GOOS)
+	}
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	t.Logf("%.1f MiB live on the heap, %.1f MiB of program tables off it", float64(ms.HeapAlloc)/(1<<20), float64(tables)/(1<<20))
+	if ms.HeapAlloc >= tables/2 {
+		t.Errorf("%.1f MiB live on the heap with every stock program built, want under half of their %.1f MiB of tables",
+			float64(ms.HeapAlloc)/(1<<20), float64(tables)/(1<<20))
 	}
 }
 
