@@ -28,10 +28,23 @@ func goldenSpecs() []RunSpec {
 	return specs
 }
 
-// goldenRun captures the current counter values for every golden spec.
-// Counters only: they are integer-exact across platforms, whereas derived
-// float gauges could legitimately differ in the last bit across
-// architectures (e.g. fused multiply-add contraction).
+// goldenSocketKey names the grid's two-tenant cell: cassandra/pdip44 and
+// tomcat/eip46 as co-tenants of one owner-tracked uncore. Its counters are
+// the socket's CombinedSnapshot, so the cell pins the tenant<i>.*
+// namespaces, the uncore.tenant<i>.* traffic counters and the per-owner
+// interference counters that no single-core snapshot holds.
+const goldenSocketKey = "socket/cassandra/pdip44+tomcat/eip46"
+
+func goldenSocketSpecs() []RunSpec {
+	o := QuickOptions()
+	return []RunSpec{o.spec("cassandra", "pdip44"), o.spec("tomcat", "eip46")}
+}
+
+// goldenRun captures the current counter values for every golden spec
+// and the two-tenant cell. Counters only: they are integer-exact across
+// platforms, whereas derived float gauges could legitimately differ in
+// the last bit across architectures (e.g. fused multiply-add
+// contraction).
 func goldenRun(t *testing.T) map[string]map[string]uint64 {
 	t.Helper()
 	r := NewRunner(0)
@@ -47,12 +60,18 @@ func goldenRun(t *testing.T) map[string]map[string]uint64 {
 		}
 		got[spec.Key()] = res.Metrics.Counters
 	}
+	sock, err := ExecuteSocket(goldenSocketSpecs(), SocketOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got[goldenSocketKey] = sock.Combined.Counters
 	return got
 }
 
-// TestGoldenMetrics compares every counter of the 3×3 golden grid against
-// testdata/golden_metrics.json. Any drift — an off-by-one in a resteer
-// counter, a changed prefetch drop — fails with a per-key readable diff.
+// TestGoldenMetrics compares every counter of the 3×3 golden grid and the
+// two-tenant cell against testdata/golden_metrics.json. Any drift — an
+// off-by-one in a resteer counter, a changed prefetch drop — fails with a
+// per-key readable diff.
 // After an intentional simulator change, regenerate with:
 //
 //	go test ./internal/harness -run TestGoldenMetrics -update
