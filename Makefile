@@ -4,7 +4,7 @@
 GO ?= go
 
 .PHONY: all build fmt-check vet test race determinism golden check bench clean
-.PHONY: lint lint-fix-report check-invariant fuzz bench-track bench-pair perf-smoke perfbench-vet cross-vet trace-suite socket fabric-smoke examples
+.PHONY: lint lint-fix-report check-invariant fuzz bench-track bench-pair metrics-pair perf-smoke perfbench-vet cross-vet trace-suite socket fabric-smoke examples
 
 all: build
 
@@ -54,12 +54,13 @@ race:
 	$(GO) test -race ./...
 
 # Deterministic-replay verification: identical specs must produce
-# bit-identical metric snapshots (counters, histograms, derived gauges).
+# bit-identical metric snapshots (counters and derived gauges).
 determinism:
 	$(GO) test ./internal/harness -run 'TestDeterministicReplay' -v
 
-# Golden-value regression grid (3 benchmarks x 3 policies). After an
-# intentional simulator change, regenerate with `make golden-update`.
+# Golden-value regression grid (3 benchmarks x 3 policies, plus one
+# owner-tracked two-tenant socket). After an intentional simulator change,
+# regenerate with `make golden-update`.
 golden:
 	$(GO) test ./internal/harness -run 'TestGolden'
 
@@ -165,6 +166,31 @@ bench-pair:
 		done; \
 	done; \
 	$(GO) run ./cmd/benchtrack -pair -threshold $(BENCH_THRESHOLD) $$out/base.txt $$out/new.txt
+
+# Output-preservation check against another commit on this host: exports
+# BASE (default HEAD) with git archive into .bench_build/metrics-pair,
+# writes from each side's own tree the quick fig10 grid's metrics (four
+# benchmarks, every counter and gauge of every run) and a two-tenant
+# socket's combined stats export, and requires each pair of documents to
+# be byte-identical (cmp). For changes that must not move any metric; a
+# change to simulated behaviour differs here on purpose, so CI does not
+# run it.
+#
+#   make metrics-pair BASE=HEAD~1
+metrics-pair:
+	@set -e; out=.bench_build/metrics-pair; rm -rf $$out; mkdir -p $$out/base; \
+	git archive '$(BASE)' | tar -x -C $$out/base; \
+	for side in base new; do \
+		dir=.; if [ $$side = base ]; then dir=$$out/base; fi; \
+		echo "metrics-pair: $$side" >&2; \
+		(cd $$dir && $(GO) run ./cmd/experiments -run fig10 -quick \
+			-benchmarks cassandra,kafka,tomcat,verilator -metrics $(CURDIR)/$$out/$$side-fig10.json) > /dev/null; \
+		(cd $$dir && $(GO) run ./cmd/pdipsim -tenants cassandra/pdip44,tomcat/eip46 \
+			-warmup 30000 -measure 100000 -stats-json $(CURDIR)/$$out/$$side-socket.json) > /dev/null; \
+	done; \
+	cmp $$out/base-fig10.json $$out/new-fig10.json; \
+	cmp $$out/base-socket.json $$out/new-socket.json; \
+	echo "metrics-pair: fig10 and two-tenant metrics documents are byte-identical to $(BASE)"
 
 # Zero-alloc gate: every hot-path micro benchmark must report 0 allocs/op
 # in steady state. The benchtime is iteration-pinned and large enough that

@@ -6,8 +6,8 @@ import "pdip/internal/metrics"
 // Bindings are snapshot-time views over Stats, so a caller zeroing Stats
 // (Core.ResetStats) resets them implicitly.
 func (r *ROB) RegisterMetrics(reg *metrics.Registry) {
-	reg.CounterFunc("backend.rob.pushed", func() uint64 { return r.Stats.Pushed })
-	reg.CounterFunc("backend.rob.retired", func() uint64 { return r.Stats.Retired })
-	reg.CounterFunc("backend.rob.squashed", func() uint64 { return r.Stats.Squashed })
-	reg.Gauge("backend.rob.capacity").Set(float64(r.Capacity()))
+	reg.Counter("backend.rob.pushed", &r.Stats.Pushed)
+	reg.Counter("backend.rob.retired", &r.Stats.Retired)
+	reg.Counter("backend.rob.squashed", &r.Stats.Squashed)
+	reg.Gauge("backend.rob.capacity", metrics.Const(float64(r.Capacity())))
 }

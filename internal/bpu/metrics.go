@@ -6,13 +6,13 @@ import "pdip/internal/metrics"
 // Bindings are snapshot-time views over Stats; the predict hot path is
 // untouched.
 func (b *BPU) RegisterMetrics(reg *metrics.Registry) {
-	reg.CounterFunc("bpu.cond_branches", func() uint64 { return b.Stats.CondBranches })
-	reg.CounterFunc("bpu.cond_mispredict", func() uint64 { return b.Stats.CondMispredict })
-	reg.CounterFunc("bpu.btb_lookups", func() uint64 { return b.Stats.BTBLookups })
-	reg.CounterFunc("bpu.btb_miss_taken", func() uint64 { return b.Stats.BTBMissTaken })
-	reg.CounterFunc("bpu.ind_branches", func() uint64 { return b.Stats.IndBranches })
-	reg.CounterFunc("bpu.ind_mispredict", func() uint64 { return b.Stats.IndMispredict })
-	reg.CounterFunc("bpu.returns", func() uint64 { return b.Stats.Returns })
-	reg.CounterFunc("bpu.ret_mispredict", func() uint64 { return b.Stats.RetMispredict })
-	reg.Gauge("bpu.btb_kb").Set(b.Btb.StorageKB())
+	reg.Counter("bpu.cond_branches", &b.Stats.CondBranches)
+	reg.Counter("bpu.cond_mispredict", &b.Stats.CondMispredict)
+	reg.Counter("bpu.btb_lookups", &b.Stats.BTBLookups)
+	reg.Counter("bpu.btb_miss_taken", &b.Stats.BTBMissTaken)
+	reg.Counter("bpu.ind_branches", &b.Stats.IndBranches)
+	reg.Counter("bpu.ind_mispredict", &b.Stats.IndMispredict)
+	reg.Counter("bpu.returns", &b.Stats.Returns)
+	reg.Counter("bpu.ret_mispredict", &b.Stats.RetMispredict)
+	reg.Gauge("bpu.btb_kb", metrics.Const(b.Btb.StorageKB()))
 }

@@ -3,22 +3,22 @@ package cache
 import "pdip/internal/metrics"
 
 // RegisterMetrics binds every per-level counter under prefix (e.g.
-// "cache.l1i") into reg. The bindings are closures over the level's Stats
-// struct, resolved once here and read only at snapshot time, so the access
-// hot path is untouched and ResetStats-style zeroing of Stats is reflected
-// automatically.
+// "cache.l1i") into reg. Each counter is bound by the address of its
+// field in the level's Stats record and read only at snapshot time, so the
+// access hot path is untouched and ResetStats-style zeroing of Stats is
+// reflected automatically.
 func (c *Cache) RegisterMetrics(reg *metrics.Registry, prefix string) {
-	reg.CounterFunc(prefix+".accesses", func() uint64 { return c.Stats.Accesses })
-	reg.CounterFunc(prefix+".misses", func() uint64 { return c.Stats.Misses })
-	reg.CounterFunc(prefix+".inst_misses", func() uint64 { return c.Stats.InstMisses })
-	reg.CounterFunc(prefix+".data_misses", func() uint64 { return c.Stats.DataMisses })
-	reg.CounterFunc(prefix+".late_hits", func() uint64 { return c.Stats.LateHits })
-	reg.CounterFunc(prefix+".fills", func() uint64 { return c.Stats.Fills })
-	reg.CounterFunc(prefix+".prefetch_fills", func() uint64 { return c.Stats.PrefetchFills })
-	reg.CounterFunc(prefix+".useful_prefetches", func() uint64 { return c.Stats.UsefulPrefetches })
-	reg.CounterFunc(prefix+".late_prefetches", func() uint64 { return c.Stats.LatePrefetches })
-	reg.CounterFunc(prefix+".useless_prefetches", func() uint64 { return c.Stats.UselessPrefetches })
-	reg.CounterFunc(prefix+".evictions", func() uint64 { return c.Stats.Evictions })
-	reg.Gauge(prefix + ".size_bytes").Set(float64(c.cfg.SizeBytes))
-	reg.Gauge(prefix + ".ways").Set(float64(c.cfg.Ways))
+	reg.Counter(prefix+".accesses", &c.Stats.Accesses)
+	reg.Counter(prefix+".misses", &c.Stats.Misses)
+	reg.Counter(prefix+".inst_misses", &c.Stats.InstMisses)
+	reg.Counter(prefix+".data_misses", &c.Stats.DataMisses)
+	reg.Counter(prefix+".late_hits", &c.Stats.LateHits)
+	reg.Counter(prefix+".fills", &c.Stats.Fills)
+	reg.Counter(prefix+".prefetch_fills", &c.Stats.PrefetchFills)
+	reg.Counter(prefix+".useful_prefetches", &c.Stats.UsefulPrefetches)
+	reg.Counter(prefix+".late_prefetches", &c.Stats.LatePrefetches)
+	reg.Counter(prefix+".useless_prefetches", &c.Stats.UselessPrefetches)
+	reg.Counter(prefix+".evictions", &c.Stats.Evictions)
+	reg.Gauge(prefix+".size_bytes", metrics.Const(float64(c.cfg.SizeBytes)))
+	reg.Gauge(prefix+".ways", metrics.Const(float64(c.cfg.Ways)))
 }

@@ -47,9 +47,6 @@ func (c *Cache) EnableOwnerTracking(owners, reserve int) error {
 // OwnersEnabled reports whether the level tracks per-owner attribution.
 func (c *Cache) OwnersEnabled() bool { return c.Owners != nil }
 
-// OwnerReserve returns the per-owner reserved MSHR share.
-func (c *Cache) OwnerReserve() int { return c.ownerReserve }
-
 // ResetOwnerStats zeroes the per-owner counters (measurement-phase reset).
 func (c *Cache) ResetOwnerStats() {
 	for i := range c.Owners {

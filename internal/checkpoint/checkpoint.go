@@ -2,8 +2,8 @@
 // format for the complete simulator state: every microarchitectural
 // structure a warmed core carries — cache tags, LRU state, EMISSARY
 // P-bits, MSHR deadlines, TAGE/ITTAGE folded histories, BTB, RAS, FTQ,
-// PQ, prefetcher tables, trace-walker positions, rng streams, and the
-// metrics registry.
+// PQ, prefetcher tables, trace-walker positions, rng streams, and every
+// component's counters.
 //
 // The package is a leaf: it imports only the ISA vocabulary and the
 // standard library, so every component package can depend on it without
@@ -62,8 +62,12 @@ import (
 // 7 = CoreState lost FECSet and FECTrace, and BTBState its Lookups and
 // Hits: diagnostics go through the metrics registry only; 8 =
 // WalkerState.LoopCnt holds only the nonzero counters as (block, count)
-// pairs, and NextLineState lost Emitted.
-const FormatVersion = 8
+// pairs, and NextLineState lost Emitted; 9 = counters are component
+// state: the registry sections (TenantState.Metrics, UncoreState.Metrics)
+// are gone, the core's counters and FTQ-occupancy buckets are
+// CoreState.Stats and the uncore's port counters UncoreState.Ports, and no
+// field is a float64.
+const FormatVersion = 9
 
 // State is the complete simulator state at one cycle boundary: the
 // socket's shared uncore captured exactly once, then every core as a
@@ -83,18 +87,17 @@ type State struct {
 // UncoreState captures the shared half of the socket's memory system.
 type UncoreState struct {
 	L2, L3 CacheState
-	// Metrics holds the uncore registry's owned values (per-tenant traffic
-	// counters; the interference counter funcs restore with the caches).
-	Metrics RegistryState
+	// Ports holds each requester's port counters, indexed by requester
+	// id (the per-owner interference counters live in the caches).
+	Ports []TenantPortCounters
 }
 
 // TenantState is one core's state inside a socket snapshot.
 type TenantState struct {
-	Core    CoreState      `ckpt:"sec=1"`
-	Metrics RegistryState  `ckpt:"sec=2"`
-	Mem     HierarchyState `ckpt:"sec=3"`
-	BPU     BPUState       `ckpt:"sec=4"`
-	IAG     IAGState       `ckpt:"sec=5"`
+	Core CoreState      `ckpt:"sec=1"`
+	Mem  HierarchyState `ckpt:"sec=3"`
+	BPU  BPUState       `ckpt:"sec=4"`
+	IAG  IAGState       `ckpt:"sec=5"`
 
 	// Episodes is the deduplicated table of live fetch episodes; FTQ/IFU
 	// entries and uops reference it by index.
@@ -115,7 +118,7 @@ type TenantState struct {
 
 // CoreState holds the core's own scalar and set state (cycle clock,
 // resteer machinery, EMISSARY promotion set, FEC bookkeeping, rng
-// streams).
+// streams) and its counters.
 type CoreState struct {
 	Now     int64
 	Seq     uint64
@@ -145,6 +148,8 @@ type CoreState struct {
 
 	DataRng  uint64
 	PromoRng uint64
+
+	Stats CoreStats
 }
 
 // PFSetEntry is one (line → last-request-cycle) pair of the prefetch
@@ -154,34 +159,155 @@ type PFSetEntry struct {
 	Cycle int64
 }
 
-// RegistryState captures the owned values of a metrics registry in sorted
-// name order. Bound counter/gauge functions are not captured — their
-// backing state lives in (and is restored with) the owning components.
-type RegistryState struct {
-	Counters   []NamedCounter
-	Gauges     []NamedGauge
-	Histograms []HistogramState
+// CoreStats is the core's own counters (stats.Core), one embedded record
+// per owner: each is written only from the files its //lint:owner
+// directive names, or by default from internal/core's stage_<group>.go
+// (simlint's counterownership). Reads go through the promoted fields
+// (Result().Core.Instructions).
+type CoreStats struct {
+	PipeCounters
+	RetireCounters
+	ResteerCounters
+	DecodeCounters
+	PrefetchCounters
 }
 
-// NamedCounter is one owned counter value.
-type NamedCounter struct {
-	Name  string
-	Value uint64
+// FTQOccBounds are the inclusive upper bounds of the FTQ-occupancy
+// histogram's buckets (PipeCounters.FTQOcc).
+var FTQOccBounds = [...]uint64{0, 2, 4, 8, 12, 16, 20, 24}
+
+// PipeCounters is per-cycle bookkeeping owned by the core's cycle loop.
+//
+//lint:owner core.go
+type PipeCounters struct {
+	// Cycles counts simulated cycles; with Instructions it defines IPC.
+	Cycles uint64
+	// FTQOcc samples FTQ occupancy once per cycle (decoupling depth): one
+	// bucket per FTQOccBounds entry, then the overflow bucket. FTQOccSum
+	// totals the samples; their count is Cycles.
+	FTQOcc    [len(FTQOccBounds) + 1]uint64
+	FTQOccSum uint64
 }
 
-// NamedGauge is one owned gauge value.
-type NamedGauge struct {
-	Name  string
-	Value float64
+// RetireCounters is owned by the retire stage: instruction retirement and
+// the line-episode (FEC) accounting evaluated there (§2.1/§3).
+type RetireCounters struct {
+	// Instructions counts retired (correct-path) instructions only.
+	Instructions     uint64
+	LinesRetired     uint64 // retired line episodes
+	FECLines         uint64 // episodes meeting the 3 FEC conditions
+	FECRepeatLines   uint64 // FEC episodes whose line was FEC before
+	HighCostFECLines uint64 // FEC with >10 starvation cycles
+	HighCostBackend  uint64 // high-cost FEC that also drained the backend
+	FECStallCycles   uint64 // starvation cycles caused by FEC episodes
+	FECCoveredLate   uint64 // FEC episodes that had consumed a prefetch (late/partial)
+	ShadowCovered    uint64 // resteer-shadow episodes saved by a prefetch (no stall)
+	NonFECStall      uint64 // starvation cycles on non-FEC episodes
 }
 
-// HistogramState is one owned histogram's buckets (bounds are structural,
-// re-created at registration, and only checked at restore).
-type HistogramState struct {
-	Name   string
-	Counts []uint64
-	Total  uint64
-	Sum    float64
+// ResteerCounters counts resteers by cause; the resteer stage owns it.
+type ResteerCounters struct {
+	ResteerMispredict uint64 // conditional/indirect direction or target
+	ResteerBTBMiss    uint64 // taken branch invisible to the IAG
+	ResteerReturn     uint64 // return target mispredicts
+}
+
+// DecodeCounters is owned by the decode/allocate stage: issue-slot
+// top-down accounting and starvation attribution happen there.
+type DecodeCounters struct {
+	// WrongPathInstructions counts squashed fetches entering the pipeline.
+	WrongPathInstructions uint64
+	// DecodeStarvedCycles counts cycles decode delivered nothing while
+	// the back-end could accept.
+	DecodeStarvedCycles uint64
+	// StarvedOnMiss counts the subset attributable to an L1I miss.
+	StarvedOnMiss uint64
+	// StarveNoEntry counts starved cycles with an empty FTQ and idle IFU
+	// (post-resteer refill, IAG restart).
+	StarveNoEntry uint64
+	// StarvePipe counts starved cycles where fetched uops were still in
+	// the decode pipe (refill latency).
+	StarvePipe uint64
+	// StarveOther counts the remainder (e.g. waiting on a hit's
+	// delivery, decode-queue backpressure interactions).
+	StarveOther uint64
+
+	TopDown TopDown
+}
+
+// PrefetchCounters is shared by the two stages that enqueue prefetch
+// requests (predict and prefetch-drain): both apply the FTQ duplicate
+// suppression and account drops to the same counter.
+//
+//lint:owner stage_predict.go stage_prefetch.go
+type PrefetchCounters struct {
+	// PFDroppedFTQ counts prefetch requests suppressed because the line
+	// was already covered by a queued FTQ entry (§6.2 duplicate check).
+	PFDroppedFTQ uint64
+}
+
+// IPC returns instructions per cycle.
+func (c *CoreStats) IPC() float64 {
+	if c.Cycles == 0 {
+		return 0
+	}
+	return float64(c.Instructions) / float64(c.Cycles)
+}
+
+// PerKilo returns events per kilo-instruction.
+func (c *CoreStats) PerKilo(events uint64) float64 {
+	if c.Instructions == 0 {
+		return 0
+	}
+	return float64(events) * 1000 / float64(c.Instructions)
+}
+
+// TopDown is the issue-slot breakdown of the top-down method (Yasin),
+// counted at the decode/allocation boundary each cycle (stats.TopDown).
+type TopDown struct {
+	// Retiring slots delivered correct-path instructions that retired.
+	Retiring uint64
+	// BadSpeculation slots delivered wrong-path instructions (squashed).
+	BadSpeculation uint64
+	// FrontendBound slots were empty because the front-end supplied
+	// nothing.
+	FrontendBound uint64
+	// BackendBound slots were empty because the back-end could not accept
+	// (ROB full).
+	BackendBound uint64
+}
+
+// Total returns the slot total.
+func (t TopDown) Total() uint64 {
+	return t.Retiring + t.BadSpeculation + t.FrontendBound + t.BackendBound
+}
+
+// Shares returns the four fractions in order retiring, frontend, badspec,
+// backend. A zero total yields zeros.
+func (t TopDown) Shares() (retiring, frontend, badspec, backend float64) {
+	total := float64(t.Total())
+	if total == 0 {
+		return
+	}
+	return float64(t.Retiring) / total, float64(t.FrontendBound) / total,
+		float64(t.BadSpeculation) / total, float64(t.BackendBound) / total
+}
+
+// TenantPortCounters attributes one requester's traffic through its
+// uncore tenant port (published as uncore.tenant<i>.*).
+//
+//lint:owner uncore.go
+type TenantPortCounters struct {
+	Requests uint64
+	L2Hits   uint64
+	L3Hits   uint64
+	MemFills uint64
+	L2Misses uint64
+	L3Misses uint64
+	// SpecDropped counts requests the shared levels dropped.
+	SpecDropped uint64
+	// FillCycles totals the cycles from request to fill.
+	FillCycles uint64
 }
 
 // HierarchyState captures a core's private cache levels. The L2/L3

@@ -1,4 +1,4 @@
-// Binary columnar wire format (FormatVersion 7).
+// Binary columnar wire format (FormatVersion 9).
 //
 // One plan per type, built once by reflection from the State declarations,
 // drives both Encode and DecodeBytes, so each layout is written only once:
@@ -8,7 +8,7 @@
 //
 //   - uint16/uint32/uint64 (and isa.Addr): unsigned varint; int/int32/
 //     int64: zigzag varint; bool/uint8/int8: one byte (a bool must be 0 or
-//     1); float64: 8 little-endian bytes
+//     1)
 //   - strings: interned — first use writes ref 0 + length + bytes, later
 //     uses write index+1; the table is keyed by first-use order, so
 //     identical states produce identical bytes
@@ -33,9 +33,9 @@
 //     zigzag delta from the same field of the previous element (sorted line
 //     addresses, clustered BTB tags).
 //
-// A State field of a type the wire cannot carry (map, interface, func,
-// chan) or a misplaced tag fails the plan build, naming the field path;
-// Encode and DecodeBytes then return that error.
+// A State field of a type the wire cannot carry (float, map, interface,
+// func, chan) or a misplaced tag fails the plan build, naming the field
+// path; Encode and DecodeBytes then return that error.
 //
 // There is no compression layer: the columnar layout already removes the
 // field-name overhead gzip existed to claw back, and skipping it keeps
@@ -87,7 +87,6 @@ const (
 	opU64                 // uvarint
 	opI32                 // zigzag varint; the decoder rejects overflow
 	opI64                 // zigzag varint
-	opF64                 // 8 bytes little-endian
 	opDelta               // zigzag delta from the previous element: ckpt:"delta", []uint64/[]int64
 	// Variable-width values.
 	opStr     // interned string
@@ -178,8 +177,6 @@ func (p *plan) add(t reflect.Type, off uintptr, path string, elem bool) error {
 		if t.Size() == 4 {
 			kind = opI32
 		}
-	case reflect.Float64:
-		kind = opF64
 	case reflect.String:
 		kind = opStr
 	case reflect.Array:
@@ -269,8 +266,6 @@ func (p *plan) finish() {
 	p.flat = true
 	for i := range p.ops {
 		switch o := &p.ops[i]; o.kind {
-		case opF64:
-			p.min += 8
 		case opSection:
 			p.min += 5 + o.sub.min
 			p.flat = false
@@ -542,10 +537,6 @@ func (e *encoder) column(first unsafe.Pointer, n int, size uintptr, kind opKind)
 		for i := 0; i < n; i++ {
 			e.sv(*(*int64)(at(i)))
 		}
-	case opF64:
-		for i := 0; i < n; i++ {
-			e.buf = binary.LittleEndian.AppendUint64(e.buf, *(*uint64)(at(i)))
-		}
 	case opDelta:
 		var prev uint64
 		for i := 0; i < n; i++ {
@@ -661,13 +652,6 @@ func (d *decoder) bool() bool {
 		d.fail("bad bool %d", v)
 	}
 	return v == 1
-}
-
-func (d *decoder) f64() uint64 {
-	d.need(8)
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
 }
 
 // count reads an element count and rejects any claim that could not fit
@@ -806,11 +790,6 @@ func (d *decoder) column(first unsafe.Pointer, n int, size uintptr, kind opKind)
 	case opBool:
 		for i := 0; i < n; i++ {
 			*(*bool)(at(i)) = d.bool()
-		}
-		return
-	case opF64:
-		for i := 0; i < n; i++ {
-			*(*uint64)(at(i)) = d.f64()
 		}
 		return
 	}

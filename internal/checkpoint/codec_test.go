@@ -139,9 +139,10 @@ func sampleState() *State {
 		Uncore: UncoreState{
 			L2: sampleCache(4, 2, true),
 			L3: sampleCache(4, 4, true),
-			Metrics: RegistryState{
-				Counters: []NamedCounter{{Name: "uncore.tenant0.requests", Value: 42}},
-			},
+			Ports: []TenantPortCounters{{
+				Requests: 42, L2Hits: 20, L3Hits: 9, MemFills: 5,
+				L2Misses: 14, L3Misses: 5, SpecDropped: 8, FillCycles: 1234,
+			}},
 		},
 		Tenants: []TenantState{sampleTenant()},
 	}
@@ -191,11 +192,21 @@ func sampleTenant() TenantState {
 		FECReqAge:   [4]uint64{1, 2, 3, 4},
 		FECHolds:    [3]uint64{5, 6, 7},
 		SampleEvery: 1000, DataRng: 777, PromoRng: 888,
-	}
-	st.Metrics = RegistryState{
-		Counters:   []NamedCounter{{Name: "a.x", Value: 1}, {Name: "b.y", Value: 2}},
-		Gauges:     []NamedGauge{{Name: "g", Value: 1.5}},
-		Histograms: []HistogramState{{Name: "h", Counts: []uint64{1, 0, 3}, Total: 4, Sum: 9.5}},
+		Stats: CoreStats{
+			PipeCounters: PipeCounters{Cycles: 5000, FTQOcc: [9]uint64{1, 0, 3, 4996}, FTQOccSum: 29990},
+			RetireCounters: RetireCounters{
+				Instructions: 4000, LinesRetired: 600, FECLines: 40, FECRepeatLines: 30,
+				HighCostFECLines: 12, HighCostBackend: 3, FECStallCycles: 900,
+				FECCoveredLate: 7, ShadowCovered: 11, NonFECStall: 150,
+			},
+			ResteerCounters: ResteerCounters{ResteerMispredict: 60, ResteerBTBMiss: 9, ResteerReturn: 4},
+			DecodeCounters: DecodeCounters{
+				WrongPathInstructions: 700, DecodeStarvedCycles: 1100, StarvedOnMiss: 800,
+				StarveNoEntry: 150, StarvePipe: 100, StarveOther: 50,
+				TopDown: TopDown{Retiring: 4000, BadSpeculation: 700, FrontendBound: 4400, BackendBound: 900},
+			},
+			PrefetchCounters: PrefetchCounters{PFDroppedFTQ: 33},
+		},
 	}
 	st.Mem = HierarchyState{
 		L1I: sampleCache(2, 2, false),
@@ -349,7 +360,7 @@ func TestBinaryRoundTripAllPrefetchers(t *testing.T) {
 // encoding per tuple. If this digest changes, the wire format changed:
 // bump FormatVersion (so stale directories miss instead of misdecoding)
 // and re-pin.
-const binarySampleDigest = "aa551d189f552e8b616b2a1064b366186e0395f7d9ec7ed14b127d33d45b33a7"
+const binarySampleDigest = "6975d793b6535e8ec52564816019888c4ce86a22de52671067fb69fda26536fc"
 
 // TestBinaryDeterministicBytes requires byte-identical encodings across
 // repeated encodes, across a decode/re-encode round trip, and across time
@@ -480,6 +491,7 @@ func TestPlanRejectsUncarriableFields(t *testing.T) {
 		{struct{ I any }{}, "X.I"},
 		{struct{ C *chan int }{}, "X.C"},
 		{struct{ U uint }{}, "X.U"},
+		{struct{ F float64 }{}, "X.F"},
 		{struct {
 			X uint64 `ckpt:"delta"`
 		}{}, "X.X"},

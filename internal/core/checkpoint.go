@@ -102,11 +102,10 @@ func (co *Core) capture(st *checkpoint.TenantState) error {
 	}
 
 	*st = checkpoint.TenantState{
-		Core:    co.captureCoreState(),
-		Metrics: co.reg.CaptureCheckpoint(),
-		Mem:     co.hier.CaptureCheckpoint(),
-		BPU:     co.bp.CaptureCheckpoint(),
-		IAG:     co.iag.CaptureCheckpoint(),
+		Core: co.captureCoreState(),
+		Mem:  co.hier.CaptureCheckpoint(),
+		BPU:  co.bp.CaptureCheckpoint(),
+		IAG:  co.iag.CaptureCheckpoint(),
 	}
 
 	st.Episodes = make([]checkpoint.EpisodeState, len(eps))
@@ -137,7 +136,7 @@ func (co *Core) capture(st *checkpoint.TenantState) error {
 
 // captureCoreState captures the core's scalar state, the EMISSARY and FEC
 // sets (key-sorted — checkpoint bytes must not depend on Go map iteration
-// order), the CollectSets diagnostics, and the rng streams.
+// order), the CollectSets diagnostics, the rng streams and the counters.
 func (co *Core) captureCoreState() checkpoint.CoreState {
 	st := checkpoint.CoreState{
 		Now:             co.now,
@@ -157,6 +156,7 @@ func (co *Core) captureCoreState() checkpoint.CoreState {
 		SampleEvery:     co.sampleEvery,
 		DataRng:         co.dataRng.State(),
 		PromoRng:        co.promoRng.State(),
+		Stats:           co.stats,
 	}
 	if co.pfSet != nil {
 		lines := sortedKeys(co.pfSet)
@@ -267,9 +267,6 @@ func (co *Core) restore(st *checkpoint.TenantState) error {
 	if !ok {
 		return fmt.Errorf("core: prefetcher %q does not implement prefetch.Checkpointer", co.pf.Name())
 	}
-	if err := co.reg.RestoreCheckpoint(st.Metrics); err != nil {
-		return err
-	}
 	if err := co.hier.RestoreCheckpoint(st.Mem); err != nil {
 		return err
 	}
@@ -354,5 +351,6 @@ func (co *Core) restoreCoreState(st checkpoint.CoreState) error {
 	co.sampleEvery = st.SampleEvery
 	co.dataRng.SetState(st.DataRng)
 	co.promoRng.SetState(st.PromoRng)
+	co.stats = st.Stats
 	return nil
 }

@@ -66,7 +66,8 @@ var checkpointManifest = map[string]map[string]string{
 		"promoted":       "state", "fecEver": "state",
 		"pfSet": "state", "fecReqAge": "state", "fecHolds": "state",
 		"dataRng": "state", "promoRng": "state",
-		"reg": "state", "ct": "wiring",
+		// reg only names state (addresses of counters, gauge functions).
+		"stats": "state", "reg": "wiring",
 		"sampleEvery": "state", "samples": "diag", "sampleHook": "diag",
 		"reqBuf": "scratch", "retireBuf": "scratch",
 		"uopFree": "pool", "epFree": "pool",
@@ -119,7 +120,7 @@ var checkpointManifest = map[string]map[string]string{
 		"L2": "state", "L3": "state",
 		"DRAMLatency": "config",
 		"chain":       "wiring", "ports": "wiring",
-		"reg": "state",
+		"portStats": "state", "reg": "wiring",
 	},
 	"bpu.BPU": {
 		"Tage": "state", "Ittage": "state", "Btb": "state", "Ras": "state",
@@ -161,12 +162,6 @@ var checkpointManifest = map[string]map[string]string{
 	"frontend.LineEpisode": {"EpisodeState": "state"},
 	"rng.RNG": {
 		"state": "state",
-	},
-	"metrics.Registry": {
-		// Owned metric values are captured name-sorted; bound functions
-		// read live simulator state and are excluded by construction.
-		"counters": "state", "gauges": "state", "hists": "state",
-		"counterFns": "wiring", "gaugeFns": "wiring",
 	},
 
 	"cache.Cache": {
@@ -215,12 +210,6 @@ var checkpointManifest = map[string]map[string]string{
 	"isa.Inst": {
 		"PC": "state", "Size": "state", "Kind": "state",
 		"Taken": "state", "Target": "state",
-	},
-	"metrics.Counter": {"v": "state"},
-	"metrics.Gauge":   {"v": "state"},
-	"metrics.Histogram": {
-		"bounds": "config",
-		"counts": "state", "total": "state", "sum": "state",
 	},
 
 	"bpu.history": {

@@ -93,11 +93,10 @@ type Core struct {
 	dataRng  *rng.RNG
 	promoRng *rng.RNG
 
-	// reg is the unified metrics registry every component publishes into;
-	// ct holds the core's own counters grouped by owning stage, resolved
-	// once at construction.
-	reg *metrics.Registry
-	ct  counters
+	// stats holds the core's own counters, one embedded record per owning
+	// stage; reg names them and every component's counters and gauges.
+	stats checkpoint.CoreStats
+	reg   *metrics.Registry
 
 	// sampleEvery > 0 records a registry snapshot every that many retired
 	// instructions; samples accumulate until ResetStats. sampleHook,
@@ -165,7 +164,6 @@ func newCore(prog *cfg.Program, src trace.OracleSource, c Config, hier *mem.Hier
 	if c.PQReserveMSHRs < 0 {
 		pq.ReserveMSHRs = 0
 	}
-	reg := metrics.NewRegistry()
 	co := &Core{
 		cfg:      c,
 		prog:     prog,
@@ -183,8 +181,7 @@ func newCore(prog *cfg.Program, src trace.OracleSource, c Config, hier *mem.Hier
 		fecEver:  make(map[isa.Addr]struct{}),
 		dataRng:  rng.New(c.Seed ^ 0xda7a),
 		promoRng: rng.New(c.Seed ^ 0xe351),
-		reg:      reg,
-		ct:       newCounters(reg),
+		reg:      metrics.NewRegistry(),
 	}
 	co.pipe = pipeline.New(
 		&retireStage{co: co},
@@ -264,12 +261,25 @@ func (co *Core) Run(n uint64) error { return co.sock.Run(n) }
 //lint:hotpath
 func (co *Core) tickCycle() {
 	co.now++
-	co.ct.pipe.cycles.Inc()
 	if invariant.Enabled && (co.ftq.Len() < 0 || co.ftq.Len() > co.ftq.Depth()) {
 		invariant.Failf("FTQ occupancy %d outside [0, %d] at cycle %d", co.ftq.Len(), co.ftq.Depth(), co.now)
 	}
-	co.ct.pipe.ftqOcc.Observe(float64(co.ftq.Len()))
+	co.countCycles(1)
 	co.pipe.Tick(co.now)
+}
+
+// countCycles counts n cycles at the current FTQ occupancy: the cycle
+// counter and the occupancy histogram's bucket and sum.
+func (co *Core) countCycles(n uint64) {
+	ct := &co.stats.PipeCounters
+	ct.Cycles += n
+	occ := uint64(co.ftq.Len())
+	b := 0
+	for b < len(checkpoint.FTQOccBounds) && occ > checkpoint.FTQOccBounds[b] {
+		b++
+	}
+	ct.FTQOcc[b] += n
+	ct.FTQOccSum += occ * n
 }
 
 // nextEventAt lower-bounds the next cycle at which any of the core's
@@ -285,8 +295,7 @@ func (co *Core) nextEventAt() int64 { return co.pipe.NextEventAt(co.now) }
 // bit-identical to stepping every cycle; TestFastForwardBitIdentical and
 // the golden-grid replay pin that equivalence.
 func (co *Core) skipIdle(n int64) {
-	co.ct.pipe.cycles.Add(uint64(n))
-	co.ct.pipe.ftqOcc.ObserveN(float64(co.ftq.Len()), uint64(n))
+	co.countCycles(uint64(n))
 	co.pipe.AccountStall(co.now, n)
 	co.now += n
 }
@@ -300,7 +309,7 @@ func (co *Core) ResetStats() { co.sock.ResetStats() }
 // resetStats is the core-private half of Socket.ResetStats; the shared
 // L2/L3 stats reset with the uncore.
 func (co *Core) resetStats() {
-	co.reg.Reset()
+	co.stats = checkpoint.CoreStats{}
 	co.samples = co.samples[:0]
 	co.hier.L1I.Stats = cache.Stats{}
 	co.hier.L1D.Stats = cache.Stats{}

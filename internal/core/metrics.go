@@ -1,143 +1,50 @@
 package core
 
 import (
+	"fmt"
+
+	"pdip/internal/checkpoint"
 	"pdip/internal/metrics"
-	"pdip/internal/stats"
 )
 
-// counters holds the registry-owned counters behind stats.Core, grouped
-// by the pipeline stage that owns (increments) them. The stages increment
-// through these pointers (resolved once at construction — no lookups or
-// reflection on the hot path); Result() materialises the stats.Core value
-// struct from them, so the snapshot API is a view over the registry.
-// Registered metric names are stable across the stage decomposition: the
-// grouping is an ownership structure, not a renaming.
-type counters struct {
-	pipe     pipeCounters
-	retire   retireCounters
-	resteer  resteerCounters
-	decode   decodeCounters
-	prefetch prefetchCounters
-}
+// registerCounters names the core's own counters (co.stats) and the
+// FTQ-occupancy histogram's buckets. The histogram's sample count is the
+// cycle count: every cycle, stepped or skipped, adds one sample.
+func (co *Core) registerCounters() {
+	reg, st := co.reg, &co.stats
+	reg.Counter("core.cycles", &st.Cycles)
+	reg.Counter("core.instructions", &st.Instructions)
+	reg.Counter("core.lines_retired", &st.LinesRetired)
+	reg.Counter("core.fec.lines", &st.FECLines)
+	reg.Counter("core.fec.repeat_lines", &st.FECRepeatLines)
+	reg.Counter("core.fec.high_cost_lines", &st.HighCostFECLines)
+	reg.Counter("core.fec.high_cost_backend", &st.HighCostBackend)
+	reg.Counter("core.fec.stall_cycles", &st.FECStallCycles)
+	reg.Counter("core.fec.covered_late", &st.FECCoveredLate)
+	reg.Counter("core.fec.shadow_covered", &st.ShadowCovered)
+	reg.Counter("core.fec.non_fec_stall_cycles", &st.NonFECStall)
+	reg.Counter("frontend.resteer.mispredict", &st.ResteerMispredict)
+	reg.Counter("frontend.resteer.btb_miss", &st.ResteerBTBMiss)
+	reg.Counter("frontend.resteer.return", &st.ResteerReturn)
+	reg.Counter("core.wrong_path_instructions", &st.WrongPathInstructions)
+	reg.Counter("frontend.decode_starved_cycles", &st.DecodeStarvedCycles)
+	reg.Counter("frontend.starve.on_miss", &st.StarvedOnMiss)
+	reg.Counter("frontend.starve.no_entry", &st.StarveNoEntry)
+	reg.Counter("frontend.starve.pipe", &st.StarvePipe)
+	reg.Counter("frontend.starve.other", &st.StarveOther)
+	reg.Counter("core.topdown.retiring", &st.TopDown.Retiring)
+	reg.Counter("core.topdown.bad_speculation", &st.TopDown.BadSpeculation)
+	reg.Counter("core.topdown.frontend_bound", &st.TopDown.FrontendBound)
+	reg.Counter("core.topdown.backend_bound", &st.TopDown.BackendBound)
+	reg.Counter("frontend.pf_dropped_ftq", &st.PFDroppedFTQ)
 
-// pipeCounters is per-cycle bookkeeping owned by the cycle loop itself.
-//
-//lint:owner core.go
-type pipeCounters struct {
-	cycles *metrics.Counter
-	// ftqOcc samples FTQ occupancy once per cycle (decoupling depth).
-	ftqOcc *metrics.Histogram
-}
-
-// retireCounters is owned by the retire stage (instruction retirement and
-// the FEC machinery evaluated there).
-type retireCounters struct {
-	instructions                   *metrics.Counter
-	linesRetired                   *metrics.Counter
-	fecLines, fecRepeatLines       *metrics.Counter
-	highCostFECLines               *metrics.Counter
-	highCostBackend                *metrics.Counter
-	fecStallCycles, fecCoveredLate *metrics.Counter
-	shadowCovered, nonFECStall     *metrics.Counter
-}
-
-// resteerCounters is owned by the resteer stage.
-type resteerCounters struct {
-	mispredict, btbMiss, ret *metrics.Counter
-}
-
-// decodeCounters is owned by the decode/allocate stage (issue-slot
-// top-down accounting and starvation attribution happen there).
-type decodeCounters struct {
-	wrongPath                                    *metrics.Counter
-	decodeStarved                                *metrics.Counter
-	starvedOnMiss, starveNoEntry                 *metrics.Counter
-	starvePipe, starveOther                      *metrics.Counter
-	tdRetiring, tdBadSpec, tdFrontend, tdBackend *metrics.Counter
-}
-
-// prefetchCounters is shared by the two stages that enqueue prefetch
-// requests (predict and prefetch-drain): both apply the FTQ duplicate
-// suppression and account drops to the same counter.
-//
-//lint:owner stage_predict.go stage_prefetch.go
-type prefetchCounters struct {
-	pfDroppedFTQ *metrics.Counter
-}
-
-func newCounters(reg *metrics.Registry) counters {
-	return counters{
-		pipe: pipeCounters{
-			cycles: reg.Counter("core.cycles"),
-			ftqOcc: reg.Histogram("frontend.ftq_occupancy", 0, 2, 4, 8, 12, 16, 20, 24),
-		},
-		retire: retireCounters{
-			instructions:     reg.Counter("core.instructions"),
-			linesRetired:     reg.Counter("core.lines_retired"),
-			fecLines:         reg.Counter("core.fec.lines"),
-			fecRepeatLines:   reg.Counter("core.fec.repeat_lines"),
-			highCostFECLines: reg.Counter("core.fec.high_cost_lines"),
-			highCostBackend:  reg.Counter("core.fec.high_cost_backend"),
-			fecStallCycles:   reg.Counter("core.fec.stall_cycles"),
-			fecCoveredLate:   reg.Counter("core.fec.covered_late"),
-			shadowCovered:    reg.Counter("core.fec.shadow_covered"),
-			nonFECStall:      reg.Counter("core.fec.non_fec_stall_cycles"),
-		},
-		resteer: resteerCounters{
-			mispredict: reg.Counter("frontend.resteer.mispredict"),
-			btbMiss:    reg.Counter("frontend.resteer.btb_miss"),
-			ret:        reg.Counter("frontend.resteer.return"),
-		},
-		decode: decodeCounters{
-			wrongPath:     reg.Counter("core.wrong_path_instructions"),
-			decodeStarved: reg.Counter("frontend.decode_starved_cycles"),
-			starvedOnMiss: reg.Counter("frontend.starve.on_miss"),
-			starveNoEntry: reg.Counter("frontend.starve.no_entry"),
-			starvePipe:    reg.Counter("frontend.starve.pipe"),
-			starveOther:   reg.Counter("frontend.starve.other"),
-			tdRetiring:    reg.Counter("core.topdown.retiring"),
-			tdBadSpec:     reg.Counter("core.topdown.bad_speculation"),
-			tdFrontend:    reg.Counter("core.topdown.frontend_bound"),
-			tdBackend:     reg.Counter("core.topdown.backend_bound"),
-		},
-		prefetch: prefetchCounters{
-			pfDroppedFTQ: reg.Counter("frontend.pf_dropped_ftq"),
-		},
+	const occ = "frontend.ftq_occupancy"
+	for i, b := range checkpoint.FTQOccBounds {
+		reg.Counter(fmt.Sprintf("%s.le_%d", occ, b), &st.FTQOcc[i])
 	}
-}
-
-// statsCore materialises the stats.Core snapshot from the registry
-// counters — the view the Result API and all derived metrics sit on.
-func (ct *counters) statsCore() stats.Core {
-	return stats.Core{
-		Cycles:                ct.pipe.cycles.Load(),
-		Instructions:          ct.retire.instructions.Load(),
-		WrongPathInstructions: ct.decode.wrongPath.Load(),
-		ResteerMispredict:     ct.resteer.mispredict.Load(),
-		ResteerBTBMiss:        ct.resteer.btbMiss.Load(),
-		ResteerReturn:         ct.resteer.ret.Load(),
-		DecodeStarvedCycles:   ct.decode.decodeStarved.Load(),
-		StarvedOnMiss:         ct.decode.starvedOnMiss.Load(),
-		StarveNoEntry:         ct.decode.starveNoEntry.Load(),
-		StarvePipe:            ct.decode.starvePipe.Load(),
-		StarveOther:           ct.decode.starveOther.Load(),
-		LinesRetired:          ct.retire.linesRetired.Load(),
-		FECLines:              ct.retire.fecLines.Load(),
-		FECRepeatLines:        ct.retire.fecRepeatLines.Load(),
-		HighCostFECLines:      ct.retire.highCostFECLines.Load(),
-		HighCostBackend:       ct.retire.highCostBackend.Load(),
-		FECStallCycles:        ct.retire.fecStallCycles.Load(),
-		FECCoveredLate:        ct.retire.fecCoveredLate.Load(),
-		ShadowCovered:         ct.retire.shadowCovered.Load(),
-		NonFECStall:           ct.retire.nonFECStall.Load(),
-		PFDroppedFTQ:          ct.prefetch.pfDroppedFTQ.Load(),
-		TopDown: stats.TopDown{
-			Retiring:       ct.decode.tdRetiring.Load(),
-			BadSpeculation: ct.decode.tdBadSpec.Load(),
-			FrontendBound:  ct.decode.tdFrontend.Load(),
-			BackendBound:   ct.decode.tdBackend.Load(),
-		},
-	}
+	reg.Counter(occ+".overflow", &st.FTQOcc[len(checkpoint.FTQOccBounds)])
+	reg.Counter(occ+".count", &st.Cycles)
+	reg.Gauge(occ+".sum", func() float64 { return float64(st.FTQOccSum) })
 }
 
 // registerMetrics wires every measuring component into the core's
@@ -146,6 +53,7 @@ func (ct *counters) statsCore() stats.Core {
 // derived gauges the paper reports.
 func (co *Core) registerMetrics() {
 	reg := co.reg
+	co.registerCounters()
 	co.hier.L1I.RegisterMetrics(reg, "cache.l1i")
 	co.hier.L1D.RegisterMetrics(reg, "cache.l1d")
 	co.hier.L2.RegisterMetrics(reg, "cache.l2")
@@ -156,22 +64,22 @@ func (co *Core) registerMetrics() {
 	if m, ok := co.pf.(metrics.Registrant); ok {
 		m.RegisterMetrics(reg)
 	}
-	reg.Gauge("prefetcher.storage_kb").Set(co.pf.StorageKB())
+	reg.Gauge("prefetcher.storage_kb", metrics.Const(co.pf.StorageKB()))
 
 	// FEC instance classification (populated under CollectSets; zero
 	// otherwise — kept registered so snapshot shape is policy-independent).
-	reg.CounterFunc("core.fec.req_age.never", func() uint64 { return co.fecReqAge[0] })
-	reg.CounterFunc("core.fec.req_age.gt_10k", func() uint64 { return co.fecReqAge[1] })
-	reg.CounterFunc("core.fec.req_age.100_to_10k", func() uint64 { return co.fecReqAge[2] })
-	reg.CounterFunc("core.fec.req_age.le_100", func() uint64 { return co.fecReqAge[3] })
-	reg.CounterFunc("core.fec.holds.no_trigger", func() uint64 { return co.fecHolds[0] })
-	reg.CounterFunc("core.fec.holds.table_holds_pair", func() uint64 { return co.fecHolds[1] })
-	reg.CounterFunc("core.fec.holds.table_missing_pair", func() uint64 { return co.fecHolds[2] })
+	reg.Counter("core.fec.req_age.never", &co.fecReqAge[0])
+	reg.Counter("core.fec.req_age.gt_10k", &co.fecReqAge[1])
+	reg.Counter("core.fec.req_age.100_to_10k", &co.fecReqAge[2])
+	reg.Counter("core.fec.req_age.le_100", &co.fecReqAge[3])
+	reg.Counter("core.fec.holds.no_trigger", &co.fecHolds[0])
+	reg.Counter("core.fec.holds.table_holds_pair", &co.fecHolds[1])
+	reg.Counter("core.fec.holds.table_missing_pair", &co.fecHolds[2])
 
 	// Derived metrics (the paper's reported numbers), computed at snapshot
 	// time from the same counters Result exposes.
 	derived := func(name string, fn func(*Result) float64) {
-		reg.GaugeFunc(name, func() float64 {
+		reg.Gauge(name, func() float64 {
 			r := co.Result()
 			return fn(&r)
 		})

@@ -100,6 +100,9 @@ func TestRestoreRejectsCorruptIndexes(t *testing.T) {
 				}
 			}
 		}},
+		{"uncore port count", func(st *checkpoint.State) {
+			st.Uncore.Ports = st.Uncore.Ports[1:]
+		}},
 		{"MSHR minimum", func(st *checkpoint.State) {
 			l1d := &st.Tenants[0].Mem.L1D
 			min := l1d.Inflight[0]

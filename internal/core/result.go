@@ -30,7 +30,7 @@ type Result struct {
 // Result snapshots the current counters.
 func (co *Core) Result() Result {
 	return Result{
-		Core:           co.ct.statsCore(),
+		Core:           co.stats,
 		L1I:            co.hier.L1I.Stats,
 		L1D:            co.hier.L1D.Stats,
 		L2:             co.hier.L2.Stats,

@@ -161,9 +161,6 @@ func (s *Socket) NumCores() int { return len(s.cores) }
 // Core returns tenant i's core (tests and checkpoint probing).
 func (s *Socket) Core(i int) *Core { return s.cores[i] }
 
-// Uncore returns the shared uncore.
-func (s *Socket) Uncore() *uncore.Uncore { return s.unc }
-
 // Cycles returns the socket clock (every core's clock is in lockstep).
 func (s *Socket) Cycles() int64 { return s.now }
 
@@ -288,7 +285,7 @@ func (s *Socket) TenantResult(i int) (Result, metrics.Snapshot) {
 }
 
 // ResetStats zeroes every tenant's measurement counters and the uncore's
-// (shared stats, per-owner interference, uncore registry), keeping all
+// (shared stats, per-owner interference, tenant port counters), keeping all
 // architectural state warm — the socket-wide post-warmup reset.
 func (s *Socket) ResetStats() {
 	for i, co := range s.cores {

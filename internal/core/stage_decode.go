@@ -29,7 +29,7 @@ func (s *decodeStage) Name() string { return "decode" }
 //lint:hotpath
 func (s *decodeStage) Tick(now int64) {
 	co := s.co
-	ct := &co.ct.decode
+	ct := &co.stats.DecodeCounters
 	width := co.cfg.DecodeWidth
 	moved := 0
 	robFull := false
@@ -56,24 +56,24 @@ func (s *decodeStage) Tick(now int64) {
 	// Top-down issue-slot accounting (Figure 1).
 	leftover := uint64(width - moved)
 	if robFull {
-		ct.tdBackend.Add(leftover)
+		ct.TopDown.BackendBound += leftover
 	} else {
-		ct.tdFrontend.Add(leftover)
+		ct.TopDown.FrontendBound += leftover
 	}
 
 	// Decode starvation: nothing delivered while the back-end could
 	// accept. Attribute to the line blocking the IFU, if it missed.
 	if moved == 0 && !robFull {
-		ct.decodeStarved.Inc()
+		ct.DecodeStarvedCycles++
 		switch {
 		case s.blockingEpisodeStarve(now):
-			ct.starvedOnMiss.Inc()
+			ct.StarvedOnMiss++
 		case co.ifuEntry == nil && co.ftq.Len() == 0:
-			ct.starveNoEntry.Inc()
+			ct.StarveNoEntry++
 		case co.decodeQ.Len() > 0:
-			ct.starvePipe.Inc()
+			ct.StarvePipe++
 		default:
-			ct.starveOther.Inc()
+			ct.StarveOther++
 		}
 	}
 }
@@ -106,12 +106,12 @@ func (s *decodeStage) blockingEpisodeStarve(now int64) bool {
 // its data access, and scheduling the resteer for mispredicted branches.
 func (s *decodeStage) allocate(u *frontend.Uop, now int64) {
 	co := s.co
-	ct := &co.ct.decode
+	ct := &co.stats.DecodeCounters
 	if u.WrongPath {
-		ct.wrongPath.Inc()
-		ct.tdBadSpec.Inc()
+		ct.WrongPathInstructions++
+		ct.TopDown.BadSpeculation++
 	} else {
-		ct.tdRetiring.Inc()
+		ct.TopDown.Retiring++
 	}
 
 	switch {
@@ -182,24 +182,24 @@ func (s *decodeStage) NextEventAt(now int64) int64 {
 // constant blocking episode.
 func (s *decodeStage) AccountStall(now int64, n int64) {
 	co := s.co
-	ct := &co.ct.decode
+	ct := &co.stats.DecodeCounters
 	width := uint64(co.cfg.DecodeWidth)
 	nn := uint64(n)
 	if co.rob.Full() {
-		ct.tdBackend.Add(width * nn)
+		ct.TopDown.BackendBound += width * nn
 		return
 	}
-	ct.tdFrontend.Add(width * nn)
-	ct.decodeStarved.Add(nn)
+	ct.TopDown.FrontendBound += width * nn
+	ct.DecodeStarvedCycles += nn
 	switch {
 	case s.blockingEpisodeStarveN(now, n):
-		ct.starvedOnMiss.Add(nn)
+		ct.StarvedOnMiss += nn
 	case co.ifuEntry == nil && co.ftq.Len() == 0:
-		ct.starveNoEntry.Add(nn)
+		ct.StarveNoEntry += nn
 	case co.decodeQ.Len() > 0:
-		ct.starvePipe.Add(nn)
+		ct.StarvePipe += nn
 	default:
-		ct.starveOther.Add(nn)
+		ct.StarveOther += nn
 	}
 }
 

@@ -88,7 +88,7 @@ func (s *predictStage) predictOne(now int64) {
 	for _, r := range co.reqBuf {
 		// Duplicate suppression against the FTQ (§6.2).
 		if co.ftq.Contains(r.Line) {
-			co.ct.prefetch.pfDroppedFTQ.Inc()
+			co.stats.PFDroppedFTQ++
 			continue
 		}
 		if co.pfSet != nil {

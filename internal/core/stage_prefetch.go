@@ -58,7 +58,7 @@ func (s *prefetchDrainStage) drainRetireEmitter(now int64) {
 	co.reqBuf = co.pfEmitter.TakePending(co.reqBuf[:0])
 	for _, r := range co.reqBuf {
 		if co.ftq.Contains(r.Line) {
-			co.ct.prefetch.pfDroppedFTQ.Inc()
+			co.stats.PFDroppedFTQ++
 			continue
 		}
 		if co.pfSet != nil {

@@ -29,14 +29,14 @@ func (s *resteerStage) Tick(now int64) {
 	ev := co.pendingResteer
 	co.hasResteer = false
 
-	ct := &co.ct.resteer
+	ct := &co.stats.ResteerCounters
 	switch ev.Cause {
 	case frontend.ResteerBTBMiss:
-		ct.btbMiss.Inc()
+		ct.ResteerBTBMiss++
 	case frontend.ResteerReturn:
-		ct.ret.Inc()
+		ct.ResteerReturn++
 	default:
-		ct.mispredict.Inc()
+		ct.ResteerMispredict++
 	}
 
 	// Flush speculative front-end state, recycling the flushed entries

@@ -49,11 +49,11 @@ func (s *retireStage) NextEventAt(now int64) int64 {
 
 func (s *retireStage) retireUop(u *frontend.Uop) {
 	co := s.co
-	ct := &co.ct.retire
+	ct := &co.stats.RetireCounters
 	co.retired++
-	ct.instructions.Inc()
+	ct.Instructions++
 	if co.sampleEvery > 0 {
-		if n := ct.instructions.Load(); n%co.sampleEvery == 0 {
+		if n := ct.Instructions; n%co.sampleEvery == 0 {
 			s := metrics.Sample{Instructions: n, Metrics: co.reg.Snapshot()}
 			co.samples = append(co.samples, s)
 			if co.sampleHook != nil {
@@ -82,32 +82,32 @@ func (s *retireStage) retireUop(u *frontend.Uop) {
 // and feeds EMISSARY promotion and the prefetcher (§2.1, §4.1, §4.2).
 func (s *retireStage) processEpisode(ep *frontend.LineEpisode) {
 	co := s.co
-	ct := &co.ct.retire
+	ct := &co.stats.RetireCounters
 	if invariant.Enabled && ep.DoneCycle < ep.FetchCycle {
 		invariant.Failf("retire: episode for line %#x completes at %d, before its fetch at %d",
 			uint64(ep.Line), ep.DoneCycle, ep.FetchCycle)
 	}
-	ct.linesRetired.Inc()
+	ct.LinesRetired++
 	fec := ep.Missed && ep.Starve > 0
 	highCost := fec && ep.Starve > co.cfg.HighCostThreshold
 
 	if ep.WasPrefetch && ep.ResteerTrigger != 0 && !fec {
-		ct.shadowCovered.Inc()
+		ct.ShadowCovered++
 	}
 	if fec {
 		co.recordFECDiagnostics(ep)
-		ct.fecLines.Inc()
+		ct.FECLines++
 		if ep.WasPrefetch {
-			ct.fecCoveredLate.Inc()
+			ct.FECCoveredLate++
 		}
 		if _, seen := co.fecEver[ep.Line]; seen {
-			ct.fecRepeatLines.Inc()
+			ct.FECRepeatLines++
 		}
-		ct.fecStallCycles.Add(uint64(ep.Starve))
+		ct.FECStallCycles += uint64(ep.Starve)
 		if highCost {
-			ct.highCostFECLines.Inc()
+			ct.HighCostFECLines++
 			if ep.BackendEmpty {
-				ct.highCostBackend.Inc()
+				ct.HighCostBackend++
 			}
 		}
 		co.fecEver[ep.Line] = struct{}{}
@@ -116,7 +116,7 @@ func (s *retireStage) processEpisode(ep *frontend.LineEpisode) {
 			co.hier.PromoteInstLine(ep.Line)
 		}
 	} else if ep.Starve > 0 {
-		ct.nonFECStall.Add(uint64(ep.Starve))
+		ct.NonFECStall += uint64(ep.Starve)
 	}
 
 	co.pf.OnLineRetired(prefetch.RetireEvent{

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"testing"
 
 	"pdip/internal/checkpoint"
@@ -96,13 +97,13 @@ func TestDecodeStageStarvationAttribution(t *testing.T) {
 	// Empty latch, empty FTQ, no IFU entry: a starved cycle attributed to
 	// the no-entry bucket, with the full width counted front-end bound.
 	ds.Tick(1)
-	if got := co.ct.decode.decodeStarved.Load(); got != 1 {
+	if got := co.stats.DecodeStarvedCycles; got != 1 {
 		t.Fatalf("decodeStarved = %d, want 1", got)
 	}
-	if got := co.ct.decode.starveNoEntry.Load(); got != 1 {
+	if got := co.stats.StarveNoEntry; got != 1 {
 		t.Fatalf("starveNoEntry = %d, want 1", got)
 	}
-	if got := co.ct.decode.tdFrontend.Load(); got != uint64(co.cfg.DecodeWidth) {
+	if got := co.stats.TopDown.FrontendBound; got != uint64(co.cfg.DecodeWidth) {
 		t.Fatalf("tdFrontend = %d, want DecodeWidth=%d", got, co.cfg.DecodeWidth)
 	}
 }
@@ -117,7 +118,7 @@ func TestDecodeStageMovesReadyUops(t *testing.T) {
 	if co.rob.Len() != 0 {
 		t.Fatal("decode moved uops before AvailableAt")
 	}
-	if got := co.ct.decode.decodeStarved.Load(); got != 1 {
+	if got := co.stats.DecodeStarvedCycles; got != 1 {
 		t.Fatalf("decodeStarved = %d, want 1 (work in latch, none ready)", got)
 	}
 	ds.Tick(5)
@@ -162,7 +163,7 @@ func TestResteerStageSquashesWrongPath(t *testing.T) {
 	if co.rob.Len() != 1 {
 		t.Fatalf("ROB holds %d after squash, want 1", co.rob.Len())
 	}
-	if got := co.ct.resteer.mispredict.Load(); got != 1 {
+	if got := co.stats.ResteerMispredict; got != 1 {
 		t.Fatalf("mispredict resteer counter = %d, want 1", got)
 	}
 	if co.iagResumeAt != 10+int64(co.cfg.ResteerPenalty) {
@@ -191,13 +192,13 @@ func TestRetireStageRetiresAndCounts(t *testing.T) {
 	}
 	// The shared episode is processed exactly once and met the FEC
 	// conditions (missed, starved).
-	if got := co.ct.retire.linesRetired.Load(); got != 1 {
+	if got := co.stats.LinesRetired; got != 1 {
 		t.Fatalf("linesRetired = %d, want 1 (episode processed once)", got)
 	}
-	if got := co.ct.retire.fecLines.Load(); got != 1 {
+	if got := co.stats.FECLines; got != 1 {
 		t.Fatalf("fecLines = %d, want 1", got)
 	}
-	if got := co.ct.retire.fecStallCycles.Load(); got != 5 {
+	if got := co.stats.FECStallCycles; got != 5 {
 		t.Fatalf("fecStallCycles = %d, want 5", got)
 	}
 	if !co.isFECEver(ep.Line) {
@@ -238,5 +239,45 @@ func TestStepTicksWholePipeline(t *testing.T) {
 		r.Core.TopDown.FrontendBound + r.Core.TopDown.BackendBound
 	if want := r.Core.Cycles * uint64(co.cfg.DecodeWidth); slots != want {
 		t.Fatalf("top-down slots %d != cycles×width %d", slots, want)
+	}
+}
+
+// TestFTQOccupancyBuckets pins the FTQ-occupancy histogram the cycle loop
+// keeps in PipeCounters: a counted cycle lands in the first bucket whose
+// bound is at least the occupancy (the overflow bucket past 24), the sum
+// totals the occupancy of every cycle, and the sample count is the cycle
+// count.
+func TestFTQOccupancyBuckets(t *testing.T) {
+	c := testConfig(11)
+	c.FTQDepth = 32
+	co := MustNew(testProgram(11), c)
+	names := []string{"le_0", "le_2", "le_4", "le_8", "le_12", "le_16", "le_20", "le_24", "overflow"}
+	bounds := []uint64{0, 2, 4, 8, 12, 16, 20, 24}
+	want := map[string]uint64{}
+	var sum, cycles uint64
+	predict := stageOf(t, co, "predict")
+	for tick := int64(1); tick <= 16; tick++ {
+		occ := uint64(co.ftq.Len())
+		n := uint64(tick) // a different cycle count per occupancy
+		co.countCycles(n)
+		want[names[sort.Search(len(bounds), func(i int) bool { return bounds[i] >= occ })]] += n
+		sum += occ * n
+		cycles += n
+		predict.Tick(tick)
+	}
+	if want["overflow"] == 0 {
+		t.Fatalf("FTQ never passed 24 entries (at %d): the overflow bucket is untested", co.ftq.Len())
+	}
+	snap := co.MetricsSnapshot()
+	for _, n := range names {
+		if got := snap.Counters["frontend.ftq_occupancy."+n]; got != want[n] {
+			t.Errorf("frontend.ftq_occupancy.%s = %d, want %d", n, got, want[n])
+		}
+	}
+	if got := snap.Counters["frontend.ftq_occupancy.count"]; got != cycles || snap.Counters["core.cycles"] != cycles {
+		t.Errorf("count = %d, core.cycles = %d, want both %d", got, snap.Counters["core.cycles"], cycles)
+	}
+	if got := snap.Gauges["frontend.ftq_occupancy.sum"]; got != float64(sum) {
+		t.Errorf("sum = %v, want %d", got, sum)
 	}
 }

@@ -6,9 +6,9 @@ import "pdip/internal/metrics"
 // table's accounting under "eip". Bindings are snapshot-time views over
 // Stats, so ResetStats is reflected automatically.
 func (e *EIP) RegisterMetrics(reg *metrics.Registry) {
-	reg.CounterFunc("eip.entangled", func() uint64 { return e.Stats.Entangled })
-	reg.CounterFunc("eip.no_source", func() uint64 { return e.Stats.NoSource })
-	reg.CounterFunc("eip.lookups", func() uint64 { return e.Stats.Lookups })
-	reg.CounterFunc("eip.hits", func() uint64 { return e.Stats.Hits })
-	reg.Gauge("eip.storage_kb").Set(e.StorageKB())
+	reg.Counter("eip.entangled", &e.Stats.Entangled)
+	reg.Counter("eip.no_source", &e.Stats.NoSource)
+	reg.Counter("eip.lookups", &e.Stats.Lookups)
+	reg.Counter("eip.hits", &e.Stats.Hits)
+	reg.Gauge("eip.storage_kb", metrics.Const(e.StorageKB()))
 }

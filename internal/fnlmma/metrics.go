@@ -6,8 +6,8 @@ import "pdip/internal/metrics"
 // training/emission accounting under "fnlmma". Bindings are snapshot-time
 // views over Stats, so ResetStats is reflected automatically.
 func (f *FNLMMA) RegisterMetrics(reg *metrics.Registry) {
-	reg.CounterFunc("fnlmma.fnl_emitted", func() uint64 { return f.Stats.FNLEmitted })
-	reg.CounterFunc("fnlmma.mma_emitted", func() uint64 { return f.Stats.MMAEmitted })
-	reg.CounterFunc("fnlmma.trained", func() uint64 { return f.Stats.Trained })
-	reg.Gauge("fnlmma.storage_kb").Set(f.StorageKB())
+	reg.Counter("fnlmma.fnl_emitted", &f.Stats.FNLEmitted)
+	reg.Counter("fnlmma.mma_emitted", &f.Stats.MMAEmitted)
+	reg.Counter("fnlmma.trained", &f.Stats.Trained)
+	reg.Gauge("fnlmma.storage_kb", metrics.Const(f.StorageKB()))
 }

@@ -2,19 +2,29 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
+	"go/types"
 	"sort"
 	"strings"
 )
 
-// CounterOwnership enforces the single-writer discipline of the per-stage
-// counter groups (internal/core/metrics.go): a counter reached through a
-// group struct named `<group>Counters` may only be incremented (Inc, Add,
-// Observe) from the file that owns the group. Ownership defaults to
-// `stage_<group>.go`; a `//lint:owner file.go [file.go ...]` directive in
-// the group type's doc comment overrides the owner set (the pipe group is
-// owned by core.go's cycle loop, the prefetch group is shared by the two
-// stages that enqueue prefetches). metrics.go — the registration and
-// snapshot site — is always allowed. Reads (Load) are unrestricted.
+// CounterOwnership enforces the single-writer discipline of the counter
+// groups: a field reached through a struct type named `<group>Counters`
+// (directly, through a pointer, or promoted through a record that embeds
+// the group, as checkpoint.CoreStats does) may only be written, by `=`,
+// `op=`, `++` or `--` and array elements included, from the files that
+// own the group. Ownership defaults to `stage_<group>.go`, the group name
+// lower-cased (RetireCounters → stage_retire.go); a `//lint:owner file.go
+// [file.go ...]` directive in the group type's doc comment replaces the
+// owner set (the pipe group is owned by core.go's cycle loop, the prefetch
+// group is shared by the two stages that enqueue prefetches). Owners are
+// file names in the writing package, wherever the group is declared:
+// internal/checkpoint declares the core's and the uncore's groups, and
+// internal/core and internal/uncore write them. Reads are unrestricted.
+//
+// The per-package pass exports the package's group declarations and its
+// writes as a fact; the program pass matches them, so a group declared in
+// a package outside the run is not checked.
 type CounterOwnership struct{}
 
 // Name implements Analyzer.
@@ -22,66 +32,76 @@ func (*CounterOwnership) Name() string { return "counterownership" }
 
 // Doc implements Analyzer.
 func (*CounterOwnership) Doc() string {
-	return "counters are incremented only from the pipeline-stage file that owns their group"
+	return "counter fields are written only from the files that own their group"
 }
-
-// incMethods are the mutating metric methods the ownership contract
-// restricts.
-var incMethods = map[string]bool{"Inc": true, "Add": true, "Observe": true}
 
 const groupSuffix = "Counters"
 
+// counterFact is one package's group declarations (type key → owner
+// files) and counter writes.
+type counterFact struct {
+	groups map[string]map[string]bool
+	writes []counterWrite
+}
+
+// counterWrite is one write to a field of a group.
+type counterWrite struct {
+	pos   token.Pos
+	file  string
+	group *types.TypeName
+	field string
+}
+
 // Check implements Analyzer.
 func (c *CounterOwnership) Check(p *Package, rep *Reporter) {
-	owners := c.ownership(p)
-	if len(owners) == 0 {
-		return
+	fact := &counterFact{groups: c.ownership(p)}
+	write := func(lhs ast.Expr) {
+		if group, field := counterGroup(p, lhs); group != nil {
+			fact.writes = append(fact.writes, counterWrite{lhs.Pos(), p.FileOf(lhs.Pos()), group, field})
+		}
 	}
-	module := moduleOf(p.ImportPath)
-	metricsPkg := module + "/internal/metrics"
-
 	for _, file := range p.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			recv, recvType, method, ok := methodCall(p, call)
-			if !ok || !incMethods[method] {
-				return true
-			}
-			// The callee must be a metric primitive (Counter/Histogram).
-			if pkg, _ := typeDeclPkg(recvType); pkg != metricsPkg {
-				return true
-			}
-			// The metric must be reached as a field of a group struct:
-			// <groupExpr>.<counterField>.Inc().
-			sel, ok := recv.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			groupPkg, groupType := typeDeclPkg(p.Info.TypeOf(sel.X))
-			if groupPkg != p.ImportPath || !strings.HasSuffix(groupType, groupSuffix) || len(groupType) == len(groupSuffix) {
-				return true
-			}
-			group := strings.TrimSuffix(groupType, groupSuffix)
-			allowed, known := owners[group]
-			if !known {
-				return true
-			}
-			f := p.FileOf(call.Pos())
-			if !allowed[f] {
-				rep.Reportf(c.Name(), call.Pos(),
-					"counter %s.%s incremented in %s, but group %q is owned by %s (see %s's ownership groups)",
-					groupType, selName(sel), f, group, ownerList(allowed), "metrics.go")
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if n.Tok != token.DEFINE {
+					for _, lhs := range n.Lhs {
+						write(lhs)
+					}
+				}
+			case *ast.IncDecStmt:
+				write(n.X)
 			}
 			return true
 		})
 	}
+	rep.Facts().ExportPackageFact(c.Name(), p.ImportPath, fact)
 }
 
-// ownership builds group → allowed-files from the package's
-// `<group>Counters` type declarations.
+// CheckProgram implements WholeProgram: every write must come from a file
+// that owns the written group.
+func (c *CounterOwnership) CheckProgram(prog *Program, rep *Reporter) {
+	facts := prog.Facts.AllPackageFacts(c.Name())
+	owners := map[string]map[string]bool{}
+	for _, f := range facts {
+		for group, allowed := range f.Fact.(*counterFact).groups {
+			owners[group] = allowed
+		}
+	}
+	for _, f := range facts {
+		for _, w := range f.Fact.(*counterFact).writes {
+			allowed, known := owners[w.group.Pkg().Path()+"."+w.group.Name()]
+			if known && !allowed[w.file] {
+				rep.Reportf(c.Name(), w.pos,
+					"counter %s.%s written in %s, but group %s is owned by %s",
+					w.group.Name(), w.field, w.file, w.group.Name(), ownerList(allowed))
+			}
+		}
+	}
+}
+
+// ownership builds group type key → allowed files from the package's
+// `<group>Counters` struct declarations.
 func (c *CounterOwnership) ownership(p *Package) map[string]map[string]bool {
 	owners := map[string]map[string]bool{}
 	for _, file := range p.Files {
@@ -92,17 +112,13 @@ func (c *CounterOwnership) ownership(p *Package) map[string]map[string]bool {
 			}
 			for _, spec := range gd.Specs {
 				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				name := ts.Name.Name
-				if !strings.HasSuffix(name, groupSuffix) || len(name) == len(groupSuffix) {
+				if !ok || !isGroupName(ts.Name.Name) {
 					continue
 				}
 				if _, ok := ts.Type.(*ast.StructType); !ok {
 					continue
 				}
-				group := strings.TrimSuffix(name, groupSuffix)
+				group := strings.ToLower(strings.TrimSuffix(ts.Name.Name, groupSuffix))
 				allowed := map[string]bool{"stage_" + group + ".go": true}
 				for _, doc := range []*ast.CommentGroup{gd.Doc, ts.Doc} {
 					if files := ownerDirective(doc); files != nil {
@@ -112,14 +128,61 @@ func (c *CounterOwnership) ownership(p *Package) map[string]map[string]bool {
 						}
 					}
 				}
-				// The registration/snapshot site is always a legal writer
-				// home (construction, statsCore, derived metrics).
-				allowed["metrics.go"] = true
-				owners[group] = allowed
+				owners[p.ImportPath+"."+ts.Name.Name] = allowed
 			}
 		}
 	}
 	return owners
+}
+
+func isGroupName(name string) bool {
+	return strings.HasSuffix(name, groupSuffix) && len(name) > len(groupSuffix)
+}
+
+// counterGroup returns the group and field an assignment target writes:
+// the first field, walking from the target inwards through selectors,
+// indexes and dereferences, that a `<group>Counters` struct declares.
+func counterGroup(p *Package, e ast.Expr) (*types.TypeName, string) {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			sel := p.Info.Selections[x]
+			if sel == nil || sel.Kind() != types.FieldVal {
+				return nil, ""
+			}
+			if decl := declaringStruct(sel); decl != nil && isGroupName(decl.Obj().Name()) {
+				return decl.Obj(), x.Sel.Name
+			}
+			e = x.X
+		default:
+			return nil, ""
+		}
+	}
+}
+
+// declaringStruct returns the named struct that declares a field
+// selection's field: the receiver itself, or for a promoted field the
+// embedded type the promotion path ends in.
+func declaringStruct(sel *types.Selection) *types.Named {
+	t := sel.Recv()
+	path := sel.Index()
+	for _, i := range path[:len(path)-1] {
+		if ptr, ok := t.(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		st, ok := t.Underlying().(*types.Struct)
+		if !ok {
+			return nil
+		}
+		t = st.Field(i).Type()
+	}
+	return namedOf(t)
 }
 
 // ownerDirective extracts the file list of a `//lint:owner a.go b.go`
@@ -145,6 +208,3 @@ func ownerList(allowed map[string]bool) string {
 	sort.Strings(names)
 	return strings.Join(names, ", ")
 }
-
-// selName returns the selected field name of a selector expression.
-func selName(sel *ast.SelectorExpr) string { return sel.Sel.Name }

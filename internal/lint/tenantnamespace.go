@@ -20,9 +20,9 @@ import (
 //     with (or masquerade as) another tenant's namespaced counters.
 //
 // The check fires on the name argument of the metrics.Registry
-// registration methods (Counter, Gauge, Histogram, CounterFunc, GaugeFunc)
-// whenever it is resolvable at lint time: a constant string (including
-// concatenations) or a fmt.Sprintf whose format string is constant.
+// registration methods (Counter, Gauge) whenever it is resolvable at lint
+// time: a constant string (including concatenations) or a fmt.Sprintf
+// whose format string is constant.
 type TenantNamespace struct{}
 
 // Name implements Analyzer.
@@ -34,10 +34,7 @@ func (*TenantNamespace) Doc() string {
 }
 
 // registerMethods are the metrics.Registry methods that mint a name.
-var registerMethods = map[string]bool{
-	"Counter": true, "Gauge": true, "Histogram": true,
-	"CounterFunc": true, "GaugeFunc": true,
-}
+var registerMethods = map[string]bool{"Counter": true, "Gauge": true}
 
 // Check implements Analyzer.
 func (c *TenantNamespace) Check(p *Package, rep *Reporter) {

@@ -1,8 +1,11 @@
 package core
 
-import "corpus/internal/metrics"
+import (
+	"corpus/internal/ctrs"
+	"corpus/internal/metrics"
+)
 
-// counters groups the stage-owned counters, as the real core does.
+// counters groups the stage-owned counters declared in this package.
 type counters struct {
 	retire retireCounters
 	pipe   pipeCounters
@@ -11,22 +14,26 @@ type counters struct {
 // retireCounters is owned by the retire stage (default ownership:
 // stage_retire.go).
 type retireCounters struct {
-	instructions *metrics.Counter
-	occ          *metrics.Histogram
+	instructions uint64
+	occ          [3]uint64
 }
 
 // pipeCounters is owned by the cycle loop, not a stage file.
 //
 //lint:owner core.go
 type pipeCounters struct {
-	cycles *metrics.Counter
+	cycles uint64
 }
 
-func newCounters() counters {
-	c := counters{
-		retire: retireCounters{instructions: &metrics.Counter{}, occ: &metrics.Histogram{}},
-		pipe:   pipeCounters{cycles: &metrics.Counter{}},
-	}
-	c.retire.instructions.Add(0)
-	return c
+// core holds the local groups and a record of groups declared in ctrs.
+type core struct {
+	ct    counters
+	stats ctrs.Stats
+}
+
+// register binds counters by address, which writes nothing: must pass.
+func (c *core) register(reg *metrics.Registry) {
+	reg.Counter("core.instructions", &c.ct.retire.instructions)
+	reg.Counter("core.cycles", &c.ct.pipe.cycles)
+	reg.Counter("core.retired", &c.stats.Retired)
 }

@@ -2,50 +2,11 @@
 // method surface for the corpus packages to exercise the analyzers.
 package metrics
 
-// Counter is a monotonically increasing metric.
-type Counter struct{ v uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v += n }
-
-// Load reads the current value.
-func (c *Counter) Load() uint64 { return c.v }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.v = 0 }
-
-// Histogram records a distribution.
-type Histogram struct{ n uint64 }
-
-// Observe records one sample.
-func (h *Histogram) Observe(v uint64) { h.n += v }
-
-// Gauge is a point-in-time value.
-type Gauge struct{ v float64 }
-
-// Set records the value.
-func (g *Gauge) Set(v float64) { g.v = v }
-
-// Registry names and owns metrics.
+// Registry names the counters and gauges components keep.
 type Registry struct{}
 
-// Counter registers a counter under name.
-func (r *Registry) Counter(name string) *Counter { _ = name; return &Counter{} }
+// Counter binds the counter at v under name.
+func (r *Registry) Counter(name string, v *uint64) { _, _ = name, v }
 
-// Gauge registers a gauge under name.
-func (r *Registry) Gauge(name string) *Gauge { _ = name; return &Gauge{} }
-
-// Histogram registers a histogram under name.
-func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
-	_, _ = name, bounds
-	return &Histogram{}
-}
-
-// CounterFunc binds a read-only counter under name.
-func (r *Registry) CounterFunc(name string, fn func() uint64) { _, _ = name, fn }
-
-// GaugeFunc binds a read-only gauge under name.
-func (r *Registry) GaugeFunc(name string, fn func() float64) { _, _ = name, fn }
+// Gauge binds a derived value under name.
+func (r *Registry) Gauge(name string, fn func() float64) { _, _ = name, fn }

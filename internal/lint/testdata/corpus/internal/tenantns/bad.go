@@ -9,18 +9,20 @@ import (
 	"corpus/internal/metrics"
 )
 
+var v uint64
+
+func zero() float64 { return 0 }
+
 // Register wires this package's counters into reg.
 func Register(reg *metrics.Registry, id int) {
-	reg.Counter("core.retired")                                                  // fine: own namespace
-	reg.Counter("uncore.l2.sneaky")                                              // want:tenantnamespace
-	reg.Gauge("uncore.occupancy")                                                // want:tenantnamespace
-	reg.Histogram("uncore.latency", 1, 2, 4)                                     // want:tenantnamespace
-	reg.CounterFunc("uncore.l3.fills", func() uint64 { return 0 })               // want:tenantnamespace
-	reg.Counter(fmt.Sprintf("uncore.tenant%d.requests", id))                     // want:tenantnamespace
-	reg.Counter("tenant0.ipc")                                                   // want:tenantnamespace
-	reg.GaugeFunc(fmt.Sprintf("tenant%d.mpki", id), func() float64 { return 0 }) // want:tenantnamespace
-	reg.Counter("tenancy.total")                                                 // fine: "tenant" not followed by an index
-	reg.Counter(prefix + ".hits")                                                // fine: non-constant-prefix names are out of scope
+	reg.Counter("core.retired", &v)                              // fine: own namespace
+	reg.Counter("uncore.l2.sneaky", &v)                          // want:tenantnamespace
+	reg.Gauge("uncore.occupancy", zero)                          // want:tenantnamespace
+	reg.Counter(fmt.Sprintf("uncore.tenant%d.requests", id), &v) // want:tenantnamespace
+	reg.Counter("tenant0.ipc", &v)                               // want:tenantnamespace
+	reg.Gauge(fmt.Sprintf("tenant%d.mpki", id), zero)            // want:tenantnamespace
+	reg.Counter("tenancy.total", &v)                             // fine: "tenant" not followed by an index
+	reg.Counter(prefix+".hits", &v)                              // fine: non-constant-prefix names are out of scope
 }
 
 var prefix = pick()

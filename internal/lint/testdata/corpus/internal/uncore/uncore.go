@@ -9,10 +9,12 @@ import (
 	"corpus/internal/metrics"
 )
 
+var hits, requests, fills, cycles uint64
+
 // Register mints the shared-level namespaces — all legal here.
 func Register(reg *metrics.Registry, id int) {
-	reg.Counter("uncore.l2.hits")
-	reg.Counter(fmt.Sprintf("uncore.tenant%d.requests", id))
-	reg.CounterFunc("uncore.l3.fills", func() uint64 { return 0 })
-	reg.Counter("tenant1.cycles") // want:tenantnamespace
+	reg.Counter("uncore.l2.hits", &hits)
+	reg.Counter(fmt.Sprintf("uncore.tenant%d.requests", id), &requests)
+	reg.Gauge("uncore.l3.fill_rate", func() float64 { return float64(fills) })
+	reg.Counter("tenant1.cycles", &cycles) // want:tenantnamespace
 }

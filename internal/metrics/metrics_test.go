@@ -1,81 +1,55 @@
 package metrics
 
 import (
-	"bytes"
+	"encoding/json"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 )
 
+// TestCounterOwnership pins that a registry holds no value of its own: a
+// bound counter reads its owner's field at snapshot time, so the owner's
+// writes and resets are all the state there is.
 func TestCounterOwnership(t *testing.T) {
+	var stats struct{ Events uint64 }
 	r := NewRegistry()
-	c := r.Counter("a.b")
-	c.Inc()
-	c.Add(4)
-	if c.Load() != 5 {
-		t.Fatalf("Load = %d, want 5", c.Load())
+	r.Counter("a.b", &stats.Events)
+	stats.Events += 5
+	if v, ok := r.Snapshot().Counter("a.b"); !ok || v != 5 {
+		t.Fatalf("snapshot a.b = %d,%v, want 5", v, ok)
 	}
-	// Same name returns the same counter.
-	if r.Counter("a.b") != c {
-		t.Fatal("Counter not idempotent")
-	}
-	s := r.Snapshot()
-	if v, ok := s.Counter("a.b"); !ok || v != 5 {
-		t.Fatalf("snapshot a.b = %d,%v", v, ok)
+	stats.Events = 0
+	if v, _ := r.Snapshot().Counter("a.b"); v != 0 {
+		t.Fatalf("after the owner's reset a.b = %d, want 0", v)
 	}
 }
 
-func TestCounterFuncBindsExternalField(t *testing.T) {
+func TestCounterBindsExternalField(t *testing.T) {
 	r := NewRegistry()
-	var field uint64
-	r.CounterFunc("x.y", func() uint64 { return field })
-	field = 42
+	var field [2]uint64
+	r.Counter("x.y", &field[1])
+	field[1] = 42
 	if v, _ := r.Snapshot().Counter("x.y"); v != 42 {
 		t.Fatalf("bound counter = %d, want 42", v)
 	}
 }
 
+// TestGaugeSurvivesReset pins that gauges describe levels, not
+// accumulation: zeroing the record a counter is bound to leaves a constant
+// gauge as it was.
 func TestGaugeSurvivesReset(t *testing.T) {
+	var stats struct{ Events uint64 }
 	r := NewRegistry()
-	g := r.Gauge("storage.kb")
-	g.Set(43.5)
-	c := r.Counter("events")
-	c.Add(10)
-	r.Reset()
-	if c.Load() != 0 {
+	r.Gauge("storage.kb", Const(43.5))
+	r.Counter("events", &stats.Events)
+	stats.Events = 10
+	stats = struct{ Events uint64 }{}
+	s := r.Snapshot()
+	if s.Counters["events"] != 0 {
 		t.Fatal("counter not reset")
 	}
-	if g.Load() != 43.5 {
-		t.Fatal("gauge should survive Reset")
-	}
-}
-
-func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("occ", 1, 4, 8)
-	for _, v := range []float64{0, 1, 2, 5, 9, 100} {
-		h.Observe(v)
-	}
-	s := r.Snapshot()
-	want := map[string]uint64{
-		"occ.le_1":     2, // 0, 1
-		"occ.le_4":     1, // 2
-		"occ.le_8":     1, // 5
-		"occ.overflow": 2, // 9, 100
-		"occ.count":    6,
-	}
-	for k, v := range want {
-		if got := s.Counters[k]; got != v {
-			t.Errorf("%s = %d, want %d", k, got, v)
-		}
-	}
-	if got := s.Gauges["occ.sum"]; got != 117 {
-		t.Errorf("occ.sum = %v, want 117", got)
-	}
-	h.Reset()
-	if h.Total() != 0 || h.Sum() != 0 {
-		t.Fatal("histogram not reset")
+	if s.Gauges["storage.kb"] != 43.5 {
+		t.Fatal("gauge should survive the reset")
 	}
 }
 
@@ -85,18 +59,10 @@ func TestRegistryPanicsOnKindClash(t *testing.T) {
 			t.Fatal("expected panic on kind clash")
 		}
 	}()
+	var v uint64
 	r := NewRegistry()
-	r.Counter("n")
-	r.Gauge("n")
-}
-
-func TestHistogramPanicsOnBadBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on non-increasing bounds")
-		}
-	}()
-	NewRegistry().Histogram("h", 4, 4)
+	r.Counter("n", &v)
+	r.Gauge("n", Const(0))
 }
 
 func TestSnapshotDiff(t *testing.T) {
@@ -122,19 +88,23 @@ func TestSnapshotDiffIsBitExactOnGauges(t *testing.T) {
 	}
 }
 
+// TestSnapshotJSONRoundTrip holds counters up to 2^53-1 and gauges
+// bit-exact through encoding/json, the encoding the fabric ships
+// snapshots in.
 func TestSnapshotJSONRoundTrip(t *testing.T) {
+	big := uint64(1<<53 - 1)
 	r := NewRegistry()
-	r.Counter("c.big").Add(1<<53 - 1)
-	r.Gauge("g.pi").Set(math.Pi)
-	r.GaugeFunc("g.derived", func() float64 { return 1.0 / 3.0 })
+	r.Counter("c.big", &big)
+	r.Gauge("g.pi", Const(math.Pi))
+	r.Gauge("g.derived", func() float64 { return 1.0 / 3.0 })
 	s := r.Snapshot()
 
-	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
+	data, err := json.Marshal(s)
+	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadSnapshotJSON(&buf)
-	if err != nil {
+	var back Snapshot
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
 	if diff := s.Diff(back); len(diff) != 0 {
@@ -144,40 +114,24 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 
 func TestSnapshotNaNGaugeSanitized(t *testing.T) {
 	r := NewRegistry()
-	r.GaugeFunc("bad", func() float64 { return math.NaN() })
+	r.Gauge("bad", func() float64 { return math.NaN() })
 	if v := r.Snapshot().Gauges["bad"]; v != 0 {
 		t.Fatalf("NaN gauge = %v, want sanitized 0", v)
 	}
 }
 
-func TestSnapshotCSV(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("b").Add(2)
-	r.Counter("a").Add(1)
-	r.Gauge("g").Set(0.5)
-	var buf bytes.Buffer
-	if err := r.Snapshot().WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	want := []string{"kind,name,value", "counter,a,1", "counter,b,2", "gauge,g,0.5"}
-	if !reflect.DeepEqual(lines, want) {
-		t.Fatalf("CSV = %v, want %v", lines, want)
-	}
-}
-
 func TestNamesSortedAndLen(t *testing.T) {
+	var z, c uint64
 	r := NewRegistry()
-	r.Counter("z")
-	r.Gauge("a")
-	r.Histogram("m", 1)
-	r.CounterFunc("c", func() uint64 { return 0 })
-	r.GaugeFunc("d", func() float64 { return 0 })
-	if r.Len() != 5 {
-		t.Fatalf("Len = %d, want 5", r.Len())
+	r.Counter("z", &z)
+	r.Gauge("a", Const(0))
+	r.Counter("c", &c)
+	r.Gauge("d", func() float64 { return 0 })
+	if r.Len() != 4 {
+		t.Fatalf("Len = %d, want 4", r.Len())
 	}
 	names := r.Names()
-	want := []string{"a", "c", "d", "m", "z"}
+	want := []string{"a", "c", "d", "z"}
 	if !reflect.DeepEqual(names, want) {
 		t.Fatalf("Names = %v, want %v", names, want)
 	}

@@ -1,13 +1,11 @@
 package metrics
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"sort"
-	"strconv"
 )
 
 // Snapshot is a stable-ordered view of every registered metric at one
@@ -83,60 +81,6 @@ func (s Snapshot) Diff(o Snapshot) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// WriteJSON writes the snapshot as indented JSON. Map keys marshal in
-// sorted order, so the output is deterministic.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
-// ReadSnapshotJSON parses a snapshot previously written by WriteJSON.
-func ReadSnapshotJSON(r io.Reader) (Snapshot, error) {
-	var s Snapshot
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return Snapshot{}, err
-	}
-	if s.Counters == nil {
-		s.Counters = map[string]uint64{}
-	}
-	if s.Gauges == nil {
-		s.Gauges = map[string]float64{}
-	}
-	return s, nil
-}
-
-// WriteCSV writes "kind,name,value" rows in sorted name order. Gauge
-// values use the shortest representation that round-trips.
-func (s Snapshot) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"kind", "name", "value"}); err != nil {
-		return err
-	}
-	names := make([]string, 0, len(s.Counters))
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if err := cw.Write([]string{"counter", n, strconv.FormatUint(s.Counters[n], 10)}); err != nil {
-			return err
-		}
-	}
-	names = names[:0]
-	for n := range s.Gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		if err := cw.Write([]string{"gauge", n, strconv.FormatFloat(s.Gauges[n], 'g', -1, 64)}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // Sample is one interval snapshot of a run, taken every N retired

@@ -6,13 +6,13 @@ import "pdip/internal/metrics"
 // insertion/lookup accounting under "pdip". Bindings are snapshot-time
 // views over Stats, so ResetStats is reflected automatically.
 func (p *PDIP) RegisterMetrics(reg *metrics.Registry) {
-	reg.CounterFunc("pdip.insert_attempts", func() uint64 { return p.Stats.InsertAttempts })
-	reg.CounterFunc("pdip.insert_filtered", func() uint64 { return p.Stats.InsertFiltered })
-	reg.CounterFunc("pdip.insert_no_trigger", func() uint64 { return p.Stats.InsertNoTrigger })
-	reg.CounterFunc("pdip.insert_return_skipped", func() uint64 { return p.Stats.InsertReturnSkipped })
-	reg.CounterFunc("pdip.inserted", func() uint64 { return p.Stats.Inserted })
-	reg.CounterFunc("pdip.mask_merged", func() uint64 { return p.Stats.MaskMerged })
-	reg.CounterFunc("pdip.lookups", func() uint64 { return p.Stats.Lookups })
-	reg.CounterFunc("pdip.hits", func() uint64 { return p.Stats.Hits })
-	reg.Gauge("pdip.storage_kb").Set(p.StorageKB())
+	reg.Counter("pdip.insert_attempts", &p.Stats.InsertAttempts)
+	reg.Counter("pdip.insert_filtered", &p.Stats.InsertFiltered)
+	reg.Counter("pdip.insert_no_trigger", &p.Stats.InsertNoTrigger)
+	reg.Counter("pdip.insert_return_skipped", &p.Stats.InsertReturnSkipped)
+	reg.Counter("pdip.inserted", &p.Stats.Inserted)
+	reg.Counter("pdip.mask_merged", &p.Stats.MaskMerged)
+	reg.Counter("pdip.lookups", &p.Stats.Lookups)
+	reg.Counter("pdip.hits", &p.Stats.Hits)
+	reg.Gauge("pdip.storage_kb", metrics.Const(p.StorageKB()))
 }

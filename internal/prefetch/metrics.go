@@ -6,13 +6,13 @@ import "pdip/internal/metrics"
 // (conventionally "pq") into reg. Bindings are snapshot-time views over
 // Stats; the enqueue/drain hot path is untouched.
 func (q *Queue) RegisterMetrics(reg *metrics.Registry, prefix string) {
-	reg.CounterFunc(prefix+".enqueued", func() uint64 { return q.Stats.Enqueued })
-	reg.CounterFunc(prefix+".dropped_queue_full", func() uint64 { return q.Stats.DroppedQueueFull })
-	reg.CounterFunc(prefix+".issued", func() uint64 { return q.Stats.Issued })
-	reg.CounterFunc(prefix+".dropped_present", func() uint64 { return q.Stats.DroppedPresent })
-	reg.CounterFunc(prefix+".dropped_mshr", func() uint64 { return q.Stats.DroppedMSHR })
-	reg.CounterFunc(prefix+".trigger.none", func() uint64 { return q.Stats.ByTrigger[TriggerNone] })
-	reg.CounterFunc(prefix+".trigger.mispredict", func() uint64 { return q.Stats.ByTrigger[TriggerMispredict] })
-	reg.CounterFunc(prefix+".trigger.last_taken", func() uint64 { return q.Stats.ByTrigger[TriggerLastTaken] })
-	reg.Gauge(prefix + ".capacity").Set(float64(len(q.entries)))
+	reg.Counter(prefix+".enqueued", &q.Stats.Enqueued)
+	reg.Counter(prefix+".dropped_queue_full", &q.Stats.DroppedQueueFull)
+	reg.Counter(prefix+".issued", &q.Stats.Issued)
+	reg.Counter(prefix+".dropped_present", &q.Stats.DroppedPresent)
+	reg.Counter(prefix+".dropped_mshr", &q.Stats.DroppedMSHR)
+	reg.Counter(prefix+".trigger.none", &q.Stats.ByTrigger[TriggerNone])
+	reg.Counter(prefix+".trigger.mispredict", &q.Stats.ByTrigger[TriggerMispredict])
+	reg.Counter(prefix+".trigger.last_taken", &q.Stats.ByTrigger[TriggerLastTaken])
+	reg.Gauge(prefix+".capacity", metrics.Const(float64(len(q.entries))))
 }

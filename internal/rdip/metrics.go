@@ -6,8 +6,8 @@ import "pdip/internal/metrics"
 // table's accounting under "rdip". Bindings are snapshot-time views over
 // Stats, so ResetStats is reflected automatically.
 func (r *RDIP) RegisterMetrics(reg *metrics.Registry) {
-	reg.CounterFunc("rdip.context_switches", func() uint64 { return r.Stats.ContextSwitches })
-	reg.CounterFunc("rdip.recorded", func() uint64 { return r.Stats.Recorded })
-	reg.CounterFunc("rdip.hits", func() uint64 { return r.Stats.Hits })
-	reg.Gauge("rdip.storage_kb").Set(r.StorageKB())
+	reg.Counter("rdip.context_switches", &r.Stats.ContextSwitches)
+	reg.Counter("rdip.recorded", &r.Stats.Recorded)
+	reg.Counter("rdip.hits", &r.Stats.Hits)
+	reg.Gauge("rdip.storage_kb", metrics.Const(r.StorageKB()))
 }

@@ -8,102 +8,17 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"pdip/internal/checkpoint"
 )
 
-// TopDown is the issue-slot breakdown of the top-down method (Yasin).
-// Slots are counted at the decode/allocation boundary each cycle.
-type TopDown struct {
-	// Retiring slots delivered correct-path instructions that retired.
-	Retiring uint64
-	// BadSpeculation slots delivered wrong-path instructions (squashed).
-	BadSpeculation uint64
-	// FrontendBound slots were empty because the front-end supplied
-	// nothing.
-	FrontendBound uint64
-	// BackendBound slots were empty because the back-end could not accept
-	// (ROB full).
-	BackendBound uint64
-}
+// TopDown is the issue-slot breakdown of the top-down method (Yasin),
+// declared with the checkpoint records.
+type TopDown = checkpoint.TopDown
 
-// Total returns the slot total.
-func (t TopDown) Total() uint64 {
-	return t.Retiring + t.BadSpeculation + t.FrontendBound + t.BackendBound
-}
-
-// Shares returns the four fractions in order retiring, frontend, badspec,
-// backend. A zero total yields zeros.
-func (t TopDown) Shares() (retiring, frontend, badspec, backend float64) {
-	total := float64(t.Total())
-	if total == 0 {
-		return
-	}
-	return float64(t.Retiring) / total, float64(t.FrontendBound) / total,
-		float64(t.BadSpeculation) / total, float64(t.BackendBound) / total
-}
-
-// Core aggregates one simulation run's raw counters.
-type Core struct {
-	// Cycles and Instructions define IPC. Instructions counts retired
-	// (correct-path) instructions only.
-	Cycles       uint64
-	Instructions uint64
-
-	// WrongPathInstructions counts squashed fetches entering the pipeline.
-	WrongPathInstructions uint64
-
-	// Resteers by cause.
-	ResteerMispredict uint64 // conditional/indirect direction or target
-	ResteerBTBMiss    uint64 // taken branch invisible to the IAG
-	ResteerReturn     uint64 // return target mispredicts
-
-	// DecodeStarvedCycles counts cycles decode delivered nothing while
-	// the back-end could accept.
-	DecodeStarvedCycles uint64
-	// StarvedOnMiss counts the subset attributable to an L1I miss.
-	StarvedOnMiss uint64
-	// StarveNoEntry counts starved cycles with an empty FTQ and idle IFU
-	// (post-resteer refill, IAG restart).
-	StarveNoEntry uint64
-	// StarvePipe counts starved cycles where fetched uops were still in
-	// the decode pipe (refill latency).
-	StarvePipe uint64
-	// StarveOther counts the remainder (e.g. waiting on a hit's
-	// delivery, decode-queue backpressure interactions).
-	StarveOther uint64
-
-	// Line-episode accounting (the FEC machinery, §2.1/§3).
-	LinesRetired     uint64 // retired line episodes
-	FECLines         uint64 // episodes meeting the 3 FEC conditions
-	FECRepeatLines   uint64 // FEC episodes whose line was FEC before
-	HighCostFECLines uint64 // FEC with >10 starvation cycles
-	HighCostBackend  uint64 // high-cost FEC that also drained the backend
-	FECStallCycles   uint64 // starvation cycles caused by FEC episodes
-	FECCoveredLate   uint64 // FEC episodes that had consumed a prefetch (late/partial)
-	ShadowCovered    uint64 // resteer-shadow episodes saved by a prefetch (no stall)
-	NonFECStall      uint64 // starvation cycles on non-FEC episodes
-
-	// PFDroppedFTQ counts prefetch requests suppressed because the line
-	// was already covered by a queued FTQ entry (§6.2 duplicate check).
-	PFDroppedFTQ uint64
-
-	TopDown TopDown
-}
-
-// IPC returns instructions per cycle.
-func (c *Core) IPC() float64 {
-	if c.Cycles == 0 {
-		return 0
-	}
-	return float64(c.Instructions) / float64(c.Cycles)
-}
-
-// PerKilo returns events per kilo-instruction.
-func (c *Core) PerKilo(events uint64) float64 {
-	if c.Instructions == 0 {
-		return 0
-	}
-	return float64(events) * 1000 / float64(c.Instructions)
-}
+// Core aggregates one simulation run's raw counters: the core's
+// checkpoint record itself, one embedded group per owning stage.
+type Core = checkpoint.CoreStats
 
 // Speedup returns the relative IPC gain of new over base as a fraction
 // (0.032 == +3.2%).

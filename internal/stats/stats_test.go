@@ -24,7 +24,8 @@ func TestTopDownShares(t *testing.T) {
 }
 
 func TestIPCAndPerKilo(t *testing.T) {
-	c := Core{Cycles: 1000, Instructions: 2500}
+	var c Core
+	c.Cycles, c.Instructions = 1000, 2500
 	if c.IPC() != 2.5 {
 		t.Fatalf("IPC %v", c.IPC())
 	}

@@ -4,7 +4,7 @@
 // — a mem.Port that stamps the requester id onto every message and
 // attributes traffic, drops, and fill latency to that tenant — while the
 // caches themselves track per-owner MSHR occupancy and eviction
-// interference (cache.OwnerStats). All uncore metrics live in the
+// interference (cache.OwnerStats). All uncore metrics are named in the
 // uncore's own registry under the "uncore." namespace; per-core registries
 // never host another tenant's counters (enforced by the tenantnamespace
 // simlint rule).
@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"pdip/internal/cache"
+	"pdip/internal/checkpoint"
 	"pdip/internal/isa"
 	"pdip/internal/mem"
 	"pdip/internal/metrics"
@@ -45,7 +46,10 @@ type Uncore struct {
 
 	chain mem.Port // L2 → L3 → DRAM, shared by every tenant port
 	ports []*tenantPort
-	reg   *metrics.Registry
+	// portStats holds each tenant port's counters, indexed by requester
+	// id; port i counts through &portStats[i].
+	portStats []checkpoint.TenantPortCounters
+	reg       *metrics.Registry
 }
 
 // New builds the shared levels, enables owner tracking when more than one
@@ -80,6 +84,7 @@ func New(cfg Config) (*Uncore, error) {
 	u.L2.RegisterMetrics(u.reg, "uncore.l2")
 	u.L3.RegisterMetrics(u.reg, "uncore.l3")
 	u.ports = make([]*tenantPort, cfg.Requesters)
+	u.portStats = make([]checkpoint.TenantPortCounters, cfg.Requesters)
 	for i := range u.ports {
 		u.ports[i] = newTenantPort(u, i)
 	}
@@ -136,75 +141,54 @@ func (u *Uncore) Metrics() *metrics.Registry { return u.reg }
 func (u *Uncore) MetricsSnapshot() metrics.Snapshot { return u.reg.Snapshot() }
 
 // ResetStats zeroes the shared-level stats, the per-owner interference
-// counters, and the uncore registry — the socket-wide measurement reset
-// after warmup.
+// counters, and the tenant ports' counters — the socket-wide measurement
+// reset after warmup.
 func (u *Uncore) ResetStats() {
-	u.reg.Reset()
+	clear(u.portStats)
 	u.L2.Stats = cache.Stats{}
 	u.L3.Stats = cache.Stats{}
 	u.L2.ResetOwnerStats()
 	u.L3.ResetOwnerStats()
 }
 
-// tenantCounters attributes one requester's uncore traffic. Everything is
-// registered under "uncore.tenant<i>." in the uncore registry — never in
-// a core's registry, so the golden single-core counter set is untouched.
-//
-//lint:owner uncore.go
-type tenantCounters struct {
-	requests   *metrics.Counter
-	l2Hits     *metrics.Counter
-	l3Hits     *metrics.Counter
-	memFills   *metrics.Counter
-	l2Misses   *metrics.Counter
-	l3Misses   *metrics.Counter
-	drops      *metrics.Counter
-	fillCycles *metrics.Counter
-}
-
 // tenantPort is requester i's view of the shared chain: it stamps the
 // requester id on every message (the cache-level owner attribution keys
-// off it) and counts the reply.
+// off it) and counts the reply into the uncore's portStats[i].
 type tenantPort struct {
 	id   uint8
 	down mem.Port
-	ct   tenantCounters
+	ct   *checkpoint.TenantPortCounters
 }
 
 func newTenantPort(u *Uncore, i int) *tenantPort {
 	prefix := fmt.Sprintf("uncore.tenant%d", i)
-	p := &tenantPort{
-		id:   uint8(i),
-		down: u.chain,
-		ct: tenantCounters{
-			requests:   u.reg.Counter(prefix + ".requests"),
-			l2Hits:     u.reg.Counter(prefix + ".l2_hits"),
-			l3Hits:     u.reg.Counter(prefix + ".l3_hits"),
-			memFills:   u.reg.Counter(prefix + ".mem_fills"),
-			l2Misses:   u.reg.Counter(prefix + ".l2_misses"),
-			l3Misses:   u.reg.Counter(prefix + ".l3_misses"),
-			drops:      u.reg.Counter(prefix + ".spec_dropped"),
-			fillCycles: u.reg.Counter(prefix + ".fill_cycles"),
-		},
-	}
+	ct := &u.portStats[i]
+	u.reg.Counter(prefix+".requests", &ct.Requests)
+	u.reg.Counter(prefix+".l2_hits", &ct.L2Hits)
+	u.reg.Counter(prefix+".l3_hits", &ct.L3Hits)
+	u.reg.Counter(prefix+".mem_fills", &ct.MemFills)
+	u.reg.Counter(prefix+".l2_misses", &ct.L2Misses)
+	u.reg.Counter(prefix+".l3_misses", &ct.L3Misses)
+	u.reg.Counter(prefix+".spec_dropped", &ct.SpecDropped)
+	u.reg.Counter(prefix+".fill_cycles", &ct.FillCycles)
 	if u.L2.OwnersEnabled() {
 		registerOwnerMetrics(u.reg, prefix+".l2", &u.L2.Owners[i])
 		registerOwnerMetrics(u.reg, prefix+".l3", &u.L3.Owners[i])
 	}
-	return p
+	return &tenantPort{id: uint8(i), down: u.chain, ct: ct}
 }
 
 // registerOwnerMetrics binds one tenant's interference counters at one
 // shared level (cache.OwnerStats fields, maintained by the cache and the
-// port chain) as counter funcs.
+// port chain).
 func registerOwnerMetrics(reg *metrics.Registry, prefix string, o *cache.OwnerStats) {
-	reg.CounterFunc(prefix+".fills", func() uint64 { return o.Fills })
-	reg.CounterFunc(prefix+".mshr_steals", func() uint64 { return o.MSHRSteals })
-	reg.CounterFunc(prefix+".delayed_fills", func() uint64 { return o.DelayedFills })
-	reg.CounterFunc(prefix+".delay_cycles", func() uint64 { return o.DelayCycles })
-	reg.CounterFunc(prefix+".spec_dropped", func() uint64 { return o.SpecDropped })
-	reg.CounterFunc(prefix+".cross_evictions", func() uint64 { return o.CrossEvictionsSuffered })
-	reg.CounterFunc(prefix+".cross_evictions_caused", func() uint64 { return o.CrossEvictionsCaused })
+	reg.Counter(prefix+".fills", &o.Fills)
+	reg.Counter(prefix+".mshr_steals", &o.MSHRSteals)
+	reg.Counter(prefix+".delayed_fills", &o.DelayedFills)
+	reg.Counter(prefix+".delay_cycles", &o.DelayCycles)
+	reg.Counter(prefix+".spec_dropped", &o.SpecDropped)
+	reg.Counter(prefix+".cross_evictions", &o.CrossEvictionsSuffered)
+	reg.Counter(prefix+".cross_evictions_caused", &o.CrossEvictionsCaused)
 }
 
 // Send implements mem.Port.
@@ -222,24 +206,25 @@ func (p *tenantPort) Send(req mem.Req) mem.AccessResult {
 	// contract).
 	req.Line ^= isa.Addr(p.id) << 56
 	res := p.down.Send(req)
-	p.ct.requests.Inc()
+	ct := p.ct
+	ct.Requests++
 	if res.Dropped {
-		p.ct.drops.Inc()
+		ct.SpecDropped++
 		return res
 	}
 	switch res.ServedBy {
 	case mem.LevelL2:
-		p.ct.l2Hits.Inc()
+		ct.L2Hits++
 	case mem.LevelL3:
-		p.ct.l2Misses.Inc()
-		p.ct.l3Hits.Inc()
+		ct.L2Misses++
+		ct.L3Hits++
 	case mem.LevelMem:
-		p.ct.l2Misses.Inc()
-		p.ct.l3Misses.Inc()
-		p.ct.memFills.Inc()
+		ct.L2Misses++
+		ct.L3Misses++
+		ct.MemFills++
 	}
 	if res.Done > req.At {
-		p.ct.fillCycles.Add(uint64(res.Done - req.At))
+		ct.FillCycles += uint64(res.Done - req.At)
 	}
 	return res
 }
