@@ -74,15 +74,20 @@ check-invariant:
 	$(GO) test -tags siminvariant ./...
 
 # Short fuzzing smoke over the property-based targets. Lengthen
-# -fuzztime for real fuzzing sessions.
+# -fuzztime for real fuzzing sessions. Minimization is bounded at 100
+# execs per interesting input: under the engine's default, up to 60 s
+# each, a 10 s smoke of FuzzBinaryCheckpointDecode from a fresh cache
+# spends its time minimizing KB-sized inputs and finds 1 new input (51
+# to 72 with the bound, on a 2-vCPU host). A failure still fails, with a
+# less minimized reproducer.
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzCacheSetVsShadow$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/bpu -run '^$$' -fuzz '^FuzzTAGEIndexFold$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/pdip -run '^$$' -fuzz '^FuzzPDIPTableInsertLookup$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/trace/champsim -run '^$$' -fuzz '^FuzzChampSimDecode$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzBinaryCheckpointDecode$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzBinarySocketDecode$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzCacheSetVsShadow$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x
+	$(GO) test ./internal/bpu -run '^$$' -fuzz '^FuzzTAGEIndexFold$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x
+	$(GO) test ./internal/pdip -run '^$$' -fuzz '^FuzzPDIPTableInsertLookup$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x
+	$(GO) test ./internal/trace/champsim -run '^$$' -fuzz '^FuzzChampSimDecode$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x
+	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzBinaryCheckpointDecode$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x
+	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzBinarySocketDecode$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x
 
 # Trace front-end suite: the ChampSim codec/source unit tests plus the
 # harness-level round-trip, checkpoint, and warm-fork trace tests.

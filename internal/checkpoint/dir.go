@@ -91,12 +91,12 @@ const DefaultCacheBytes = 256 << 20
 // the budget bounds the memory the cache actually holds.
 //
 // A Dir with an empty path is memory-only: it never reads, writes,
-// touches or collects files, and Load finds only what Save or Put put in
-// memory.
+// touches or collects files, and Load finds only what Save or Resolve put
+// in memory.
 //
-// All methods are safe for concurrent use; concurrent Loads of the same
-// key are singleflighted so a cold tuple is read and decoded once, not
-// once per caller.
+// All methods are safe for concurrent use; concurrent Resolves (and
+// Loads) of the same key are singleflighted so a cold tuple is read and
+// decoded, or warmed, once, not once per caller.
 type Dir struct {
 	path       string
 	cacheBytes int64
@@ -157,24 +157,28 @@ func (l *dirList) moveFront(e *dirEntry) {
 	l.pushFront(e)
 }
 
-// dirLoad is one in-flight disk load, singleflighted per key.
+// dirLoad is one in-flight resolution, singleflighted per key. warm
+// records that its leader could warm on a miss, so a miss it settles is
+// final; a look-only leader's miss is not, to a waiter that can warm.
 type dirLoad struct {
 	done chan struct{}
 	st   *State
 	err  error
+	warm bool
 }
 
 // DirStats counts the store's traffic since construction.
 type DirStats struct {
-	// CacheHits counts Loads and Gets served decoded from memory
-	// (including singleflight waiters that blocked on a leader's disk
-	// load).
+	// CacheHits counts resolutions (Resolve, Load) served decoded from
+	// memory, including waiters that blocked on a leader's load or warm.
 	CacheHits uint64
-	// DiskHits counts Loads that found and decoded an on-disk checkpoint.
+	// DiskHits counts resolutions that found and decoded an on-disk
+	// checkpoint.
 	DiskHits uint64
-	// Misses counts Loads that found nothing (the caller re-warms).
+	// Misses counts resolutions that found nothing stored: Resolve then
+	// warms, Load returns nothing.
 	Misses uint64
-	// Stores counts Saves.
+	// Stores counts Saves and the warm states Resolve saved.
 	Stores uint64
 	// Evictions counts in-memory cache entries dropped to fit the budget.
 	Evictions uint64
@@ -207,24 +211,59 @@ func (d *Dir) Stats() DirStats {
 	return d.stats
 }
 
-// Load returns the state stored under key, preferring the in-memory
-// cache. cached reports a memory hit — the caller skipped both disk and
-// decode. A miss is (nil, false, nil); errors (corrupt or truncated
-// files, version mismatches) are also misses, surfaced for transparency
-// but safe to ignore: the caller re-warms and the next Save overwrites
-// the bad file.
-func (d *Dir) Load(key string) (st *State, cached bool, err error) {
-	d.mu.Lock()
-	if e, ok := d.entries[key]; ok {
-		d.lru.moveFront(e)
-		d.stats.CacheHits++
-		d.mu.Unlock()
-		d.touch(key)
-		return e.st, true, nil
-	}
-	if c, ok := d.inflight[key]; ok {
+// Settled says how Resolve found a state.
+type Settled uint8
+
+const (
+	// Cached: decoded in memory, found there or settled meanwhile by
+	// another caller of the same key.
+	Cached Settled = iota
+	// Read: read from its file and decoded.
+	Read
+	// Warmed: made by warm and kept in memory only (a memory-only Dir,
+	// or a key that does not address the state's content).
+	Warmed
+	// Stored: made by warm and saved to the directory.
+	Stored
+	// StoreFailed: made by warm, but the save failed, so the state is
+	// kept in memory only and a later process warms it again.
+	StoreFailed
+)
+
+// Resolve settles the state under key once, however many callers ask
+// together: from the in-memory cache; else, when persist is set, from
+// its file; else by calling warm. A warmed state is kept in memory and,
+// when persist is set, saved; a failed save shows in how, not as an
+// error, since the store is a cache. persist says that key addresses the
+// state's content: a state named otherwise (a trace-driven tuple) never
+// touches the disk. Callers that ask while the first is settling the key
+// wait for it and share its state, or its warm error. With a nil warm,
+// Resolve only looks: a miss is a nil state, with an error when a stored
+// file failed to load.
+func (d *Dir) Resolve(key string, persist bool, warm func() (*State, error)) (st *State, how Settled, err error) {
+	for {
+		d.mu.Lock()
+		if e, ok := d.entries[key]; ok {
+			d.lru.moveFront(e)
+			d.stats.CacheHits++
+			d.mu.Unlock()
+			if persist {
+				d.touch(key)
+			}
+			return e.st, Cached, nil
+		}
+		c, busy := d.inflight[key]
+		if !busy {
+			c = &dirLoad{done: make(chan struct{}), warm: warm != nil}
+			d.inflight[key] = c
+			d.mu.Unlock()
+			return d.settle(key, c, persist, warm)
+		}
 		d.mu.Unlock()
 		<-c.done
+		if c.st == nil && warm != nil && !c.warm {
+			continue // the leader only looked: this caller warms
+		}
 		d.mu.Lock()
 		if c.st != nil {
 			d.stats.CacheHits++
@@ -232,26 +271,55 @@ func (d *Dir) Load(key string) (st *State, cached bool, err error) {
 			d.stats.Misses++
 		}
 		d.mu.Unlock()
-		return c.st, c.st != nil, c.err
+		return c.st, Cached, c.err
 	}
-	c := &dirLoad{done: make(chan struct{})}
-	d.inflight[key] = c
-	d.mu.Unlock()
+}
 
-	c.st, c.err = d.loadDisk(key)
+// settle is Resolve for key's leader: it reads key's file when persist
+// is set, warms on a miss, and installs what it found or made.
+func (d *Dir) settle(key string, c *dirLoad, persist bool, warm func() (*State, error)) (*State, Settled, error) {
+	how := Read
+	if persist {
+		c.st, c.err = d.loadDisk(key)
+	}
+	if c.st == nil && warm != nil {
+		how = Warmed
+		if c.st, c.err = warm(); c.err == nil && persist && d.path != "" {
+			how = Stored
+			if _, err := save(d.path, key, c.st); err != nil {
+				how = StoreFailed
+			}
+		}
+	}
 	cost := d.charge(c.st)
 
 	d.mu.Lock()
 	delete(d.inflight, key)
-	if c.st != nil {
+	if c.st != nil && how == Read {
 		d.stats.DiskHits++
-		d.insertLocked(key, c.st, cost)
 	} else {
 		d.stats.Misses++
 	}
+	if how == Stored {
+		d.stats.Stores++
+	}
+	if c.st != nil {
+		d.insertLocked(key, c.st, cost)
+	}
 	d.mu.Unlock()
 	close(c.done)
-	return c.st, false, c.err
+	return c.st, how, c.err
+}
+
+// Load is Resolve without a warm: the state stored under key, from the
+// in-memory cache or from its file. cached reports a memory hit — the
+// caller skipped both disk and decode. A miss is (nil, false, nil);
+// errors (corrupt or truncated files, version mismatches) are also
+// misses, surfaced for transparency but safe to ignore: the caller
+// re-warms and the next Save overwrites the bad file.
+func (d *Dir) Load(key string) (st *State, cached bool, err error) {
+	st, how, err := d.Resolve(key, true, nil)
+	return st, st != nil && how == Cached, err
 }
 
 // loadDisk reads and decodes key's file; a memory-only Dir has none.
@@ -300,21 +368,6 @@ func readFile(name string, b []byte) ([]byte, error) {
 	return b, nil
 }
 
-// Get returns the state cached in memory under key, or nil. Unlike Load
-// it never reads or touches the disk; a hit counts as a cache hit and
-// refreshes the entry's recency.
-func (d *Dir) Get(key string) *State {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	e, ok := d.entries[key]
-	if !ok {
-		return nil
-	}
-	d.lru.moveFront(e)
-	d.stats.CacheHits++
-	return e.st
-}
-
 // Save writes st under key (atomic temp-file + rename, see save) and
 // installs the decoded state in the in-memory cache, so the tuple that
 // was just warmed forks from memory from the start. A memory-only Dir
@@ -331,16 +384,6 @@ func (d *Dir) Save(key string, st *State) error {
 	d.insertLocked(key, st, cost)
 	d.mu.Unlock()
 	return nil
-}
-
-// Put installs st under key in the in-memory cache only: for warm states
-// whose key does not address their content (trace-driven runs), and for
-// states whose Save failed, which stay servable in this process.
-func (d *Dir) Put(key string, st *State) {
-	cost := d.charge(st)
-	d.mu.Lock()
-	d.insertLocked(key, st, cost)
-	d.mu.Unlock()
 }
 
 // Resident returns how many decoded states the in-memory cache holds and

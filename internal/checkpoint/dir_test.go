@@ -217,6 +217,100 @@ func TestDirSingleflight(t *testing.T) {
 	}
 }
 
+// TestDirResolve holds Resolve to settling a key once: callers that ask
+// together share one warm, which is saved and then read by a second Dir
+// from its file; a caller that could warm, waiting on a Load that found
+// nothing, warms rather than sharing the miss; a failed save keeps the
+// state in memory; and a key that does not address content (persist off)
+// is warmed again by a second Dir rather than read from disk.
+func TestDirResolve(t *testing.T) {
+	dir := t.TempDir()
+	d := NewDir(dir, 0)
+	var warmed sync.WaitGroup
+	release := make(chan struct{})
+	warm := func() (*State, error) {
+		warmed.Done() // a second warm panics here
+		<-release
+		return sampleState(), nil
+	}
+	const callers = 8
+	hows := make([]Settled, callers)
+	states := make([]*State, callers)
+	warmed.Add(1)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var err error
+			if states[i], hows[i], err = d.Resolve("k", true, warm); err != nil {
+				t.Errorf("caller %d: %v", i, err)
+			}
+		}(i)
+	}
+	warmed.Wait()
+	close(release) // callers queue on the warm or find its state after it
+	wg.Wait()
+	stored := 0
+	for i := range states {
+		if states[i] != states[0] {
+			t.Fatalf("caller %d got a state of its own", i)
+		}
+		if hows[i] == Stored {
+			stored++
+		} else if hows[i] != Cached {
+			t.Errorf("caller %d settled as %v, want Stored or Cached", i, hows[i])
+		}
+	}
+	if s := d.Stats(); stored != 1 || s.Stores != 1 || s.Misses != 1 || s.CacheHits != callers-1 {
+		t.Errorf("%d callers stored, stats %+v; want 1, with 1 store, 1 miss and %d cache hits", stored, s, callers-1)
+	}
+	if got, how, err := NewDir(dir, 0).Resolve("k", true, nil); got == nil || how != Read || err != nil {
+		t.Errorf("a second Dir resolved (%v, %v, %v), want the state read from its file", got, how, err)
+	}
+
+	// A caller that can warm, queued behind a Load that finds nothing. The
+	// sleep only makes it likely that the caller queues before the Load
+	// ends; in either order it must warm.
+	d2 := NewDir(dir, 0)
+	look := &dirLoad{done: make(chan struct{})}
+	d2.inflight["absent"] = look
+	done := make(chan Settled)
+	go func() {
+		_, how, _ := d2.Resolve("absent", true, warm0)
+		done <- how
+	}()
+	time.Sleep(10 * time.Millisecond)
+	d2.mu.Lock()
+	delete(d2.inflight, "absent")
+	d2.mu.Unlock()
+	close(look.done)
+	if how := <-done; how != Stored {
+		t.Errorf("the caller behind a look-only miss settled as %v, want Stored", how)
+	}
+
+	// The store sits below a regular file: the save fails, the state stays.
+	blocker := filepath.Join(dir, "blocker")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bad := NewDir(filepath.Join(blocker, "ck"), 0)
+	if got, how, err := bad.Resolve("k", true, warm0); got == nil || how != StoreFailed || err != nil {
+		t.Errorf("resolve into an unwritable store = (%v, %v, %v), want the state, StoreFailed", got, how, err)
+	}
+	if _, cached, _ := bad.Load("k"); !cached {
+		t.Error("the state whose save failed is not kept in memory")
+	}
+
+	// With persist off, "k"'s file is neither read nor rewritten.
+	if _, how, err := NewDir(dir, 0).Resolve("k", false, warm0); how != Warmed || err != nil {
+		t.Errorf("persist-off resolve = (%v, %v), want Warmed", how, err)
+	}
+}
+
+// warm0 warms a sample state at once.
+func warm0() (*State, error) { return sampleState(), nil }
+
 // TestDirCorruptFile pins the corrupt-file contract: Load surfaces the
 // decode error but counts a miss, so the caller re-warms and overwrites.
 func TestDirCorruptFile(t *testing.T) {
@@ -322,22 +416,26 @@ func TestDirGC(t *testing.T) {
 	}
 }
 
-// TestDirMemoryOnly pins the empty-path contract: Save, Put and Load work
-// in memory, a key nobody stored is a plain miss, GC has nothing to
-// collect, and no checkpoint file appears anywhere relative to the
-// working directory.
+// TestDirMemoryOnly pins the empty-path contract: Save, Resolve and Load
+// work in memory, a warmed state is kept there even when persist asks for
+// a save, a key nobody stored is a plain miss, GC has nothing to collect,
+// and no checkpoint file appears anywhere relative to the working
+// directory.
 func TestDirMemoryOnly(t *testing.T) {
 	d := NewDir("", 0)
 	st, other := sampleState(), sampleState()
 	if err := d.Save("mem-only-a", st); err != nil {
 		t.Fatal(err)
 	}
-	d.Put("mem-only-b", other)
+	got, how, err := d.Resolve("mem-only-b", true, func() (*State, error) { return other, nil })
+	if got != other || how != Warmed || err != nil {
+		t.Errorf("resolve of a new key = (%p, %v, %v), want the warmed state, kept in memory", got, how, err)
+	}
 	if got, cached, err := d.Load("mem-only-a"); got != st || !cached || err != nil {
 		t.Errorf("load after save = (%p, cached=%v, err=%v), want the saved state from memory", got, cached, err)
 	}
-	if got := d.Get("mem-only-b"); got != other {
-		t.Errorf("get after put = %p, want the put state", got)
+	if got, cached, err := d.Load("mem-only-b"); got != other || !cached || err != nil {
+		t.Errorf("load after resolve = (%p, cached=%v, err=%v), want the warmed state from memory", got, cached, err)
 	}
 	if got, cached, err := d.Load("mem-only-c"); got != nil || cached || err != nil {
 		t.Errorf("load of an unknown key = (%v, cached=%v, err=%v), want a plain miss", got, cached, err)
@@ -353,8 +451,8 @@ func TestDirMemoryOnly(t *testing.T) {
 	if n, bytes := d.Resident(); n != 2 || bytes != 2*Footprint(st) {
 		t.Errorf("resident = (%d states, %d bytes), want 2 states of %d bytes", n, bytes, Footprint(st))
 	}
-	if s := d.Stats(); s.Stores != 1 || s.CacheHits != 2 || s.Misses != 1 || s.DiskHits != 0 {
-		t.Errorf("stats = %+v, want 1 store, 2 cache hits, 1 miss", s)
+	if s := d.Stats(); s.Stores != 1 || s.CacheHits != 2 || s.Misses != 2 || s.DiskHits != 0 {
+		t.Errorf("stats = %+v, want 1 store, 2 cache hits, 2 misses (the warm and the unknown key)", s)
 	}
 }
 

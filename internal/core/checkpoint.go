@@ -9,7 +9,6 @@ import (
 	"pdip/internal/frontend"
 	"pdip/internal/isa"
 	"pdip/internal/prefetch"
-	"pdip/internal/trace"
 )
 
 // Snapshot captures the complete socket at a cycle boundary: every
@@ -195,11 +194,13 @@ func refill(set map[isa.Addr]struct{}, keys []isa.Addr) map[isa.Addr]struct{} {
 // NewSocketFromSnapshot rebuilds a socket from tenants and sc — which must
 // describe the snapshotted socket's machine (same shape and geometry
 // everywhere; measure-phase knobs such as CollectSets, NoFastForward and
-// sampling may differ) — then overwrites all state from st. The restored
-// socket replays bit-identically to the original, whether its tables
-// are fresh or recycled (internal/recycle); a failed restore releases
-// it. st is only read: one snapshot can be forked concurrently from many
-// goroutines.
+// sampling may differ) — then overwrites all state from st. A tenant
+// driven by a trace source needs a fresh source over the input the
+// snapshot's tenant read; the restore positions it. The restored socket
+// replays bit-identically to the original, whether its tables are fresh
+// or recycled (internal/recycle). A failed build or restore hands every
+// table back but the tenants' prefetchers, as NewSocket does. st is only
+// read: one snapshot can be forked concurrently from many goroutines.
 func NewSocketFromSnapshot(tenants []SocketTenant, sc SocketConfig, st *checkpoint.State) (*Socket, error) {
 	if st.Version != checkpoint.FormatVersion {
 		return nil, fmt.Errorf("socket: snapshot format version %d, simulator speaks %d", st.Version, checkpoint.FormatVersion)
@@ -215,7 +216,7 @@ func NewSocketFromSnapshot(tenants []SocketTenant, sc SocketConfig, st *checkpoi
 		return nil, err
 	}
 	if err := s.restore(st); err != nil {
-		s.Release()
+		s.release(false)
 		return nil, err
 	}
 	return s, nil
@@ -243,15 +244,7 @@ func (s *Socket) restore(st *checkpoint.State) error {
 // overwrites its state from a one-tenant snapshot — the in-memory fork
 // operation, and the one-tenant form of NewSocketFromSnapshot.
 func NewFromSnapshot(prog *cfg.Program, c Config, st *checkpoint.State) (*Core, error) {
-	return NewFromSnapshotWithSource(prog, nil, c, st)
-}
-
-// NewFromSnapshotWithSource is NewFromSnapshot for cores driven by an
-// explicit instruction source (trace replay): src must be a fresh source
-// over the same input the snapshot's core was built on, and is positioned
-// by the restore.
-func NewFromSnapshotWithSource(prog *cfg.Program, src trace.OracleSource, c Config, st *checkpoint.State) (*Core, error) {
-	s, err := NewSocketFromSnapshot([]SocketTenant{{Prog: prog, Src: src, Config: c}}, SocketConfig{}, st)
+	s, err := NewSocketFromSnapshot([]SocketTenant{{Prog: prog, Config: c}}, SocketConfig{}, st)
 	if err != nil {
 		return nil, err
 	}

@@ -123,19 +123,10 @@ type Core struct {
 }
 
 // New builds a core over prog with the given configuration, walking the
-// synthetic CFG directly. The core is the one tenant of its own socket.
+// synthetic CFG directly. The core is the one tenant of its own socket; a
+// core driven by a trace source is a one-tenant NewSocket.
 func New(prog *cfg.Program, c Config) (*Core, error) {
-	return NewWithSource(prog, nil, c)
-}
-
-// NewWithSource builds a core whose instruction stream comes from src (a
-// ChampSim trace replay, say) instead of a fresh CFG walker. A nil src
-// falls back to walking prog with the config seed; prog may be nil only
-// when src is non-nil (pure trace replay needs no program, but memop
-// generation and wrong-path derivation then live entirely in src). The
-// core is the one tenant of its own socket.
-func NewWithSource(prog *cfg.Program, src trace.OracleSource, c Config) (*Core, error) {
-	s, err := NewSocket([]SocketTenant{{Prog: prog, Src: src, Config: c}}, SocketConfig{})
+	s, err := NewSocket([]SocketTenant{{Prog: prog, Config: c}}, SocketConfig{})
 	if err != nil {
 		return nil, err
 	}

@@ -10,19 +10,11 @@ import (
 // them for FEC-Ideal service, and the prefetch-drain stage reads the
 // promotion set to tag fills with the EMISSARY P-bit.
 
-// priorityOf reports whether a prefetched line should carry the EMISSARY
-// P-bit (PDIP+EMISSARY physical synergy: one FEC-tracking mechanism).
+// priorityOf reports whether a fill of line carries the EMISSARY P-bit:
+// the line was EMISSARY-promoted. Demand fills and, through PQ.Drain,
+// prefetched ones ask it alike (PDIP+EMISSARY physical synergy: one
+// FEC-tracking mechanism).
 func (co *Core) priorityOf(line isa.Addr) bool {
-	if !co.cfg.Emissary && !co.cfg.FECIdeal {
-		return false
-	}
-	_, ok := co.promoted[line]
-	return ok
-}
-
-// isPromoted reports whether line was EMISSARY-promoted (demand fills of
-// promoted lines carry the P-bit).
-func (co *Core) isPromoted(line isa.Addr) bool {
 	if !co.cfg.Emissary && !co.cfg.FECIdeal {
 		return false
 	}

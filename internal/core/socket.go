@@ -17,9 +17,11 @@ import (
 // one uncore.
 type SocketTenant struct {
 	// Prog is the synthetic program the tenant walks; may be nil when Src
-	// drives the core (trace replay), exactly as in NewWithSource.
+	// drives the core (pure trace replay needs no program, but memop
+	// generation and wrong-path derivation then live entirely in Src).
 	Prog *cfg.Program
-	// Src optionally replaces the CFG walker with a trace source.
+	// Src optionally replaces the CFG walker with a trace source (a
+	// ChampSim replay); nil walks Prog with the config seed.
 	Src trace.OracleSource
 	// Config is the tenant's core configuration.
 	Config Config
@@ -123,11 +125,7 @@ func NewSocket(tenants []SocketTenant, sc SocketConfig) (*Socket, error) {
 		}
 		hier, err := mem.New(c.Mem, unc.L2, unc.L3, unc.Port(i))
 		if err != nil {
-			// Everything built goes back but the caller's prefetchers.
-			for _, co := range s.cores {
-				co.release(false)
-			}
-			unc.Release()
+			s.release(false)
 			return nil, fmt.Errorf("socket: tenant %d: %w", i, err)
 		}
 		co := newCore(t.Prog, t.Src, c, hier)
@@ -144,12 +142,16 @@ func NewSocket(tenants []SocketTenant, sc SocketConfig) (*Socket, error) {
 // snapshots, samples and checkpoints taken before stay valid: none of
 // them aliases a table. A shared prefetcher is released once; releasing
 // twice is a no-op.
-func (s *Socket) Release() {
+func (s *Socket) Release() { s.release(true) }
+
+// release is Release, with the tenants' prefetchers handed back only when
+// withPrefetchers is set: a failed build leaves them the caller's.
+func (s *Socket) release(withPrefetchers bool) {
 	if s.unc == nil {
 		return
 	}
 	for i, co := range s.cores {
-		co.release(i == 0 || !s.cfg.SharedPrefetcher)
+		co.release(withPrefetchers && (i == 0 || !s.cfg.SharedPrefetcher))
 	}
 	s.unc.Release()
 	s.unc = nil

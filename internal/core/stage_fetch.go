@@ -109,7 +109,7 @@ func (s *fetchStage) startFetch(e *frontend.FTQEntry, now int64) {
 				Op:       mem.OpFetch,
 				Line:     line,
 				At:       now,
-				Priority: co.isPromoted(line),
+				Priority: co.priorityOf(line),
 			})
 			// A line still in flight at demand time (partial hit) is a
 			// miss the FTQ prefetch could not fully hide — exactly the

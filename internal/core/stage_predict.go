@@ -74,7 +74,7 @@ func (s *predictStage) predictOne(now int64) {
 				Line:     line,
 				At:       now,
 				Reserve:  1,
-				Priority: co.isPromoted(line),
+				Priority: co.priorityOf(line),
 			})
 		}
 	}

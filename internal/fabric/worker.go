@@ -21,10 +21,11 @@ type Worker struct {
 	// Name identifies the worker in coordinator accounting; the
 	// coordinator uniquifies collisions.
 	Name string
-	// Runner supplies the warm-state layer: in-process singleflight plus
-	// the shared on-disk checkpoint directory. It should be constructed
-	// with parallelism ≥ Slots; the fabric bounds concurrency by tokens,
-	// not by the runner's semaphore (ExecuteJob bypasses it).
+	// Runner supplies the warm-state layer: its checkpoint store over the
+	// shared on-disk directory, whose per-key singleflight every runner
+	// holding the same Dir shares. It should be constructed with
+	// parallelism ≥ Slots; the fabric bounds concurrency by tokens, not
+	// by the runner's semaphore (ExecuteJob bypasses it).
 	Runner *harness.Runner
 	// Slots is the number of jobs run concurrently (min 1).
 	Slots int

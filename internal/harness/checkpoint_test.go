@@ -336,3 +336,66 @@ func TestMemoryOnlyRunnerBounded(t *testing.T) {
 		t.Errorf("repeat fork of a resident tuple: %+v (want it served from memory, and every run forked)", s)
 	}
 }
+
+// TestSharedDirWarmsOnce: two runners on one store, each running a spec
+// of the same warm tuple and started together, simulate one warmup
+// between them. The store settles the warm state once however many
+// runners ask; the runner that did not warm forks the other's state,
+// counted as its first resolution from the Dir.
+func TestSharedDirWarmsOnce(t *testing.T) {
+	ck := checkpoint.NewDir(t.TempDir(), 0)
+	runners := []*Runner{NewRunnerWithDir(1, ck), NewRunnerWithDir(1, ck)}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, r := range runners {
+		spec := RunSpec{Benchmark: "kafka", Policy: "pdip44", Warmup: 20_000, Measure: 5_000 + uint64(i)}
+		wg.Add(1)
+		//lint:ignore determinism concurrency harness above the simulated clock; each goroutine drives its own runner
+		go func() {
+			defer wg.Done()
+			<-start
+			if _, err := r.ExecuteJob(spec, nil); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	var sum RunnerStats
+	for _, r := range runners {
+		sum.Add(r.Stats())
+	}
+	if s := sum.Checkpoint; s.WarmupsExecuted != 1 || s.DiskStores != 1 || s.DirCacheHits != 1 || s.Forks != 2 {
+		t.Errorf("two runners on one store: %+v (want 1 warmup, stored once, and the other runner's fork served from the Dir)", s)
+	}
+}
+
+// TestDiskKeysPinned pins the store keys, and so the file names, a
+// runner files warm states under. A change that moves them makes every
+// existing store re-warm, so it has to be a deliberate change of the
+// configuration or the format, never a side effect of the harness. One
+// spec turns on the measure-phase CollectSets, which the key leaves out;
+// the other has a seed and a BTB override, which it covers.
+func TestDiskKeysPinned(t *testing.T) {
+	dir := t.TempDir()
+	r := NewRunnerWithCheckpoints(1, dir)
+	for _, c := range []struct {
+		spec RunSpec
+		key  string
+	}{
+		{RunSpec{Benchmark: "kafka", Policy: "pdip44", Warmup: 20_000, Measure: 5_000, CollectSets: true},
+			"85885c5f798bac6d227a1050c93ccb1ea6abe03f78dfe1f43b199ad1742fd4ec"},
+		{RunSpec{Benchmark: "tomcat", Policy: "eip46", BTBEntries: 4096, Seed: 3, Warmup: 30_000, Measure: 10_000},
+			"50d96e73c507ecaf8919c206ab655bbfe457897c0bc81813a1924f11d085fc73"},
+	} {
+		if _, err := r.ExecuteJob(c.spec, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, c.key+".ckpt")); err != nil {
+			t.Errorf("%s: no warm state filed under the pinned key: %v", c.spec.Key(), err)
+		}
+	}
+	if s := r.Stats().Checkpoint; s.DiskStores != 2 {
+		t.Errorf("%+v: want both warm states stored", s)
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"pdip/internal/energy"
 	"pdip/internal/stats"
@@ -527,20 +526,4 @@ func Contention(r *Runner, o Options) (string, error) {
 		)
 	}
 	return t.String(), nil
-}
-
-// RunAllExperiments runs every registered experiment and concatenates the
-// formatted outputs.
-func RunAllExperiments(r *Runner, o Options) (string, error) {
-	var sb strings.Builder
-	for _, e := range Experiments() {
-		out, err := e.Run(r, o)
-		if err != nil {
-			return sb.String(), fmt.Errorf("%s: %w", e.ID, err)
-		}
-		sb.WriteString("== " + e.Title + " ==\n")
-		sb.WriteString(out)
-		sb.WriteString("\n")
-	}
-	return sb.String(), nil
 }

@@ -17,7 +17,6 @@ import (
 	"pdip/internal/core"
 	"pdip/internal/metrics"
 	"pdip/internal/policy"
-	"pdip/internal/trace/champsim"
 	"pdip/internal/workload"
 )
 
@@ -136,34 +135,18 @@ type call struct {
 	err  error
 }
 
-// warmKey identifies one warm simulator state: everything that influences
-// the machine's state at the end of warmup. Specs differing only in
-// measure-phase knobs (Measure, SampleEvery, CollectSets) share a key —
-// and therefore share one warmup.
-type warmKey struct {
-	Benchmark, Policy string
-	BTBEntries        int
-	Seed              uint64
-	Warmup            uint64
-	NoFastForward     bool
-	TracePath         string
-	TraceDifferential bool
-}
-
-// warmKeyOf projects spec onto its warm-state identity, normalising the
-// instruction budgets first.
-func warmKeyOf(spec RunSpec) warmKey {
-	warmup, _ := spec.budgets()
-	return warmKey{
-		Benchmark:         spec.Benchmark,
-		Policy:            spec.Policy,
-		BTBEntries:        spec.BTBEntries,
-		Seed:              spec.Seed,
-		Warmup:            warmup,
-		NoFastForward:     spec.NoFastForward,
-		TracePath:         spec.TracePath,
-		TraceDifferential: spec.TraceDifferential,
-	}
+// warmSpec is the spec's warm-state identity: everything that influences
+// the machine's state at the end of warmup, which is the spec with its
+// warmup normalised and its measure-phase fields (Measure, SampleEvery,
+// CollectSets) zeroed. Specs that differ only in those fields share one
+// warm spec, and so one warmup, which runs the warm spec itself:
+// CollectSets has no timing effect and its sets are cleared at the
+// measurement boundary anyway, so the cheapest configuration warms for
+// all of them.
+func (s RunSpec) warmSpec() RunSpec {
+	s.Warmup, _ = s.budgets()
+	s.Measure, s.SampleEvery, s.CollectSets = 0, 0, false
+	return s
 }
 
 // WarmTuple renders the spec's warm-state identity as a stable string, or
@@ -172,19 +155,11 @@ func warmKeyOf(spec RunSpec) warmKey {
 // fabric coordinator) can warm each tuple once cluster-wide and hold the
 // tuple's remaining jobs back until the warm checkpoint exists.
 func (s RunSpec) WarmTuple() string {
-	warmup, _ := s.budgets()
-	if warmup == 0 {
+	w := s.warmSpec()
+	if w.Warmup == 0 {
 		return ""
 	}
-	return fmt.Sprintf("%v", warmKeyOf(s))
-}
-
-// warmCall is one in-flight warmup, singleflighted per warmKey. A
-// finished warm state lives in the Runner's checkpoint.Dir, not here.
-type warmCall struct {
-	done chan struct{}
-	st   *checkpoint.State
-	err  error
+	return fmt.Sprintf("%v", w)
 }
 
 // RunnerStats is the programmatic view of a Runner's activity: how many
@@ -226,14 +201,14 @@ type CheckpointStats struct {
 	// WarmupsExecuted counts warmups actually simulated.
 	WarmupsExecuted uint64
 	// MemoryHits counts repeat resolutions: a tuple this runner already
-	// resolved, found decoded in its checkpoint.Dir, and singleflight
-	// waiters who blocked on a leader's warmup.
+	// resolved, found decoded in its checkpoint.Dir.
 	MemoryHits uint64
 	// DirCacheHits counts a runner's first resolution of a tuple served
-	// already-decoded from its checkpoint.Dir — no disk read, no decode.
-	// With several runners sharing one Dir (fleet workers), these are
-	// forks that skipped the disk entirely because a sibling had already
-	// paid for the warmup or the decode.
+	// already-decoded from its checkpoint.Dir — no disk read, no decode —
+	// including a wait on a warmup or load already under way for the
+	// tuple. With several runners sharing one Dir (fleet workers), these
+	// are forks that skipped the disk entirely because a sibling had
+	// already paid for the warmup or the decode.
 	DirCacheHits uint64
 	// DiskHits counts warm states read and decoded from the on-disk
 	// -checkpoint-dir store: a first resolution, or a repeat whose state
@@ -249,22 +224,22 @@ type CheckpointStats struct {
 
 // Runner executes and memoises runs. A Runner with a checkpoint store
 // runs specs that include a warmup window through the warm-state layer:
-// it warms each warmKey tuple once (per process — or per checkpoint
+// it warms each warm spec once (per process — or per checkpoint
 // directory, when the store has one), snapshots the complete simulator
-// state, and forks the snapshot for every spec that shares the tuple.
-// Finished warm states live in one place, the store, whose LRU bounds
-// their memory. A Runner without a store warms and measures every spec on
-// one socket, as Execute does, and snapshots nothing.
+// state, and forks the snapshot for every spec that shares it. Warm
+// states live in one place, the store, which settles each one once
+// however many runners ask (checkpoint.Dir.Resolve) and whose LRU bounds
+// their memory. A Runner without a store warms and measures every spec
+// on one socket, as Execute does, and snapshots nothing.
 type Runner struct {
 	mu       sync.Mutex
 	cache    map[RunSpec]*RunResult
 	errs     map[RunSpec]error
 	inflight map[RunSpec]*call
-	// warm holds the in-flight warmups; keys holds the store key of every
-	// tuple this runner resolved, so a repeat fork neither rebuilds the
-	// configuration nor re-hashes it.
-	warm  map[warmKey]*warmCall
-	keys  map[warmKey]string
+	// keys holds the store key of every warm spec this runner resolved,
+	// so a repeat fork does not re-hash its configuration, and tells a
+	// repeat resolution from a first one in the stats.
+	keys  map[RunSpec]string
 	stats RunnerStats
 	// executor, when set, replaces local execution for cache-missing
 	// runs: the spec is handed to it (the fabric fleet's submit path)
@@ -311,8 +286,7 @@ func NewRunnerWithDir(parallelism int, ck *checkpoint.Dir) *Runner {
 		cache:    make(map[RunSpec]*RunResult),
 		errs:     make(map[RunSpec]error),
 		inflight: make(map[RunSpec]*call),
-		warm:     make(map[warmKey]*warmCall),
-		keys:     make(map[warmKey]string),
+		keys:     make(map[RunSpec]string),
 		ck:       ck,
 		sem:      make(chan struct{}, parallelism),
 	}
@@ -393,180 +367,6 @@ func (r *Runner) execute(spec RunSpec) (*RunResult, error) {
 		return exec(spec)
 	}
 	return r.ExecuteJob(spec, nil)
-}
-
-// warmState returns the warm simulator state for wk, singleflighting the
-// warmup: the first caller builds (or loads) it, concurrent callers block
-// on the result, later callers find it in the Dir's memory by the key the
-// first one remembered — unless the Dir evicted it, and then it is
-// resolved again.
-func (r *Runner) warmState(wk warmKey) (*checkpoint.State, error) {
-	r.mu.Lock()
-	if c, ok := r.warm[wk]; ok {
-		r.stats.Checkpoint.MemoryHits++
-		r.mu.Unlock()
-		<-c.done
-		return c.st, c.err
-	}
-	key := r.keys[wk]
-	if key != "" {
-		if st := r.ck.Get(key); st != nil {
-			r.stats.Checkpoint.MemoryHits++
-			r.mu.Unlock()
-			return st, nil
-		}
-	}
-	c := &warmCall{done: make(chan struct{})}
-	r.warm[wk] = c
-	r.mu.Unlock()
-
-	c.st, key, c.err = r.buildWarmState(wk, key)
-	r.mu.Lock()
-	delete(r.warm, wk)
-	if c.err == nil {
-		r.keys[wk] = key
-	}
-	r.mu.Unlock()
-	close(c.done)
-	return c.st, c.err
-}
-
-// buildWarmState produces wk's warm state and its store key (key, when
-// known from an earlier resolution): from the Dir when it holds the
-// state, otherwise by simulating the warmup window on a fresh core and
-// snapshotting it into the Dir.
-func (r *Runner) buildWarmState(wk warmKey, key string) (*checkpoint.State, string, error) {
-	// Warm with measure-phase knobs off: CollectSets has no timing effect
-	// and its sets are cleared at the measurement boundary anyway, so the
-	// cheapest configuration warms for all of them.
-	wspec := RunSpec{
-		Benchmark:         wk.Benchmark,
-		Policy:            wk.Policy,
-		BTBEntries:        wk.BTBEntries,
-		Seed:              wk.Seed,
-		Warmup:            wk.Warmup,
-		NoFastForward:     wk.NoFastForward,
-		TracePath:         wk.TracePath,
-		TraceDifferential: wk.TraceDifferential,
-	}
-	prog, c, err := buildConfig(wspec)
-	if err != nil {
-		return nil, "", err
-	}
-
-	// The on-disk cache content-addresses the workload parameters and
-	// configuration, not the bytes of an arbitrary trace file, so
-	// trace-driven warm states are named by their tuple and stay in
-	// memory only.
-	var st *checkpoint.State
-	cached := true
-	if wspec.TracePath != "" {
-		key = wspec.WarmTuple()
-		st = r.ck.Get(key)
-	} else {
-		if key == "" {
-			if key, err = diskKey(wspec, c); err != nil {
-				return nil, "", err
-			}
-		}
-		st, cached, _ = r.ck.Load(key)
-	}
-	if st != nil {
-		releasePrefetcher(c)
-		r.mu.Lock()
-		if cached {
-			r.stats.Checkpoint.DirCacheHits++
-		} else {
-			r.stats.Checkpoint.DiskHits++
-		}
-		r.mu.Unlock()
-		return st, key, nil
-	}
-
-	src, osrc, err := openSource(wspec, prog, c)
-	if err != nil {
-		releasePrefetcher(c)
-		return nil, "", err
-	}
-	defer closeSource(src)
-	co, err := core.NewWithSource(prog, osrc, c)
-	if err != nil {
-		releasePrefetcher(c)
-		return nil, "", err
-	}
-	st, err = warmSnapshot(co, wspec, src)
-	// The snapshot is a clone: the warm socket's tables go to the next
-	// build (internal/recycle).
-	co.Release()
-	if err != nil {
-		return nil, "", err
-	}
-	r.mu.Lock()
-	r.stats.Checkpoint.WarmupsExecuted++
-	r.mu.Unlock()
-
-	if r.ck.Path() != "" && wspec.TracePath == "" {
-		// The store is a cache: a failed save costs a later process its
-		// warmup, never this run, which forks the state just simulated
-		// and keeps it in memory.
-		err := r.ck.Save(key, st)
-		r.mu.Lock()
-		if err != nil {
-			r.stats.Checkpoint.DiskStoreFailures++
-		} else {
-			r.stats.Checkpoint.DiskStores++
-		}
-		r.mu.Unlock()
-		if err == nil {
-			return st, key, nil
-		}
-	}
-	r.ck.Put(key, st)
-	return st, key, nil
-}
-
-// warmSnapshot simulates wspec's warmup window on co and snapshots it.
-func warmSnapshot(co *core.Core, wspec RunSpec, src *champsim.Source) (*checkpoint.State, error) {
-	if err := co.Run(wspec.Warmup); err != nil {
-		return nil, fmt.Errorf("%s/%s warmup: %w", wspec.Benchmark, wspec.Policy, err)
-	}
-	if err := sourceErr(wspec, src); err != nil {
-		return nil, err
-	}
-	st, err := co.Snapshot()
-	if err != nil {
-		return nil, fmt.Errorf("%s/%s snapshot: %w", wspec.Benchmark, wspec.Policy, err)
-	}
-	return st, nil
-}
-
-// diskKey content-addresses wspec's warm state. The hash covers the
-// format version, the benchmark's workload parameters (which generate the
-// program), and the complete derived core configuration — so any change
-// to a policy, a profile, or the state format misses cleanly instead of
-// restoring a stale checkpoint. The prefetcher instance is stripped: its
-// identity is already pinned by the policy name and the config knobs.
-func diskKey(wspec RunSpec, c core.Config) (string, error) {
-	prof, err := workload.ByName(wspec.Benchmark)
-	if err != nil {
-		return "", err
-	}
-	c.Prefetcher = nil
-	return checkpoint.Key(struct {
-		Version   int
-		Benchmark string
-		Policy    string
-		Warmup    uint64
-		Workload  cfg.Params
-		Config    core.Config
-	}{
-		Version:   checkpoint.FormatVersion,
-		Benchmark: wspec.Benchmark,
-		Policy:    wspec.Policy,
-		Warmup:    wspec.Warmup,
-		Workload:  prof.CFG,
-		Config:    c,
-	})
 }
 
 // RunAll executes every spec concurrently and returns results in order.
@@ -660,7 +460,7 @@ func releasePrefetcher(c core.Config) {
 // measured window, and packages one result per tenant — shared by the
 // from-scratch and fork-from-snapshot paths, which must agree bit-for-bit
 // (TestCheckpointBitIdentical). Only a one-tenant socket samples (see
-// executeScratch); onSample, when non-nil, observes each interval
+// newRun); onSample, when non-nil, observes each interval
 // snapshot the moment it is recorded (the fabric worker's streaming
 // path) and has no effect on the simulation or the result. It stays
 // installed for this window only. Results own their samples: the core's
@@ -701,107 +501,41 @@ func runLabel(specs []RunSpec) string {
 // checkpoint bit-identity tests compare against. It is the one-tenant
 // case of ExecuteSocket.
 func Execute(spec RunSpec) (*RunResult, error) {
-	return executeOne(spec, nil)
+	return first(executeScratch([]RunSpec{spec}, SocketOptions{}, nil, nil))
 }
 
-// executeOne is Execute with measureRun's streaming-sample hook exposed.
-func executeOne(spec RunSpec, onSample func(metrics.Sample)) (*RunResult, error) {
-	res, s, err := executeScratch([]RunSpec{spec}, SocketOptions{}, onSample)
+// first is the result of a one-spec run.
+func first(res []*RunResult, err error) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.Release()
 	return res[0], nil
 }
 
-// executeScratch is the from-scratch executor behind Execute and
-// ExecuteSocket: one core per spec in lockstep against one shared uncore
-// (a single spec is a lone core), warmed and then measured. Every spec
-// must carry the same Warmup/Measure budgets — the socket warms and
-// measures all tenants over one shared clock. Sampling needs a single
-// spec: a tenant frozen at its quota while co-tenants run on has no
-// defined sample stream. onSample is measureRun's streaming hook. The
-// caller releases the returned socket; on error it is already released.
-func executeScratch(specs []RunSpec, so SocketOptions, onSample func(metrics.Sample)) ([]*RunResult, *core.Socket, error) {
-	if len(specs) == 0 {
-		return nil, nil, fmt.Errorf("socket: need at least one spec")
-	}
-	warmup, measure := specs[0].budgets()
-	for i, spec := range specs {
-		w, m := spec.budgets()
-		if w != warmup || m != measure {
-			return nil, nil, fmt.Errorf("socket: tenant %d budgets %d+%d differ from tenant 0's %d+%d (one shared clock, one shared window)",
-				i, w, m, warmup, measure)
-		}
-		if spec.SampleEvery > 0 && len(specs) > 1 {
-			return nil, nil, fmt.Errorf("socket: tenant %d: sampling needs a single-tenant run", i)
-		}
-	}
-
-	tenants := make([]core.SocketTenant, 0, len(specs))
-	srcs := make([]*champsim.Source, len(specs))
-	closeAll := func() {
-		for _, src := range srcs {
-			closeSource(src)
-		}
-	}
-	// unbuilt undoes the tenants configured before an error: no socket
-	// holds their prefetchers or sources.
-	unbuilt := func(err error) ([]*RunResult, *core.Socket, error) {
-		for _, t := range tenants {
-			releasePrefetcher(t.Config)
-		}
-		closeAll()
-		return nil, nil, err
-	}
-	for i, spec := range specs {
-		prog, c, err := buildConfig(spec)
-		if err != nil {
-			return unbuilt(err)
-		}
-		src, osrc, err := openSource(spec, prog, c)
-		if err != nil {
-			releasePrefetcher(c)
-			return unbuilt(err)
-		}
-		srcs[i] = src
-		tenants = append(tenants, core.SocketTenant{Prog: prog, Src: osrc, Config: c})
-	}
-	s, err := core.NewSocket(tenants, core.SocketConfig{
-		SharedPrefetcher: so.SharedPrefetcher,
-		L2Reserve:        so.L2Reserve,
-		L3Reserve:        so.L3Reserve,
-	})
+// executeScratch is the from-scratch executor behind Execute,
+// ExecuteSocket and a Runner without a store: one core per spec in
+// lockstep against one shared uncore (a single spec is a lone core),
+// warmed and then measured. onSample is measureRun's streaming hook;
+// report, when set, reads the measured socket before it is released.
+func executeScratch(specs []RunSpec, so SocketOptions, onSample func(metrics.Sample), report func(*core.Socket)) ([]*RunResult, error) {
+	run, err := newRun(specs, so)
 	if err != nil {
-		return unbuilt(err)
+		return nil, err
 	}
-	if so.SharedPrefetcher {
-		// Every tenant runs on tenant 0's table; the others' go back.
-		for _, t := range tenants[1:] {
-			releasePrefetcher(t.Config)
-		}
+	var res []*RunResult
+	if err = run.build(nil); err == nil {
+		err = run.warm()
 	}
-	if err := s.Run(warmup); err != nil {
-		s.Release()
-		closeAll()
-		return nil, nil, fmt.Errorf("%s warmup: %w", runLabel(specs), err)
+	if err == nil {
+		res, err = run.measure(onSample)
 	}
-	res, err := measureRun(s, specs, measure, onSample)
-	if err != nil {
-		s.Release()
-		closeAll()
-		return nil, nil, err
+	if err == nil && report != nil {
+		report(run.s)
 	}
-	for i, spec := range specs {
-		res[i], err = finishSource(spec, srcs[i], res[i], nil)
-		srcs[i] = nil // finishSource closed it
-		if err != nil {
-			s.Release()
-			closeAll()
-			return nil, nil, err
-		}
+	if err = run.finish(err); err != nil {
+		return nil, err
 	}
-	return res, s, nil
+	return res, nil
 }
 
 // Results returns every memoised result, sorted by spec key — the export

@@ -185,7 +185,7 @@ func TestForkAfterReleaseAllocatesLittle(t *testing.T) {
 	if _, err := r.Run(first); err != nil {
 		t.Fatal(err)
 	}
-	st, err := r.warmState(warmKeyOf(second))
+	st, err := warmup(second.warmSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,16 +196,15 @@ func TestForkAfterReleaseAllocatesLittle(t *testing.T) {
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	prog, c, err := buildConfig(second)
-	if err != nil {
-		t.Fatal(err)
+	run, err := newRun([]RunSpec{second}, SocketOptions{})
+	if err == nil {
+		err = run.build(st)
 	}
-	s, err := core.NewSocketFromSnapshot([]core.SocketTenant{{Prog: prog, Config: c}}, core.SocketConfig{}, st)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Release()
+	run.finish(nil)
 	if got := after.TotalAlloc - before.TotalAlloc; got > 256<<10 {
 		t.Errorf("the second fork allocated %d bytes, want under 256 KiB", got)
 	}

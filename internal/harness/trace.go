@@ -59,36 +59,6 @@ func openSource(spec RunSpec, prog *cfg.Program, c core.Config) (*champsim.Sourc
 	return src, src, nil
 }
 
-func closeSource(src *champsim.Source) {
-	if src != nil {
-		src.Close()
-	}
-}
-
-// sourceErr surfaces a latched replay divergence or stream fault.
-func sourceErr(spec RunSpec, src *champsim.Source) error {
-	if src == nil {
-		return nil
-	}
-	if err := src.Err(); err != nil {
-		return fmt.Errorf("%s: %w", spec.Key(), err)
-	}
-	return nil
-}
-
-// finishSource closes spec's source after a measured run, promoting any
-// latched replay divergence into the run's error.
-func finishSource(spec RunSpec, src *champsim.Source, res *RunResult, err error) (*RunResult, error) {
-	if src == nil {
-		return res, err
-	}
-	if err2 := sourceErr(spec, src); err == nil && err2 != nil {
-		res, err = nil, err2
-	}
-	closeSource(src)
-	return res, err
-}
-
 // RecordTrace exports spec's synthetic instruction stream as a ChampSim
 // trace at path (gzipped when path ends in ".gz"). n is the number of
 // instructions to record; 0 sizes the trace to the spec's warmup+measure

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pdip/internal/checkpoint"
-	"pdip/internal/core"
 )
 
 // TestRecordTraceSized checks RecordTrace's default sizing covers a
@@ -51,19 +50,15 @@ func TestTraceCheckpointMidWrongPath(t *testing.T) {
 			spec.TracePath = path
 			spec.TraceDifferential = mode.differential
 
-			prog, c, err := buildConfig(spec)
+			orig, err := newRun([]RunSpec{spec}, SocketOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			src, osrc, err := openSource(spec, prog, c)
-			if err != nil {
+			if err := orig.build(nil); err != nil {
+				orig.finish(err)
 				t.Fatal(err)
 			}
-			defer closeSource(src)
-			co, err := core.NewWithSource(prog, osrc, c)
-			if err != nil {
-				t.Fatal(err)
-			}
+			co := orig.s
 			if err := co.Run(5003); err != nil {
 				t.Fatal(err)
 			}
@@ -88,23 +83,19 @@ func TestTraceCheckpointMidWrongPath(t *testing.T) {
 				t.Fatalf("no snapshot landed mid-wrong-path (kind %q) — widen the schedule", mode.wrongKind)
 			}
 
-			// A fresh config carries a fresh prefetcher instance — the
-			// harness builds each fork's config the same way; restoring
-			// into the prefetcher still attached to the original core
-			// would alias live state.
-			_, fc, err := buildConfig(spec)
+			// The fork's run has its own configuration, and with it a
+			// fresh prefetcher instance, and its own trace source, which
+			// the restore positions: restoring into the prefetcher still
+			// attached to the original core would alias live state.
+			forkRun, err := newRun([]RunSpec{spec}, SocketOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			fsrc, fosrc, err := openSource(spec, prog, fc)
-			if err != nil {
+			if err := forkRun.build(st); err != nil {
+				forkRun.finish(err)
 				t.Fatal(err)
 			}
-			defer closeSource(fsrc)
-			fork, err := core.NewFromSnapshotWithSource(prog, fosrc, fc, st)
-			if err != nil {
-				t.Fatal(err)
-			}
+			fork := forkRun.s
 
 			const n = 2003
 			if err := co.Run(n); err != nil {
@@ -116,16 +107,17 @@ func TestTraceCheckpointMidWrongPath(t *testing.T) {
 			if co.Cycles() != fork.Cycles() {
 				t.Errorf("cycle counts diverged: scratch %d, fork %d", co.Cycles(), fork.Cycles())
 			}
-			if diff := co.MetricsSnapshot().Diff(fork.MetricsSnapshot()); len(diff) > 0 {
+			if diff := co.CombinedSnapshot().Diff(fork.CombinedSnapshot()); len(diff) > 0 {
 				if len(diff) > 20 {
 					diff = diff[:20]
 				}
 				t.Errorf("fork from mid-wrong-path snapshot is not bit-identical:\n  %v", diff)
 			}
-			if err := sourceErr(spec, src); err != nil {
+			// finish reports a divergence either trace source latched.
+			if err := orig.finish(nil); err != nil {
 				t.Error(err)
 			}
-			if err := sourceErr(spec, fsrc); err != nil {
+			if err := forkRun.finish(nil); err != nil {
 				t.Error(err)
 			}
 		})

@@ -1,13 +1,10 @@
 package lint
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -50,67 +47,39 @@ type EscapeSource interface {
 }
 
 // GoBuildEscape obtains escape diagnostics by running
-// `go build -gcflags=<pkg>=-m` and caches the per-package compiler output
-// keyed by a content hash of the package and its module-internal
-// dependency closure, so unchanged packages never re-invoke the
-// toolchain.
+// `go build -gcflags=<pkg>=-m`. It keeps no cache of its own: the go
+// build cache replays a package's compiler output, -m diagnostics
+// included, until the package or a dependency changes.
 type GoBuildEscape struct {
 	// Root is the module root (go build's working directory).
 	Root string
 	// Module is the module path.
 	Module string
-	// CacheDir holds the per-package output cache; empty disables caching.
-	CacheDir string
-
-	// fileHash memoises the per-package hash of its own files.
-	fileHash map[string]string
 }
 
-// NewGoBuildEscape returns a runner caching under root/.simlint-cache.
+// NewGoBuildEscape returns a runner over the module at root.
 func NewGoBuildEscape(root, module string) *GoBuildEscape {
-	return &GoBuildEscape{
-		Root:     root,
-		Module:   module,
-		CacheDir: filepath.Join(root, ".simlint-cache", "escape"),
-		fileHash: map[string]string{},
-	}
+	return &GoBuildEscape{Root: root, Module: module}
 }
 
-// Diagnostics implements EscapeSource. Cache misses are batched into a
-// single `go build` invocation; its per-package output sections are
-// parsed, cached, and returned.
+// Diagnostics implements EscapeSource. The packages are compiled in one
+// `go build` invocation; its per-package output sections are parsed and
+// returned.
 func (g *GoBuildEscape) Diagnostics(prog *Program, paths []string) (map[string][]EscapeDiag, error) {
-	out := map[string][]EscapeDiag{}
-	var misses []string
-	keys := map[string]string{}
 	for _, path := range paths {
-		p := prog.PackageByPath(path)
-		if p == nil {
+		if prog.PackageByPath(path) == nil {
 			return nil, fmt.Errorf("escape: package %s not loaded", path)
 		}
-		key, err := g.cacheKey(prog, path)
-		if err != nil {
-			return nil, err
-		}
-		keys[path] = key
-		if raw, ok := g.readCache(key); ok {
-			out[path] = g.parseLines(raw)
-			continue
-		}
-		misses = append(misses, path)
 	}
-	if len(misses) == 0 {
-		return out, nil
-	}
-	sort.Strings(misses)
-	sections, err := g.build(misses)
+	paths = append([]string(nil), paths...)
+	sort.Strings(paths)
+	sections, err := g.build(paths)
 	if err != nil {
 		return nil, err
 	}
-	for _, path := range misses {
-		raw := sections[path] // absent => package compiled silently
-		g.writeCache(keys[path], raw)
-		out[path] = g.parseLines(raw)
+	out := map[string][]EscapeDiag{}
+	for _, path := range paths {
+		out[path] = g.parseLines(sections[path]) // absent => package compiled silently
 	}
 	return out, nil
 }
@@ -176,110 +145,4 @@ func (g *GoBuildEscape) parseLines(raw []string) []EscapeDiag {
 		})
 	}
 	return out
-}
-
-// cacheKey hashes the package's own files, its module-internal dependency
-// closure's files, and the toolchain version: any change that could alter
-// escape analysis (source, inlinable dependency bodies, compiler)
-// invalidates the entry.
-func (g *GoBuildEscape) cacheKey(prog *Program, path string) (string, error) {
-	h := sha256.New()
-	fmt.Fprintln(h, runtime.Version())
-	fmt.Fprintln(h, path)
-	own, err := g.packageHash(prog, path)
-	if err != nil {
-		return "", err
-	}
-	fmt.Fprintln(h, own)
-	for _, dep := range prog.Graph.TransitiveImports(path) {
-		dh, err := g.packageHash(prog, dep)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintln(h, dep, dh)
-	}
-	return hex.EncodeToString(h.Sum(nil))[:32], nil
-}
-
-// packageHash hashes one package's file names and contents.
-func (g *GoBuildEscape) packageHash(prog *Program, path string) (string, error) {
-	if h, ok := g.fileHash[path]; ok {
-		return h, nil
-	}
-	h := sha256.New()
-	if p := prog.PackageByPath(path); p != nil {
-		for _, f := range p.Files {
-			name := p.Fset.Position(f.Pos()).Filename
-			data, err := os.ReadFile(name)
-			if err != nil {
-				return "", fmt.Errorf("escape: %w", err)
-			}
-			fmt.Fprintln(h, filepath.Base(name))
-			h.Write(data)
-		}
-	} else {
-		// A dependency outside the loaded set (linting a package subset):
-		// hash its non-test .go files straight from disk. The set may
-		// differ from what the loader would pick (build tags), so subset
-		// and whole-module runs key separately — conservative, never stale.
-		rel, ok := strings.CutPrefix(path, g.Module+"/")
-		if !ok {
-			return "", fmt.Errorf("escape: dependency %s not loaded and not module-internal", path)
-		}
-		entries, err := os.ReadDir(filepath.Join(g.Root, filepath.FromSlash(rel)))
-		if err != nil {
-			return "", fmt.Errorf("escape: %w", err)
-		}
-		for _, e := range entries {
-			name := e.Name()
-			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-				continue
-			}
-			data, err := os.ReadFile(filepath.Join(g.Root, filepath.FromSlash(rel), name))
-			if err != nil {
-				return "", fmt.Errorf("escape: %w", err)
-			}
-			fmt.Fprintln(h, name)
-			h.Write(data)
-		}
-	}
-	sum := hex.EncodeToString(h.Sum(nil))
-	g.fileHash[path] = sum
-	return sum, nil
-}
-
-// readCache returns the cached raw output lines for key.
-func (g *GoBuildEscape) readCache(key string) ([]string, bool) {
-	if g.CacheDir == "" {
-		return nil, false
-	}
-	data, err := os.ReadFile(filepath.Join(g.CacheDir, key+".txt"))
-	if err != nil {
-		return nil, false
-	}
-	text := strings.TrimRight(string(data), "\n")
-	if text == "" {
-		return nil, true
-	}
-	return strings.Split(text, "\n"), true
-}
-
-// writeCache stores raw output lines under key (best effort: a cache
-// write failure never fails the lint run).
-func (g *GoBuildEscape) writeCache(key string, raw []string) {
-	if g.CacheDir == "" {
-		return
-	}
-	if err := os.MkdirAll(g.CacheDir, 0o755); err != nil {
-		return
-	}
-	body := strings.Join(raw, "\n")
-	if body != "" {
-		body += "\n"
-	}
-	tmp := filepath.Join(g.CacheDir, key+".tmp")
-	if err := os.WriteFile(tmp, []byte(body), 0o644); err != nil {
-		return
-	}
-	_ = os.Rename(tmp, filepath.Join(g.CacheDir, key+".txt"))
 }

@@ -26,7 +26,7 @@ type Program struct {
 	// Facts is the cross-package facts store.
 	Facts *Facts
 	// Escape provides per-package escape-analysis diagnostics (the
-	// compiler's -gcflags=-m output). Defaults to a cached `go build`
+	// compiler's -gcflags=-m output). Defaults to a `go build`
 	// runner; tests may substitute a fake.
 	Escape EscapeSource
 }
@@ -91,26 +91,6 @@ func NewPackageGraph(module string, pkgs []*Package) *PackageGraph {
 
 // Imports returns the module-internal imports of path, sorted.
 func (g *PackageGraph) Imports(path string) []string { return g.imports[path] }
-
-// TransitiveImports returns path's module-internal import closure
-// (excluding path itself), sorted.
-func (g *PackageGraph) TransitiveImports(path string) []string {
-	seen := map[string]bool{path: true}
-	var out []string
-	queue := append([]string(nil), g.imports[path]...)
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
-		if seen[p] {
-			continue
-		}
-		seen[p] = true
-		out = append(out, p)
-		queue = append(queue, g.imports[p]...)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Facts is the cross-package facts store: the per-package pass of a
 // whole-program analyzer exports facts keyed by analyzer and package, and
